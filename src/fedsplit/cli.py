@@ -35,12 +35,19 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _parse_seeds(spec: str) -> list[int]:
-    """Accepts '0..19', '3', or '0,2,5'."""
+    """Accepts '0..19', '3', or '0,2,5'; an empty selection is an error."""
     spec = spec.strip()
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in spec.split(",") if s]
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..", 1)
+            seeds = list(range(int(lo), int(hi) + 1))
+        else:
+            seeds = [int(s) for s in spec.split(",") if s]
+    except ValueError:
+        raise ConfigError(f"--seeds {spec!r} must look like 0..19, 3 or 0,2,5") from None
+    if not seeds:
+        raise ConfigError(f"--seeds {spec!r} selects no seeds")
+    return seeds
 
 
 def _parse_sweep(items: list[str]) -> dict:
@@ -60,7 +67,12 @@ def _parse_sweep(items: list[str]) -> dict:
 
 
 def _load_config(path: str, mode_override: str | None) -> dict:
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"--config {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"--config {path}: expected a JSON object")
     if mode_override:
         doc["mode"] = mode_override
     return doc
@@ -82,16 +94,26 @@ def _run_id(config: orch.FLConfig, point: dict) -> str:
 def _max_workers() -> int:
     env = os.environ.get("FEDSPLIT_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"FEDSPLIT_THREADS must be an integer, got {env!r}") from None
     return min(8, os.cpu_count() or 1)
+
+
+def _bundle_key(cfg: orch.FLConfig) -> tuple:
+    """The config fields that `orch.build_problem` reads."""
+    return (
+        cfg.n_clients, cfg.dim, cfg.spread, cfg.gamma_target, cfg.center_offset,
+        cfg.problem_seed, cfg.eig_lo, cfg.eig_hi, cfg.n_samples, cfg.batch_size,
+        cfg.sample_spread, cfg.ball_radius,
+    )
 
 
 def cmd_run(args) -> int:
     doc = _load_config(args.config, args.mode)
     axes = _parse_sweep(args.sweep)
     seeds = _parse_seeds(args.seeds)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     base = orch.FLConfig.from_dict(doc)
     base.validate()
 
@@ -101,22 +123,18 @@ def cmd_run(args) -> int:
             cfg = orch.FLConfig.from_dict({**doc, **point, "seed": seed})
             cfg.validate()
             jobs.append((point, cfg))
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
-    bundle_cache: dict[tuple, orch.ProblemBundle] = {}
-
-    def bundle_for(cfg: orch.FLConfig) -> orch.ProblemBundle:
-        key = (
-            cfg.n_clients, cfg.dim, cfg.spread, cfg.gamma_target, cfg.problem_seed,
-            cfg.eig_lo, cfg.eig_hi, cfg.n_samples, cfg.batch_size, cfg.sample_spread,
-            cfg.ball_radius,
-        )
-        if key not in bundle_cache:
-            bundle_cache[key] = orch.build_problem(cfg)
-        return bundle_cache[key]
+    # Built here, before the pool starts, so worker threads only read it.
+    bundles: dict[tuple, orch.ProblemBundle] = {}
+    for _, cfg in jobs:
+        if _bundle_key(cfg) not in bundles:
+            bundles[_bundle_key(cfg)] = orch.build_problem(cfg)
 
     def one(job):
         point, cfg = job
-        result = orch.run(cfg, bundle_for(cfg))
+        result = orch.run(cfg, bundles[_bundle_key(cfg)])
         run_dir = out_dir / _run_id(cfg, point)
         run_dir.mkdir(parents=True, exist_ok=True)
         _atomic_write(run_dir / "metrics.csv", orch.metrics_to_csv(result.metrics))
@@ -130,7 +148,7 @@ def cmd_run(args) -> int:
         results = list(pool.map(one, jobs))
 
     first_cfg = results[0][1]
-    bundle = bundle_for(first_cfg)
+    bundle = bundles[_bundle_key(first_cfg)]
     w_tilde = max(
         (r.constants.get("w_tilde_run_max", 0.0) for _, _, r in results), default=0.0
     )

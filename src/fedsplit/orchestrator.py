@@ -126,6 +126,8 @@ class FLConfig:
                 raise ConfigError("quantized mode needs gamma_max > 0")
         if self.mode == "ldp" and self.ldp_scale < 0:
             raise ConfigError("ldp_scale must be nonnegative")
+        if self.kt_override is not None and self.kt_override < 1:
+            raise ConfigError(f"kt_override must be at least 1, got {self.kt_override}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -141,11 +143,39 @@ class FLConfig:
         missing = [k for k in required if k not in doc]
         if missing:
             raise ConfigError(f"config is missing required fields: {', '.join(missing)}")
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
+        fields = cls.__dataclass_fields__
+        unknown = set(doc) - set(fields)
         if unknown:
             raise ConfigError(f"unknown config fields: {', '.join(sorted(unknown))}")
+        for name, value in doc.items():
+            _check_field_type(name, value, fields[name])
         return cls(**doc)
+
+
+_JSON_KINDS = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "str": ((str,), "a string"),
+}
+
+
+def _check_field_type(name: str, value, f) -> None:
+    """JSON type gate for one FLConfig field, driven by its annotation.
+
+    Floats must be finite, except that NaN stays allowed where it is the
+    field's default: it marks a safety field as unset, and `validate`
+    rejects it in the modes that need the field.
+    """
+    kind, *rest = f.type.split(" | ")
+    if value is None and rest == ["None"]:
+        return
+    types, what = _JSON_KINDS[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ConfigError(f"config field {name} must be {what}, got {value!r}")
+    if kind == "float" and not math.isfinite(value):
+        unset = isinstance(f.default, float) and math.isnan(f.default)
+        if not (unset and math.isnan(value)):
+            raise ConfigError(f"config field {name} must be finite, got {value!r}")
 
 
 @dataclass

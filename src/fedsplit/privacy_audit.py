@@ -276,8 +276,35 @@ def replay_and_compare(
 MUTABLE_PARAMS = ("inv_i", "inv_j", "a_i", "a_j", "alpha_i", "alpha_j")
 
 
-def mutate_witness(witness: EquivalenceWitness, param: str, coord: int = 0) -> EquivalenceWitness:
-    """Bump one scalar of one witness parameter (negative-control probe)."""
+def _first_round_leverage(witness: EquivalenceWitness, param: str) -> np.ndarray:
+    """Per-coordinate factor by which a bump of `param` moves the protected
+    client's round-one visible, read off the recorded round-zero state.
+
+    Drift weights scale vis_j - vis_i, coupling weights scale the gap
+    between the witness invisible and the visible, and a perturbed
+    invisible enters the visible through its coupling weight.
+    """
+    vis_i = witness.trace.visibles[0][witness.i]
+    vis_j = witness.trace.visibles[0][witness.j]
+    return np.abs({
+        "inv_i": witness.a_i,
+        "inv_j": witness.a_j,
+        "a_i": witness.inv_i - vis_i,
+        "a_j": witness.inv_j - vis_j,
+        "alpha_i": witness.trace.epsilon * (vis_j - vis_i),
+        "alpha_j": witness.trace.epsilon * (vis_i - vis_j),
+    }[param])
+
+
+def mutate_witness(
+    witness: EquivalenceWitness, param: str, coord: int | None = None
+) -> EquivalenceWitness:
+    """Bump one scalar of one witness parameter (negative-control probe).
+
+    By default the bumped coordinate is the one where the bump moves the
+    round-one visibles the most, so the probe does not land on a coordinate
+    the replay barely feels (e.g. a drift weight where vis_i ~ vis_j).
+    """
     if param not in MUTABLE_PARAMS:
         raise ConfigError(f"unknown witness parameter {param!r}")
     mutated = EquivalenceWitness(
@@ -289,7 +316,10 @@ def mutate_witness(witness: EquivalenceWitness, param: str, coord: int = 0) -> E
         identity=False,
     )
     arr = getattr(mutated, param)
-    arr[coord] += 0.1 + 0.01 * abs(float(arr[coord]))
+    bump = 0.1 + 0.01 * np.abs(arr)
+    if coord is None:
+        coord = int(np.argmax(bump * _first_round_leverage(witness, param)))
+    arr[coord] += bump[coord]
     return mutated
 
 

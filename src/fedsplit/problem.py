@@ -58,23 +58,23 @@ class ClientDataset:
     Sample j is the pair (anchor c_j, target y_j = A c_j); the per-sample loss
     0.5 (w - c_j)^T A (w - c_j) has gradient A w - y_j.  Anchors are centered
     so their mean is exactly the client minimizer, hence the full batch
-    recovers the true gradient.
+    recovers the true gradient.  Both arrays are read-only: one dataset backs
+    every seed and every worker thread that shares a problem bundle.
     """
 
-    samples: list  # list of (anchor, target) pairs, both (d,) arrays
+    anchors: np.ndarray  # (n, d): row j is c_j
+    targets: np.ndarray  # (n, d): row j is y_j = A c_j
     batch_size: int
 
     def __post_init__(self):
-        if not 1 <= self.batch_size <= len(self.samples):
+        if not 1 <= self.batch_size <= len(self.targets):
             raise ConfigError("batch_size must be in [1, n_samples]")
+        self.anchors.flags.writeable = False
+        self.targets.flags.writeable = False
 
     @property
     def n(self) -> int:
-        return len(self.samples)
-
-    @property
-    def targets(self) -> np.ndarray:
-        return np.stack([y for _, y in self.samples])
+        return len(self.targets)
 
 
 @dataclass(frozen=True)
@@ -163,8 +163,9 @@ def make_client_datasets(
         xi = sample_spread * rng.standard_normal((n_samples, loss.dim))
         xi -= xi.mean(axis=0)
         anchors = loss.b + xi
-        samples = [(anchors[j], loss.A @ anchors[j]) for j in range(n_samples)]
-        out.append(ClientDataset(samples=samples, batch_size=batch_size))
+        # per-row products: anchors @ A.T may sum in another order
+        targets = np.stack([loss.A @ anchors[j] for j in range(n_samples)])
+        out.append(ClientDataset(anchors=anchors, targets=targets, batch_size=batch_size))
     return out
 
 
@@ -240,10 +241,6 @@ def stochastic_gradient(
         raise ConfigError("batch must be nonempty")
     y_mean = dataset.targets[batch].mean(axis=0)
     return loss.A @ w - y_mean
-
-
-def full_gradient(loss: QuadraticClientLoss, w: np.ndarray) -> np.ndarray:
-    return loss.grad(w)
 
 
 # -- serialization -----------------------------------------------------------

@@ -1,9 +1,11 @@
 import json
+import time
 from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
+from fedsplit import orchestrator as orch
 from fedsplit.cli import main
 from fedsplit.presets import desk_config
 
@@ -130,3 +132,74 @@ def test_integrity_violation_exits_3(config_path, tmp_path, capsys):
     code = main(["run", "--config", str(bad), "--seeds", "0", "--out", str(tmp_path / "y")])
     assert code == 3
     assert "ball" in capsys.readouterr().err
+
+
+def _run_with(config_path, tmp_path, *args, **fields):
+    """`fedsplit run` on the test config with `fields` replaced."""
+    doc = json.loads(config_path.read_text())
+    doc.update(fields)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "edited_out"
+    return main(["run", "--config", str(path), "--out", str(out), *args]), out
+
+
+def test_run_builds_each_bundle_once_before_the_pool(config_path, tmp_path, monkeypatch):
+    monkeypatch.setenv("FEDSPLIT_THREADS", "2")
+    calls = []
+    real_build = orch.build_problem
+
+    def counting_build(cfg):
+        calls.append(cfg.seed)
+        time.sleep(0.05)  # wide enough for a second pool thread to race in
+        return real_build(cfg)
+
+    monkeypatch.setattr(orch, "build_problem", counting_build)
+    code, _ = _run_with(config_path, tmp_path, "--seeds", "0,1", rounds=3)
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_run_sweep_over_center_offset_builds_distinct_problems(
+    config_path, tmp_path, monkeypatch
+):
+    monkeypatch.setenv("FEDSPLIT_THREADS", "1")  # no pool race to mask a shared bundle
+    code, out = _run_with(
+        config_path, tmp_path, "--sweep", "center_offset=1.0,3.0", rounds=3
+    )
+    assert code == 0
+    a = (out / "mspdq_seed0_center_offset1.0" / "metrics.csv").read_text()
+    b = (out / "mspdq_seed0_center_offset3.0" / "metrics.csv").read_text()
+    assert a != b
+
+
+def test_empty_seed_range_exits_2(config_path, tmp_path, capsys):
+    code, out = _run_with(config_path, tmp_path, "--seeds", "5..3")
+    assert code == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value", [("level", "256"), ("rounds", float("nan")), ("kt_override", 0)]
+)
+def test_bad_field_value_exits_2(config_path, tmp_path, capsys, field, value):
+    code, _ = _run_with(config_path, tmp_path, **{field: value})
+    assert code == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"])
+def test_unreadable_config_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    assert main(["validate", "--config", str(path)]) == 2
+    assert "--config" in capsys.readouterr().err
+
+
+def test_bad_thread_count_exits_2(config_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FEDSPLIT_THREADS", "two")
+    code, _ = _run_with(config_path, tmp_path, rounds=3)
+    assert code == 2
+    assert "FEDSPLIT_THREADS" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -264,3 +266,23 @@ def test_bit_budget_gate_consistent_with_wire_format():
     payload_bits = (encoded_size(cfg.dim, cfg.bits) - 40) * 8
     assert cfg.bits * cfg.dim <= payload_bits < cfg.bits * cfg.dim + 8
     assert cfg.bits <= np.log2(np.sqrt(cfg.cohort * cfg.dim) * consts["pi_tilde"] + 1)
+
+
+# SHA-256 of metrics_to_csv for T=30 desk runs (seed 0, numpy 2.4): any
+# change to keyed draw order or arithmetic moves these, a pure speed-up
+# must not.
+GOLDEN_DESK_T30 = {
+    "fedavg": "8f8d2dc8bd0623289ac355c5c19533f1f1490dbda0d3dd62e73448e6a3c3ad8c",
+    "ldp": "6e1dd3dd291b0acee2baa663f7ccc1b2a219d42630d1ff8aaa46bde52463bb1c",
+    "msp": "0099d3b263c7ccaea9d9de1a4bf4f1fec93a21c1bbc2c9a3a8a99a54f536661e",
+    "mspdq": "ae6c4674b007f212c7fd2b193cc4dd11c8820ab2444bf63fa34c06fb61447eb6",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(GOLDEN_DESK_T30))
+def test_desk_metrics_match_golden_hash(mode):
+    cfg = desk_config(mode, 0, rounds=30)
+    if mode == "ldp":
+        cfg.ldp_scale = 0.1
+    csv = orch.metrics_to_csv(orch.run(cfg).metrics)
+    assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN_DESK_T30[mode]

@@ -167,6 +167,23 @@ def test_run_audit_aggregates():
     assert '"pass": true' in text
 
 
+@pytest.mark.parametrize("seed", range(24))
+def test_run_audit_negative_controls_pass(seed):
+    # on seeds 10, 11, 13, 15, 16 and 17 coordinate 0 has almost no leverage
+    assert pa.run_audit(seed=seed, mutate=True)["pass"]
+
+
+def test_mutation_targets_the_coordinate_with_most_leverage():
+    trace, w = pa.witness_with_retries(31, 0, 1, np.array([0.4, -0.8, 0.3]), M=4, d=3, K=20)
+    vis = trace.visibles[0]
+    gap = np.abs(vis[1] - vis[0])
+    bumped = pa.mutate_witness(w, "alpha_i")
+    changed = np.flatnonzero(bumped.alpha_i != w.alpha_i)
+    assert list(changed) == [int(np.argmax(gap * (0.1 + 0.01 * np.abs(w.alpha_i))))]
+    explicit = pa.mutate_witness(w, "alpha_i", coord=2)
+    assert list(np.flatnonzero(explicit.alpha_i != w.alpha_i)) == [2]
+
+
 def test_dp_case_l5_b3_within_formula():
     # delta formula min{0.4, 4/7} = 0.4 must dominate the measured distance
     from fedsplit.quantizer import QuantizerState, output_distribution, tv_distance

@@ -179,7 +179,37 @@ def test_problem_constants_invariants():
 
 def test_dataset_batch_size_invariant():
     with pytest.raises(ConfigError):
-        ClientDataset(samples=[(np.zeros(1), np.zeros(1))], batch_size=2)
+        ClientDataset(anchors=np.zeros((1, 1)), targets=np.zeros((1, 1)), batch_size=2)
+
+
+def test_dataset_targets_are_per_row_products():
+    losses = make_quadratic_problem(3, 5, 1.0, seed=13)
+    datasets = make_client_datasets(losses, 20, 4, 0.9, seed=13)
+    for loss, ds in zip(losses, datasets):
+        assert ds.anchors.shape == ds.targets.shape == (20, 5)
+        for j in range(ds.n):
+            assert np.array_equal(ds.targets[j], loss.A @ ds.anchors[j])
+
+
+def test_stochastic_gradient_matches_per_sample_loop():
+    losses = make_quadratic_problem(2, 4, 1.0, seed=14)
+    datasets = make_client_datasets(losses, 16, 4, 1.0, seed=14)
+    loss, ds = losses[1], datasets[1]
+    w = np.array([0.5, -1.5, 2.0, 0.25])
+    for batch in ([3], [0, 0, 7, 15], [5, 2, 9, 11, 2, 14], list(range(16))):
+        ys = np.stack([loss.A @ ds.anchors[j] for j in batch])
+        expected = loss.A @ w - ys.mean(axis=0)
+        got = stochastic_gradient(loss, ds, w, batch=np.array(batch))
+        assert np.array_equal(got, expected)
+
+
+def test_dataset_arrays_are_read_only():
+    losses = make_quadratic_problem(1, 2, 1.0, seed=15)
+    ds = make_client_datasets(losses, 8, 2, 1.0, seed=15)[0]
+    with pytest.raises(ValueError):
+        ds.targets[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        ds.anchors[0] += 1.0
 
 
 def test_json_roundtrip():

@@ -3,8 +3,12 @@ and export plot data.
 
 Exit codes: 0 success, 2 configuration/validation failure, 3 invariant
 violation or failed audit check.  All outputs are a pure function of
-(config, seeds); files are written atomically.  FEDSPLIT_THREADS caps the
-sweep worker pool.
+(config, seeds); files are written atomically.  `run` executes its jobs one
+after another; a sweep point whose run breaks a protocol invariant is listed
+with its error in the manifest, the other runs are still written, and the
+command then exits 3.  The manifest groups runs by sweep point (the run id
+without its seed), each with its own config and theorem constants, which
+`report` uses for that group's bound curve.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -85,20 +88,17 @@ def _sweep_points(axes: dict) -> list[dict]:
     return points
 
 
+def _point_parts(point: dict) -> list[str]:
+    return [f"{k}{v}" for k, v in sorted(point.items())]
+
+
 def _run_id(config: orch.FLConfig, point: dict) -> str:
-    parts = [config.mode, f"seed{config.seed}"]
-    parts += [f"{k}{v}" for k, v in sorted(point.items())]
-    return "_".join(parts)
+    return "_".join([config.mode, f"seed{config.seed}", *_point_parts(point)])
 
 
-def _max_workers() -> int:
-    env = os.environ.get("FEDSPLIT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"FEDSPLIT_THREADS must be an integer, got {env!r}") from None
-    return min(8, os.cpu_count() or 1)
+def _group_id(config: orch.FLConfig, point: dict) -> str:
+    """The run id without its seed: one group per sweep point."""
+    return "_".join([config.mode, *_point_parts(point)])
 
 
 def _bundle_key(cfg: orch.FLConfig) -> tuple:
@@ -126,44 +126,53 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    # Built here, before the pool starts, so worker threads only read it.
     bundles: dict[tuple, orch.ProblemBundle] = {}
-    for _, cfg in jobs:
-        if _bundle_key(cfg) not in bundles:
-            bundles[_bundle_key(cfg)] = orch.build_problem(cfg)
-
-    def one(job):
-        point, cfg = job
-        result = orch.run(cfg, bundles[_bundle_key(cfg)])
-        run_dir = out_dir / _run_id(cfg, point)
+    groups: dict[str, dict] = {}
+    failed = []
+    for point, cfg in jobs:
+        key = _bundle_key(cfg)
+        if key not in bundles:
+            bundles[key] = orch.build_problem(cfg)
+        run_id = _run_id(cfg, point)
+        try:
+            result = orch.run(cfg, bundles[key])
+        except ProtocolIntegrityError as exc:
+            print(f"integrity violation in {run_id}: {exc}", file=sys.stderr)
+            failed.append({"run": run_id, "point": point, "error": str(exc)})
+            continue
+        run_dir = out_dir / run_id
         run_dir.mkdir(parents=True, exist_ok=True)
         _atomic_write(run_dir / "metrics.csv", orch.metrics_to_csv(result.metrics))
         _atomic_write(
             run_dir / "summary.json",
             json.dumps(orch.summary_dict(result), sort_keys=True, indent=2),
         )
-        return point, cfg, result
+        group = groups.setdefault(
+            _group_id(cfg, point), {"cfg": cfg, "runs": [], "w_tilde": 0.0}
+        )
+        group["runs"].append(run_id)
+        group["w_tilde"] = max(group["w_tilde"], result.constants.get("w_tilde_run_max", 0.0))
 
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        results = list(pool.map(one, jobs))
-
-    first_cfg = results[0][1]
-    bundle = bundles[_bundle_key(first_cfg)]
-    w_tilde = max(
-        (r.constants.get("w_tilde_run_max", 0.0) for _, _, r in results), default=0.0
-    )
-    constants = orch.theorem_constants(
-        bundle, first_cfg, w_tilde_max=(w_tilde or None) if first_cfg.mode == "mspdq" else None
-    )
+    manifest_groups = {}
+    for gid, group in groups.items():
+        cfg = group["cfg"]
+        w_tilde = group["w_tilde"] or None
+        constants = orch.theorem_constants(
+            bundles[_bundle_key(cfg)], cfg, w_tilde_max=w_tilde if cfg.mode == "mspdq" else None
+        )
+        manifest_groups[gid] = {"config": asdict(cfg), "constants": constants, "runs": group["runs"]}
     manifest = {
-        "config": asdict(first_cfg),
         "sweep": axes,
         "seeds": seeds,
-        "constants": constants,
-        "runs": [_run_id(cfg, point) for point, cfg, _ in results],
+        "groups": manifest_groups,
+        "runs": [run_id for group in groups.values() for run_id in group["runs"]],
+        "failed": failed,
     }
     _atomic_write(out_dir / "manifest.json", json.dumps(manifest, sort_keys=True, indent=2))
-    print(f"wrote {len(results)} runs to {out_dir}")
+    print(f"wrote {len(manifest['runs'])} runs to {out_dir}")
+    if failed:
+        print(f"{len(failed)} runs failed; see 'failed' in the manifest", file=sys.stderr)
+        return EXIT_INTEGRITY
     return EXIT_OK
 
 
@@ -198,30 +207,28 @@ def cmd_audit(args) -> int:
     return EXIT_OK if ok else EXIT_INTEGRITY
 
 
-def _load_runs(run_dir: Path) -> tuple[dict, dict]:
-    manifest = json.loads((run_dir / "manifest.json").read_text())
-    groups: dict[str, list[list[dict]]] = {}
-    for run_id in manifest["runs"]:
-        rows = []
-        csv_path = run_dir / run_id / "metrics.csv"
-        lines = csv_path.read_text().strip().splitlines()
-        header = lines[0].split(",")
-        for line in lines[1:]:
-            rows.append(dict(zip(header, (float(x) for x in line.split(",")))))
-        parts = [p for p in run_id.split("_") if not p.startswith("seed")]
-        groups.setdefault("_".join(parts), []).append(rows)
-    return manifest, groups
+def _read_metrics(path: Path) -> list[dict]:
+    lines = path.read_text().strip().splitlines()
+    header = lines[0].split(",")
+    return [dict(zip(header, (float(x) for x in line.split(",")))) for line in lines[1:]]
 
 
 def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
-    manifest, groups = _load_runs(run_dir)
+    try:
+        groups = json.loads((run_dir / "manifest.json").read_text())["groups"]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(
+            f"--run-dir {run_dir}: needs a manifest.json with per-group runs ({exc!r})"
+        ) from None
     out = Path(args.out) if args.out else run_dir
     out.mkdir(parents=True, exist_ok=True)
-    cfg = orch.FLConfig.from_dict(manifest["config"])
-    constants = manifest["constants"]
     all_within = True
-    for group, runs in groups.items():
+    complexity = ["group,rho,measured_uploads,bound"]
+    for gid, group in groups.items():
+        cfg = orch.FLConfig.from_dict(group["config"])
+        constants = group["constants"]
+        runs = [_read_metrics(run_dir / run_id / "metrics.csv") for run_id in group["runs"]]
         T = len(runs[0])
         ts = np.arange(1, T + 1)
         gaps = np.array([[row["gap"] for row in rows] for rows in runs])
@@ -240,35 +247,33 @@ def cmd_report(args) -> int:
                 f"{int(ts[idx])},{float(mean[idx])!r},{float(std[idx])!r},"
                 f"{float(bound[idx])!r},{int(within[idx])}"
             )
-        _atomic_write(out / f"gap_vs_t_{group}.csv", "\n".join(lines) + "\n")
+        _atomic_write(out / f"gap_vs_t_{gid}.csv", "\n".join(lines) + "\n")
         cum_bits = bits.cumsum(axis=1).mean(axis=0)
         blines = ["t,mean_cumulative_bits"]
         for idx in range(T):
             blines.append(f"{int(ts[idx])},{float(cum_bits[idx])!r}")
-        _atomic_write(out / f"bits_vs_t_{group}.csv", "\n".join(blines) + "\n")
-    if "nu2" in constants:
-        rows = ["rho,measured_uploads,bound"]
-        for rho in (float(x) for x in args.rho.split(",")):
-            measured = _measured_uploads(groups, constants, rho)
-            bound = orch.comm_complexity_bound(rho, constants, cfg.cohort)
-            rows.append(f"{rho!r},{measured},{bound}")
-        _atomic_write(out / "complexity.csv", "\n".join(rows) + "\n")
+        _atomic_write(out / f"bits_vs_t_{gid}.csv", "\n".join(blines) + "\n")
+        if "nu2" in constants:
+            for rho in (float(x) for x in args.rho.split(",")):
+                measured = _measured_uploads(runs, constants, rho)
+                bound_rho = orch.comm_complexity_bound(rho, constants, cfg.cohort)
+                complexity.append(f"{gid},{rho!r},{measured},{bound_rho}")
+    if len(complexity) > 1:
+        _atomic_write(out / "complexity.csv", "\n".join(complexity) + "\n")
     if not all_within:
         print("warning: mean gap exceeded the bound curve somewhere", file=sys.stderr)
     print(f"report written to {out}")
     return EXIT_OK
 
 
-def _measured_uploads(groups: dict, constants: dict, rho: float) -> int:
-    """Uploads until the seed-mean distance ratio first reaches rho; -1 when
-    the horizon ends first."""
+def _measured_uploads(runs: list, constants: dict, rho: float) -> int:
+    """Uploads until the seed-mean distance ratio of one group's runs first
+    reaches rho; -1 when the horizon ends first."""
     dist0 = constants["dist0"]
-    firsts = next(iter(groups.values()))
-    T = len(firsts[0])
     total = 0
-    for t in range(T):
-        total += int(np.mean([rows[t]["uploads"] for rows in firsts]))
-        ratio = float(np.mean([rows[t]["dist2"] for rows in firsts])) / dist0
+    for t in range(len(runs[0])):
+        total += int(np.mean([rows[t]["uploads"] for rows in runs]))
+        ratio = float(np.mean([rows[t]["dist2"] for rows in runs])) / dist0
         if ratio <= rho:
             return total
     return -1

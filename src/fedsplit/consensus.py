@@ -22,11 +22,14 @@ from .errors import ConfigError, ProtocolIntegrityError
 from .quantizer import (
     QuantizedVector,
     QuantizerState,
+    bit_width,
     compute_pi_t,
     decode,
     dynamic_error_bound,
     encode,
-    encoded_size,
+    knob_values,
+    round_to_knobs,
+    shrink_box,
 )
 from .splitting import SplitState
 
@@ -50,8 +53,6 @@ class RoundState:
     m_counts: np.ndarray
     global_model: np.ndarray
     quantized: np.ndarray | None = None
-    box_lo: np.ndarray | None = None
-    box_hi: np.ndarray | None = None
     level: int | None = None
     k: int = 0
 
@@ -76,9 +77,6 @@ class RoundOverrides:
     drift: dict = field(default_factory=dict)
     coupling: dict = field(default_factory=dict)
 
-    def empty(self) -> bool:
-        return not self.drift and not self.coupling
-
 
 @dataclass
 class ConsensusTrace:
@@ -95,15 +93,15 @@ class ConsensusTrace:
     weights: list = field(default_factory=list)  # per k: (M, m_max)
     quantized: list = field(default_factory=list)  # per k: (M, d) (quantized mode)
     pis: list = field(default_factory=list)
-    a_maxes: list = field(default_factory=list)
-    delta_norms: list = field(default_factory=list)  # per k: (M,)
-    delta_bounds: list = field(default_factory=list)
-    box_los: list = field(default_factory=list)
-    box_his: list = field(default_factory=list)
 
     @property
     def K(self) -> int:
         return len(self.weights)
+
+    def at(self, k: int) -> np.ndarray:
+        """The step weights recorded at round k, so a trace replays its own
+        schedule wherever a StepWeights is expected."""
+        return self.weights[k]
 
     @property
     def M(self) -> int:
@@ -207,27 +205,9 @@ def msp_round(
 
 @dataclass
 class QuantizedRoundRecord:
-    pi_t: float
     a_max_k: float
     delta_norms: np.ndarray
     delta_bound: float
-    box_lo: np.ndarray
-    box_hi: np.ndarray
-    bits: int
-
-
-def _quantize_matrix(
-    W: np.ndarray, lo: np.ndarray, hi: np.ndarray, level: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Vectorized randomized rounding of every client at once; returns values."""
-    step = (hi - lo) / (level - 1)
-    tau = np.clip(np.floor((W - lo) / step).astype(np.int64), 0, level - 2)
-    c_lo = lo + tau * step
-    c_hi = lo + (tau + 1) * step
-    p_up = np.clip((W - c_lo) / (c_hi - c_lo), 0.0, 1.0)
-    up = rng.random(size=W.shape) < p_up
-    idx = tau + up.astype(np.int64)
-    return lo + idx * step, idx
 
 
 def mspdq_round(
@@ -248,15 +228,12 @@ def mspdq_round(
     if state.quantized is None or state.level is None:
         raise ConfigError("state lacks quantized uploads; initialize the quantized mode first")
     level = state.level
-    B = max(1, int(np.ceil(np.log2(level))))
     drift = _drift(state, epsilon, state.quantized, overrides)
     coupling, new_inv = _coupling_terms(state, weights_k, overrides)
     new_vis = state.visible + drift + coupling
 
     a_max_k = float(np.max(weights_k[:, 0]))
-    half = 0.5 * pi_t * a_max_k
-    box_lo = state.quantized - half
-    box_hi = state.quantized + half
+    box_lo, box_hi = shrink_box(state.quantized, pi_t, a_max_k)
     inside = (new_vis >= box_lo) & (new_vis <= box_hi)
     if not inside.all():
         bad = np.argwhere(~inside)[0]
@@ -264,7 +241,8 @@ def mspdq_round(
             f"visible escaped its shrunk interval at round {state.k} "
             f"(client {bad[0]}, coordinate {bad[1]}); pi_t misconfigured"
         )
-    q_vals, q_idx = _quantize_matrix(new_vis, box_lo, box_hi, level, rng)
+    q_idx = round_to_knobs(new_vis, box_lo, box_hi, level, rng)
+    q_vals = knob_values(box_lo, box_hi, level, q_idx)
     if wire_check:
         for i in range(state.M):
             qs = QuantizerState(lo=box_lo[i], hi=box_hi[i], level=level)
@@ -274,13 +252,9 @@ def mspdq_round(
                 raise ProtocolIntegrityError("wire roundtrip altered an upload")
     delta = q_vals - new_vis
     rec = QuantizedRoundRecord(
-        pi_t=pi_t,
         a_max_k=a_max_k,
         delta_norms=np.linalg.norm(delta, axis=1),
-        delta_bound=dynamic_error_bound(pi_t, B, a_max_k, state.d),
-        box_lo=box_lo,
-        box_hi=box_hi,
-        bits=state.M * 8 * encoded_size(state.d, B),
+        delta_bound=dynamic_error_bound(pi_t, bit_width(level), a_max_k, state.d),
     )
     new_state = RoundState(
         visible=new_vis,
@@ -288,8 +262,6 @@ def mspdq_round(
         m_counts=state.m_counts,
         global_model=q_vals.mean(axis=0),
         quantized=q_vals,
-        box_lo=box_lo,
-        box_hi=box_hi,
         level=level,
         k=state.k + 1,
     )
@@ -314,13 +286,15 @@ def run_consensus(
     record: bool = True,
     overrides: dict | None = None,
     wire_check: bool = False,
-    w_tilde_init: float = 0.0,
 ):
     """Iterate the chosen round operator K times.
 
+    `weights.at(k)` gives round k's (M, m) step weights: a StepWeights
+    schedule, or a recorded ConsensusTrace replaying its own.
+
     Returns (final_state, trace_or_None, summary) where summary carries the
-    running interval-width maximum, per-round quantization errors and their
-    bounds, and the transmitted bit count.
+    running interval-width and beta-gap maxima and the worst quantization
+    error and its margin below the bound (zeros and inf for plain rounds).
     """
     if K < 1:
         raise ConfigError("need at least one communication round")
@@ -338,13 +312,11 @@ def run_consensus(
             origins=(origins.copy() if origins is not None else np.zeros_like(initial.visible)),
         )
         trace.snapshot(state)
-    w_tilde = w_tilde_init
+    w_tilde = 0.0
     summary = {
-        "bits": 0,
         "delta_max": 0.0,
         "bound_margin_min": float("inf"),
         "w_tilde_max": 0.0,
-        "pi_max": 0.0,
         "max_width": 0.0,
     }
     for k in range(K):
@@ -361,22 +333,15 @@ def run_consensus(
         state, rec = mspdq_round(
             state, epsilon, weights_k, pi_t, rng, overrides=ov, wire_check=wire_check
         )
-        summary["bits"] += rec.bits
         summary["delta_max"] = max(summary["delta_max"], float(rec.delta_norms.max()))
         summary["bound_margin_min"] = min(
             summary["bound_margin_min"], rec.delta_bound - float(rec.delta_norms.max())
         )
         summary["w_tilde_max"] = max(summary["w_tilde_max"], w_tilde)
-        summary["pi_max"] = max(summary["pi_max"], pi_t)
         summary["max_width"] = max(summary["max_width"], pi_t * rec.a_max_k)
         if record:
             trace.weights.append(weights_k)
             trace.pis.append(pi_t)
-            trace.a_maxes.append(rec.a_max_k)
-            trace.delta_norms.append(rec.delta_norms)
-            trace.delta_bounds.append(rec.delta_bound)
-            trace.box_los.append(rec.box_lo)
-            trace.box_his.append(rec.box_hi)
             trace.snapshot(state)
     return state, trace, summary
 

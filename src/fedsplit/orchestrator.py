@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import rng as rngmod
-from .consensus import MSP, MSPDQ, run_consensus, state_from_splits
+from .consensus import run_consensus, state_from_splits
 from .errors import ConfigError, ProtocolIntegrityError
 from .problem import (
     ClientDataset,
@@ -28,10 +28,11 @@ from .problem import (
     problem_constants,
     stochastic_gradient,
 )
-from .quantizer import compute_pi_t, encoded_size
+from .quantizer import bit_width, compute_pi_t, encoded_size
 from .spectral import (
     StepWeights,
     build_U,
+    check_step_weight_budget,
     contraction_probe,
     fit_contraction_constant,
     lambda2_U,
@@ -86,7 +87,7 @@ class FLConfig:
 
     @property
     def bits(self) -> int:
-        return max(1, math.ceil(math.log2(self.level))) if self.level >= 2 else 0
+        return bit_width(self.level) if self.level >= 2 else 0
 
     def validate(self) -> None:
         if self.mode not in MODES:
@@ -107,14 +108,11 @@ class FLConfig:
                 raise ConfigError("lambda must lie in (0, 1)")
             if not self.gamma_max == self.gamma_max or self.gamma_max < 0:
                 raise ConfigError("gamma_max must be a nonnegative number")
-            u = build_U(self.cohort, self.epsilon)
-            lam_min = lambda_min_U(u)
-            cap = lam_min / (1 + lam_min) if lam_min > 0 else 0.0
-            if self.gamma_max > 0 and self.split_m * self.gamma_max >= cap:
-                raise ConfigError(
-                    f"step-weight budget m*gamma_max = {self.split_m * self.gamma_max:.6g} "
-                    f"violates the bound lambda_min/(1+lambda_min) = {cap:.6g}"
-                )
+            check_step_weight_budget(
+                self.split_m * self.gamma_max,
+                build_U(self.cohort, self.epsilon),
+                "step-weight budget m*gamma_max =",
+            )
             if self.split_m < 1:
                 raise ConfigError("need at least one invisible submodel")
         if self.mode == "mspdq":
@@ -340,19 +338,6 @@ def _local_round(config, bundle, w_prev, t, eta):
     return cohort, locals_by_client
 
 
-def run(config: FLConfig, bundle: ProblemBundle | None = None) -> RunResult:
-    config.validate()
-    if bundle is None:
-        bundle = build_problem(config)
-    if config.mode == "fedavg":
-        return _run_averaging(config, bundle, ldp_scale=0.0)
-    if config.mode == "ldp":
-        return _run_averaging(config, bundle, ldp_scale=config.ldp_scale)
-    if config.mode == "msp":
-        return _run_split(config, bundle)
-    return _run_split_quantized(config, bundle)
-
-
 def _base_constants(config: FLConfig, bundle: ProblemBundle) -> dict:
     pc = bundle.constants
     return {
@@ -364,77 +349,6 @@ def _base_constants(config: FLConfig, bundle: ProblemBundle) -> dict:
         "F_star": pc.F_star,
         "vartheta": vartheta(pc.mu, pc.L, config.local_steps),
     }
-
-
-def _run_averaging(config: FLConfig, bundle: ProblemBundle, ldp_scale: float) -> RunResult:
-    pc = bundle.constants
-    vt = vartheta(pc.mu, pc.L, config.local_steps)
-    w = np.zeros(config.dim)
-    traj = [w.copy()]
-    metrics = []
-    for t in range(1, config.rounds + 1):
-        eta = lr_schedule(t, pc.mu, vt)
-        cohort, locals_by_client = _local_round(config, bundle, w, t, eta)
-        uploads = np.stack([locals_by_client[int(c)] for c in cohort])
-        if ldp_scale > 0:
-            rng_n = rngmod.stream(config.seed, rngmod.LDP_NOISE, t)
-            uploads = uploads + rng_n.laplace(0.0, ldp_scale, size=uploads.shape)
-        w = uploads.mean(axis=0)
-        _check_ball(w, pc.w_star, config.ball_radius, "global model")
-        gap = _global_loss(bundle.losses, w) - pc.F_star
-        metrics.append(
-            RoundMetrics(
-                t=t,
-                gap=gap,
-                dist2=float(np.sum((w - pc.w_star) ** 2)),
-                kt=0,
-                uploads=config.cohort,
-                bits=config.cohort * 64 * config.dim,
-                max_width=0.0,
-                delta_max=0.0,
-            )
-        )
-        traj.append(w.copy())
-    return RunResult(config, metrics, _base_constants(config, bundle), np.stack(traj))
-
-
-def _run_split(config: FLConfig, bundle: ProblemBundle) -> RunResult:
-    pc = bundle.constants
-    vt = vartheta(pc.mu, pc.L, config.local_steps)
-    rule = _split_rule(config)
-    weights = _step_weights(config)
-    w = np.zeros(config.dim)
-    traj = [w.copy()]
-    metrics = []
-    for t in range(1, config.rounds + 1):
-        eta = lr_schedule(t, pc.mu, vt)
-        kt = config.kt_override or kt_schedule(t, pc.mu, vt, config.lambda_, "msp")
-        cohort, locals_by_client = _local_round(config, bundle, w, t, eta)
-        splits = []
-        for slot, c in enumerate(cohort):
-            rng_ss = rngmod.stream(config.seed, rngmod.SPLITTING, t, slot)
-            splits.append(split_model(locals_by_client[int(c)], rule, rng_ss))
-        state = state_from_splits(splits)
-        final, _, _ = run_consensus(
-            state, kt, MSP, config.epsilon, weights, record=False
-        )
-        w = final.global_model
-        _check_ball(w, pc.w_star, config.ball_radius, "global model")
-        gap = _global_loss(bundle.losses, w) - pc.F_star
-        metrics.append(
-            RoundMetrics(
-                t=t,
-                gap=gap,
-                dist2=float(np.sum((w - pc.w_star) ** 2)),
-                kt=kt,
-                uploads=config.cohort * (kt + 1),
-                bits=config.cohort * (kt + 1) * 64 * config.dim,
-                max_width=0.0,
-                delta_max=0.0,
-            )
-        )
-        traj.append(w.copy())
-    return RunResult(config, metrics, _base_constants(config, bundle), np.stack(traj))
 
 
 def mspdq_initial_state(
@@ -472,63 +386,91 @@ def mspdq_initial_state(
     return state, adjusted
 
 
-def _run_split_quantized(config: FLConfig, bundle: ProblemBundle) -> RunResult:
+def run(config: FLConfig, bundle: ProblemBundle | None = None) -> RunResult:
+    """One seeded run in any mode.
+
+    Every mode shares cohort sampling, local SGD, the ball check, metrics
+    and the trajectory; only aggregation differs: the mean of the uploads
+    (with Laplace noise in ldp mode), or a split followed by kt consensus
+    rounds, whose uploads are quantized in mspdq mode.
+    """
+    config.validate()
+    if bundle is None:
+        bundle = build_problem(config)
     pc = bundle.constants
     vt = vartheta(pc.mu, pc.L, config.local_steps)
-    rule = _split_rule(config)
-    weights = _step_weights(config)
-    u = build_U(config.cohort, config.epsilon)
-    lam2 = lambda2_U(u)
-    q0_width = config.q0_width
-    if q0_width is None:
-        q0_width = 6.0 * (float(np.linalg.norm(pc.w_star)) + config.ball_radius)
+    split = config.mode in ("msp", "mspdq")
+    quantized = config.mode == "mspdq"
+    if split:
+        rule = _split_rule(config)
+        weights = _step_weights(config)
+    lam2 = None
+    upload_bits = 64 * config.dim
+    if quantized:
+        lam2 = lambda2_U(build_U(config.cohort, config.epsilon))
+        q0_width = config.q0_width
+        if q0_width is None:
+            q0_width = 6.0 * (float(np.linalg.norm(pc.w_star)) + config.ball_radius)
+        upload_bits = 8 * encoded_size(config.dim, config.bits)
     w = np.zeros(config.dim)
     traj = [w.copy()]
     metrics = []
     w_tilde_run = 0.0
     for t in range(1, config.rounds + 1):
         eta = lr_schedule(t, pc.mu, vt)
-        kt = config.kt_override or kt_schedule(t, pc.mu, vt, config.lambda_, "mspdq")
         cohort, locals_by_client = _local_round(config, bundle, w, t, eta)
-        splits = []
-        for slot, c in enumerate(cohort):
-            rng_ss = rngmod.stream(config.seed, rngmod.SPLITTING, t, slot)
-            splits.append(split_model(locals_by_client[int(c)], rule, rng_ss))
-        state, _ = mspdq_initial_state(splits, w, q0_width, config.level)
-        rng_sq = rngmod.stream(config.seed, rngmod.QUANTIZATION, t)
-        final, _, summary = run_consensus(
-            state,
-            kt,
-            MSPDQ,
-            config.epsilon,
-            weights,
-            rng=rng_sq,
-            lambda2_u=lam2,
-            record=False,
-            wire_check=(t <= 2),
-        )
-        if summary["bound_margin_min"] < 0:
-            raise ProtocolIntegrityError("quantization error exceeded its bound")
-        w_tilde_run = max(w_tilde_run, summary["w_tilde_max"])
-        w = final.global_model
+        kt = 0
+        summary = {"max_width": 0.0, "delta_max": 0.0}
+        if not split:
+            uploads = np.stack([locals_by_client[int(c)] for c in cohort])
+            if config.mode == "ldp" and config.ldp_scale > 0:
+                rng_n = rngmod.stream(config.seed, rngmod.LDP_NOISE, t)
+                uploads = uploads + rng_n.laplace(0.0, config.ldp_scale, size=uploads.shape)
+            w = uploads.mean(axis=0)
+        else:
+            kt = config.kt_override or kt_schedule(t, pc.mu, vt, config.lambda_, config.mode)
+            splits = []
+            for slot, c in enumerate(cohort):
+                rng_ss = rngmod.stream(config.seed, rngmod.SPLITTING, t, slot)
+                splits.append(split_model(locals_by_client[int(c)], rule, rng_ss))
+            if quantized:
+                state, _ = mspdq_initial_state(splits, w, q0_width, config.level)
+                rng_sq = rngmod.stream(config.seed, rngmod.QUANTIZATION, t)
+            else:
+                state, rng_sq = state_from_splits(splits), None
+            final, _, summary = run_consensus(
+                state,
+                kt,
+                config.mode,
+                config.epsilon,
+                weights,
+                rng=rng_sq,
+                lambda2_u=lam2,
+                record=False,
+                wire_check=quantized and t <= 2,
+            )
+            if summary["bound_margin_min"] < 0:
+                raise ProtocolIntegrityError("quantization error exceeded its bound")
+            w_tilde_run = max(w_tilde_run, summary["w_tilde_max"])
+            w = final.global_model
         _check_ball(w, pc.w_star, config.ball_radius, "global model")
-        gap = _global_loss(bundle.losses, w) - pc.F_star
-        bits_t = config.cohort * (kt + 1) * 8 * encoded_size(config.dim, config.bits)
+        uploads_t = config.cohort * (kt + 1)
         metrics.append(
             RoundMetrics(
                 t=t,
-                gap=gap,
+                gap=_global_loss(bundle.losses, w) - pc.F_star,
                 dist2=float(np.sum((w - pc.w_star) ** 2)),
                 kt=kt,
-                uploads=config.cohort * (kt + 1),
-                bits=bits_t,
+                uploads=uploads_t,
+                bits=uploads_t * upload_bits,
                 max_width=summary["max_width"],
                 delta_max=summary["delta_max"],
             )
         )
         traj.append(w.copy())
     constants = _base_constants(config, bundle)
-    constants["w_tilde_run_max"] = w_tilde_run
+    if quantized:
+        constants["w_tilde_run_max"] = w_tilde_run
     return RunResult(config, metrics, constants, np.stack(traj))
 
 
@@ -587,12 +529,7 @@ def theorem_constants(
             if w_tilde_max is None:
                 w_tilde_max = 2.0 * math.sqrt(config.cohort) * (1 + config.split_m) * w_max_norm
             pi_tilde = compute_pi_t(config.epsilon, lambda2_U(u), w_tilde_max)
-            D3 = (
-                config.dim
-                * config.gamma_max**2
-                * pi_tilde**2
-                / (4 * config.cohort * (2**config.bits - 1) ** 2)
-            )
+            D3 = d3_formula(config.dim, config.gamma_max, pi_tilde, config.cohort, config.bits)
             out["pi_tilde"] = pi_tilde
             out["w_tilde_max"] = w_tilde_max
             out["assumption3_bits_ok"] = config.bits <= math.log2(
@@ -636,21 +573,6 @@ def comm_complexity_bound(rho_acc: float, constants: dict, M: int) -> float:
 
 def comm_counter(metrics: list) -> int:
     return int(sum(m.uploads for m in metrics))
-
-
-def uploads_to_accuracy(results: list[RunResult], rho_acc: float, w_star: np.ndarray) -> int | None:
-    """Uploads spent until the seed-mean distance ratio first drops below
-    rho_acc; None when the target is never reached within the horizon."""
-    start = results[0].trajectory[0]
-    base = float(np.sum((start - w_star) ** 2))
-    T = len(results[0].metrics)
-    total = 0
-    for t in range(T):
-        total += int(np.mean([r.metrics[t].uploads for r in results]))
-        ratio = float(np.mean([r.metrics[t].dist2 for r in results])) / base
-        if ratio <= rho_acc:
-            return total
-    return None
 
 
 # -- export -------------------------------------------------------------------

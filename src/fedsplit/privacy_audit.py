@@ -31,10 +31,11 @@ from .consensus import (
     RoundOverrides,
     RoundState,
     run_consensus,
+    state_from_splits,
 )
 from .errors import ConfigError, WitnessDegenerateError
 from .quantizer import QuantizerState, dp_delta, output_distribution, tv_distance
-from .spectral import StepWeights, build_U, lambda_min_U
+from .spectral import StepWeights, build_U, step_weight_cap
 from .splitting import SplitRule, split_model
 
 REPLAY_TOL = 1e-6
@@ -194,32 +195,17 @@ def _replay(witness: EquivalenceWitness) -> ConsensusTrace:
         m_counts=trace.m_counts.copy(),
         global_model=visible.mean(axis=0),
     )
-    weights = _weights_from_trace(trace)
     _, replayed, _ = run_consensus(
         state,
         trace.K,
         MSP,
         trace.epsilon,
-        weights,
+        trace,
         origins=origins,
         record=True,
         overrides=overrides,
     )
     return replayed
-
-
-class _RecordedWeights:
-    """Replays the exact step-weight matrices recorded in a trace."""
-
-    def __init__(self, mats):
-        self._mats = mats
-
-    def at(self, k: int) -> np.ndarray:
-        return self._mats[k]
-
-
-def _weights_from_trace(trace: ConsensusTrace) -> _RecordedWeights:
-    return _RecordedWeights([w.copy() for w in trace.weights])
 
 
 def replay_and_compare(
@@ -340,9 +326,7 @@ def sample_consensus_trace(
     uniform splits, recorded in full."""
     rng = rngmod.stream(seed, rngmod.AUDIT)
     m_counts = list(m_counts) if m_counts is not None else [1] * M
-    u = build_U(M, epsilon)
-    lam_min = lambda_min_U(u)
-    cap = lam_min / (1 + lam_min)
+    cap = step_weight_cap(build_U(M, epsilon))
     m_max = max(m_counts)
     gamma_mat = np.zeros((M, m_max))
     for idx, m_c in enumerate(m_counts):
@@ -353,8 +337,6 @@ def sample_consensus_trace(
     for idx in range(M):
         rule_i = SplitRule("uniform", m=m_counts[idx], eps_split=0.3)
         splits.append(split_model(origins[idx], rule_i, rng))
-    from .consensus import state_from_splits
-
     state = state_from_splits(splits)
     _, trace, _ = run_consensus(
         state, K, MSP, epsilon, weights, origins=origins, record=True
@@ -419,8 +401,10 @@ def paired_hidden_count_traces(
     m_counts_b = [1] * M
     m_counts_b[0] = 2
     m_max = 2
+    # trace_a runs constant weights, so its first matrix stands for every
+    # round; the extra invisible gets zero weight
     gamma_b = np.zeros((M, m_max))
-    gamma_b[:, 0] = trace_a.weights[0][:, 0] * 1.0  # same first-column schedule
+    gamma_b[:, 0] = trace_a.weights[0][:, 0]
     # rebuild with identical slot states plus a frozen extra invisible
     visible0 = trace_a.visibles[0].copy()
     invisible0 = np.zeros((M, m_max, d))
@@ -436,9 +420,7 @@ def paired_hidden_count_traces(
         m_counts=np.array(m_counts_b),
         global_model=visible0.mean(axis=0),
     )
-    weights_b = _RecordedWeights(
-        [np.column_stack([w[:, 0], np.zeros(M)]) for w in trace_a.weights]
-    )
+    weights_b = StepWeights(gamma=gamma_b, rule="constant")
     _, trace_b, _ = run_consensus(
         state, trace_a.K, MSP, epsilon, weights_b, origins=origins_b, record=True
     )

@@ -46,7 +46,7 @@ class QuantizerState:
 
     @property
     def bits(self) -> int:
-        return max(1, math.ceil(math.log2(self.level)))
+        return bit_width(self.level)
 
     @property
     def width(self) -> float:
@@ -58,7 +58,7 @@ class QuantizerState:
 
     def knob(self, indices: np.ndarray) -> np.ndarray:
         """Knob values for integer indices (vectorized)."""
-        return self.lo + np.asarray(indices) * ((self.hi - self.lo) / (self.level - 1))
+        return knob_values(self.lo, self.hi, self.level, np.asarray(indices))
 
     def contains(self, w: np.ndarray, tol: float = 0.0) -> bool:
         w = np.asarray(w)
@@ -75,27 +75,50 @@ class QuantizedVector:
         return self.state.knob(self.indices)
 
 
-def _bracket(w: np.ndarray, qs: QuantizerState):
+def bit_width(level: int) -> int:
+    """Wire bits per coordinate for `level` knobs: ceil(log2 level), at least 1."""
+    return max(1, math.ceil(math.log2(level)))
+
+
+def knob_values(lo: np.ndarray, hi: np.ndarray, level: int, indices: np.ndarray) -> np.ndarray:
+    """Values lo + idx (hi - lo)/(level - 1) of knob indices over boxes [lo, hi]."""
+    return lo + indices * ((hi - lo) / (level - 1))
+
+
+def _bracket(w: np.ndarray, lo: np.ndarray, hi: np.ndarray, level: int):
     """Per coordinate: bracketing knob index tau (clipped to l-2), the two
-    knob values, and the round-up probability."""
+    knob values, and the round-up probability.  Any shape that broadcasts
+    against the boxes, e.g. (d,) or (M, d)."""
+    step = (hi - lo) / (level - 1)
+    tau = np.clip(np.floor((w - lo) / step).astype(np.int64), 0, level - 2)
+    c_lo = lo + tau * step
+    c_hi = lo + (tau + 1) * step
+    p_up = np.clip((w - c_lo) / (c_hi - c_lo), 0.0, 1.0)
+    return tau, c_lo, c_hi, p_up
+
+
+def round_to_knobs(
+    w: np.ndarray, lo: np.ndarray, hi: np.ndarray, level: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Randomized rounding to the two bracketing knobs: knob indices from one
+    uniform draw per coordinate, drawn in a single call of shape w.shape."""
+    tau, _, _, p_up = _bracket(w, lo, hi, level)
+    return tau + (rng.random(size=tau.shape) < p_up).astype(np.int64)
+
+
+def _checked_input(w: np.ndarray, qs: QuantizerState) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     if w.shape != qs.lo.shape:
         raise ConfigError("input dimension mismatch")
     if not qs.contains(w):
         raise ProtocolIntegrityError("quantizer input outside the current interval")
-    step = (qs.hi - qs.lo) / (qs.level - 1)
-    tau = np.clip(np.floor((w - qs.lo) / step).astype(np.int64), 0, qs.level - 2)
-    c_lo = qs.lo + tau * step
-    c_hi = qs.lo + (tau + 1) * step
-    p_up = np.clip((w - c_lo) / (c_hi - c_lo), 0.0, 1.0)
-    return tau, c_lo, c_hi, p_up
+    return w
 
 
 def quantize(w: np.ndarray, qs: QuantizerState, rng: np.random.Generator) -> QuantizedVector:
     """Randomized rounding to the two bracketing knobs; coordinates independent."""
-    tau, _, _, p_up = _bracket(w, qs)
-    up = rng.random(size=tau.shape) < p_up
-    return QuantizedVector(indices=tau + up.astype(np.int64), state=qs)
+    w = _checked_input(w, qs)
+    return QuantizedVector(indices=round_to_knobs(w, qs.lo, qs.hi, qs.level, rng), state=qs)
 
 
 def output_distribution(w: np.ndarray, qs: QuantizerState) -> list[list[tuple[float, float]]]:
@@ -104,7 +127,7 @@ def output_distribution(w: np.ndarray, qs: QuantizerState) -> list[list[tuple[fl
     Knob inputs give a single unit atom; probabilities of a two-atom law sum
     to exactly 1.0 (the down-probability is computed as 1 - p_up).
     """
-    _, c_lo, c_hi, p_up = _bracket(w, qs)
+    _, c_lo, c_hi, p_up = _bracket(_checked_input(w, qs), qs.lo, qs.hi, qs.level)
     out = []
     for j in range(qs.d):
         p = float(p_up[j])
@@ -139,9 +162,14 @@ def shrink_interval(q: QuantizedVector, pi_t: float, a_max_k: float) -> Quantize
     """Next-round box centered at the quantized values, width pi_t * a_max_k."""
     if pi_t <= 0 or a_max_k <= 0:
         raise ConfigError("interval width factors must be positive")
+    lo, hi = shrink_box(q.values(), pi_t, a_max_k)
+    return QuantizerState(lo=lo, hi=hi, level=q.state.level)
+
+
+def shrink_box(center: np.ndarray, pi_t: float, a_max_k: float) -> tuple[np.ndarray, np.ndarray]:
+    """Box bounds center -+ pi_t a_max_k / 2 around each quantized value."""
     half = 0.5 * pi_t * a_max_k
-    center = q.values()
-    return QuantizerState(lo=center - half, hi=center + half, level=q.state.level)
+    return center - half, center + half
 
 
 def compute_pi_t(epsilon: float, lambda2_u: float, w_tilde_max: float) -> float:

@@ -68,14 +68,9 @@ class StepWeights:
 
     def validate_sum_condition(self, u: MixMatrixU) -> None:
         """sum_n max_i a_{i,n}[0] must stay below lambda_min/(1+lambda_min)."""
-        total = float(np.sum(np.max(self.gamma, axis=0)))
-        lam_min = lambda_min_U(u)
-        cap = lam_min / (1.0 + lam_min) if lam_min > 0 else 0.0
-        if total > 0 and total >= cap:
-            raise ScheduleValidationError(
-                f"sum of max step weights {total:.6g} violates the bound "
-                f"lambda_min/(1+lambda_min) = {cap:.6g}"
-            )
+        check_step_weight_budget(
+            float(np.sum(np.max(self.gamma, axis=0))), u, "sum of max step weights"
+        )
 
 
 @dataclass(frozen=True)
@@ -109,6 +104,22 @@ def lambda_min_U(u: MixMatrixU) -> float:
     return float(np.min(np.linalg.eigvalsh(u.entries)))
 
 
+def step_weight_cap(u: MixMatrixU) -> float:
+    """lambda_min/(1+lambda_min), the bound on summed step weights (0 when
+    lambda_min <= 0, where no positive weight is allowed)."""
+    lam_min = lambda_min_U(u)
+    return lam_min / (1.0 + lam_min) if lam_min > 0 else 0.0
+
+
+def check_step_weight_budget(total: float, u: MixMatrixU, what: str) -> None:
+    """Raise unless a positive step-weight total stays below the cap."""
+    cap = step_weight_cap(u)
+    if total > 0 and total >= cap:
+        raise ScheduleValidationError(
+            f"{what} {total:.6g} violates the bound lambda_min/(1+lambda_min) = {cap:.6g}"
+        )
+
+
 def build_P(u: MixMatrixU, weights_k: np.ndarray, m: int) -> TransitionP:
     """Block transition matrix at one round.
 
@@ -121,14 +132,9 @@ def build_P(u: MixMatrixU, weights_k: np.ndarray, m: int) -> TransitionP:
     weights_k = np.atleast_2d(np.asarray(weights_k, dtype=np.float64))
     if weights_k.shape != (M, m):
         raise ConfigError(f"weights must have shape ({M}, {m})")
-    total = float(np.sum(np.max(weights_k, axis=0)))
-    lam_min = lambda_min_U(u)
-    cap = lam_min / (1.0 + lam_min) if lam_min > 0 else 0.0
-    if total > 0 and total >= cap:
-        raise ScheduleValidationError(
-            f"sum of max step weights {total:.6g} violates the bound "
-            f"lambda_min/(1+lambda_min) = {cap:.6g}"
-        )
+    check_step_weight_budget(
+        float(np.sum(np.max(weights_k, axis=0))), u, "sum of max step weights"
+    )
     n = (1 + m) * M
     P = np.zeros((n, n))
     A_sum = np.zeros((M, M))

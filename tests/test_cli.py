@@ -1,8 +1,8 @@
 import json
-import time
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedsplit import orchestrator as orch
@@ -33,8 +33,10 @@ def test_run_writes_expected_artifacts(config_path, tmp_path):
         assert len(rows) == 13
         summary = json.loads((out / run_id / "summary.json").read_text())
         assert summary["total_uploads"] > 0
+    (group,) = manifest["groups"].values()
+    assert sorted(group["runs"]) == sorted(manifest["runs"])
     for key in ("mu", "L", "gamma_het", "G", "D2", "D3", "C", "lambda", "pi_tilde"):
-        assert key in manifest["constants"], key
+        assert key in group["constants"], key
 
 
 def test_run_is_byte_deterministic(config_path, tmp_path):
@@ -95,10 +97,19 @@ def test_report_schema_and_bound_column(config_path, tmp_path):
         assert float(bound) >= float(mean)
         assert within == "1"
     comp = (out / "complexity.csv").read_text().strip().splitlines()
-    assert comp[0] == "rho,measured_uploads,bound"
+    assert comp[0] == "group,rho,measured_uploads,bound"
+    assert all(row.startswith("mspdq,") for row in comp[1:])
     assert len(comp) == 3
     bits_lines = (out / "bits_vs_t_mspdq.csv").read_text().strip().splitlines()
     assert bits_lines[0] == "t,mean_cumulative_bits"
+
+
+@pytest.mark.parametrize("manifest", [None, "{not json", '{"runs": [], "constants": {}}'])
+def test_report_without_a_group_manifest_exits_2(tmp_path, capsys, manifest):
+    if manifest is not None:
+        (tmp_path / "manifest.json").write_text(manifest)
+    assert main(["report", "--run-dir", str(tmp_path)]) == 2
+    assert "--run-dir" in capsys.readouterr().err
 
 
 def test_audit_command_and_negative_control(tmp_path):
@@ -145,13 +156,11 @@ def _run_with(config_path, tmp_path, *args, **fields):
 
 
 def test_run_builds_each_bundle_once_before_the_pool(config_path, tmp_path, monkeypatch):
-    monkeypatch.setenv("FEDSPLIT_THREADS", "2")
     calls = []
     real_build = orch.build_problem
 
     def counting_build(cfg):
         calls.append(cfg.seed)
-        time.sleep(0.05)  # wide enough for a second pool thread to race in
         return real_build(cfg)
 
     monkeypatch.setattr(orch, "build_problem", counting_build)
@@ -163,7 +172,6 @@ def test_run_builds_each_bundle_once_before_the_pool(config_path, tmp_path, monk
 def test_run_sweep_over_center_offset_builds_distinct_problems(
     config_path, tmp_path, monkeypatch
 ):
-    monkeypatch.setenv("FEDSPLIT_THREADS", "1")  # no pool race to mask a shared bundle
     code, out = _run_with(
         config_path, tmp_path, "--sweep", "center_offset=1.0,3.0", rounds=3
     )
@@ -198,8 +206,46 @@ def test_unreadable_config_exits_2(tmp_path, capsys, text):
     assert "--config" in capsys.readouterr().err
 
 
-def test_bad_thread_count_exits_2(config_path, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("FEDSPLIT_THREADS", "two")
-    code, _ = _run_with(config_path, tmp_path, rounds=3)
-    assert code == 2
-    assert "FEDSPLIT_THREADS" in capsys.readouterr().err
+def test_report_bounds_each_sweep_group_with_its_own_constants(config_path, tmp_path):
+    code, out = _run_with(config_path, tmp_path, "--seeds", "0..1", "--sweep", "level=16,64")
+    assert code == 0
+    assert main(["report", "--run-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    columns = {}
+    for level in (16, 64):
+        group = manifest["groups"][f"mspdq_level{level}"]
+        cfg = orch.FLConfig.from_dict(group["config"])
+        assert cfg.level == level
+        w_tilde = max(
+            orch.run(orch.FLConfig.from_dict({**group["config"], "seed": seed})).constants[
+                "w_tilde_run_max"
+            ]
+            for seed in (0, 1)
+        )
+        expected = orch.bound_curve(
+            orch.theorem_constants(orch.build_problem(cfg), cfg, w_tilde_max=w_tilde),
+            cfg,
+            np.arange(1, cfg.rounds + 1),
+        )
+        rows = (out / f"gap_vs_t_mspdq_level{level}.csv").read_text().strip().splitlines()[1:]
+        columns[level] = np.array([float(row.split(",")[3]) for row in rows])
+        assert np.array_equal(columns[level], expected)
+    assert not np.array_equal(columns[16], columns[64])
+    comp = (out / "complexity.csv").read_text().strip().splitlines()
+    assert {row.split(",")[0] for row in comp[1:]} == {"mspdq_level16", "mspdq_level64"}
+
+
+def test_failed_sweep_point_keeps_the_finished_runs(config_path, tmp_path, capsys):
+    code, out = _run_with(
+        config_path, tmp_path, "--sweep", "ball_radius=1e-9,6.0", center_offset=3.0
+    )
+    assert code == 3
+    assert "ball" in capsys.readouterr().err
+    assert (out / "mspdq_seed0_ball_radius6.0" / "metrics.csv").is_file()
+    assert not (out / "mspdq_seed0_ball_radius1e-09").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["runs"] == ["mspdq_seed0_ball_radius6.0"]
+    (failed,) = manifest["failed"]
+    assert failed["run"] == "mspdq_seed0_ball_radius1e-09"
+    assert failed["point"] == {"ball_radius": 1e-9}
+    assert "ball" in failed["error"]

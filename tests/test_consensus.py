@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fedsplit import rng as rngmod
 from fedsplit.consensus import (
@@ -19,8 +21,22 @@ from fedsplit.consensus import (
 )
 from fedsplit.errors import ProtocolIntegrityError
 from fedsplit.orchestrator import mspdq_initial_state
-from fedsplit.quantizer import compute_pi_t
-from fedsplit.spectral import StepWeights, build_U, lambda2_U, lambda_min_U
+from fedsplit.quantizer import (
+    QuantizerState,
+    compute_pi_t,
+    output_distribution,
+    round_to_knobs,
+    shrink_box,
+)
+from fedsplit.spectral import (
+    StepWeights,
+    build_P,
+    build_U,
+    lambda2_U,
+    lambda_min_U,
+    phi_product,
+    step_weight_cap,
+)
 from fedsplit.splitting import SplitRule, SplitState, split_model
 
 
@@ -101,6 +117,40 @@ def test_ragged_invisible_counts_conserve():
     assert np.allclose(fin.invisible[1], target, atol=1e-6)
 
 
+def _stack(state):
+    """[visible; invisible_1; ...; invisible_m] in build_P's row layout."""
+    return np.concatenate([state.visible, *np.swapaxes(state.invisible, 0, 1)])
+
+
+@given(
+    M=st.integers(2, 5),
+    m=st.integers(1, 3),
+    d=st.integers(1, 4),
+    K=st.integers(1, 30),
+    epsilon=st.floats(0.05, 0.95),
+    budget=st.floats(0.0, 0.99),
+    rule=st.sampled_from(["constant", "harmonic", "inv_sqrt"]),
+    seed=st.integers(0, 2**16),
+)
+def test_msp_consensus_matches_phi_product(M, m, d, K, epsilon, budget, rule, seed):
+    # plain consensus is linear: K rounds equal Phi(K-1, 0) applied to the
+    # initial stack of visible and invisible submodels
+    rng = rngmod.stream(seed, 31)
+    u = build_U(M, epsilon)
+    gamma = rng.uniform(0.0, 1.0, size=(M, m)) * budget * step_weight_cap(u) / m
+    weights = StepWeights(gamma=gamma, rule=rule)
+    splits = [
+        split_model(rng.standard_normal(d), SplitRule("uniform", m=m, eps_split=0.3), rng)
+        for _ in range(M)
+    ]
+    state = state_from_splits(splits)
+    fin, _, _ = run_consensus(state, K, MSP, epsilon, weights, record=False)
+    phi = phi_product([build_P(u, weights.at(k), m) for k in range(K)])
+    expected = phi @ _stack(state)
+    scale = max(1.0, float(np.max(np.abs(expected))))
+    assert np.max(np.abs(_stack(fin) - expected)) <= 1e-12 * scale
+
+
 def quantized_setup(seed=0, M=4, d=3, level=64, eps=0.4, gamma=0.3, scale=0.5):
     rng = rngmod.stream(seed, 21)
     w_prev = rng.standard_normal(d)
@@ -129,6 +179,22 @@ def test_mspdq_round_exact_on_knobs_matches_plain_round():
     quant, rec = mspdq_round(state, 0.4, weights.at(0), pi_t=24.0, rng=rng)
     assert np.allclose(quant.visible, plain.visible, atol=1e-12)
     assert rec.delta_norms.max() == pytest.approx(0.0, abs=1e-12)
+
+
+def test_mspdq_uploads_are_knobs_of_each_clients_box():
+    state, weights, lam2 = quantized_setup(level=16)
+    pi = compute_pi_t(0.4, lam2, np.linalg.norm(state.visible - state.invisible[:, 0, :]))
+    weights_k = weights.at(0)
+    nxt, _ = mspdq_round(state, 0.4, weights_k, pi, rngmod.stream(6, 28))
+    lo, hi = shrink_box(state.quantized, pi, float(np.max(weights_k[:, 0])))
+    # the same draw, replayed through the shared rounding helper
+    idx = round_to_knobs(nxt.visible, lo, hi, state.level, rngmod.stream(6, 28))
+    for i in range(state.M):
+        qs = QuantizerState(lo=lo[i], hi=hi[i], level=state.level)
+        assert np.array_equal(qs.knob(idx[i]), nxt.quantized[i])
+        atoms = output_distribution(nxt.visible[i], qs)
+        for j, value in enumerate(nxt.quantized[i]):
+            assert value in {v for v, p in atoms[j] if p > 0}
 
 
 def test_mspdq_round_matches_msp_in_expectation():

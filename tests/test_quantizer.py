@@ -20,6 +20,7 @@ from fedsplit.quantizer import (
     error_bound,
     output_distribution,
     quantize,
+    round_to_knobs,
     shrink_interval,
     tv_distance,
 )
@@ -67,6 +68,28 @@ def test_top_knob_maps_deterministically():
     qs = unit_state()
     dist = output_distribution(np.array([1.0]), qs)[0]
     assert dist == [(1.0, 1.0)]
+
+
+def test_quantize_equals_the_shared_rounding_helper():
+    qs = QuantizerState(lo=np.array([-1.0, 0.0, 2.0]), hi=np.array([1.0, 0.5, 3.0]), level=7)
+    w = np.array([0.3, 0.49, 2.0])
+    for seed in range(20):
+        q = quantize(w, qs, rngmod.stream(seed, 30))
+        idx = round_to_knobs(w, qs.lo, qs.hi, qs.level, rngmod.stream(seed, 30))
+        assert np.array_equal(q.indices, idx)
+
+
+def test_rounding_helper_on_a_matrix_equals_row_by_row_quantize():
+    # one (M, d) draw consumes the stream exactly as M successive (d,) draws
+    rng = rngmod.stream(4, 30)
+    lo = rng.uniform(-2.0, 0.0, size=(5, 3))
+    hi = lo + rng.uniform(0.5, 2.0, size=(5, 3))
+    W = lo + rng.uniform(0.0, 1.0, size=(5, 3)) * (hi - lo)
+    idx = round_to_knobs(W, lo, hi, 9, rngmod.stream(5, 30))
+    rows = rngmod.stream(5, 30)
+    for i in range(5):
+        qs = QuantizerState(lo=lo[i], hi=hi[i], level=9)
+        assert np.array_equal(quantize(W[i], qs, rows).indices, idx[i])
 
 
 def test_out_of_interval_rejected():

@@ -101,41 +101,43 @@ def _group_id(config: orch.FLConfig, point: dict) -> str:
     return "_".join([config.mode, *_point_parts(point)])
 
 
-def _bundle_key(cfg: orch.FLConfig) -> tuple:
-    """The config fields that `orch.build_problem` reads."""
-    return (
-        cfg.n_clients, cfg.dim, cfg.spread, cfg.gamma_target, cfg.center_offset,
-        cfg.problem_seed, cfg.eig_lo, cfg.eig_hi, cfg.n_samples, cfg.batch_size,
-        cfg.sample_spread, cfg.ball_radius,
-    )
+def _parse_floats(flag: str, spec: str) -> tuple[float, ...]:
+    """A comma list of finite numbers; anything else names the flag."""
+    try:
+        values = tuple(float(x) for x in spec.split(","))
+    except ValueError:
+        values = ()
+    if not values or not all(np.isfinite(values)):
+        raise ConfigError(f"{flag} {spec!r} must be a comma list of finite numbers")
+    return values
 
 
 def cmd_run(args) -> int:
+    """Every sweep point is validated and its problem built before anything
+    is written, so a bad point exits 2 with an empty --out."""
     doc = _load_config(args.config, args.mode)
     axes = _parse_sweep(args.sweep)
     seeds = _parse_seeds(args.seeds)
-    base = orch.FLConfig.from_dict(doc)
-    base.validate()
 
     jobs = []
+    bundles: dict[tuple, orch.ProblemBundle] = {}
     for point in _sweep_points(axes):
         for seed in seeds:
             cfg = orch.FLConfig.from_dict({**doc, **point, "seed": seed})
             cfg.validate()
-            jobs.append((point, cfg))
+            key = orch.problem_key(cfg)
+            if key not in bundles:
+                bundles[key] = orch.build_problem(cfg)
+            jobs.append((point, cfg, bundles[key]))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    bundles: dict[tuple, orch.ProblemBundle] = {}
     groups: dict[str, dict] = {}
     failed = []
-    for point, cfg in jobs:
-        key = _bundle_key(cfg)
-        if key not in bundles:
-            bundles[key] = orch.build_problem(cfg)
+    for point, cfg, bundle in jobs:
         run_id = _run_id(cfg, point)
         try:
-            result = orch.run(cfg, bundles[key])
+            result = orch.run(cfg, bundle)
         except ProtocolIntegrityError as exc:
             print(f"integrity violation in {run_id}: {exc}", file=sys.stderr)
             failed.append({"run": run_id, "point": point, "error": str(exc)})
@@ -148,7 +150,7 @@ def cmd_run(args) -> int:
             json.dumps(orch.summary_dict(result), sort_keys=True, indent=2),
         )
         group = groups.setdefault(
-            _group_id(cfg, point), {"cfg": cfg, "runs": [], "w_tilde": 0.0}
+            _group_id(cfg, point), {"cfg": cfg, "bundle": bundle, "runs": [], "w_tilde": 0.0}
         )
         group["runs"].append(run_id)
         group["w_tilde"] = max(group["w_tilde"], result.constants.get("w_tilde_run_max", 0.0))
@@ -158,7 +160,7 @@ def cmd_run(args) -> int:
         cfg = group["cfg"]
         w_tilde = group["w_tilde"] or None
         constants = orch.theorem_constants(
-            bundles[_bundle_key(cfg)], cfg, w_tilde_max=w_tilde if cfg.mode == "mspdq" else None
+            group["bundle"], cfg, w_tilde_max=w_tilde if cfg.mode == "mspdq" else None
         )
         manifest_groups[gid] = {"config": asdict(cfg), "constants": constants, "runs": group["runs"]}
     manifest = {
@@ -187,7 +189,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    e_mags = tuple(float(x) for x in args.e_mags.split(",")) if args.e_mags else privacy_audit.DEFAULT_E_MAGNITUDES
+    e_mags = _parse_floats("--e-mags", args.e_mags) if args.e_mags else privacy_audit.DEFAULT_E_MAGNITUDES
+    if args.n_witness < 1:
+        raise ConfigError(f"--n-witness must be at least 1, got {args.n_witness}")
     seeds = _parse_seeds(args.seeds)
     reports = []
     ok = True
@@ -215,6 +219,7 @@ def _read_metrics(path: Path) -> list[dict]:
 
 def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
+    rhos = _parse_floats("--rho", args.rho)
     try:
         groups = json.loads((run_dir / "manifest.json").read_text())["groups"]
     except (OSError, ValueError, KeyError, TypeError) as exc:
@@ -254,7 +259,7 @@ def cmd_report(args) -> int:
             blines.append(f"{int(ts[idx])},{float(cum_bits[idx])!r}")
         _atomic_write(out / f"bits_vs_t_{gid}.csv", "\n".join(blines) + "\n")
         if "nu2" in constants:
-            for rho in (float(x) for x in args.rho.split(",")):
+            for rho in rhos:
                 measured = _measured_uploads(runs, constants, rho)
                 bound_rho = orch.comm_complexity_bound(rho, constants, cfg.cohort)
                 complexity.append(f"{gid},{rho!r},{measured},{bound_rho}")

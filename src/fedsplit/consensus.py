@@ -145,7 +145,7 @@ def consensus_target(state: RoundState) -> np.ndarray:
 
 
 def _coupling_terms(
-    state: RoundState, weights_k: np.ndarray, overrides: RoundOverrides | None
+    state: RoundState, weights_k: np.ndarray, overrides: RoundOverrides | None = None
 ):
     """Visible-side coupling sum and the updated invisible stack."""
     vis = state.visible
@@ -165,13 +165,14 @@ def _drift(
     state: RoundState,
     epsilon: float,
     reference: np.ndarray,
-    overrides: RoundOverrides | None,
+    overrides: RoundOverrides | None = None,
 ) -> np.ndarray:
     """epsilon * (global - reference_i), with per-pair weight substitutions.
 
     `reference` is the visible matrix in plain mode and the quantized uploads
-    in quantized mode.  An override replaces, for client i only, the uniform
-    1/M weight on one source's visible with an elementwise vector.
+    in quantized mode.  An override (plain rounds only) replaces, for client
+    i only, the uniform 1/M weight on one source's visible with an
+    elementwise vector.
     """
     drift = epsilon * (state.global_model[None, :] - reference)
     if overrides is not None and overrides.drift:
@@ -216,7 +217,6 @@ def mspdq_round(
     weights_k: np.ndarray,
     pi_t: float,
     rng: np.random.Generator,
-    overrides: RoundOverrides | None = None,
     wire_check: bool = False,
 ) -> tuple[RoundState, QuantizedRoundRecord]:
     """One quantized round: update, shrink the per-client box, quantize the
@@ -228,8 +228,8 @@ def mspdq_round(
     if state.quantized is None or state.level is None:
         raise ConfigError("state lacks quantized uploads; initialize the quantized mode first")
     level = state.level
-    drift = _drift(state, epsilon, state.quantized, overrides)
-    coupling, new_inv = _coupling_terms(state, weights_k, overrides)
+    drift = _drift(state, epsilon, state.quantized)
+    coupling, new_inv = _coupling_terms(state, weights_k)
     new_vis = state.visible + drift + coupling
 
     a_max_k = float(np.max(weights_k[:, 0]))
@@ -302,6 +302,8 @@ def run_consensus(
         raise ConfigError(f"unknown mode {mode!r}")
     if mode == MSPDQ and (rng is None or lambda2_u is None):
         raise ConfigError("quantized mode needs an rng and lambda2(U)")
+    if mode == MSPDQ and overrides:
+        raise ConfigError("round overrides replay plain-mode transcripts only")
     state = initial
     trace = None
     if record:
@@ -321,18 +323,17 @@ def run_consensus(
     }
     for k in range(K):
         weights_k = weights.at(k)
-        ov = overrides.get(k) if overrides else None
         if mode == MSP:
-            state = msp_round(state, epsilon, weights_k, overrides=ov)
+            state = msp_round(
+                state, epsilon, weights_k, overrides=overrides.get(k) if overrides else None
+            )
             if record:
                 trace.weights.append(weights_k)
                 trace.snapshot(state)
             continue
         w_tilde = max(w_tilde, beta_gap(state))
         pi_t = compute_pi_t(epsilon, lambda2_u, w_tilde)
-        state, rec = mspdq_round(
-            state, epsilon, weights_k, pi_t, rng, overrides=ov, wire_check=wire_check
-        )
+        state, rec = mspdq_round(state, epsilon, weights_k, pi_t, rng, wire_check=wire_check)
         summary["delta_max"] = max(summary["delta_max"], float(rec.delta_norms.max()))
         summary["bound_margin_min"] = min(
             summary["bound_margin_min"], rec.delta_bound - float(rec.delta_norms.max())
@@ -391,8 +392,10 @@ def check_deviation_bound(trace: ConsensusTrace, lambda2_u: float) -> float:
 def trace_to_jsonl(trace: ConsensusTrace, t: int = 0) -> str:
     """Adversary-visible trace records, one JSON object per round.
 
-    Contains visible submodels, quantized uploads, the global model, and the
-    weights in force; never the invisible counts or honest invisible states.
+    Contains visible submodels, quantized uploads, the global model and the
+    interval constant pi_t; never the step weights (their matrix width and
+    zero padding give away each client's private invisible count), the
+    invisible counts or honest invisible states.
     """
     lines = []
     for k in range(len(trace.visibles)):
@@ -404,9 +407,7 @@ def trace_to_jsonl(trace: ConsensusTrace, t: int = 0) -> str:
         }
         if trace.quantized:
             rec["quantized"] = trace.quantized[k].tolist()
-        if k < trace.K:
-            rec["step_weights"] = trace.weights[k].tolist()
-            if trace.pis:
-                rec["pi_t"] = trace.pis[k]
+        if k < len(trace.pis):
+            rec["pi_t"] = trace.pis[k]
         lines.append(json.dumps(rec, sort_keys=True))
     return "\n".join(lines) + "\n"

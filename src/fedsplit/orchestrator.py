@@ -9,9 +9,8 @@ draws and quantization each consume their own keyed stream.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .problem import (
     problem_constants,
     stochastic_gradient,
 )
-from .quantizer import bit_width, compute_pi_t, encoded_size
+from .quantizer import bit_width, compute_pi_t, encoded_size, knob_values
 from .spectral import (
     StepWeights,
     build_U,
@@ -98,23 +97,22 @@ class FLConfig:
             raise ConfigError("local_steps and rounds must be positive")
         if not 1 <= self.batch_size <= self.n_samples:
             raise ConfigError("batch_size must lie in [1, n_samples]")
+        if not self.ball_radius > 0:
+            raise ConfigError(f"ball_radius must be positive, got {self.ball_radius}")
+        if self.q0_width is not None and not self.q0_width > 0:
+            raise ConfigError(f"q0_width must be positive, got {self.q0_width}")
         if self.mode in ("msp", "mspdq"):
-            hi = self.cohort / (self.cohort - 1) if self.cohort > 1 else float("inf")
-            if not (self.epsilon == self.epsilon and 0 < self.epsilon < hi):
-                raise ConfigError(
-                    f"epsilon must lie in (0, M/(M-1)) = (0, {hi:.6g}), got {self.epsilon}"
-                )
+            u = build_U(self.cohort, self.epsilon)
             if not (self.lambda_ == self.lambda_ and 0 < self.lambda_ < 1):
                 raise ConfigError("lambda must lie in (0, 1)")
             if not self.gamma_max == self.gamma_max or self.gamma_max < 0:
                 raise ConfigError("gamma_max must be a nonnegative number")
+            # the split rule and the step weights check their own fields
+            _split_rule(self)
+            _step_weights(self)
             check_step_weight_budget(
-                self.split_m * self.gamma_max,
-                build_U(self.cohort, self.epsilon),
-                "step-weight budget m*gamma_max =",
+                self.split_m * self.gamma_max, u, "step-weight budget m*gamma_max ="
             )
-            if self.split_m < 1:
-                raise ConfigError("need at least one invisible submodel")
         if self.mode == "mspdq":
             if self.level < 2:
                 raise ConfigError("quantization level must be at least 2")
@@ -126,9 +124,6 @@ class FLConfig:
             raise ConfigError("ldp_scale must be nonnegative")
         if self.kt_override is not None and self.kt_override < 1:
             raise ConfigError(f"kt_override must be at least 1, got {self.kt_override}")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FLConfig":
@@ -198,7 +193,6 @@ class RunResult:
     metrics: list
     constants: dict
     trajectory: np.ndarray  # (T+1, d) global models incl. w_0
-    flags: dict = field(default_factory=dict)
 
 
 # -- schedules ----------------------------------------------------------------
@@ -265,6 +259,16 @@ class ProblemBundle:
     losses: list
     datasets: list
     constants: ProblemConstants
+
+
+def problem_key(config: FLConfig) -> tuple:
+    """The config fields that `build_problem` reads: configs with equal keys
+    share one problem bundle."""
+    return (
+        config.n_clients, config.dim, config.spread, config.gamma_target,
+        config.center_offset, config.problem_seed, config.eig_lo, config.eig_hi,
+        config.n_samples, config.batch_size, config.sample_spread, config.ball_radius,
+    )
 
 
 def build_problem(config: FLConfig) -> ProblemBundle:
@@ -357,7 +361,7 @@ def mspdq_initial_state(
     q0_width: float,
     level: int,
 ):
-    """Shared initial upload for the quantized mode.
+    """Shared initial upload for the quantized mode; returns (state, shared).
 
     The first cohort slot's visible draw is snapped to the nearest knob of
     the round-zero interval (scalar bounds around the broadcast model) and
@@ -373,17 +377,14 @@ def mspdq_initial_state(
             "initial split visible escaped the round-zero interval; increase q0_width"
         )
     idx = np.clip(np.round((vis0 - lo0) / bin0), 0, level - 1)
-    shared = lo0 + idx * bin0
-    adjusted = []
-    for s in splits:
-        inv = [x.copy() for x in s.invisible]
-        inv[-1] = inv[-1] + (s.visible - shared)
-        adjusted.append(SplitState(visible=shared.copy(), invisible=inv, origin=s.origin))
-    state = state_from_splits(adjusted)
+    shared = knob_values(lo0, hi0, level, idx)
+    state = state_from_splits(splits)
+    state.invisible[np.arange(state.M), state.m_counts - 1] += state.visible - shared
+    state.visible[:] = shared
     state.quantized = state.visible.copy()
     state.level = level
     state.global_model = state.quantized.mean(axis=0)
-    return state, adjusted
+    return state, shared
 
 
 def run(config: FLConfig, bundle: ProblemBundle | None = None) -> RunResult:
@@ -481,7 +482,6 @@ def theorem_constants(
     bundle: ProblemBundle,
     config: FLConfig,
     w_tilde_max: float | None = None,
-    probe_horizon: int | None = None,
 ) -> dict:
     """Constants of the convergence bounds, measured from the instance.
 
@@ -502,7 +502,7 @@ def theorem_constants(
         u = build_U(config.cohort, config.epsilon)
         out["lambda2_U"] = lambda2_U(u)
         out["lambda_min_U"] = lambda_min_U(u)
-        horizon = probe_horizon or max(
+        horizon = max(
             kt_schedule(t, pc.mu, vt, config.lambda_, config.mode)
             for t in (1, config.rounds)
         )
@@ -598,5 +598,4 @@ def summary_dict(result: RunResult) -> dict:
         "final_dist2": last.dist2,
         "total_uploads": comm_counter(result.metrics),
         "total_bits": int(sum(m.bits for m in result.metrics)),
-        "flags": result.flags,
     }

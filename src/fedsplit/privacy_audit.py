@@ -20,7 +20,7 @@ and the harness redraws.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -293,20 +293,12 @@ def mutate_witness(
     """
     if param not in MUTABLE_PARAMS:
         raise ConfigError(f"unknown witness parameter {param!r}")
-    mutated = EquivalenceWitness(
-        trace=witness.trace, i=witness.i, j=witness.j, e=witness.e,
-        p=witness.p, q=witness.q,
-        inv_i=witness.inv_i.copy(), inv_j=witness.inv_j.copy(),
-        a_i=witness.a_i.copy(), a_j=witness.a_j.copy(),
-        alpha_i=witness.alpha_i.copy(), alpha_j=witness.alpha_j.copy(),
-        identity=False,
-    )
-    arr = getattr(mutated, param)
+    arr = getattr(witness, param).copy()
     bump = 0.1 + 0.01 * np.abs(arr)
     if coord is None:
         coord = int(np.argmax(bump * _first_round_leverage(witness, param)))
     arr[coord] += bump[coord]
-    return mutated
+    return replace(witness, identity=False, **{param: arr})
 
 
 # -- audit trace generation ----------------------------------------------------

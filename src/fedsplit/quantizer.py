@@ -60,10 +60,8 @@ class QuantizerState:
         """Knob values for integer indices (vectorized)."""
         return knob_values(self.lo, self.hi, self.level, np.asarray(indices))
 
-    def contains(self, w: np.ndarray, tol: float = 0.0) -> bool:
-        w = np.asarray(w)
-        slack = tol * max(1.0, self.width)
-        return bool(np.all(w >= self.lo - slack) and np.all(w <= self.hi + slack))
+    def contains(self, w: np.ndarray) -> bool:
+        return bool(np.all(w >= self.lo) and np.all(w <= self.hi))
 
 
 @dataclass(frozen=True)

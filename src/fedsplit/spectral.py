@@ -18,13 +18,6 @@ PSD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class MixMatrixU:
-    M: int
-    epsilon: float
-    entries: np.ndarray
-
-
-@dataclass(frozen=True)
 class StepWeights:
     """Per-client, per-invisible-index weights a_{i,n}[k].
 
@@ -66,52 +59,45 @@ class StepWeights:
         """max_i a_{i,1}[k]; controls the shrinking-interval width."""
         return float(np.max(self.at(k)[:, 0]))
 
-    def validate_sum_condition(self, u: MixMatrixU) -> None:
+    def validate_sum_condition(self, u: np.ndarray) -> None:
         """sum_n max_i a_{i,n}[0] must stay below lambda_min/(1+lambda_min)."""
         check_step_weight_budget(
             float(np.sum(np.max(self.gamma, axis=0))), u, "sum of max step weights"
         )
 
 
-@dataclass(frozen=True)
-class TransitionP:
-    entries: np.ndarray
-    M: int
-    m: int
-
-
-def build_U(M: int, epsilon: float) -> MixMatrixU:
+def build_U(M: int, epsilon: float) -> np.ndarray:
     """U_ij = eps/M off-diagonal, 1 - eps(M-1)/M on the diagonal."""
     if M < 1:
         raise ConfigError("need M >= 1")
     hi = M / (M - 1) if M > 1 else float("inf")
     if not 0 < epsilon < hi:
-        raise ConfigError(f"epsilon must lie in (0, {hi:.6g}), got {epsilon}")
+        raise ConfigError(f"epsilon must lie in (0, M/(M-1)) = (0, {hi:.6g}), got {epsilon}")
     U = np.full((M, M), epsilon / M)
     np.fill_diagonal(U, 1.0 - epsilon * (M - 1) / M)
-    return MixMatrixU(M=M, epsilon=epsilon, entries=U)
+    return U
 
 
-def lambda2_U(u: MixMatrixU) -> float:
+def lambda2_U(u: np.ndarray) -> float:
     """Second-largest eigenvalue magnitude (the contraction factor on 1-perp)."""
-    eigs = np.linalg.eigvalsh(u.entries)
+    eigs = np.linalg.eigvalsh(u)
     mags = np.sort(np.abs(eigs))[::-1]
     return float(mags[1]) if len(mags) > 1 else 0.0
 
 
-def lambda_min_U(u: MixMatrixU) -> float:
+def lambda_min_U(u: np.ndarray) -> float:
     """Smallest eigenvalue (by value); gates the step-weight budget."""
-    return float(np.min(np.linalg.eigvalsh(u.entries)))
+    return float(np.min(np.linalg.eigvalsh(u)))
 
 
-def step_weight_cap(u: MixMatrixU) -> float:
+def step_weight_cap(u: np.ndarray) -> float:
     """lambda_min/(1+lambda_min), the bound on summed step weights (0 when
     lambda_min <= 0, where no positive weight is allowed)."""
     lam_min = lambda_min_U(u)
     return lam_min / (1.0 + lam_min) if lam_min > 0 else 0.0
 
 
-def check_step_weight_budget(total: float, u: MixMatrixU, what: str) -> None:
+def check_step_weight_budget(total: float, u: np.ndarray, what: str) -> None:
     """Raise unless a positive step-weight total stays below the cap."""
     cap = step_weight_cap(u)
     if total > 0 and total >= cap:
@@ -120,7 +106,7 @@ def check_step_weight_budget(total: float, u: MixMatrixU, what: str) -> None:
         )
 
 
-def build_P(u: MixMatrixU, weights_k: np.ndarray, m: int) -> TransitionP:
+def build_P(u: np.ndarray, weights_k: np.ndarray, m: int) -> np.ndarray:
     """Block transition matrix at one round.
 
     Layout: first M rows are visible submodels, then m blocks of M invisible
@@ -128,7 +114,7 @@ def build_P(u: MixMatrixU, weights_k: np.ndarray, m: int) -> TransitionP:
     I - A_n, and the top-left block is U - sum_n A_n.
     Raises when the step-weight sum condition fails (a = 0 is allowed).
     """
-    M = u.M
+    M = len(u)
     weights_k = np.atleast_2d(np.asarray(weights_k, dtype=np.float64))
     if weights_k.shape != (M, m):
         raise ConfigError(f"weights must have shape ({M}, {m})")
@@ -144,8 +130,8 @@ def build_P(u: MixMatrixU, weights_k: np.ndarray, m: int) -> TransitionP:
         P[0:M, (1 + j) * M : (2 + j) * M] = A
         P[(1 + j) * M : (2 + j) * M, 0:M] = A
         P[(1 + j) * M : (2 + j) * M, (1 + j) * M : (2 + j) * M] = np.eye(M) - A
-    P[0:M, 0:M] = u.entries - A_sum
-    return TransitionP(entries=P, M=M, m=m)
+    P[0:M, 0:M] = u - A_sum
+    return P
 
 
 def is_doubly_stochastic(mat: np.ndarray, tol: float = 1e-10) -> bool:
@@ -160,9 +146,8 @@ def is_psd(mat: np.ndarray) -> bool:
     return bool(np.min(np.linalg.eigvalsh(0.5 * (mat + mat.T))) >= -PSD_TOL * scale)
 
 
-def phi_product(ps: list[TransitionP] | list[np.ndarray]) -> np.ndarray:
+def phi_product(mats: list[np.ndarray]) -> np.ndarray:
     """Ordered product P[k] ... P[0] of the round transitions."""
-    mats = [p.entries if isinstance(p, TransitionP) else np.asarray(p) for p in ps]
     if not mats:
         raise ConfigError("need at least one transition matrix")
     n = mats[0].shape[0]
@@ -182,14 +167,14 @@ def phi_deviation(phi: np.ndarray) -> float:
 
 
 def contraction_probe(
-    u: MixMatrixU, weights: StepWeights, horizon: int
+    u: np.ndarray, weights: StepWeights, horizon: int
 ) -> tuple[np.ndarray, float]:
     """Deviation curve of Phi(k,0) for k = 0..horizon-1 and the fitted
     per-step contraction factor over the probe."""
     devs = np.empty(horizon)
     phi = None
     for k in range(horizon):
-        P = build_P(u, weights.at(k), weights.m).entries
+        P = build_P(u, weights.at(k), weights.m)
         phi = P if phi is None else P @ phi
         devs[k] = phi_deviation(phi)
     if horizon >= 2 and devs[0] > 0 and devs[-1] > 0:

@@ -11,6 +11,14 @@ hypothesis.settings.register_profile(
 hypothesis.settings.load_profile("suite")
 
 
+def pytest_collection_modifyitems(items):
+    """Mark every test that needs the desk fixture, so `-m "not desk"` is the
+    quick loop."""
+    for item in items:
+        if "desk" in getattr(item, "fixturenames", ()):
+            item.add_marker(pytest.mark.desk)
+
+
 @pytest.fixture(scope="session")
 def desk_bundle() -> orch.ProblemBundle:
     """The shared desk-scale problem (one instance behind every seed sweep)."""

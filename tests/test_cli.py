@@ -145,6 +145,15 @@ def test_integrity_violation_exits_3(config_path, tmp_path, capsys):
     assert "ball" in capsys.readouterr().err
 
 
+@pytest.fixture()
+def msp_config_path(tmp_path: Path) -> Path:
+    cfg = asdict(desk_config("msp", 0, rounds=3))
+    cfg.update(n_clients=6, cohort=4, dim=3)
+    path = tmp_path / "msp.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
 def _run_with(config_path, tmp_path, *args, **fields):
     """`fedsplit run` on the test config with `fields` replaced."""
     doc = json.loads(config_path.read_text())
@@ -189,7 +198,15 @@ def test_empty_seed_range_exits_2(config_path, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "field, value", [("level", "256"), ("rounds", float("nan")), ("kt_override", 0)]
+    "field, value",
+    [
+        ("level", "256"),
+        ("rounds", float("nan")),
+        ("kt_override", 0),
+        ("ball_radius", 0.0),
+        ("ball_radius", -1.0),
+        ("q0_width", 0.0),
+    ],
 )
 def test_bad_field_value_exits_2(config_path, tmp_path, capsys, field, value):
     code, _ = _run_with(config_path, tmp_path, **{field: value})
@@ -249,3 +266,60 @@ def test_failed_sweep_point_keeps_the_finished_runs(config_path, tmp_path, capsy
     assert failed["run"] == "mspdq_seed0_ball_radius1e-09"
     assert failed["point"] == {"ball_radius": 1e-9}
     assert "ball" in failed["error"]
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [
+        "weight_rule=constant,bogus",
+        "split_variant=uniform,bogus",
+        "eps_split=0.9,1.5",
+        "spread=1.0,-1.0",
+        "eig_lo=0.5,-1",
+        "epsilon=0.5,1.2",
+    ],
+)
+def test_bad_sweep_point_exits_2_before_any_write(msp_config_path, tmp_path, sweep):
+    code, out = _run_with(msp_config_path, tmp_path, "--sweep", sweep)
+    assert code == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_sweep_may_override_a_bad_base_value(msp_config_path, tmp_path):
+    # epsilon 1.4 exceeds M/(M-1) = 4/3, but every sweep point replaces it
+    code, out = _run_with(
+        msp_config_path, tmp_path, "--sweep", "epsilon=0.5,0.6", epsilon=1.4, gamma_max=0.2
+    )
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["runs"]) == ["msp_seed0_epsilon0.5", "msp_seed0_epsilon0.6"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["report", "--rho", "abc"], "--rho"),
+        (["report", "--rho", "nan"], "--rho"),
+        (["report", "--rho", "0.1,inf"], "--rho"),
+        (["audit", "--e-mags", "abc"], "--e-mags"),
+        (["audit", "--e-mags", "nan"], "--e-mags"),
+        (["audit", "--n-witness", "0"], "--n-witness"),
+    ],
+)
+def test_bad_cli_number_exits_2(msp_config_path, tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    if argv[0] == "report":
+        assert main(["run", "--config", str(msp_config_path), "--out", str(out)]) == 0
+        argv = [*argv, "--run-dir", str(out)]
+    else:
+        argv = [*argv, "--out", str(out)]
+    assert main(argv) == 2
+    assert flag in capsys.readouterr().err
+    assert not list(out.glob("*.csv")) and not (out / "audit.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["msp", "mspdq"])
+def test_shipped_configs_equal_the_desk_preset(mode):
+    path = Path(__file__).resolve().parents[1] / "configs" / f"desk_{mode}.json"
+    shipped = orch.FLConfig.from_dict(json.loads(path.read_text()))
+    assert asdict(shipped) == asdict(desk_config(mode, 0, rounds=200))

@@ -19,7 +19,7 @@ from fedsplit.consensus import (
     state_from_splits,
     trace_to_jsonl,
 )
-from fedsplit.errors import ProtocolIntegrityError
+from fedsplit.errors import ConfigError, ProtocolIntegrityError
 from fedsplit.orchestrator import mspdq_initial_state
 from fedsplit.quantizer import (
     QuantizerState,
@@ -115,6 +115,29 @@ def test_ragged_invisible_counts_conserve():
     assert np.allclose(consensus_target(st), target)
     assert np.allclose(fin.visible, target, atol=1e-6)
     assert np.allclose(fin.invisible[1], target, atol=1e-6)
+
+
+def test_mspdq_initial_state_keeps_each_ragged_slot_constraint():
+    rng = rngmod.stream(9, 1)
+    w_prev = rng.standard_normal(3)
+    splits = [
+        split_model(w_prev + 0.3 * rng.standard_normal(3), SplitRule("uniform", m=m, eps_split=0.2), rng)
+        for m in (1, 3, 2)
+    ]
+    level = 16
+    state, shared = mspdq_initial_state(splits, w_prev, q0_width=8.0, level=level)
+    lo0 = np.min(w_prev) - 4.0
+    idx = (shared - lo0) / ((np.max(w_prev) + 4.0 - lo0) / (level - 1))
+    assert np.allclose(idx, np.round(idx), atol=1e-9)
+    assert np.array_equal(state.visible, np.tile(shared, (3, 1)))
+    assert np.array_equal(state.quantized, state.visible)
+    for i, s in enumerate(splits):
+        # only the absorbing invisible moves; the sum constraint still holds
+        for n in range(s.m - 1):
+            assert np.array_equal(state.invisible[i, n], s.invisible[n])
+        assert not np.any(state.invisible[i, s.m :])
+        total = state.visible[i] + state.invisible[i].sum(axis=0)
+        assert np.allclose(total, (1 + s.m) * s.origin, rtol=0, atol=1e-12)
 
 
 def _stack(state):
@@ -254,6 +277,15 @@ def test_mspdq_bad_interval_raises():
     with pytest.raises(ProtocolIntegrityError):
         # pi_t far below the certified width forces an escape
         mspdq_round(state, 0.4, weights.at(0), pi_t=1e-6, rng=rng)
+
+
+def test_run_consensus_rejects_overrides_in_quantized_mode():
+    state, weights, lam2 = quantized_setup(level=16)
+    with pytest.raises(ConfigError, match="plain-mode"):
+        run_consensus(
+            state, 2, MSPDQ, 0.4, weights, rng=rngmod.stream(5, 28), lambda2_u=lam2,
+            overrides={0: None},
+        )
 
 
 def test_trace_jsonl_is_adversary_visible_only():

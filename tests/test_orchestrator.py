@@ -1,4 +1,6 @@
+import dataclasses
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -286,3 +288,22 @@ def test_desk_metrics_match_golden_hash(mode):
         cfg.ldp_scale = 0.1
     csv = orch.metrics_to_csv(orch.run(cfg).metrics)
     assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN_DESK_T30[mode]
+
+
+_PERTURBED = {"mode": "mspdq", "weight_rule": "harmonic", "split_variant": "laplace"}
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(orch.FLConfig)])
+def test_problem_key_changes_whenever_the_problem_does(name):
+    base = small_config("msp")
+    value = getattr(base, name)
+    if name in _PERTURBED:
+        new = _PERTURBED[name]
+    elif value is None:
+        new = 1
+    else:
+        new = value + 1 if isinstance(value, int) else value * 1.25
+    other = dataclasses.replace(base, **{name: new})
+    same_key = orch.problem_key(other) == orch.problem_key(base)
+    same_problem = pickle.dumps(orch.build_problem(other)) == pickle.dumps(orch.build_problem(base))
+    assert same_key == same_problem, name

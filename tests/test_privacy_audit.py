@@ -3,6 +3,7 @@ import pytest
 
 from fedsplit import privacy_audit as pa
 from fedsplit import rng as rngmod
+from fedsplit.consensus import trace_to_jsonl
 from fedsplit.errors import ConfigError, WitnessDegenerateError
 from fedsplit.quantizer import dp_delta
 
@@ -140,6 +141,14 @@ def test_paired_traces_identical_views_different_models():
     out_b = pa.z_inference_attack(vb, 0, 1, tb.epsilon)
     assert np.array_equal(out_a, out_b)
     assert not np.allclose(ta.origins[0], tb.origins[0])
+
+
+def test_paired_traces_give_identical_jsonl():
+    # the step weights (and their zero padding) would reveal slot 0's
+    # hidden invisible count; nothing else in the two traces differs
+    ta, tb = pa.paired_hidden_count_traces(51, K=5)
+    assert ta.weights[0].shape != tb.weights[0].shape
+    assert trace_to_jsonl(ta, t=2) == trace_to_jsonl(tb, t=2)
 
 
 def test_dp_audit_zero_adjacency_is_zero():

@@ -21,7 +21,7 @@ from fedsplit.spectral import (
 
 def test_build_U_two_clients():
     u = build_U(2, 0.5)
-    assert np.allclose(u.entries, [[0.75, 0.25], [0.25, 0.75]], atol=0)
+    assert np.allclose(u, [[0.75, 0.25], [0.25, 0.75]], atol=0)
 
 
 def test_build_U_rejects_boundary():
@@ -33,7 +33,7 @@ def test_build_U_rejects_boundary():
 
 def test_build_U_uniform_averaging_case():
     u = build_U(3, 1.0)
-    assert np.allclose(u.entries, np.full((3, 3), 1.0 / 3.0))
+    assert np.allclose(u, np.full((3, 3), 1.0 / 3.0))
 
 
 def test_eigenvalue_closed_forms():
@@ -88,16 +88,16 @@ def test_build_P_zero_coupling_is_block_diagonal():
     u = build_U(2, 0.5)
     P = build_P(u, np.zeros((2, 1)), 1)
     expected = np.zeros((4, 4))
-    expected[:2, :2] = u.entries
+    expected[:2, :2] = u
     expected[2:, 2:] = np.eye(2)
-    assert np.array_equal(P.entries, expected)
+    assert np.array_equal(P, expected)
 
 
 def test_build_P_doubly_stochastic_and_psd():
     u = build_U(2, 0.5)
     P = build_P(u, np.full((2, 1), 0.2), 1)
-    assert is_doubly_stochastic(P.entries)
-    assert is_psd(P.entries)
+    assert is_doubly_stochastic(P)
+    assert is_psd(P)
 
 
 def test_build_P_rejects_budget_violation():
@@ -112,12 +112,12 @@ def test_psd_iff_condition_m1_uniform():
     lam = lambda_min_U(u)
     cap = lam / (1 + lam)
     P_ok = build_P(u, np.full((3, 1), 0.98 * cap), 1)
-    assert is_psd(P_ok.entries)
+    assert is_psd(P_ok)
     A = np.full((3, 1), 1.2 * cap)
     n = 6
     # bypass the validator to inspect the raw matrix
     raw = np.zeros((n, n))
-    raw[:3, :3] = u.entries - np.diag(A[:, 0])
+    raw[:3, :3] = u - np.diag(A[:, 0])
     raw[:3, 3:] = np.diag(A[:, 0])
     raw[3:, :3] = np.diag(A[:, 0])
     raw[3:, 3:] = np.eye(3) - np.diag(A[:, 0])
@@ -136,14 +136,14 @@ def test_psd_sweep_under_valid_conditions():
         weights = rng.uniform(0.1, 0.9, size=(M, m))
         weights *= 0.95 * cap / np.sum(np.max(weights, axis=0))
         P = build_P(u, weights, m)
-        assert is_doubly_stochastic(P.entries)
-        assert is_psd(P.entries)
+        assert is_doubly_stochastic(P)
+        assert is_psd(P)
 
 
 def test_phi_product_single_matrix():
     u = build_U(2, 0.5)
     P = build_P(u, np.full((2, 1), 0.2), 1)
-    assert np.array_equal(phi_product([P]), P.entries)
+    assert np.array_equal(phi_product([P]), P)
 
 
 def test_phi_product_dimension_mismatch():

@@ -59,6 +59,8 @@ def _parse_sweep(items: list[str]) -> dict:
         if "=" not in item:
             raise ConfigError(f"sweep axis {item!r} must look like key=v1,v2")
         key, vals = item.split("=", 1)
+        if key == "seed":
+            raise ConfigError(f"sweep axis {item!r}: seeds are set with --seeds, e.g. --seeds 5,6")
         parsed = []
         for v in vals.split(","):
             try:
@@ -220,6 +222,8 @@ def _read_metrics(path: Path) -> list[dict]:
 def cmd_report(args) -> int:
     run_dir = Path(args.run_dir)
     rhos = _parse_floats("--rho", args.rho)
+    if min(rhos) <= 0:
+        raise ConfigError(f"--rho {args.rho!r} must list positive numbers")
     try:
         groups = json.loads((run_dir / "manifest.json").read_text())["groups"]
     except (OSError, ValueError, KeyError, TypeError) as exc:

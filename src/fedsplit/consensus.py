@@ -8,12 +8,16 @@ box, and the drift term uses the client's own quantized value, exactly as
 the update law is written.
 
 The total of all submodels over the selected cohort is conserved round to
-round in the plain dynamics and conserved in expectation under quantization.
+round by the update law in both kinds of round, to float rounding: the drift
+terms sum to zero over the cohort because the global model is the mean of
+the references they pull toward, and the coupling only moves mass between a
+client's own submodels.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +31,6 @@ from .quantizer import (
     decode,
     dynamic_error_bound,
     encode,
-    knob_values,
     round_to_knobs,
     shrink_box,
 )
@@ -98,11 +101,6 @@ class ConsensusTrace:
     def K(self) -> int:
         return len(self.weights)
 
-    def at(self, k: int) -> np.ndarray:
-        """The step weights recorded at round k, so a trace replays its own
-        schedule wherever a StepWeights is expected."""
-        return self.weights[k]
-
     @property
     def M(self) -> int:
         return self.origins.shape[0]
@@ -139,6 +137,16 @@ def conserved_sum(state: RoundState) -> np.ndarray:
     return state.visible.sum(axis=0) + state.invisible.sum(axis=(0, 1))
 
 
+def check_conserved(total0: np.ndarray, total: np.ndarray, rtol: float = CONSERVATION_RTOL) -> float:
+    """Drift of a conserved total relative to max(1, max|total0|); raises
+    ProtocolIntegrityError past rtol."""
+    scale = max(1.0, float(np.max(np.abs(total0))))
+    drift = float(np.max(np.abs(total - total0))) / scale
+    if drift > rtol:
+        raise ProtocolIntegrityError(f"conserved sum drifted by {drift:.3e} relative")
+    return drift
+
+
 def consensus_target(state: RoundState) -> np.ndarray:
     """Common limit of all submodels: conserved sum over the submodel count."""
     return conserved_sum(state) / float(np.sum(1 + state.m_counts))
@@ -147,12 +155,16 @@ def consensus_target(state: RoundState) -> np.ndarray:
 def _coupling_terms(
     state: RoundState, weights_k: np.ndarray, overrides: RoundOverrides | None = None
 ):
-    """Visible-side coupling sum and the updated invisible stack."""
+    """Visible-side coupling sum and the updated invisible stack.
+
+    The flow a (inv - vis) enters the visible and leaves the invisible, so
+    inv - flow is bitwise inv + a (vis - inv).
+    """
     vis = state.visible
     inv = state.invisible
-    w = weights_k[:, :, None]
-    coupling = (w * (inv - vis[:, None, :])).sum(axis=1)
-    new_inv = inv + w * (vis[:, None, :] - inv)
+    flow = weights_k[:, :, None] * (inv - vis[:, None, :])
+    coupling = np.add.reduce(flow, axis=1)
+    new_inv = inv - flow
     if overrides is not None:
         for (i, n), a_vec in overrides.coupling.items():
             base = weights_k[i, n]
@@ -195,11 +207,12 @@ def msp_round(
     drift = _drift(state, epsilon, state.visible, overrides)
     coupling, new_inv = _coupling_terms(state, weights_k, overrides)
     new_vis = state.visible + drift + coupling
+    # np.add.reduce(x, axis=0) / n is bitwise x.mean(axis=0), without the wrapper
     return RoundState(
         visible=new_vis,
         invisible=new_inv,
         m_counts=state.m_counts,
-        global_model=new_vis.mean(axis=0),
+        global_model=np.add.reduce(new_vis, axis=0) / state.M,
         k=state.k + 1,
     )
 
@@ -232,17 +245,15 @@ def mspdq_round(
     coupling, new_inv = _coupling_terms(state, weights_k)
     new_vis = state.visible + drift + coupling
 
-    a_max_k = float(np.max(weights_k[:, 0]))
+    a_max_k = float(weights_k[:, 0].max())
     box_lo, box_hi = shrink_box(state.quantized, pi_t, a_max_k)
-    inside = (new_vis >= box_lo) & (new_vis <= box_hi)
-    if not inside.all():
-        bad = np.argwhere(~inside)[0]
+    if not ((new_vis >= box_lo).all() and (new_vis <= box_hi).all()):
+        bad = np.argwhere(~((new_vis >= box_lo) & (new_vis <= box_hi)))[0]
         raise ProtocolIntegrityError(
             f"visible escaped its shrunk interval at round {state.k} "
             f"(client {bad[0]}, coordinate {bad[1]}); pi_t misconfigured"
         )
-    q_idx = round_to_knobs(new_vis, box_lo, box_hi, level, rng)
-    q_vals = knob_values(box_lo, box_hi, level, q_idx)
+    q_idx, q_vals = round_to_knobs(new_vis, box_lo, box_hi, level, rng)
     if wire_check:
         for i in range(state.M):
             qs = QuantizerState(lo=box_lo[i], hi=box_hi[i], level=level)
@@ -253,14 +264,15 @@ def mspdq_round(
     delta = q_vals - new_vis
     rec = QuantizedRoundRecord(
         a_max_k=a_max_k,
-        delta_norms=np.linalg.norm(delta, axis=1),
+        # the formula np.linalg.norm(delta, axis=1) evaluates
+        delta_norms=np.sqrt(np.add.reduce(delta * delta, axis=1)),
         delta_bound=dynamic_error_bound(pi_t, bit_width(level), a_max_k, state.d),
     )
     new_state = RoundState(
         visible=new_vis,
         invisible=new_inv,
         m_counts=state.m_counts,
-        global_model=q_vals.mean(axis=0),
+        global_model=np.add.reduce(q_vals, axis=0) / state.M,
         quantized=q_vals,
         level=level,
         k=state.k + 1,
@@ -270,8 +282,10 @@ def mspdq_round(
 
 def beta_gap(state: RoundState) -> float:
     """Frobenius distance between the visible stack and the first invisible
-    stack; its running max feeds the interval-width constant."""
-    return float(np.linalg.norm(state.visible - state.invisible[:, 0, :]))
+    stack; its running max feeds the interval-width constant.  sqrt of the
+    flat dot product is the formula np.linalg.norm evaluates."""
+    gap = (state.visible - state.invisible[:, 0, :]).ravel()
+    return math.sqrt(gap.dot(gap))
 
 
 def run_consensus(
@@ -289,8 +303,9 @@ def run_consensus(
 ):
     """Iterate the chosen round operator K times.
 
-    `weights.at(k)` gives round k's (M, m) step weights: a StepWeights
-    schedule, or a recorded ConsensusTrace replaying its own.
+    `weights[k]` gives round k's (M, m) step weights: rows of a
+    StepWeights.table, or a recorded trace's `weights` list replaying its
+    own schedule.
 
     Returns (final_state, trace_or_None, summary) where summary carries the
     running interval-width and beta-gap maxima and the worst quantization
@@ -304,6 +319,8 @@ def run_consensus(
         raise ConfigError("quantized mode needs an rng and lambda2(U)")
     if mode == MSPDQ and overrides:
         raise ConfigError("round overrides replay plain-mode transcripts only")
+    if len(weights) < K:
+        raise ConfigError(f"step weights cover {len(weights)} rounds, need {K}")
     state = initial
     trace = None
     if record:
@@ -322,7 +339,7 @@ def run_consensus(
         "max_width": 0.0,
     }
     for k in range(K):
-        weights_k = weights.at(k)
+        weights_k = weights[k]
         if mode == MSP:
             state = msp_round(
                 state, epsilon, weights_k, overrides=overrides.get(k) if overrides else None
@@ -334,10 +351,9 @@ def run_consensus(
         w_tilde = max(w_tilde, beta_gap(state))
         pi_t = compute_pi_t(epsilon, lambda2_u, w_tilde)
         state, rec = mspdq_round(state, epsilon, weights_k, pi_t, rng, wire_check=wire_check)
-        summary["delta_max"] = max(summary["delta_max"], float(rec.delta_norms.max()))
-        summary["bound_margin_min"] = min(
-            summary["bound_margin_min"], rec.delta_bound - float(rec.delta_norms.max())
-        )
+        delta_max = float(rec.delta_norms.max())
+        summary["delta_max"] = max(summary["delta_max"], delta_max)
+        summary["bound_margin_min"] = min(summary["bound_margin_min"], rec.delta_bound - delta_max)
         summary["w_tilde_max"] = max(summary["w_tilde_max"], w_tilde)
         summary["max_width"] = max(summary["max_width"], pi_t * rec.a_max_k)
         if record:
@@ -348,14 +364,9 @@ def run_consensus(
 
 
 def check_conservation(trace: ConsensusTrace, rtol: float = CONSERVATION_RTOL) -> float:
-    """Max relative drift of the conserved total over a plain-mode trace."""
+    """Max relative drift of the conserved total over a trace."""
     totals = [v.sum(axis=0) + inv.sum(axis=(0, 1)) for v, inv in zip(trace.visibles, trace.invisibles)]
-    ref = totals[0]
-    scale = max(1.0, float(np.max(np.abs(ref))))
-    worst = max(float(np.max(np.abs(t - ref))) for t in totals) / scale
-    if worst > rtol:
-        raise ProtocolIntegrityError(f"conserved sum drifted by {worst:.3e} relative")
-    return worst
+    return max(check_conserved(totals[0], t, rtol) for t in totals)
 
 
 def check_deviation_bound(trace: ConsensusTrace, lambda2_u: float) -> float:

@@ -10,12 +10,12 @@ draws and quantization each consume their own keyed stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng as rngmod
-from .consensus import run_consensus, state_from_splits
+from .consensus import check_conserved, conserved_sum, run_consensus, state_from_splits
 from .errors import ConfigError, ProtocolIntegrityError
 from .problem import (
     ClientDataset,
@@ -227,10 +227,8 @@ def kt_schedule(t: int, mu: float, vtheta: float, lam: float, mode: str) -> int:
 
 
 def sample_clients(p: np.ndarray, M: int, rng: np.random.Generator) -> np.ndarray:
-    """M i.i.d. draws with replacement; duplicates are distinct cohort slots."""
-    p = np.asarray(p, dtype=np.float64)
-    if abs(p.sum() - 1.0) > 1e-9 or np.any(p < 0):
-        raise ConfigError("sampling probabilities must be a distribution")
+    """M i.i.d. draws with replacement from the distribution p (a bundle's
+    checked `p`); duplicates are distinct cohort slots."""
     return rng.choice(len(p), size=M, replace=True, p=p)
 
 
@@ -259,6 +257,12 @@ class ProblemBundle:
     losses: list
     datasets: list
     constants: ProblemConstants
+    p: np.ndarray = field(init=False)  # client sampling distribution
+
+    def __post_init__(self):
+        self.p = np.array([l.p for l in self.losses])
+        if abs(self.p.sum() - 1.0) > 1e-9 or np.any(self.p < 0):
+            raise ConfigError("sampling probabilities must be a distribution")
 
 
 def problem_key(config: FLConfig) -> tuple:
@@ -331,8 +335,7 @@ def _check_ball(w: np.ndarray, w_star: np.ndarray, radius: float, what: str) -> 
 def _local_round(config, bundle, w_prev, t, eta):
     """Sample the cohort and run local SGD once per unique client."""
     rng_rs = rngmod.stream(config.seed, rngmod.CLIENT_SAMPLING, t)
-    p = np.array([l.p for l in bundle.losses])
-    cohort = sample_clients(p, config.cohort, rng_rs)
+    cohort = sample_clients(bundle.p, config.cohort, rng_rs)
     locals_by_client = {}
     for c in sorted(set(int(c) for c in cohort)):
         rng_sg = rngmod.stream(config.seed, rngmod.GRADIENT, t, c)
@@ -404,7 +407,9 @@ def run(config: FLConfig, bundle: ProblemBundle | None = None) -> RunResult:
     quantized = config.mode == "mspdq"
     if split:
         rule = _split_rule(config)
-        weights = _step_weights(config)
+        # kt_schedule never decreases in t, so round T needs the most weights
+        kt_max = config.kt_override or kt_schedule(config.rounds, pc.mu, vt, config.lambda_, config.mode)
+        weight_table = _step_weights(config).table(kt_max)
     lam2 = None
     upload_bits = 64 * config.dim
     if quantized:
@@ -444,7 +449,7 @@ def run(config: FLConfig, bundle: ProblemBundle | None = None) -> RunResult:
                 kt,
                 config.mode,
                 config.epsilon,
-                weights,
+                weight_table[:kt],
                 rng=rng_sq,
                 lambda2_u=lam2,
                 record=False,
@@ -452,6 +457,7 @@ def run(config: FLConfig, bundle: ProblemBundle | None = None) -> RunResult:
             )
             if summary["bound_margin_min"] < 0:
                 raise ProtocolIntegrityError("quantization error exceeded its bound")
+            check_conserved(conserved_sum(state), conserved_sum(final))
             w_tilde_run = max(w_tilde_run, summary["w_tilde_max"])
             w = final.global_model
         _check_ball(w, pc.w_star, config.ball_radius, "global model")
@@ -514,11 +520,10 @@ def theorem_constants(
         x = config.eps_split
         D1 = (2 * x**2 - 4 * x + 8) / 3.0 * C**2 * w_max_norm**2
         sig = np.asarray(pc.sigma_i)
-        p = np.array([l.p for l in bundle.losses])
         E = config.local_steps
         D2 = (
             D1
-            + float(np.sum(p**2 * sig))
+            + float(np.sum(bundle.p**2 * sig))
             + 6 * pc.L * pc.gamma_het
             + 8 * (E - 1) ** 2 * pc.G
             + 4.0 / config.cohort * E**2 * pc.G

@@ -200,7 +200,7 @@ def _replay(witness: EquivalenceWitness) -> ConsensusTrace:
         trace.K,
         MSP,
         trace.epsilon,
-        trace,
+        trace.weights,
         origins=origins,
         record=True,
         overrides=overrides,
@@ -331,7 +331,7 @@ def sample_consensus_trace(
         splits.append(split_model(origins[idx], rule_i, rng))
     state = state_from_splits(splits)
     _, trace, _ = run_consensus(
-        state, K, MSP, epsilon, weights, origins=origins, record=True
+        state, K, MSP, epsilon, weights.table(K), origins=origins, record=True
     )
     return trace
 
@@ -412,7 +412,7 @@ def paired_hidden_count_traces(
         m_counts=np.array(m_counts_b),
         global_model=visible0.mean(axis=0),
     )
-    weights_b = StepWeights(gamma=gamma_b, rule="constant")
+    weights_b = StepWeights(gamma=gamma_b, rule="constant").table(trace_a.K)
     _, trace_b, _ = run_consensus(
         state, trace_a.K, MSP, epsilon, weights_b, origins=origins_b, record=True
     )

@@ -87,21 +87,24 @@ def _bracket(w: np.ndarray, lo: np.ndarray, hi: np.ndarray, level: int):
     """Per coordinate: bracketing knob index tau (clipped to l-2), the two
     knob values, and the round-up probability.  Any shape that broadcasts
     against the boxes, e.g. (d,) or (M, d)."""
+    # np.minimum(np.maximum(...)) is np.clip without its Python-level wrapper
     step = (hi - lo) / (level - 1)
-    tau = np.clip(np.floor((w - lo) / step).astype(np.int64), 0, level - 2)
+    tau = np.minimum(np.maximum(np.floor((w - lo) / step).astype(np.int64), 0), level - 2)
     c_lo = lo + tau * step
     c_hi = lo + (tau + 1) * step
-    p_up = np.clip((w - c_lo) / (c_hi - c_lo), 0.0, 1.0)
+    p_up = np.minimum(np.maximum((w - c_lo) / (c_hi - c_lo), 0.0), 1.0)
     return tau, c_lo, c_hi, p_up
 
 
 def round_to_knobs(
     w: np.ndarray, lo: np.ndarray, hi: np.ndarray, level: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Randomized rounding to the two bracketing knobs: knob indices from one
-    uniform draw per coordinate, drawn in a single call of shape w.shape."""
-    tau, _, _, p_up = _bracket(w, lo, hi, level)
-    return tau + (rng.random(size=tau.shape) < p_up).astype(np.int64)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Randomized rounding to the two bracketing knobs, from one uniform draw
+    per coordinate drawn in a single call of shape w.shape.  Returns the knob
+    indices and their values, which equal knob_values(lo, hi, level, idx)."""
+    tau, c_lo, c_hi, p_up = _bracket(w, lo, hi, level)
+    up = rng.random(size=tau.shape) < p_up
+    return tau + up, np.where(up, c_hi, c_lo)
 
 
 def _checked_input(w: np.ndarray, qs: QuantizerState) -> np.ndarray:
@@ -116,7 +119,8 @@ def _checked_input(w: np.ndarray, qs: QuantizerState) -> np.ndarray:
 def quantize(w: np.ndarray, qs: QuantizerState, rng: np.random.Generator) -> QuantizedVector:
     """Randomized rounding to the two bracketing knobs; coordinates independent."""
     w = _checked_input(w, qs)
-    return QuantizedVector(indices=round_to_knobs(w, qs.lo, qs.hi, qs.level, rng), state=qs)
+    indices, _ = round_to_knobs(w, qs.lo, qs.hi, qs.level, rng)
+    return QuantizedVector(indices=indices, state=qs)
 
 
 def output_distribution(w: np.ndarray, qs: QuantizerState) -> list[list[tuple[float, float]]]:

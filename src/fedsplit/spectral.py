@@ -55,6 +55,17 @@ class StepWeights:
             return self.gamma / (k + 1)
         return self.gamma / np.sqrt(k + 1)
 
+    def table(self, K: int) -> np.ndarray:
+        """Rounds 0..K-1 as one (K, M, m) array whose row k is bitwise at(k)
+        (IEEE division and sqrt are correctly rounded); the constant rule
+        gives a read-only broadcast view of gamma."""
+        if self.rule == "constant":
+            return np.broadcast_to(self.gamma, (K, *self.gamma.shape))
+        ks = np.arange(1, K + 1, dtype=np.float64)[:, None, None]
+        if self.rule == "harmonic":
+            return self.gamma / ks
+        return self.gamma / np.sqrt(ks)
+
     def a_max(self, k: int) -> float:
         """max_i a_{i,1}[k]; controls the shrinking-interval width."""
         return float(np.max(self.at(k)[:, 0]))
@@ -173,8 +184,8 @@ def contraction_probe(
     per-step contraction factor over the probe."""
     devs = np.empty(horizon)
     phi = None
-    for k in range(horizon):
-        P = build_P(u, weights.at(k), weights.m)
+    for k, weights_k in enumerate(weights.table(horizon)):
+        P = build_P(u, weights_k, weights.m)
         phi = P if phi is None else P @ phi
         devs[k] = phi_deviation(phi)
     if horizon >= 2 and devs[0] > 0 and devs[-1] > 0:

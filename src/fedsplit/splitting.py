@@ -65,7 +65,7 @@ def _draw_visible(w: np.ndarray, rule: SplitRule, rng: np.random.Generator) -> n
         b = (1 + rule.m - rule.eps_split) * w
         lo = np.minimum(a, b)
         hi = np.maximum(a, b)
-        return rng.uniform(lo, hi) if np.any(hi > lo) else lo.copy()
+        return rng.uniform(lo, hi) if (hi > lo).any() else lo.copy()
     if rule.variant == "laplace":
         return w + rng.laplace(0.0, rule.scale, size=w.shape)
     # midpoint: deterministic center of the uniform interval

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fedsplit import consensus
 from fedsplit import orchestrator as orch
 from fedsplit.cli import main
 from fedsplit.presets import desk_config
@@ -285,6 +286,31 @@ def test_bad_sweep_point_exits_2_before_any_write(msp_config_path, tmp_path, swe
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_seed_sweep_axis_exits_2_naming_seeds(msp_config_path, tmp_path, capsys):
+    code, out = _run_with(msp_config_path, tmp_path, "--seeds", "0", "--sweep", "seed=5,6")
+    assert code == 2
+    assert "--seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_conservation_leak_fails_the_run(msp_config_path, tmp_path, capsys, monkeypatch):
+    real_round = consensus.msp_round
+
+    def leaky_round(state, epsilon, weights_k, overrides=None):
+        nxt = real_round(state, epsilon, weights_k, overrides)
+        nxt.visible[0] += 1e-6
+        return nxt
+
+    monkeypatch.setattr(consensus, "msp_round", leaky_round)
+    code, out = _run_with(msp_config_path, tmp_path, "--seeds", "0")
+    assert code == 3
+    assert "conserved sum drifted" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["runs"] == []
+    (failed,) = manifest["failed"]
+    assert failed["run"] == "msp_seed0" and "conserved sum drifted" in failed["error"]
+
+
 def test_sweep_may_override_a_bad_base_value(msp_config_path, tmp_path):
     # epsilon 1.4 exceeds M/(M-1) = 4/3, but every sweep point replaces it
     code, out = _run_with(
@@ -304,6 +330,8 @@ def test_sweep_may_override_a_bad_base_value(msp_config_path, tmp_path):
         (["audit", "--e-mags", "abc"], "--e-mags"),
         (["audit", "--e-mags", "nan"], "--e-mags"),
         (["audit", "--n-witness", "0"], "--n-witness"),
+        (["report", "--rho", "0"], "--rho"),
+        (["report", "--rho", "-1"], "--rho"),
     ],
 )
 def test_bad_cli_number_exits_2(msp_config_path, tmp_path, capsys, argv, flag):

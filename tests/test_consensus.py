@@ -10,6 +10,7 @@ from fedsplit.consensus import (
     MSP,
     MSPDQ,
     check_conservation,
+    RoundState,
     check_deviation_bound,
     consensus_target,
     conserved_sum,
@@ -23,7 +24,10 @@ from fedsplit.errors import ConfigError, ProtocolIntegrityError
 from fedsplit.orchestrator import mspdq_initial_state
 from fedsplit.quantizer import (
     QuantizerState,
+    bit_width,
     compute_pi_t,
+    dynamic_error_bound,
+    knob_values,
     output_distribution,
     round_to_knobs,
     shrink_box,
@@ -84,7 +88,7 @@ def test_msp_round_consensus_is_fixed_point():
 def test_run_consensus_limit_hand_value():
     st = hand_state()
     w = StepWeights(gamma=np.full((2, 1), 0.2), rule="constant")
-    fin, trace, _ = run_consensus(st, 250, MSP, 0.5, w)
+    fin, trace, _ = run_consensus(st, 250, MSP, 0.5, w.table(250))
     assert np.allclose(fin.visible, 1.5, atol=1e-6)
     assert np.allclose(fin.invisible, 1.5, atol=1e-6)
     assert check_conservation(trace) <= 1e-9
@@ -96,7 +100,7 @@ def test_single_round_midpoint_reduces_to_plain_average():
     splits = [split_model(w, SplitRule("midpoint", m=1), rng) for w in locals_]
     st = state_from_splits(splits)
     w = StepWeights(gamma=np.zeros((4, 1)), rule="constant")
-    fin, _, _ = run_consensus(st, 1, MSP, 0.6, w)
+    fin, _, _ = run_consensus(st, 1, MSP, 0.6, w.table(1))
     assert np.allclose(fin.global_model, np.mean(locals_, axis=0), atol=1e-12)
 
 
@@ -108,7 +112,7 @@ def test_ragged_invisible_counts_conserve():
     st = state_from_splits(splits)
     total0 = conserved_sum(st).copy()
     w = StepWeights(gamma=np.array([[0.05, 0.0, 0.0], [0.04, 0.04, 0.04], [0.05, 0.05, 0.0]]), rule="constant")
-    fin, trace, _ = run_consensus(st, 400, MSP, 0.5, w)
+    fin, trace, _ = run_consensus(st, 400, MSP, 0.5, w.table(400))
     assert np.allclose(conserved_sum(fin), total0, atol=1e-10)
     # heterogeneous counts change the consensus divisor: sum_i (1 + m_i) = 9
     target = total0 / 9.0
@@ -167,7 +171,7 @@ def test_msp_consensus_matches_phi_product(M, m, d, K, epsilon, budget, rule, se
         for _ in range(M)
     ]
     state = state_from_splits(splits)
-    fin, _, _ = run_consensus(state, K, MSP, epsilon, weights, record=False)
+    fin, _, _ = run_consensus(state, K, MSP, epsilon, weights.table(K), record=False)
     phi = phi_product([build_P(u, weights.at(k), m) for k in range(K)])
     expected = phi @ _stack(state)
     scale = max(1.0, float(np.max(np.abs(expected))))
@@ -211,7 +215,7 @@ def test_mspdq_uploads_are_knobs_of_each_clients_box():
     nxt, _ = mspdq_round(state, 0.4, weights_k, pi, rngmod.stream(6, 28))
     lo, hi = shrink_box(state.quantized, pi, float(np.max(weights_k[:, 0])))
     # the same draw, replayed through the shared rounding helper
-    idx = round_to_knobs(nxt.visible, lo, hi, state.level, rngmod.stream(6, 28))
+    idx, _ = round_to_knobs(nxt.visible, lo, hi, state.level, rngmod.stream(6, 28))
     for i in range(state.M):
         qs = QuantizerState(lo=lo[i], hi=hi[i], level=state.level)
         assert np.array_equal(qs.knob(idx[i]), nxt.quantized[i])
@@ -265,7 +269,7 @@ def test_mspdq_interval_containment_and_bound():
     state, weights, lam2 = quantized_setup(level=16)
     rng = rngmod.stream(2, 25)
     fin, trace, summary = run_consensus(
-        state, 40, MSPDQ, 0.4, weights, rng=rng, lambda2_u=lam2, record=True, wire_check=True
+        state, 40, MSPDQ, 0.4, weights.table(40), rng=rng, lambda2_u=lam2, record=True, wire_check=True
     )
     assert summary["bound_margin_min"] >= 0.0
     assert check_deviation_bound(trace, lam2) >= 0.0
@@ -283,16 +287,22 @@ def test_run_consensus_rejects_overrides_in_quantized_mode():
     state, weights, lam2 = quantized_setup(level=16)
     with pytest.raises(ConfigError, match="plain-mode"):
         run_consensus(
-            state, 2, MSPDQ, 0.4, weights, rng=rngmod.stream(5, 28), lambda2_u=lam2,
+            state, 2, MSPDQ, 0.4, weights.table(2), rng=rngmod.stream(5, 28), lambda2_u=lam2,
             overrides={0: None},
         )
+
+
+def test_run_consensus_rejects_too_few_step_weights():
+    state, weights, lam2 = quantized_setup(level=16)
+    with pytest.raises(ConfigError, match="step weights cover 2 rounds, need 3"):
+        run_consensus(state, 3, MSPDQ, 0.4, weights.table(2), rng=rngmod.stream(5, 28), lambda2_u=lam2)
 
 
 def test_trace_jsonl_is_adversary_visible_only():
     state, weights, lam2 = quantized_setup(level=16)
     rng = rngmod.stream(5, 27)
     _, trace, _ = run_consensus(
-        state, 5, MSPDQ, 0.4, weights, rng=rng, lambda2_u=lam2, record=True
+        state, 5, MSPDQ, 0.4, weights.table(5), rng=rng, lambda2_u=lam2, record=True
     )
     lines = trace_to_jsonl(trace, t=3).strip().splitlines()
     assert len(lines) == 6
@@ -301,3 +311,128 @@ def test_trace_jsonl_is_adversary_visible_only():
         assert "visible" in rec and "global" in rec
         assert "invisible" not in line and "m_count" not in line
     assert json.loads(lines[0])["t"] == 3
+
+
+# -- reference round operators ------------------------------------------------
+#
+# The update law written with the plain numpy calls (np.mean, np.clip,
+# np.linalg.norm, knob_values) and per-round StepWeights.at(k); the library's
+# rounds must match these bit for bit.
+
+
+def reference_msp_round(state, epsilon, weights_k):
+    vis, inv = state.visible, state.invisible
+    w = weights_k[:, :, None]
+    drift = epsilon * (state.global_model[None, :] - vis)
+    coupling = (w * (inv - vis[:, None, :])).sum(axis=1)
+    new_vis = vis + drift + coupling
+    new_inv = inv + w * (vis[:, None, :] - inv)
+    return RoundState(
+        visible=new_vis, invisible=new_inv, m_counts=state.m_counts,
+        global_model=np.mean(new_vis, axis=0), k=state.k + 1,
+    )
+
+
+def reference_mspdq_round(state, epsilon, weights_k, pi_t, rng):
+    vis, inv, level = state.visible, state.invisible, state.level
+    w = weights_k[:, :, None]
+    drift = epsilon * (state.global_model[None, :] - state.quantized)
+    coupling = (w * (inv - vis[:, None, :])).sum(axis=1)
+    new_vis = vis + drift + coupling
+    new_inv = inv + w * (vis[:, None, :] - inv)
+    a_max_k = float(np.max(weights_k[:, 0]))
+    half = 0.5 * pi_t * a_max_k
+    lo, hi = state.quantized - half, state.quantized + half
+    if not np.all((new_vis >= lo) & (new_vis <= hi)):
+        raise ProtocolIntegrityError("escaped")
+    step = (hi - lo) / (level - 1)
+    tau = np.clip(np.floor((new_vis - lo) / step).astype(np.int64), 0, level - 2)
+    c_lo = lo + tau * step
+    c_hi = lo + (tau + 1) * step
+    p_up = np.clip((new_vis - c_lo) / (c_hi - c_lo), 0.0, 1.0)
+    idx = tau + (rng.random(size=tau.shape) < p_up).astype(np.int64)
+    q_vals = knob_values(lo, hi, level, idx)
+    norms = np.linalg.norm(q_vals - new_vis, axis=1)
+    bound = dynamic_error_bound(pi_t, bit_width(level), a_max_k, state.d)
+    new_state = RoundState(
+        visible=new_vis, invisible=new_inv, m_counts=state.m_counts,
+        global_model=np.mean(q_vals, axis=0), quantized=q_vals, level=level, k=state.k + 1,
+    )
+    return new_state, a_max_k, norms, bound
+
+
+def reference_run_consensus(state, K, mode, epsilon, weights, rng=None, lambda2_u=None):
+    states = [state]
+    summary = {"delta_max": 0.0, "bound_margin_min": float("inf"), "w_tilde_max": 0.0, "max_width": 0.0}
+    w_tilde = 0.0
+    for k in range(K):
+        if mode == MSP:
+            state = reference_msp_round(state, epsilon, weights.at(k))
+        else:
+            w_tilde = max(w_tilde, float(np.linalg.norm(state.visible - state.invisible[:, 0, :])))
+            pi_t = compute_pi_t(epsilon, lambda2_u, w_tilde)
+            state, a_max_k, norms, bound = reference_mspdq_round(state, epsilon, weights.at(k), pi_t, rng)
+            summary["delta_max"] = max(summary["delta_max"], float(np.max(norms)))
+            summary["bound_margin_min"] = min(summary["bound_margin_min"], bound - float(np.max(norms)))
+            summary["w_tilde_max"] = max(summary["w_tilde_max"], w_tilde)
+            summary["max_width"] = max(summary["max_width"], pi_t * a_max_k)
+        states.append(state)
+    return states, summary
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(
+    M=st.integers(2, 6),
+    m=st.integers(1, 3),
+    d=st.integers(1, 5),
+    K=st.integers(1, 25),
+    rule=st.sampled_from(["constant", "harmonic", "inv_sqrt"]),
+    mode=st.sampled_from([MSP, MSPDQ]),
+    level=st.sampled_from([2, 5, 16, 256, 4096]),
+    seed=st.integers(0, 2**16),
+)
+def test_run_consensus_matches_reference_rounds_bitwise(M, m, d, K, rule, mode, level, seed):
+    if mode == MSPDQ and rule == "constant":
+        rule = "harmonic"  # the quantized mode needs a decaying rule
+    rng = rngmod.stream(seed, 32)
+    epsilon = float(rng.uniform(0.1, 0.9))
+    u = build_U(M, epsilon)
+    gamma = rng.uniform(0.1, 1.0, size=(M, m)) * 0.9 * step_weight_cap(u) / m
+    weights = StepWeights(gamma=gamma, rule=rule)
+    w_prev = rng.standard_normal(d)
+    splits = [
+        split_model(w_prev + 0.5 * rng.standard_normal(d), SplitRule("uniform", m=m, eps_split=0.3), rng)
+        for _ in range(M)
+    ]
+    if mode == MSPDQ:
+        state, _ = mspdq_initial_state(splits, w_prev, q0_width=40.0, level=level)
+    else:
+        state = state_from_splits(splits)
+    lam2 = lambda2_U(u)
+    try:
+        ref_states, ref_summary = reference_run_consensus(
+            state, K, mode, epsilon, weights, rngmod.stream(seed, 33), lam2
+        )
+    except ProtocolIntegrityError:
+        with pytest.raises(ProtocolIntegrityError):
+            run_consensus(state, K, mode, epsilon, weights.table(K), rng=rngmod.stream(seed, 33), lambda2_u=lam2)
+        return
+    fin, trace, summary = run_consensus(
+        state, K, mode, epsilon, weights.table(K), rng=rngmod.stream(seed, 33), lambda2_u=lam2, record=True
+    )
+    assert summary == ref_summary
+    assert fin.k == K
+    for got, ref in ((fin.visible, ref_states[-1].visible), (fin.invisible, ref_states[-1].invisible),
+                     (fin.global_model, ref_states[-1].global_model)):
+        assert _same_bits(got, ref)
+    for k, ref in enumerate(ref_states):
+        assert _same_bits(trace.visibles[k], ref.visible)
+        assert _same_bits(trace.invisibles[k], ref.invisible)
+        assert _same_bits(trace.globals_[k], ref.global_model)
+        if mode == MSPDQ:
+            assert _same_bits(trace.quantized[k], ref.quantized)
+    for k in range(K):
+        assert _same_bits(np.asarray(trace.weights[k]), weights.at(k))

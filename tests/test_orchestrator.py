@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from fedsplit import consensus
 from fedsplit import orchestrator as orch
 from fedsplit import rng as rngmod
 from fedsplit.errors import ConfigError, ProtocolIntegrityError
@@ -212,6 +213,23 @@ def test_operating_ball_violation_raises():
         orch.run(cfg)
 
 
+@pytest.mark.parametrize("mode, name", [("msp", "msp_round"), ("mspdq", "mspdq_round")])
+def test_consensus_phase_that_leaks_mass_raises(monkeypatch, mode, name):
+    real_round = getattr(consensus, name)
+
+    def leaky_round(*args, **kwargs):
+        out = real_round(*args, **kwargs)
+        state = out[0] if isinstance(out, tuple) else out
+        state.invisible[0, 0] += 1e-6
+        return out
+
+    cfg = small_config(mode, rounds=3)
+    orch.run(cfg)
+    monkeypatch.setattr(consensus, name, leaky_round)
+    with pytest.raises(ProtocolIntegrityError, match="conserved sum drifted"):
+        orch.run(cfg)
+
+
 def test_theorem_constants_formulas():
     assert orch.d3_formula(10, 0.2, 24.0, 4, 8) == pytest.approx(2.2145e-4, rel=1e-3)
     # the split-factor polynomial (2x^2-4x+8)/3 has its vertex at x = 1
@@ -288,6 +306,43 @@ def test_desk_metrics_match_golden_hash(mode):
         cfg.ldp_scale = 0.1
     csv = orch.metrics_to_csv(orch.run(cfg).metrics)
     assert hashlib.sha256(csv.encode()).hexdigest() == GOLDEN_DESK_T30[mode]
+
+
+# SHA-256 of metrics_to_csv and of trajectory.tobytes() for T=30 desk runs
+# that the four modes above leave out: other quantization levels, the
+# harmonic rule in the quantized mode, and ragged Laplace splits.
+GOLDEN_DESK_T30_VARIANTS = {
+    "mspdq_level16": (
+        "mspdq", {"level": 16},
+        "504838eafe4df2626e2540870d3e36aebabc8ea3a0938fde2f5ab351b3ba5e38",
+        "4b31f1b439263d7d3ef2cec7bb7ea5d5e84eb2251c50864f15a4d87b86aab5b2",
+    ),
+    "mspdq_level4096": (
+        "mspdq", {"level": 4096},
+        "e63b8cb1c2b94cb8ff72305fe369905200efa438c02ed3e7dc6a08e17f5da24a",
+        "7bf0194f55b5423e82754fd3d159d2ca8f6b616b2c762622364303a122fdd87b",
+    ),
+    "mspdq_harmonic": (
+        "mspdq", {"weight_rule": "harmonic"},
+        "2f6789ab1426aec001cf9a726dd1f83a28196754e0d224682cd5297b7a40c4cd",
+        "b81c4c9c22215f07f5007938d682c19566a5369ce893bbc55384b17dee135a01",
+    ),
+    "msp_m2_laplace": (
+        "msp", {"split_m": 2, "split_variant": "laplace", "gamma_max": 0.15},
+        "1dfe650180dd1bbf73ebc7c5369eea34f1039e53a52c23aab74ad9c026add5fd",
+        "1b72d4706e873f23072c698a793687c52703767bf8195106e5f61bd077ebdc4a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DESK_T30_VARIANTS))
+def test_desk_variants_match_golden_hashes(name):
+    mode, fields, csv_hash, traj_hash = GOLDEN_DESK_T30_VARIANTS[name]
+    cfg = dataclasses.replace(desk_config(mode, 0, rounds=30), **fields)
+    result = orch.run(cfg)
+    csv = orch.metrics_to_csv(result.metrics)
+    assert hashlib.sha256(csv.encode()).hexdigest() == csv_hash
+    assert hashlib.sha256(result.trajectory.tobytes()).hexdigest() == traj_hash
 
 
 _PERTURBED = {"mode": "mspdq", "weight_rule": "harmonic", "split_variant": "laplace"}

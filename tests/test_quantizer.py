@@ -18,6 +18,7 @@ from fedsplit.quantizer import (
     encode,
     encoded_size,
     error_bound,
+    knob_values,
     output_distribution,
     quantize,
     round_to_knobs,
@@ -75,8 +76,9 @@ def test_quantize_equals_the_shared_rounding_helper():
     w = np.array([0.3, 0.49, 2.0])
     for seed in range(20):
         q = quantize(w, qs, rngmod.stream(seed, 30))
-        idx = round_to_knobs(w, qs.lo, qs.hi, qs.level, rngmod.stream(seed, 30))
+        idx, vals = round_to_knobs(w, qs.lo, qs.hi, qs.level, rngmod.stream(seed, 30))
         assert np.array_equal(q.indices, idx)
+        assert vals.tobytes() == qs.knob(idx).tobytes()
 
 
 def test_rounding_helper_on_a_matrix_equals_row_by_row_quantize():
@@ -85,7 +87,8 @@ def test_rounding_helper_on_a_matrix_equals_row_by_row_quantize():
     lo = rng.uniform(-2.0, 0.0, size=(5, 3))
     hi = lo + rng.uniform(0.5, 2.0, size=(5, 3))
     W = lo + rng.uniform(0.0, 1.0, size=(5, 3)) * (hi - lo)
-    idx = round_to_knobs(W, lo, hi, 9, rngmod.stream(5, 30))
+    idx, vals = round_to_knobs(W, lo, hi, 9, rngmod.stream(5, 30))
+    assert vals.tobytes() == knob_values(lo, hi, 9, idx).tobytes()
     rows = rngmod.stream(5, 30)
     for i in range(5):
         qs = QuantizerState(lo=lo[i], hi=hi[i], level=9)

@@ -205,3 +205,19 @@ def test_fit_contraction_constant_covers_curve():
     C = fit_contraction_constant(devs, lam)
     ks = np.arange(1, 51)
     assert np.all(devs <= C * lam**ks + 1e-15)
+
+
+@given(
+    M=st.integers(1, 6),
+    m=st.integers(1, 4),
+    K=st.integers(1, 200),
+    rule=st.sampled_from(["constant", "harmonic", "inv_sqrt"]),
+    seed=st.integers(0, 2**16),
+)
+def test_weight_table_rows_are_bitwise_at(M, m, K, rule, seed):
+    gamma = np.random.default_rng(seed).uniform(0.0, 0.4, size=(M, m))
+    weights = StepWeights(gamma=gamma, rule=rule)
+    table = weights.table(K)
+    assert table.shape == (K, M, m) and table.dtype == np.float64
+    for k in range(K):
+        assert table[k].tobytes() == weights.at(k).tobytes()

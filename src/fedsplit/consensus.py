@@ -47,7 +47,8 @@ class RoundState:
     """Cohort state at one communication round.
 
     visible: (M, d); invisible: (M, m_max, d) zero-padded past each client's
-    own invisible count; global_model is the aggregation that produced this
+    own invisible count (msp_round also takes a leading seed axis on both and
+    on global_model); global_model is the aggregation that produced this
     round (mean visible for plain rounds, mean quantized upload otherwise).
     """
 
@@ -61,24 +62,11 @@ class RoundState:
 
     @property
     def M(self) -> int:
-        return self.visible.shape[0]
+        return self.visible.shape[-2]
 
     @property
     def d(self) -> int:
-        return self.visible.shape[1]
-
-
-@dataclass
-class RoundOverrides:
-    """Round-local parameter substitutions used by the privacy auditor.
-
-    drift[(i, j)] is the elementwise weight client i applies to source j in
-    its drift term (default 1/M); coupling[(i, n)] is the elementwise weight
-    between client i's visible and its n-th invisible submodel.
-    """
-
-    drift: dict = field(default_factory=dict)
-    coupling: dict = field(default_factory=dict)
+        return self.visible.shape[-1]
 
 
 @dataclass
@@ -152,9 +140,7 @@ def consensus_target(state: RoundState) -> np.ndarray:
     return conserved_sum(state) / float(np.sum(1 + state.m_counts))
 
 
-def _coupling_terms(
-    state: RoundState, weights_k: np.ndarray, overrides: RoundOverrides | None = None
-):
+def _coupling_terms(state: RoundState, weights_k: np.ndarray):
     """Visible-side coupling sum and the updated invisible stack.
 
     The flow a (inv - vis) enters the visible and leaves the invisible, so
@@ -162,57 +148,32 @@ def _coupling_terms(
     """
     vis = state.visible
     inv = state.invisible
-    flow = weights_k[:, :, None] * (inv - vis[:, None, :])
-    coupling = np.add.reduce(flow, axis=1)
-    new_inv = inv - flow
-    if overrides is not None:
-        for (i, n), a_vec in overrides.coupling.items():
-            base = weights_k[i, n]
-            coupling[i] += (a_vec - base) * (inv[i, n] - vis[i])
-            new_inv[i, n] = inv[i, n] + a_vec * (vis[i] - inv[i, n])
-    return coupling, new_inv
+    flow = weights_k[..., None] * (inv - vis[..., None, :])
+    return np.add.reduce(flow, axis=-2), inv - flow
 
 
-def _drift(
-    state: RoundState,
-    epsilon: float,
-    reference: np.ndarray,
-    overrides: RoundOverrides | None = None,
-) -> np.ndarray:
-    """epsilon * (global - reference_i), with per-pair weight substitutions.
+def _drift(state: RoundState, epsilon: float, reference: np.ndarray) -> np.ndarray:
+    """epsilon * (global - reference_i).
 
     `reference` is the visible matrix in plain mode and the quantized uploads
-    in quantized mode.  An override (plain rounds only) replaces, for client
-    i only, the uniform 1/M weight on one source's visible with an
-    elementwise vector.
+    in quantized mode.
     """
-    drift = epsilon * (state.global_model[None, :] - reference)
-    if overrides is not None and overrides.drift:
-        M = state.M
-        vis = state.visible
-        for (i, j), alpha in overrides.drift.items():
-            terms = (vis - vis[i]) / M
-            terms[j] = alpha * (vis[j] - vis[i])
-            drift[i] = epsilon * terms.sum(axis=0)
-    return drift
+    return epsilon * (state.global_model[..., None, :] - reference)
 
 
-def msp_round(
-    state: RoundState,
-    epsilon: float,
-    weights_k: np.ndarray,
-    overrides: RoundOverrides | None = None,
-) -> RoundState:
-    """One plain communication round followed by server aggregation."""
-    drift = _drift(state, epsilon, state.visible, overrides)
-    coupling, new_inv = _coupling_terms(state, weights_k, overrides)
+def msp_round(state: RoundState, epsilon: float, weights_k: np.ndarray) -> RoundState:
+    """One plain communication round followed by server aggregation; a
+    leading seed axis on the state (and optionally the weights) batches
+    seeds, each bitwise equal to its own call."""
+    drift = _drift(state, epsilon, state.visible)
+    coupling, new_inv = _coupling_terms(state, weights_k)
     new_vis = state.visible + drift + coupling
-    # np.add.reduce(x, axis=0) / n is bitwise x.mean(axis=0), without the wrapper
+    # np.add.reduce(x, axis=-2) / n is bitwise x.mean(axis=-2), without the wrapper
     return RoundState(
         visible=new_vis,
         invisible=new_inv,
         m_counts=state.m_counts,
-        global_model=np.add.reduce(new_vis, axis=0) / state.M,
+        global_model=np.add.reduce(new_vis, axis=-2) / state.M,
         k=state.k + 1,
     )
 
@@ -298,7 +259,6 @@ def run_consensus(
     lambda2_u: float | None = None,
     origins: np.ndarray | None = None,
     record: bool = True,
-    overrides: dict | None = None,
     wire_check: bool = False,
 ):
     """Iterate the chosen round operator K times.
@@ -317,8 +277,6 @@ def run_consensus(
         raise ConfigError(f"unknown mode {mode!r}")
     if mode == MSPDQ and (rng is None or lambda2_u is None):
         raise ConfigError("quantized mode needs an rng and lambda2(U)")
-    if mode == MSPDQ and overrides:
-        raise ConfigError("round overrides replay plain-mode transcripts only")
     if len(weights) < K:
         raise ConfigError(f"step weights cover {len(weights)} rounds, need {K}")
     state = initial
@@ -341,9 +299,7 @@ def run_consensus(
     for k in range(K):
         weights_k = weights[k]
         if mode == MSP:
-            state = msp_round(
-                state, epsilon, weights_k, overrides=overrides.get(k) if overrides else None
-            )
+            state = msp_round(state, epsilon, weights_k)
             if record:
                 trace.weights.append(weights_k)
                 trace.snapshot(state)
@@ -375,24 +331,23 @@ def check_deviation_bound(trace: ConsensusTrace, lambda2_u: float) -> float:
         ||W[k+1] - 1 mean|| <= 2 sum_l lam^{k-l} ||Delta[l]|| +
                                Wmax_k sum_l lam^{k-l} a_max[l]
 
-    with measured quantization errors.  Returns the minimum slack.
+    with measured quantization errors; both sums run as geometric
+    recursions s_k = lam s_{k-1} + term_k.  Returns the minimum slack.
     """
     if trace.mode != MSPDQ:
         raise ConfigError("deviation bound applies to quantized traces")
     min_slack = float("inf")
     w_tilde = 0.0
-    deltas = []
+    s_delta = 0.0
+    s_a = 0.0
     for k in range(trace.K):
         vis_k = trace.visibles[k]
         w_tilde = max(w_tilde, float(np.linalg.norm(vis_k - trace.invisibles[k][:, 0, :])))
-        deltas.append(float(np.linalg.norm(trace.quantized[k] - vis_k)))
+        s_delta = lambda2_u * s_delta + float(np.linalg.norm(trace.quantized[k] - vis_k))
+        s_a = lambda2_u * s_a + float(np.max(trace.weights[k][:, 0]))
         vis_next = trace.visibles[k + 1]
         dev = float(np.linalg.norm(vis_next - vis_next.mean(axis=0)))
-        bound = 0.0
-        for l in range(k + 1):
-            lam_pow = lambda2_u ** (k - l)
-            bound += 2.0 * lam_pow * deltas[l]
-            bound += w_tilde * lam_pow * float(np.max(trace.weights[l][:, 0]))
+        bound = 2.0 * s_delta + w_tilde * s_a
         slack = bound - dev + 1e-12 * max(1.0, bound)
         if slack < 0:
             raise ProtocolIntegrityError(f"deviation bound violated at round {k}")

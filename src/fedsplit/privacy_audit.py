@@ -28,8 +28,8 @@ from . import rng as rngmod
 from .consensus import (
     MSP,
     ConsensusTrace,
-    RoundOverrides,
     RoundState,
+    msp_round,
     run_consensus,
     state_from_splits,
 )
@@ -167,44 +167,52 @@ def construct_witness(
 
 
 def _replay(witness: EquivalenceWitness) -> ConsensusTrace:
+    """Re-run the transcript from the witness's round-zero parameters.
+
+    Round zero runs the plain round, then recomputes the protected clients'
+    rows of the new visible and invisible stacks with the witness weights;
+    rounds 1..K-1 run plain through run_consensus.
+    """
     trace = witness.trace
-    visible = trace.visibles[0].copy()
-    invisible = trace.invisibles[0].copy()
+    vis = trace.visibles[0]
+    inv = trace.invisibles[0].copy()
+    w0 = trace.weights[0]
     origins = trace.origins.copy()
-    overrides = None
     if not witness.identity:
-        invisible[witness.i, witness.p] = witness.inv_i
-        invisible[witness.j, witness.q] = witness.inv_j
+        inv[witness.i, witness.p] = witness.inv_i
+        inv[witness.j, witness.q] = witness.inv_j
         origins[witness.i] = origins[witness.i] + witness.e
         origins[witness.j] = origins[witness.j] - witness.e
-        overrides = {
-            0: RoundOverrides(
-                drift={
-                    (witness.i, witness.j): witness.alpha_i,
-                    (witness.j, witness.i): witness.alpha_j,
-                },
-                coupling={
-                    (witness.i, witness.p): witness.a_i,
-                    (witness.j, witness.q): witness.a_j,
-                },
-            )
-        }
     state = RoundState(
-        visible=visible,
-        invisible=invisible,
-        m_counts=trace.m_counts.copy(),
-        global_model=visible.mean(axis=0),
+        visible=vis.copy(), invisible=inv, m_counts=trace.m_counts.copy(), global_model=vis.mean(axis=0)
     )
-    _, replayed, _ = run_consensus(
-        state,
-        trace.K,
-        MSP,
-        trace.epsilon,
-        trace.weights,
-        origins=origins,
-        record=True,
-        overrides=overrides,
+    nxt = msp_round(state, trace.epsilon, w0)
+    if not witness.identity:
+        for c, n, a, src, alpha in (
+            (witness.i, witness.p, witness.a_i, witness.j, witness.alpha_i),
+            (witness.j, witness.q, witness.a_j, witness.i, witness.alpha_j),
+        ):
+            # client c puts alpha on source src's visible instead of 1/M ...
+            terms = (vis - vis[c]) / trace.M
+            terms[src] = alpha * (vis[src] - vis[c])
+            # ... and couples its n-th invisible with weight a instead of w0[c, n]
+            flow = w0[c][:, None] * (inv[c] - vis[c])
+            coupling = np.add.reduce(flow, axis=0) + (a - w0[c, n]) * (inv[c, n] - vis[c])
+            nxt.visible[c] = vis[c] + trace.epsilon * terms.sum(axis=0) + coupling
+            nxt.invisible[c, n] = inv[c, n] + a * (vis[c] - inv[c, n])
+        nxt.global_model = np.add.reduce(nxt.visible, axis=0) / trace.M
+    replayed = ConsensusTrace(
+        mode=MSP, epsilon=trace.epsilon, m_counts=trace.m_counts.copy(), origins=origins
     )
+    replayed.snapshot(state)
+    replayed.weights.append(w0)
+    replayed.snapshot(nxt)
+    if trace.K > 1:
+        _, rest, _ = run_consensus(nxt, trace.K - 1, MSP, trace.epsilon, trace.weights[1:])
+        replayed.visibles += rest.visibles[1:]
+        replayed.invisibles += rest.invisibles[1:]
+        replayed.globals_ += rest.globals_[1:]
+        replayed.weights += rest.weights
     return replayed
 
 

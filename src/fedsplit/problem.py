@@ -9,7 +9,6 @@ knob: the spread of the per-client minimizers b_i.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,27 +241,3 @@ def stochastic_gradient(
     # np.add.reduce(x, axis=0) / n is bitwise x.mean(axis=0), without the wrapper
     y_mean = np.add.reduce(dataset.targets[batch], axis=0) / len(batch)
     return loss.A @ w - y_mean
-
-
-# -- serialization -----------------------------------------------------------
-
-
-def problem_to_json(losses: list[QuadraticClientLoss]) -> str:
-    """Row-major float64 JSON document, reproducible round trip."""
-    doc = {
-        "clients": [
-            {"A": l.A.flatten().tolist(), "b": l.b.tolist(), "p": l.p, "dim": l.dim}
-            for l in losses
-        ]
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def problem_from_json(text: str) -> list[QuadraticClientLoss]:
-    doc = json.loads(text)
-    out = []
-    for c in doc["clients"]:
-        d = int(c["dim"])
-        A = np.array(c["A"], dtype=np.float64).reshape(d, d)
-        out.append(QuadraticClientLoss(A=A, b=np.array(c["b"]), p=float(c["p"])))
-    return out

@@ -160,14 +160,6 @@ def tv_distance(atoms_a: list[tuple[float, float]], atoms_b: list[tuple[float, f
     return 0.5 * sum(abs(pa[v] - pb[v]) for v in support)
 
 
-def shrink_interval(q: QuantizedVector, pi_t: float, a_max_k: float) -> QuantizerState:
-    """Next-round box centered at the quantized values, width pi_t * a_max_k."""
-    if pi_t <= 0 or a_max_k <= 0:
-        raise ConfigError("interval width factors must be positive")
-    lo, hi = shrink_box(q.values(), pi_t, a_max_k)
-    return QuantizerState(lo=lo, hi=hi, level=q.state.level)
-
-
 def shrink_box(center: np.ndarray, pi_t: float, a_max_k: float) -> tuple[np.ndarray, np.ndarray]:
     """Box bounds center -+ pi_t a_max_k / 2 around each quantized value."""
     half = 0.5 * pi_t * a_max_k

@@ -66,16 +66,6 @@ class StepWeights:
             return self.gamma / ks
         return self.gamma / np.sqrt(ks)
 
-    def a_max(self, k: int) -> float:
-        """max_i a_{i,1}[k]; controls the shrinking-interval width."""
-        return float(np.max(self.at(k)[:, 0]))
-
-    def validate_sum_condition(self, u: np.ndarray) -> None:
-        """sum_n max_i a_{i,n}[0] must stay below lambda_min/(1+lambda_min)."""
-        check_step_weight_budget(
-            float(np.sum(np.max(self.gamma, axis=0))), u, "sum of max step weights"
-        )
-
 
 def build_U(M: int, epsilon: float) -> np.ndarray:
     """U_ij = eps/M off-diagonal, 1 - eps(M-1)/M on the diagonal."""

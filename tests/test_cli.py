@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -47,6 +50,26 @@ def test_run_is_byte_deterministic(config_path, tmp_path):
     csv1 = (out1 / "mspdq_seed1" / "metrics.csv").read_bytes()
     csv2 = (out2 / "mspdq_seed1" / "metrics.csv").read_bytes()
     assert csv1 == csv2
+
+
+def test_run_is_byte_identical_across_processes(tmp_path):
+    # outputs are a function of (config, seeds) only: not of the process or
+    # its string-hash salt
+    cfg = tmp_path / "desk_mspdq.json"
+    cfg.write_text(json.dumps(asdict(desk_config("mspdq", 0, rounds=8))))
+    src = str(Path(orch.__file__).resolve().parents[1])
+    trees = []
+    for hash_seed in ("0", "12345"):
+        out = tmp_path / f"out{hash_seed}"
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        subprocess.run(
+            [sys.executable, "-m", "fedsplit.cli", "run", "--config", str(cfg), "--seeds", "0..1", "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        trees.append({str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+    assert {"manifest.json", "mspdq_seed0/metrics.csv", "mspdq_seed1/summary.json"} <= set(trees[0])
+    assert trees[0] == trees[1]
 
 
 def test_run_sweep_axes(config_path, tmp_path):
@@ -296,8 +319,8 @@ def test_seed_sweep_axis_exits_2_naming_seeds(msp_config_path, tmp_path, capsys)
 def test_conservation_leak_fails_the_run(msp_config_path, tmp_path, capsys, monkeypatch):
     real_round = consensus.msp_round
 
-    def leaky_round(state, epsilon, weights_k, overrides=None):
-        nxt = real_round(state, epsilon, weights_k, overrides)
+    def leaky_round(state, epsilon, weights_k):
+        nxt = real_round(state, epsilon, weights_k)
         nxt.visible[0] += 1e-6
         return nxt
 

@@ -283,19 +283,52 @@ def test_mspdq_bad_interval_raises():
         mspdq_round(state, 0.4, weights.at(0), pi_t=1e-6, rng=rng)
 
 
-def test_run_consensus_rejects_overrides_in_quantized_mode():
-    state, weights, lam2 = quantized_setup(level=16)
-    with pytest.raises(ConfigError, match="plain-mode"):
-        run_consensus(
-            state, 2, MSPDQ, 0.4, weights.table(2), rng=rngmod.stream(5, 28), lambda2_u=lam2,
-            overrides={0: None},
-        )
-
-
 def test_run_consensus_rejects_too_few_step_weights():
     state, weights, lam2 = quantized_setup(level=16)
     with pytest.raises(ConfigError, match="step weights cover 2 rounds, need 3"):
         run_consensus(state, 3, MSPDQ, 0.4, weights.table(2), rng=rngmod.stream(5, 28), lambda2_u=lam2)
+
+
+def reference_deviation_slack(trace, lambda2_u):
+    """check_deviation_bound's law as the direct double sum over rounds."""
+    min_slack = float("inf")
+    w_tilde = 0.0
+    deltas = []
+    for k in range(trace.K):
+        vis_k = trace.visibles[k]
+        w_tilde = max(w_tilde, float(np.linalg.norm(vis_k - trace.invisibles[k][:, 0, :])))
+        deltas.append(float(np.linalg.norm(trace.quantized[k] - vis_k)))
+        vis_next = trace.visibles[k + 1]
+        dev = float(np.linalg.norm(vis_next - vis_next.mean(axis=0)))
+        bound = 0.0
+        for l in range(k + 1):
+            lam_pow = lambda2_u ** (k - l)
+            bound += 2.0 * lam_pow * deltas[l]
+            bound += w_tilde * lam_pow * float(np.max(trace.weights[l][:, 0]))
+        slack = bound - dev + 1e-12 * max(1.0, bound)
+        if slack < 0:
+            raise ProtocolIntegrityError(f"deviation bound violated at round {k}")
+        min_slack = min(min_slack, slack)
+    return min_slack
+
+
+@pytest.mark.parametrize("level", [16, 256, 4096])
+@pytest.mark.parametrize("seed", range(4))
+def test_deviation_bound_matches_double_sum(level, seed):
+    state, weights, lam2 = quantized_setup(seed=seed, level=level)
+    _, trace, _ = run_consensus(
+        state, 40, MSPDQ, 0.4, weights.table(40), rng=rngmod.stream(seed, 29), lambda2_u=lam2
+    )
+    expected = reference_deviation_slack(trace, lam2)
+    assert check_deviation_bound(trace, lam2) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    # a contraction factor of 0 drops every past round from both sums
+    try:
+        expected = reference_deviation_slack(trace, 0.0)
+    except ProtocolIntegrityError as err:
+        with pytest.raises(ProtocolIntegrityError, match=str(err)):
+            check_deviation_bound(trace, 0.0)
+    else:
+        assert check_deviation_bound(trace, 0.0) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 def test_trace_jsonl_is_adversary_visible_only():
@@ -436,3 +469,46 @@ def test_run_consensus_matches_reference_rounds_bitwise(M, m, d, K, rule, mode, 
             assert _same_bits(trace.quantized[k], ref.quantized)
     for k in range(K):
         assert _same_bits(np.asarray(trace.weights[k]), weights.at(k))
+
+
+@given(
+    S=st.integers(1, 5),
+    M=st.integers(2, 10),
+    m=st.integers(1, 3),
+    d=st.integers(1, 5),
+    k=st.integers(0, 10),
+    rule=st.sampled_from(["constant", "harmonic", "inv_sqrt"]),
+    per_seed_weights=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_msp_round_seed_axis_matches_per_seed_calls(S, M, m, d, k, rule, per_seed_weights, seed):
+    rng = rngmod.stream(seed, 34)
+    epsilon = float(rng.uniform(0.1, 0.9))
+    cap = step_weight_cap(build_U(M, epsilon))
+    m_counts = rng.integers(1, m + 1, size=M)
+    # ragged cohort: zero weight on each client's padded invisible slots
+    real = np.arange(m_counts.max()) < m_counts[:, None]
+    weights = [
+        StepWeights(gamma=rng.uniform(0.0, 0.9, size=real.shape) * real * cap / m, rule=rule).at(k)
+        for _ in range(S if per_seed_weights else 1)
+    ]
+    states = [
+        state_from_splits([
+            split_model(rng.standard_normal(d), SplitRule("uniform", m=int(m_i), eps_split=0.3), rng)
+            for m_i in m_counts
+        ])
+        for _ in range(S)
+    ]
+    stacked = RoundState(
+        visible=np.stack([s.visible for s in states]),
+        invisible=np.stack([s.invisible for s in states]),
+        m_counts=m_counts,
+        global_model=np.stack([s.global_model for s in states]),
+    )
+    batched = msp_round(stacked, epsilon, np.stack(weights) if per_seed_weights else weights[0])
+    assert batched.M == M and batched.d == d
+    for s, state in enumerate(states):
+        one = msp_round(state, epsilon, weights[s if per_seed_weights else 0])
+        assert _same_bits(batched.visible[s], one.visible)
+        assert _same_bits(batched.invisible[s], one.invisible)
+        assert _same_bits(batched.global_model[s], one.global_model)

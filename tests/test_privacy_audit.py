@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,17 @@ def test_witness_round_zero_replay_matches():
     rep = pa.replay_and_compare(w, view)
     assert rep["pass"]
     assert rep["max_deviation"] <= 1e-9
+
+
+def test_witness_replay_of_a_single_round_trace():
+    trace, w = pa.witness_with_retries(33, 0, 1, np.array([0.4, -0.8, 0.3]), M=4, d=3, K=1)
+    assert trace.K == 1
+    view = pa.record_view(trace, corrupted={2, 3}, protected={0, 1})
+    rep = pa.replay_and_compare(w, view)
+    assert rep["pass"] and rep["max_deviation"] <= 1e-9
+    for param in pa.MUTABLE_PARAMS:
+        bad = pa.replay_and_compare(pa.mutate_witness(w, param), view)
+        assert bad["max_deviation"] > pa.MUTATION_MIN_DEVIATION, param
 
 
 def test_witness_all_magnitudes():
@@ -180,6 +193,24 @@ def test_run_audit_aggregates():
 def test_run_audit_negative_controls_pass(seed):
     # on seeds 10, 11, 13, 15, 16 and 17 coordinate 0 has almost no leverage
     assert pa.run_audit(seed=seed, mutate=True)["pass"]
+
+
+AUDIT_REPORT_SHA256 = {
+    (0, False): "83c5e9ff9945637da6c24b8d5885a442ef1dbc4d7d9e8a2310309900d3421083",
+    (0, True): "1f6fb74b38555ef716db58ead566adc79de093e1aaa3af124e109c5fabc16b41",
+    (3, False): "7dd2ec713251a7e3fb87be1a1bfa98debffc61b3b3a6d771964131601c350be5",
+    (3, True): "226026c4ec9ea5b7c2c1013bfac155b335d3921e5b74771063f7c3bbc8c679a0",
+    (7, False): "c58e7a247c9f9a84b81d7407b53591c2aaf8cce7d61680e7b11cd0599695c9fe",
+    (7, True): "1c1d8edb7480d1f4686b6e4edace10ba87297d683551a81f3a11b792062d0dd3",
+}
+
+
+def test_run_audit_report_matches_golden_hash():
+    # the auditor rebuilds the witness's round zero outside the round
+    # operators; these pin every bit of its reports, negative controls too
+    for (seed, mutate), expected in AUDIT_REPORT_SHA256.items():
+        text = pa.report_to_json(pa.run_audit(seed=seed, mutate=mutate))
+        assert hashlib.sha256(text.encode()).hexdigest() == expected, (seed, mutate)
 
 
 def test_mutation_targets_the_coordinate_with_most_leverage():

@@ -14,8 +14,6 @@ from fedsplit.problem import (
     make_client_datasets,
     make_quadratic_problem,
     problem_constants,
-    problem_from_json,
-    problem_to_json,
     sigma_bound,
     stochastic_gradient,
 )
@@ -210,15 +208,6 @@ def test_dataset_arrays_are_read_only():
         ds.targets[0, 0] = 1.0
     with pytest.raises(ValueError):
         ds.anchors[0] += 1.0
-
-
-def test_json_roundtrip():
-    losses = make_quadratic_problem(3, 4, 1.3, seed=12)
-    back = problem_from_json(problem_to_json(losses))
-    for a, b in zip(losses, back):
-        assert np.array_equal(a.A, b.A)
-        assert np.array_equal(a.b, b.b)
-        assert a.p == b.p
 
 
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=4))

@@ -22,7 +22,7 @@ from fedsplit.quantizer import (
     output_distribution,
     quantize,
     round_to_knobs,
-    shrink_interval,
+    shrink_box,
     tv_distance,
 )
 
@@ -156,21 +156,17 @@ def test_tv_distance_hand_value():
     assert tv_distance(d1, d2) == pytest.approx(0.2, abs=1e-12)
 
 
-def test_shrink_interval_formula():
-    qs = unit_state()
-    q = QuantizedVector(indices=np.array([0]), state=qs)
-    shrunk = shrink_interval(q, pi_t=2.0, a_max_k=0.5)
-    assert shrunk.lo[0] == pytest.approx(-0.5) and shrunk.hi[0] == pytest.approx(0.5)
-    half = shrink_interval(q, pi_t=2.0, a_max_k=0.25)
-    assert half.width == pytest.approx(0.5 * shrunk.width)
-    with pytest.raises(ConfigError):
-        shrink_interval(q, pi_t=0.0, a_max_k=0.5)
+def test_shrink_box_formula():
+    lo, hi = shrink_box(np.array([0.0]), pi_t=2.0, a_max_k=0.5)
+    assert lo[0] == pytest.approx(-0.5) and hi[0] == pytest.approx(0.5)
+    half_lo, half_hi = shrink_box(np.array([0.0]), pi_t=2.0, a_max_k=0.25)
+    assert half_hi[0] - half_lo[0] == pytest.approx(0.5 * (hi[0] - lo[0]))
 
 
 def test_shrink_width_decreasing_under_harmonic_weights():
-    qs = unit_state()
-    q = QuantizedVector(indices=np.array([2]), state=qs)
-    widths = [shrink_interval(q, 3.0, 0.2 / (k + 1)).width for k in range(10)]
+    center = unit_state().knob(np.array([2]))
+    boxes = [shrink_box(center, 3.0, 0.2 / (k + 1)) for k in range(10)]
+    widths = [hi[0] - lo[0] for lo, hi in boxes]
     assert all(w1 > w2 for w1, w2 in zip(widths, widths[1:]))
 
 

@@ -8,6 +8,7 @@ from fedsplit.spectral import (
     StepWeights,
     build_P,
     build_U,
+    check_step_weight_budget,
     contraction_probe,
     fit_contraction_constant,
     is_doubly_stochastic,
@@ -61,27 +62,25 @@ def test_step_weights_shapes_and_rules():
     w = StepWeights(gamma=np.full((3, 2), 0.1), rule="harmonic")
     assert np.allclose(w.at(0), 0.1)
     assert np.allclose(w.at(1), 0.05)
-    assert w.a_max(3) == pytest.approx(0.025)
+    assert w.table(4)[3, :, 0].max() == pytest.approx(0.025)
     wc = StepWeights(gamma=np.full((3, 1), 0.1), rule="constant")
     assert np.allclose(wc.at(5), 0.1)
 
 
 def test_step_weights_nonincreasing_and_doubling():
     w = StepWeights(gamma=np.full((2, 1), 0.3), rule="harmonic")
-    prev = w.a_max(0)
+    a_max = w.table(40)[:, :, 0].max(axis=1)
     for k in range(1, 40):
-        cur = w.a_max(k)
-        assert cur <= prev
-        prev = cur
+        assert a_max[k] <= a_max[k - 1]
     for k in range(1, 20):
-        assert w.a_max(k) <= 2 * w.a_max(2 * k) + 1e-15
+        assert a_max[k] <= 2 * a_max[2 * k] + 1e-15
 
 
 def test_step_weights_sum_condition():
     u = build_U(2, 0.5)  # lambda_min = 0.5, cap = 1/3
-    StepWeights(gamma=np.full((2, 1), 0.2)).validate_sum_condition(u)
-    with pytest.raises(ScheduleValidationError):
-        StepWeights(gamma=np.full((2, 1), 0.4)).validate_sum_condition(u)
+    check_step_weight_budget(0.2, u, "sum of max step weights")
+    with pytest.raises(ScheduleValidationError, match="sum of max step weights 0.4"):
+        check_step_weight_budget(0.4, u, "sum of max step weights")
 
 
 def test_build_P_zero_coupling_is_block_diagonal():

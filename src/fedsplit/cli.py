@@ -214,30 +214,56 @@ def cmd_audit(args) -> int:
 
 
 def _read_metrics(path: Path) -> list[dict]:
-    lines = path.read_text().strip().splitlines()
-    header = lines[0].split(",")
-    return [dict(zip(header, (float(x) for x in line.split(",")))) for line in lines[1:]]
+    """Rows of one run's metrics.csv; a missing or malformed file names itself."""
+    try:
+        lines = path.read_text().strip().splitlines()
+        if len(lines) < 2 or lines[0].split(",") != list(orch.METRIC_FIELDS):
+            raise ValueError(f"expected a header {','.join(orch.METRIC_FIELDS)} and at least one row")
+        return [
+            dict(zip(orch.METRIC_FIELDS, (float(x) for x in line.split(",")), strict=True))
+            for line in lines[1:]
+        ]
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{path}: unreadable metrics ({exc})") from None
+
+
+def _read_group(run_dir: Path, gid: str, group) -> tuple:
+    """(config, constants, per-run metric rows) of one manifest group; any
+    damage is a ConfigError that names the group or the file."""
+    try:
+        cfg = orch.FLConfig.from_dict(group["config"])
+        constants, run_ids = group["constants"], group["runs"]
+        if not isinstance(constants, dict) or not isinstance(run_ids, list) or not run_ids:
+            raise ValueError("needs a constants object and a non-empty runs list")
+    except (AttributeError, KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise ConfigError(f"manifest group {gid!r}: {exc!r}") from None
+    runs = [_read_metrics(run_dir / str(run_id) / "metrics.csv") for run_id in run_ids]
+    if len({len(rows) for rows in runs}) != 1:
+        raise ConfigError(f"manifest group {gid!r}: its runs have unequal lengths")
+    return cfg, constants, runs
 
 
 def cmd_report(args) -> int:
+    """Every group and metrics file is read before anything is written, so a
+    damaged run dir exits 2 with no output."""
     run_dir = Path(args.run_dir)
     rhos = _parse_floats("--rho", args.rho)
     if min(rhos) <= 0:
         raise ConfigError(f"--rho {args.rho!r} must list positive numbers")
     try:
         groups = json.loads((run_dir / "manifest.json").read_text())["groups"]
+        if not isinstance(groups, dict):
+            raise TypeError("groups must be an object")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(
             f"--run-dir {run_dir}: needs a manifest.json with per-group runs ({exc!r})"
         ) from None
+    groups = {gid: _read_group(run_dir, gid, group) for gid, group in groups.items()}
     out = Path(args.out) if args.out else run_dir
     out.mkdir(parents=True, exist_ok=True)
     all_within = True
     complexity = ["group,rho,measured_uploads,bound"]
-    for gid, group in groups.items():
-        cfg = orch.FLConfig.from_dict(group["config"])
-        constants = group["constants"]
-        runs = [_read_metrics(run_dir / run_id / "metrics.csv") for run_id in group["runs"]]
+    for gid, (cfg, constants, runs) in groups.items():
         T = len(runs[0])
         ts = np.arange(1, T + 1)
         gaps = np.array([[row["gap"] for row in rows] for rows in runs])

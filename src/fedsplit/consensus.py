@@ -127,10 +127,10 @@ def conserved_sum(state: RoundState) -> np.ndarray:
 
 def check_conserved(total0: np.ndarray, total: np.ndarray, rtol: float = CONSERVATION_RTOL) -> float:
     """Drift of a conserved total relative to max(1, max|total0|); raises
-    ProtocolIntegrityError past rtol."""
+    ProtocolIntegrityError past rtol or on NaN."""
     scale = max(1.0, float(np.max(np.abs(total0))))
     drift = float(np.max(np.abs(total - total0))) / scale
-    if drift > rtol:
+    if not drift <= rtol:
         raise ProtocolIntegrityError(f"conserved sum drifted by {drift:.3e} relative")
     return drift
 

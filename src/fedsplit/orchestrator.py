@@ -18,7 +18,6 @@ from . import rng as rngmod
 from .consensus import check_conserved, conserved_sum, run_consensus, state_from_splits
 from .errors import ConfigError, ProtocolIntegrityError
 from .problem import (
-    ClientDataset,
     ProblemConstants,
     QuadraticClientLoss,
     global_optimum,
@@ -27,7 +26,7 @@ from .problem import (
     problem_constants,
     stochastic_gradient,
 )
-from .quantizer import bit_width, compute_pi_t, encoded_size, knob_values
+from .quantizer import MAX_LEVEL, bit_width, compute_pi_t, encoded_size, knob_values
 from .spectral import (
     StepWeights,
     build_U,
@@ -114,8 +113,8 @@ class FLConfig:
                 self.split_m * self.gamma_max, u, "step-weight budget m*gamma_max ="
             )
         if self.mode == "mspdq":
-            if self.level < 2:
-                raise ConfigError("quantization level must be at least 2")
+            if not 2 <= self.level <= MAX_LEVEL:
+                raise ConfigError(f"quantization level must lie in [2, 2**53], got {self.level}")
             if self.weight_rule == "constant":
                 raise ConfigError("quantized mode needs a decaying step-weight rule")
             if self.gamma_max <= 0:
@@ -183,8 +182,9 @@ class RoundMetrics:
     delta_max: float
 
     def __post_init__(self):
-        if min(self.gap, self.dist2, self.kt, self.uploads, self.bits) < 0:
-            raise ProtocolIntegrityError("metrics must be nonnegative")
+        # `not v >= 0` also rejects NaN
+        if not all(v >= 0 for v in (self.gap, self.dist2, self.kt, self.uploads, self.bits)):
+            raise ProtocolIntegrityError(f"metrics must be nonnegative numbers, got {self}")
 
 
 @dataclass
@@ -234,18 +234,30 @@ def sample_clients(p: np.ndarray, M: int, rng: np.random.Generator) -> np.ndarra
 
 def local_sgd(
     w0: np.ndarray,
-    loss: QuadraticClientLoss,
-    dataset: ClientDataset,
+    A: np.ndarray,
+    targets: np.ndarray,
     eta: float,
     E: int,
-    rng: np.random.Generator,
+    rngs: list,
+    batch_size: int,
 ) -> np.ndarray:
-    """E mini-batch gradient steps from the broadcast model."""
+    """E mini-batch gradient steps from the broadcast model for u stacked
+    clients (A (u, d, d), targets (u, n, d)); returns the (u, d) local models.
+
+    Client i draws each step's batch from its own stream rngs[i], in the
+    order a pass over that client alone would, so the stacked pass is
+    bitwise u separate ones.
+    """
     if E < 1:
         raise ConfigError("need at least one local step")
-    w = w0.copy()
+    n = targets.shape[-2]
+    w = np.empty((len(rngs), len(w0)))
+    w[:] = w0
+    batch = np.empty((len(rngs), batch_size), dtype=np.int64)
     for _ in range(E):
-        w -= eta * stochastic_gradient(loss, dataset, w, rng=rng)
+        for i, rng in enumerate(rngs):
+            batch[i] = rng.integers(0, n, size=batch_size)
+        w -= eta * stochastic_gradient(A, targets, w, batch)
     return w
 
 
@@ -254,15 +266,31 @@ def local_sgd(
 
 @dataclass
 class ProblemBundle:
+    """One task: its losses, datasets and constants, plus read-only client
+    stacks for the stacked local round and the global loss."""
+
     losses: list
     datasets: list
     constants: ProblemConstants
     p: np.ndarray = field(init=False)  # client sampling distribution
+    A: np.ndarray = field(init=False)  # (n_clients, d, d) curvatures
+    b: np.ndarray = field(init=False)  # (n_clients, d) minimizers
+    targets: np.ndarray = field(init=False)  # (n_clients, n_samples, d)
 
     def __post_init__(self):
         self.p = np.array([l.p for l in self.losses])
         if abs(self.p.sum() - 1.0) > 1e-9 or np.any(self.p < 0):
             raise ConfigError("sampling probabilities must be a distribution")
+        shapes = {(ds.n, ds.batch_size) for ds in self.datasets}
+        if len(shapes) != 1:
+            raise ConfigError(
+                f"client datasets must share n_samples and batch_size, got {sorted(shapes)}"
+            )
+        self.A = np.stack([l.A for l in self.losses])
+        self.b = np.stack([l.b for l in self.losses])
+        self.targets = np.stack([ds.targets for ds in self.datasets])
+        for stack in (self.A, self.b, self.targets):
+            stack.flags.writeable = False
 
 
 def problem_key(config: FLConfig) -> tuple:
@@ -317,12 +345,18 @@ def _step_weights(config: FLConfig) -> StepWeights:
     return StepWeights(gamma=gamma, rule=config.weight_rule)
 
 
-def _global_loss(losses, w: np.ndarray) -> float:
-    return float(sum(l.p * l.value(w) for l in losses))
+def _global_loss(bundle: ProblemBundle, w: np.ndarray) -> float:
+    """sum_i p_i F_i(w), bitwise the per-loss sum: the stacked matmuls run
+    the gemv and dot of each (w - b_i) @ A_i @ (w - b_i), and Python's sum
+    keeps the client order."""
+    dev = w - bundle.b
+    q = np.matmul(np.matmul(dev[:, None, :], bundle.A), dev[:, :, None])
+    return sum((bundle.p * (0.5 * q[:, 0, 0])).tolist())
 
 
 def _check_ball(w: np.ndarray, w_star: np.ndarray, radius: float, what: str) -> None:
-    if np.linalg.norm(w - w_star) > radius:
+    # `not ... <= radius` also rejects a NaN model
+    if not np.linalg.norm(w - w_star) <= radius:
         raise ProtocolIntegrityError(
             f"{what} left the operating ball (radius {radius}); "
             "theorem constants are void, enlarge ball_radius"
@@ -333,16 +367,18 @@ def _check_ball(w: np.ndarray, w_star: np.ndarray, radius: float, what: str) -> 
 
 
 def _local_round(config, bundle, w_prev, t, eta):
-    """Sample the cohort and run local SGD once per unique client."""
+    """Sample the cohort and run one stacked local SGD pass over its sorted
+    unique clients, each on its own (round, client) gradient stream; returns
+    the (M, d) local models of the cohort slots."""
     rng_rs = rngmod.stream(config.seed, rngmod.CLIENT_SAMPLING, t)
     cohort = sample_clients(bundle.p, config.cohort, rng_rs)
-    locals_by_client = {}
-    for c in sorted(set(int(c) for c in cohort)):
-        rng_sg = rngmod.stream(config.seed, rngmod.GRADIENT, t, c)
-        locals_by_client[c] = local_sgd(
-            w_prev, bundle.losses[c], bundle.datasets[c], eta, config.local_steps, rng_sg
-        )
-    return cohort, locals_by_client
+    clients = sorted(set(cohort.tolist()))
+    rngs = [rngmod.stream(config.seed, rngmod.GRADIENT, t, c) for c in clients]
+    local = local_sgd(
+        w_prev, bundle.A[clients], bundle.targets[clients], eta, config.local_steps, rngs,
+        bundle.datasets[0].batch_size,
+    )
+    return local[np.searchsorted(clients, cohort)]
 
 
 def _base_constants(config: FLConfig, bundle: ProblemBundle) -> dict:
@@ -424,21 +460,20 @@ def run(config: FLConfig, bundle: ProblemBundle | None = None) -> RunResult:
     w_tilde_run = 0.0
     for t in range(1, config.rounds + 1):
         eta = lr_schedule(t, pc.mu, vt)
-        cohort, locals_by_client = _local_round(config, bundle, w, t, eta)
+        local = _local_round(config, bundle, w, t, eta)
         kt = 0
         summary = {"max_width": 0.0, "delta_max": 0.0}
         if not split:
-            uploads = np.stack([locals_by_client[int(c)] for c in cohort])
             if config.mode == "ldp" and config.ldp_scale > 0:
                 rng_n = rngmod.stream(config.seed, rngmod.LDP_NOISE, t)
-                uploads = uploads + rng_n.laplace(0.0, config.ldp_scale, size=uploads.shape)
-            w = uploads.mean(axis=0)
+                local = local + rng_n.laplace(0.0, config.ldp_scale, size=local.shape)
+            w = local.mean(axis=0)
         else:
             kt = config.kt_override or kt_schedule(t, pc.mu, vt, config.lambda_, config.mode)
             splits = []
-            for slot, c in enumerate(cohort):
+            for slot, w_local in enumerate(local):
                 rng_ss = rngmod.stream(config.seed, rngmod.SPLITTING, t, slot)
-                splits.append(split_model(locals_by_client[int(c)], rule, rng_ss))
+                splits.append(split_model(w_local, rule, rng_ss))
             if quantized:
                 state, _ = mspdq_initial_state(splits, w, q0_width, config.level)
                 rng_sq = rngmod.stream(config.seed, rngmod.QUANTIZATION, t)
@@ -465,7 +500,7 @@ def run(config: FLConfig, bundle: ProblemBundle | None = None) -> RunResult:
         metrics.append(
             RoundMetrics(
                 t=t,
-                gap=_global_loss(bundle.losses, w) - pc.F_star,
+                gap=_global_loss(bundle, w) - pc.F_star,
                 dist2=float(np.sum((w - pc.w_star) ** 2)),
                 kt=kt,
                 uploads=uploads_t,

@@ -58,7 +58,7 @@ class ClientDataset:
     0.5 (w - c_j)^T A (w - c_j) has gradient A w - y_j.  Anchors are centered
     so their mean is exactly the client minimizer, hence the full batch
     recovers the true gradient.  Both arrays are read-only: one dataset backs
-    every seed and every worker thread that shares a problem bundle.
+    every seed that shares a problem bundle.
     """
 
     anchors: np.ndarray  # (n, d): row j is c_j
@@ -220,24 +220,22 @@ def problem_constants(
 
 
 def stochastic_gradient(
-    loss: QuadraticClientLoss,
-    dataset: ClientDataset,
+    A: np.ndarray,
+    targets: np.ndarray,
     w: np.ndarray,
-    rng: np.random.Generator | None = None,
-    batch: np.ndarray | None = None,
+    batch: np.ndarray,
 ) -> np.ndarray:
-    """Unbiased mini-batch gradient A w - mean(y_j over the batch).
+    """Unbiased mini-batch gradients A_i w_i - mean(y_ij over batch_i), one
+    per stacked client.
 
-    `batch` gives explicit sample indices; otherwise `rng` draws batch_size
-    indices with replacement.
+    A is (u, d, d), targets (u, n, d), w (u, d) and batch (u, s): row i of
+    `batch` holds client i's sample indices, drawn with replacement.  One
+    client is the u = 1 stack.  The stacked matmul runs one gemv per client,
+    bitwise A_i @ w_i.
     """
-    if batch is None:
-        if rng is None:
-            raise ConfigError("need either explicit batch indices or an rng")
-        batch = rng.integers(0, dataset.n, size=dataset.batch_size)
-    batch = np.asarray(batch)
-    if batch.size == 0:
+    if batch.shape[-1] == 0:
         raise ConfigError("batch must be nonempty")
-    # np.add.reduce(x, axis=0) / n is bitwise x.mean(axis=0), without the wrapper
-    y_mean = np.add.reduce(dataset.targets[batch], axis=0) / len(batch)
-    return loss.A @ w - y_mean
+    rows = np.arange(len(batch))[:, None]
+    # np.add.reduce(x, axis=-2) / s is bitwise x.mean(axis=-2), without the wrapper
+    y_mean = np.add.reduce(targets[rows, batch], axis=-2) / batch.shape[-1]
+    return np.matmul(A, w[..., None])[..., 0] - y_mean

@@ -20,6 +20,9 @@ import numpy as np
 from .errors import CodecError, ConfigError, ProtocolIntegrityError
 
 _HEADER = struct.Struct("<QQQdd")  # d, l, B, lo[0], hi[0]
+# Knob indices and the grid (hi - lo)/(l - 1) are float64: past 2**53 adjacent
+# knobs stop being distinct numbers.
+MAX_LEVEL = 2**53
 
 
 @dataclass(frozen=True)

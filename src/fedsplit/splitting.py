@@ -59,13 +59,20 @@ class SplitState:
         return float(np.max(np.abs(total - target))) / scale
 
 
+def _uniform(lo: np.ndarray, hi: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Bitwise rng.uniform(lo, hi) for finite bounds of one shape: numpy's
+    own lo + (hi - lo) * next_double per element in C order, without the
+    broadcasting path."""
+    return lo + (hi - lo) * rng.random(lo.shape)
+
+
 def _draw_visible(w: np.ndarray, rule: SplitRule, rng: np.random.Generator) -> np.ndarray:
     if rule.variant == "uniform":
         a = rule.eps_split * w
         b = (1 + rule.m - rule.eps_split) * w
         lo = np.minimum(a, b)
         hi = np.maximum(a, b)
-        return rng.uniform(lo, hi) if (hi > lo).any() else lo.copy()
+        return _uniform(lo, hi, rng) if (hi > lo).any() else lo.copy()
     if rule.variant == "laplace":
         return w + rng.laplace(0.0, rule.scale, size=w.shape)
     # midpoint: deterministic center of the uniform interval
@@ -84,7 +91,7 @@ def split_model(w: np.ndarray, rule: SplitRule, rng: np.random.Generator) -> Spl
     invisible = []
     for _ in range(rule.m - 1):
         half = np.abs(w)
-        invisible.append(rng.uniform(w - half, w + half) if np.any(half > 0) else w.copy())
+        invisible.append(_uniform(w - half, w + half, rng) if np.any(half > 0) else w.copy())
     absorber = (1 + rule.m) * w - visible - sum(invisible) if invisible else (1 + rule.m) * w - visible
     invisible.append(absorber)
     return SplitState(visible=visible, invisible=invisible, origin=w)

@@ -11,6 +11,7 @@ import pytest
 from fedsplit import consensus
 from fedsplit import orchestrator as orch
 from fedsplit.cli import main
+from fedsplit.errors import ProtocolIntegrityError
 from fedsplit.presets import desk_config
 
 
@@ -374,3 +375,78 @@ def test_shipped_configs_equal_the_desk_preset(mode):
     path = Path(__file__).resolve().parents[1] / "configs" / f"desk_{mode}.json"
     shipped = orch.FLConfig.from_dict(json.loads(path.read_text()))
     assert asdict(shipped) == asdict(desk_config(mode, 0, rounds=200))
+
+
+def test_nan_in_a_consensus_round_fails_the_run(msp_config_path, tmp_path, capsys, monkeypatch):
+    real_round = consensus.msp_round
+
+    def nan_round(state, epsilon, weights_k):
+        nxt = real_round(state, epsilon, weights_k)
+        nxt.visible[0, 0] = np.nan
+        return nxt
+
+    monkeypatch.setattr(consensus, "msp_round", nan_round)
+    cfg = orch.FLConfig.from_dict(json.loads(msp_config_path.read_text()))
+    with pytest.raises(ProtocolIntegrityError):
+        orch.run(cfg)
+    code, out = _run_with(msp_config_path, tmp_path, "--seeds", "0")
+    assert code == 3
+    assert "nan" in capsys.readouterr().err
+    assert json.loads((out / "manifest.json").read_text())["runs"] == []
+
+
+@pytest.mark.parametrize("level", [2**53 + 1, 2**70])
+def test_oversized_level_exits_2(config_path, tmp_path, capsys, level):
+    code, out = _run_with(config_path, tmp_path, level=level)
+    assert code == 2
+    assert "level" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["validate", "--config", str(tmp_path / "edited.json")]) == 2
+    assert "level" in capsys.readouterr().err
+
+
+def _drop_metrics(out, manifest):
+    (out / "msp_seed1" / "metrics.csv").unlink()
+    return "msp_seed1"
+
+
+def _empty_group(out, manifest):
+    manifest["groups"]["msp"]["runs"] = []
+    return "'msp'"
+
+
+def _garble_metrics(out, manifest):
+    (out / "msp_seed0" / "metrics.csv").write_text("t,gap\n1,oops\n")
+    return "msp_seed0"
+
+
+def _truncate_run(out, manifest):
+    path = out / "msp_seed1" / "metrics.csv"
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+    return "'msp'"
+
+
+def _drop_config(out, manifest):
+    del manifest["groups"]["msp"]["config"]
+    return "'msp'"
+
+
+def _drop_constants(out, manifest):
+    del manifest["groups"]["msp"]["constants"]
+    return "'msp'"
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [_drop_metrics, _empty_group, _garble_metrics, _truncate_run, _drop_config, _drop_constants],
+)
+def test_report_on_a_damaged_run_dir_exits_2_naming_it(msp_config_path, tmp_path, capsys, damage):
+    code, out = _run_with(msp_config_path, tmp_path, "--seeds", "0..1")
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    named = damage(out, manifest)
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["report", "--run-dir", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not list(out.glob("gap_vs_t_*.csv"))

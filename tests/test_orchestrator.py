@@ -4,6 +4,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from fedsplit import consensus
@@ -82,9 +84,10 @@ def test_local_sgd_closed_form():
     losses = [type(losses[0])(A=np.eye(1), b=np.array([1.0]), p=1.0)]
     datasets = make_client_datasets(losses, 8, 8, 0.0, seed=0)
     rng = rngmod.stream(0, 4)
-    w = orch.local_sgd(np.zeros(1), losses[0], datasets[0], eta=0.5, E=1, rng=rng)
+    A, targets = losses[0].A[None], datasets[0].targets[None]
+    w = orch.local_sgd(np.zeros(1), A, targets, eta=0.5, E=1, rngs=[rng], batch_size=8)[0]
     assert w[0] == pytest.approx(0.5, abs=1e-12)
-    w_fix = orch.local_sgd(np.array([1.0]), losses[0], datasets[0], eta=0.5, E=3, rng=rng)
+    w_fix = orch.local_sgd(np.array([1.0]), A, targets, eta=0.5, E=3, rngs=[rng], batch_size=8)[0]
     assert w_fix[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -95,10 +98,84 @@ def test_local_sgd_full_batch_matches_linear_recursion():
     w0 = np.array([2.0, -1.0, 0.5])
     eta, E = 0.3, 6
     rng = rngmod.stream(1, 4)
-    w = orch.local_sgd(w0, loss, datasets[0], eta, E, rng)
+    w = orch.local_sgd(w0, loss.A[None], datasets[0].targets[None], eta, E, [rng], 8)[0]
     M = np.eye(3) - eta * loss.A
     expected = loss.b + np.linalg.matrix_power(M, E) @ (w0 - loss.b)
     assert np.allclose(w, expected, atol=1e-12)
+
+
+def reference_local_sgd(w0, loss, dataset, eta, E, rng):
+    """The per-client loop the stacked pass replaced: one client, its own
+    stream, one `A @ w` and one batch mean per step."""
+    w = w0.copy()
+    for _ in range(E):
+        batch = rng.integers(0, dataset.n, size=dataset.batch_size)
+        y_mean = np.add.reduce(dataset.targets[batch], axis=0) / len(batch)
+        w -= eta * (loss.A @ w - y_mean)
+    return w
+
+
+@given(
+    n_clients=st.integers(1, 5),
+    cohort=st.integers(1, 9),
+    dim=st.integers(1, 6),
+    E=st.integers(1, 4),
+    n_samples=st.sampled_from([1, 3, 7, 12, 64]),
+    batch_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_stacked_local_round_matches_per_client_loop(n_clients, cohort, dim, E, n_samples, batch_frac, seed):
+    # non-power-of-two n_samples take the rejection branch of the bounded
+    # draw; a cohort larger than n_clients forces duplicate slots
+    batch_size = max(1, round(batch_frac * n_samples))
+    cfg = orch.FLConfig(
+        n_clients=n_clients, cohort=cohort, dim=dim, local_steps=E, rounds=1, mode="fedavg",
+        seed=seed, n_samples=n_samples, batch_size=batch_size,
+    )
+    bundle = orch.build_problem(cfg)
+    t, eta = 3, 0.07
+    w_prev = rngmod.stream(seed, 99).standard_normal(dim)
+    got = orch._local_round(cfg, bundle, w_prev, t, eta)
+    cohort_ids = orch.sample_clients(bundle.p, cohort, rngmod.stream(seed, rngmod.CLIENT_SAMPLING, t))
+    for slot, c in enumerate(cohort_ids):
+        rng = rngmod.stream(seed, rngmod.GRADIENT, t, int(c))
+        want = reference_local_sgd(w_prev, bundle.losses[c], bundle.datasets[c], eta, E, rng)
+        assert got[slot].tobytes() == want.tobytes()
+
+
+@given(n_clients=st.integers(1, 6), dim=st.integers(1, 8), seed=st.integers(0, 2**16))
+def test_global_loss_matches_per_loss_sum(n_clients, dim, seed):
+    cfg = orch.FLConfig(
+        n_clients=n_clients, cohort=1, dim=dim, local_steps=1, rounds=1, mode="fedavg",
+        seed=seed, problem_seed=seed, center_offset=1.5,
+    )
+    bundle = orch.build_problem(cfg)
+    for w in rngmod.stream(seed, 98).standard_normal((3, dim)) * [[0.0], [1.0], [50.0]]:
+        want = float(sum(l.p * l.value(w) for l in bundle.losses))
+        assert orch._global_loss(bundle, w) == want
+
+
+def test_problem_bundle_stacks_are_read_only_and_need_one_dataset_shape():
+    cfg = small_config("fedavg")
+    bundle = orch.build_problem(cfg)
+    for stack in (bundle.A, bundle.b, bundle.targets):
+        assert not stack.flags.writeable
+    assert bundle.targets.shape == (cfg.n_clients, cfg.n_samples, cfg.dim)
+    odd = make_client_datasets(bundle.losses[:1], cfg.n_samples + 1, cfg.batch_size, 1.0, seed=0)
+    with pytest.raises(ConfigError, match="n_samples and batch_size"):
+        orch.ProblemBundle(bundle.losses, bundle.datasets[:-1] + odd, bundle.constants)
+
+
+def test_invariant_checks_reject_nan():
+    nan = float("nan")
+    with pytest.raises(ProtocolIntegrityError):
+        orch.RoundMetrics(t=1, gap=nan, dist2=0.0, kt=1, uploads=1, bits=1, max_width=0.0, delta_max=0.0)
+    with pytest.raises(ProtocolIntegrityError):
+        orch.RoundMetrics(t=1, gap=0.0, dist2=nan, kt=1, uploads=1, bits=1, max_width=0.0, delta_max=0.0)
+    with pytest.raises(ProtocolIntegrityError, match="ball"):
+        orch._check_ball(np.array([0.0, nan]), np.zeros(2), 1.0, "global model")
+    with pytest.raises(ProtocolIntegrityError, match="conserved sum drifted"):
+        consensus.check_conserved(np.ones(2), np.array([1.0, nan]))
 
 
 def test_config_validation_messages():

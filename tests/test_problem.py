@@ -19,6 +19,11 @@ from fedsplit.problem import (
 )
 
 
+def one_client_gradient(loss, ds, w, batch):
+    """stochastic_gradient on the u = 1 stack of one client."""
+    return stochastic_gradient(loss.A[None], ds.targets[None], w[None], np.asarray(batch)[None])[0]
+
+
 def two_client_line(b0=0.0, b1=2.0):
     return [
         QuadraticClientLoss(A=np.eye(1), b=np.array([b0]), p=0.5),
@@ -113,9 +118,9 @@ def test_full_batch_gradient_is_exact():
     losses = make_quadratic_problem(2, 3, 1.0, seed=9)
     datasets = make_client_datasets(losses, 16, 4, 0.8, seed=9)
     w = np.array([0.3, -1.0, 2.0])
-    g = stochastic_gradient(losses[0], datasets[0], w, batch=np.arange(16))
+    g = one_client_gradient(losses[0], datasets[0], w, np.arange(16))
     assert np.allclose(g, losses[0].grad(w), atol=1e-12)
-    g0 = stochastic_gradient(losses[0], datasets[0], losses[0].b, batch=np.arange(16))
+    g0 = one_client_gradient(losses[0], datasets[0], losses[0].b, np.arange(16))
     assert np.allclose(g0, 0.0, atol=1e-12)
 
 
@@ -123,7 +128,7 @@ def test_stochastic_gradient_rejects_empty_batch():
     losses = make_quadratic_problem(1, 2, 0.0, seed=0)
     datasets = make_client_datasets(losses, 8, 2, 1.0, seed=0)
     with pytest.raises(ConfigError):
-        stochastic_gradient(losses[0], datasets[0], np.zeros(2), batch=np.array([], dtype=int))
+        one_client_gradient(losses[0], datasets[0], np.zeros(2), np.array([], dtype=int))
 
 
 def test_stochastic_gradient_monte_carlo_unbiased():
@@ -197,7 +202,7 @@ def test_stochastic_gradient_matches_per_sample_loop():
     for batch in ([3], [0, 0, 7, 15], [5, 2, 9, 11, 2, 14], list(range(16))):
         ys = np.stack([loss.A @ ds.anchors[j] for j in batch])
         expected = loss.A @ w - ys.mean(axis=0)
-        got = stochastic_gradient(loss, ds, w, batch=np.array(batch))
+        got = one_client_gradient(loss, ds, w, np.array(batch))
         assert np.array_equal(got, expected)
 
 

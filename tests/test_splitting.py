@@ -73,6 +73,34 @@ def test_sum_constraint_always_exact(w, m, variant, seed):
     assert state.m == m
 
 
+@given(
+    hnp.arrays(
+        np.float64, st.integers(1, 6),
+        elements=st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e3, 1e3, allow_nan=False)),
+    ),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from([0.0, 0.3, 0.9]),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_uniform_split_draws_match_generator_uniform(w, m, eps, seed):
+    got_rng, ref_rng = rngmod.stream(seed, 9), rngmod.stream(seed, 9)
+    got = split_model(w, SplitRule("uniform", m=m, eps_split=eps), got_rng)
+    # reference: the Generator.uniform draws, with their no-draw branches
+    a, b = eps * w, (1 + m - eps) * w
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    visible = ref_rng.uniform(lo, hi) if (hi > lo).any() else lo.copy()
+    half = np.abs(w)
+    free = [
+        ref_rng.uniform(w - half, w + half) if np.any(half > 0) else w.copy()
+        for _ in range(m - 1)
+    ]
+    # bytes, not values: signed zeros must match too
+    assert got.visible.tobytes() == visible.tobytes()
+    for sub, want in zip(got.invisible, free):
+        assert sub.tobytes() == want.tobytes()
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_unbiasedness_monte_carlo_uniform_and_laplace():
     w = np.array([1.0])
     n = 100_000

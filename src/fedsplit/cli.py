@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -237,6 +238,15 @@ def _read_group(run_dir: Path, gid: str, group) -> tuple:
             raise ValueError("needs a constants object and a non-empty runs list")
     except (AttributeError, KeyError, TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(f"manifest group {gid!r}: {exc!r}") from None
+    # the constants cmd_report reads, under its presence gates: the bound
+    # curve (which reads an absent D3 as 0) and the complexity rows
+    keys = ["mu", "L", "vartheta", "dist0", "D2", "D3"] if "D2" in constants else []
+    for key in keys + (["mu", "vartheta", "dist0", "nu2"] if "nu2" in constants else []):
+        value = constants.get(key, 0.0 if key == "D3" else "missing")
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ConfigError(
+                f"manifest group {gid!r}: constant {key!r} must be a finite number, got {value!r}"
+            )
     runs = [_read_metrics(run_dir / str(run_id) / "metrics.csv") for run_id in run_ids]
     if len({len(rows) for rows in runs}) != 1:
         raise ConfigError(f"manifest group {gid!r}: its runs have unequal lengths")

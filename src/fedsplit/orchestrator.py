@@ -10,7 +10,7 @@ draws and quantization each consume their own keyed stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,10 +18,10 @@ from . import rng as rngmod
 from .consensus import check_conserved, conserved_sum, run_consensus, state_from_splits
 from .errors import ConfigError, ProtocolIntegrityError
 from .problem import (
-    ProblemConstants,
-    QuadraticClientLoss,
+    ProblemBundle,
+    global_loss,
     global_optimum,
-    make_client_datasets,
+    make_client_targets,
     make_quadratic_problem,
     problem_constants,
     stochastic_gradient,
@@ -264,71 +264,39 @@ def local_sgd(
 # -- problem construction ----------------------------------------------------
 
 
-@dataclass
-class ProblemBundle:
-    """One task: its losses, datasets and constants, plus read-only client
-    stacks for the stacked local round and the global loss."""
-
-    losses: list
-    datasets: list
-    constants: ProblemConstants
-    p: np.ndarray = field(init=False)  # client sampling distribution
-    A: np.ndarray = field(init=False)  # (n_clients, d, d) curvatures
-    b: np.ndarray = field(init=False)  # (n_clients, d) minimizers
-    targets: np.ndarray = field(init=False)  # (n_clients, n_samples, d)
-
-    def __post_init__(self):
-        self.p = np.array([l.p for l in self.losses])
-        if abs(self.p.sum() - 1.0) > 1e-9 or np.any(self.p < 0):
-            raise ConfigError("sampling probabilities must be a distribution")
-        shapes = {(ds.n, ds.batch_size) for ds in self.datasets}
-        if len(shapes) != 1:
-            raise ConfigError(
-                f"client datasets must share n_samples and batch_size, got {sorted(shapes)}"
-            )
-        self.A = np.stack([l.A for l in self.losses])
-        self.b = np.stack([l.b for l in self.losses])
-        self.targets = np.stack([ds.targets for ds in self.datasets])
-        for stack in (self.A, self.b, self.targets):
-            stack.flags.writeable = False
+PROBLEM_FIELDS = (
+    "n_clients", "dim", "spread", "gamma_target", "center_offset", "problem_seed", "eig_lo",
+    "eig_hi", "n_samples", "batch_size", "sample_spread", "ball_radius",
+)
 
 
 def problem_key(config: FLConfig) -> tuple:
     """The config fields that `build_problem` reads: configs with equal keys
     share one problem bundle."""
-    return (
-        config.n_clients, config.dim, config.spread, config.gamma_target,
-        config.center_offset, config.problem_seed, config.eig_lo, config.eig_hi,
-        config.n_samples, config.batch_size, config.sample_spread, config.ball_radius,
-    )
+    return tuple(getattr(config, name) for name in PROBLEM_FIELDS)
 
 
 def build_problem(config: FLConfig) -> ProblemBundle:
     """Instantiate the synthetic task; gamma_target rescales the minimizer
     spread to hit the requested heterogeneity exactly (it is quadratic in
     the spread)."""
-    losses = make_quadratic_problem(
+    A, b = make_quadratic_problem(
         config.n_clients, config.dim, config.spread, config.problem_seed,
         eig_range=(config.eig_lo, config.eig_hi),
     )
+    p = np.full(config.n_clients, 1.0 / config.n_clients)
     if config.gamma_target is not None and config.gamma_target > 0:
         if config.spread <= 0:
             raise ConfigError("gamma_target needs a positive starting spread")
-        _, F_star = global_optimum(losses)
+        _, F_star = global_optimum(A, b, p)
         if F_star <= 0:
             raise ConfigError("degenerate problem: zero heterogeneity at positive spread")
-        scale = math.sqrt(config.gamma_target / F_star)
-        losses = [
-            QuadraticClientLoss(A=l.A, b=l.b * scale, p=l.p) for l in losses
-        ]
+        b = b * math.sqrt(config.gamma_target / F_star)
     if config.center_offset:
-        shift = config.center_offset * np.ones(config.dim) / math.sqrt(config.dim)
-        losses = [QuadraticClientLoss(A=l.A, b=l.b + shift, p=l.p) for l in losses]
-    datasets = make_client_datasets(
-        losses, config.n_samples, config.batch_size, config.sample_spread, config.problem_seed
-    )
-    constants = problem_constants(losses, datasets, config.ball_radius)
-    return ProblemBundle(losses=losses, datasets=datasets, constants=constants)
+        b = b + config.center_offset * np.ones(config.dim) / math.sqrt(config.dim)
+    targets = make_client_targets(A, b, config.n_samples, config.sample_spread, config.problem_seed)
+    constants = problem_constants(A, b, p, targets, config.batch_size, config.ball_radius)
+    return ProblemBundle(problem_key(config), p, A, b, targets, constants)
 
 
 def _split_rule(config: FLConfig) -> SplitRule:
@@ -343,15 +311,6 @@ def _split_rule(config: FLConfig) -> SplitRule:
 def _step_weights(config: FLConfig) -> StepWeights:
     gamma = np.full((config.cohort, config.split_m), config.gamma_max)
     return StepWeights(gamma=gamma, rule=config.weight_rule)
-
-
-def _global_loss(bundle: ProblemBundle, w: np.ndarray) -> float:
-    """sum_i p_i F_i(w), bitwise the per-loss sum: the stacked matmuls run
-    the gemv and dot of each (w - b_i) @ A_i @ (w - b_i), and Python's sum
-    keeps the client order."""
-    dev = w - bundle.b
-    q = np.matmul(np.matmul(dev[:, None, :], bundle.A), dev[:, :, None])
-    return sum((bundle.p * (0.5 * q[:, 0, 0])).tolist())
 
 
 def _check_ball(w: np.ndarray, w_star: np.ndarray, radius: float, what: str) -> None:
@@ -376,7 +335,7 @@ def _local_round(config, bundle, w_prev, t, eta):
     rngs = [rngmod.stream(config.seed, rngmod.GRADIENT, t, c) for c in clients]
     local = local_sgd(
         w_prev, bundle.A[clients], bundle.targets[clients], eta, config.local_steps, rngs,
-        bundle.datasets[0].batch_size,
+        config.batch_size,
     )
     return local[np.searchsorted(clients, cohort)]
 
@@ -437,6 +396,13 @@ def run(config: FLConfig, bundle: ProblemBundle | None = None) -> RunResult:
     config.validate()
     if bundle is None:
         bundle = build_problem(config)
+    elif bundle.key != problem_key(config):
+        diff = "; ".join(
+            f"{name} {built!r} in the bundle, {wanted!r} in the config"
+            for name, built, wanted in zip(PROBLEM_FIELDS, bundle.key, problem_key(config))
+            if built != wanted
+        )
+        raise ConfigError(f"problem bundle was built for another problem: {diff}")
     pc = bundle.constants
     vt = vartheta(pc.mu, pc.L, config.local_steps)
     split = config.mode in ("msp", "mspdq")
@@ -500,7 +466,7 @@ def run(config: FLConfig, bundle: ProblemBundle | None = None) -> RunResult:
         metrics.append(
             RoundMetrics(
                 t=t,
-                gap=_global_loss(bundle, w) - pc.F_star,
+                gap=global_loss(bundle.A, bundle.b, bundle.p, w) - pc.F_star,
                 dist2=float(np.sum((w - pc.w_star) ** 2)),
                 kt=kt,
                 uploads=uploads_t,
@@ -554,11 +520,10 @@ def theorem_constants(
         out["lambda"] = config.lambda_
         x = config.eps_split
         D1 = (2 * x**2 - 4 * x + 8) / 3.0 * C**2 * w_max_norm**2
-        sig = np.asarray(pc.sigma_i)
         E = config.local_steps
         D2 = (
             D1
-            + float(np.sum(bundle.p**2 * sig))
+            + float(np.sum(bundle.p**2 * pc.sigma_i))
             + 6 * pc.L * pc.gamma_het
             + 8 * (E - 1) ** 2 * pc.G
             + 4.0 / config.cohort * E**2 * pc.G

@@ -1,10 +1,11 @@
 """Synthetic strongly convex federated problems with computable constants.
 
 Each client i holds a quadratic loss F_i(w) = 0.5 (w - b_i)^T A_i (w - b_i)
-with SPD curvature A_i and probability weight p_i.  Mini-batch noise comes
-from an exact per-sample decomposition of the quadratic, so the variance
-bound sigma_i is computed, not assumed.  The non-i.i.d. level is a single
-knob: the spread of the per-client minimizers b_i.
+with SPD curvature A_i and probability weight p_i; a task is held as
+read-only client stacks (`ProblemBundle`).  Mini-batch noise comes from an
+exact per-sample decomposition of the quadratic, so the variance bound
+sigma_i is computed, not assumed.  The non-i.i.d. level is a single knob:
+the spread of the per-client minimizers b_i.
 """
 
 from __future__ import annotations
@@ -15,65 +16,6 @@ import numpy as np
 
 from . import rng as rngmod
 from .errors import ConfigError
-
-_SYM_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class QuadraticClientLoss:
-    """One client's loss: 0.5 (w - b)^T A (w - b), sampling weight p."""
-
-    A: np.ndarray
-    b: np.ndarray
-    p: float
-
-    def __post_init__(self):
-        A = np.asarray(self.A, dtype=np.float64)
-        if A.shape[0] != A.shape[1]:
-            raise ConfigError("curvature matrix must be square")
-        if np.max(np.abs(A - A.T)) > _SYM_TOL * max(1.0, np.max(np.abs(A))):
-            raise ConfigError("curvature matrix must be symmetric")
-        if np.min(np.linalg.eigvalsh(A)) <= 0:
-            raise ConfigError("curvature matrix must be positive definite")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=np.float64))
-
-    @property
-    def dim(self) -> int:
-        return self.b.shape[0]
-
-    def value(self, w: np.ndarray) -> float:
-        d = w - self.b
-        return 0.5 * float(d @ self.A @ d)
-
-    def grad(self, w: np.ndarray) -> np.ndarray:
-        return self.A @ (w - self.b)
-
-
-@dataclass(frozen=True)
-class ClientDataset:
-    """Per-sample decomposition of a client quadratic.
-
-    Sample j is the pair (anchor c_j, target y_j = A c_j); the per-sample loss
-    0.5 (w - c_j)^T A (w - c_j) has gradient A w - y_j.  Anchors are centered
-    so their mean is exactly the client minimizer, hence the full batch
-    recovers the true gradient.  Both arrays are read-only: one dataset backs
-    every seed that shares a problem bundle.
-    """
-
-    anchors: np.ndarray  # (n, d): row j is c_j
-    targets: np.ndarray  # (n, d): row j is y_j = A c_j
-    batch_size: int
-
-    def __post_init__(self):
-        if not 1 <= self.batch_size <= len(self.targets):
-            raise ConfigError("batch_size must be in [1, n_samples]")
-        self.anchors.flags.writeable = False
-        self.targets.flags.writeable = False
-
-    @property
-    def n(self) -> int:
-        return len(self.targets)
 
 
 @dataclass(frozen=True)
@@ -89,10 +31,40 @@ class ProblemConstants:
     F_star: float
 
     def __post_init__(self):
+        # mu > 0 is the positive definiteness of every curvature A_i
         if not 0 < self.mu <= self.L:
             raise ConfigError("need 0 < mu <= L")
         if self.gamma_het < -1e-12:
             raise ConfigError("heterogeneity must be nonnegative")
+
+
+@dataclass(frozen=True)
+class ProblemBundle:
+    """One task as read-only client stacks, shared by every seed that runs it.
+
+    Client i has weight p[i], curvature A[i] (d, d), minimizer b[i] (d,) and
+    per-sample targets targets[i] (n_samples, d).  `key` records the config
+    fields the task was built from, so a run can refuse a bundle built for
+    another problem.
+    """
+
+    key: tuple
+    p: np.ndarray  # (n_clients,) client sampling distribution
+    A: np.ndarray  # (n_clients, d, d)
+    b: np.ndarray  # (n_clients, d)
+    targets: np.ndarray  # (n_clients, n_samples, d)
+    constants: ProblemConstants
+
+    def __post_init__(self):
+        n, d = self.A.shape[:2]
+        shapes = (self.p.shape, self.A.shape, self.b.shape, self.targets.shape[:1] + self.targets.shape[2:])
+        if shapes != ((n,), (n, d, d), (n, d), (n, d)):
+            raise ConfigError(
+                f"client stacks must share one shape: p {self.p.shape}, A {self.A.shape}, "
+                f"b {self.b.shape}, targets {self.targets.shape}"
+            )
+        for stack in (self.p, self.A, self.b, self.targets, self.constants.sigma_i, self.constants.w_star):
+            stack.flags.writeable = False
 
 
 def make_quadratic_problem(
@@ -101,11 +73,12 @@ def make_quadratic_problem(
     spread: float,
     seed: int,
     eig_range: tuple[float, float] = (0.5, 1.0),
-) -> list[QuadraticClientLoss]:
-    """Random SPD quadratics with minimizers spaced by `spread`.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Random SPD curvatures A (n_clients, d, d) and minimizers b
+    (n_clients, d) spaced by `spread`.
 
     spread = 0 makes all clients identical (zero heterogeneity).
-    Deterministic in `seed`.
+    Deterministic in `seed`; each A_i is symmetric by construction.
     """
     if n_clients < 1 or dim < 1:
         raise ConfigError("need n_clients >= 1 and dim >= 1")
@@ -115,105 +88,113 @@ def make_quadratic_problem(
     if not 0 < lo <= hi:
         raise ConfigError("eig_range must satisfy 0 < lo <= hi")
     rng = rngmod.stream(seed, rngmod.PROBLEM)
-    losses = []
-    p = 1.0 / n_clients
-    for _ in range(n_clients):
+    A = np.empty((n_clients, dim, dim))
+    b = np.empty((n_clients, dim))
+    for i in range(n_clients):
         eigs = rng.uniform(lo, hi, size=dim)
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-        A = (q * eigs) @ q.T
-        A = 0.5 * (A + A.T)
-        b = spread * rng.standard_normal(dim)
-        losses.append(QuadraticClientLoss(A=A, b=b, p=p))
-    return losses
+        Ai = (q * eigs) @ q.T
+        A[i] = 0.5 * (Ai + Ai.T)
+        b[i] = spread * rng.standard_normal(dim)
+    return A, b
 
 
-def global_optimum(losses: list[QuadraticClientLoss]) -> tuple[np.ndarray, float]:
-    """Exact minimizer of sum_i p_i F_i: solves (sum p A) w = sum p A b."""
-    ps = np.array([l.p for l in losses])
-    if abs(ps.sum() - 1.0) > 1e-12:
-        raise ConfigError("client weights must sum to 1")
-    H = sum(l.p * l.A for l in losses)
-    rhs = sum(l.p * l.A @ l.b for l in losses)
-    w_star = np.linalg.solve(H, rhs)
-    F_star = float(sum(l.p * l.value(w_star) for l in losses))
-    return w_star, F_star
+def make_client_targets(
+    A: np.ndarray, b: np.ndarray, n_samples: int, sample_spread: float, seed: int
+) -> np.ndarray:
+    """Per-sample decomposition of the client quadratics: (n_clients,
+    n_samples, d) targets y_ij = A_i c_ij.
 
-
-def heterogeneity_gamma(losses: list[QuadraticClientLoss]) -> float:
-    """F* minus the weighted sum of per-client minima (zero for quadratics)."""
-    _, F_star = global_optimum(losses)
-    local_min = sum(l.p * l.value(l.b) for l in losses)
-    return F_star - local_min
-
-
-def make_client_datasets(
-    losses: list[QuadraticClientLoss],
-    n_samples: int,
-    batch_size: int,
-    sample_spread: float,
-    seed: int,
-) -> list[ClientDataset]:
-    """Per-sample anchors c_j = b_i + xi_j with the xi_j centered to mean zero."""
-    if n_samples < 1:
-        raise ConfigError("need n_samples >= 1")
-    rng = rngmod.stream(seed, rngmod.PROBLEM, 1)
-    out = []
-    for loss in losses:
-        xi = sample_spread * rng.standard_normal((n_samples, loss.dim))
-        xi -= xi.mean(axis=0)
-        anchors = loss.b + xi
-        # per-row products: anchors @ A.T may sum in another order
-        targets = np.stack([loss.A @ anchors[j] for j in range(n_samples)])
-        out.append(ClientDataset(anchors=anchors, targets=targets, batch_size=batch_size))
-    return out
-
-
-def sigma_bound(loss: QuadraticClientLoss, dataset: ClientDataset) -> float:
-    """Exact second moment of the mini-batch gradient noise.
-
-    Batches are drawn with replacement, so the noise A xi_bar has
-    E||.||^2 = (1/s) mean_j ||A xi_j||^2 exactly.
+    Sample j of client i has anchor c_ij = b_i + xi_ij and per-sample loss
+    0.5 (w - c_ij)^T A_i (w - c_ij) with gradient A_i w - y_ij.  The xi_ij
+    are centered to mean zero per client, so the full batch recovers the
+    true gradient.
     """
-    noise = dataset.targets - loss.A @ loss.b
-    return float(np.mean(np.sum(noise**2, axis=1)) / dataset.batch_size)
+    rng = rngmod.stream(seed, rngmod.PROBLEM, 1)
+    xi = np.empty((len(b), n_samples, b.shape[1]))
+    for row in xi:
+        row[:] = sample_spread * rng.standard_normal(row.shape)
+        row -= row.mean(axis=0)
+    anchors = b[:, None, :] + xi
+    # one gemv per anchor, bitwise A_i @ c_ij; anchors @ A.T may sum in another order
+    return np.matmul(A[:, None], anchors[..., None])[..., 0]
+
+
+def global_loss(A: np.ndarray, b: np.ndarray, p: np.ndarray, w: np.ndarray) -> float:
+    """F(w) = sum_i p_i F_i(w) with F_i(w) = 0.5 (w - b_i)^T A_i (w - b_i).
+
+    w is one (d,) model, or one (n_clients, d) row per client.  The stacked
+    matmuls run the gemv and dot of each client's (w - b_i) @ A_i @ (w - b_i),
+    and Python's sum keeps the client order.
+    """
+    dev = w - b
+    q = np.matmul(np.matmul(dev[:, None, :], A), dev[:, :, None])
+    return sum((p * (0.5 * q[:, 0, 0])).tolist())
+
+
+def global_optimum(A: np.ndarray, b: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, float]:
+    """Exact minimizer of F = sum_i p_i F_i: solves (sum p A) w = sum p A b.
+
+    Every path to the constants passes here, so this is where the client
+    weights are checked to be a distribution.
+    """
+    if abs(p.sum() - 1.0) > 1e-12 or np.any(p < 0):
+        raise ConfigError("client weights must be a distribution")
+    pA = p[:, None, None] * A
+    # Python's sum adds the clients in order; np.sum may pair them up
+    H = sum(pA)
+    rhs = sum(pAi @ bi for pAi, bi in zip(pA, b))
+    try:
+        w_star = np.linalg.solve(H, rhs)
+    except np.linalg.LinAlgError:
+        raise ConfigError("aggregate curvature sum_i p_i A_i is singular") from None
+    return w_star, global_loss(A, b, p, w_star)
+
+
+def heterogeneity_gamma(A: np.ndarray, b: np.ndarray, p: np.ndarray) -> float:
+    """F* minus the weighted sum of per-client minima F_i(b_i) (zero for
+    quadratics)."""
+    _, F_star = global_optimum(A, b, p)
+    return F_star - global_loss(A, b, p, b)
+
+
+def sigma_bound(A: np.ndarray, b: np.ndarray, targets: np.ndarray, batch_size: int) -> np.ndarray:
+    """Exact second moment of each client's mini-batch gradient noise.
+
+    Batches are drawn with replacement, so the noise A_i xi_bar has
+    E||.||^2 = (1/s) mean_j ||A_i xi_ij||^2 exactly.
+    """
+    noise = targets - np.matmul(A, b[..., None])[..., 0][:, None, :]
+    return np.mean(np.sum(noise**2, axis=-1), axis=-1) / batch_size
 
 
 def gradient_norm_bound(
-    losses: list[QuadraticClientLoss],
-    datasets: list[ClientDataset],
-    w_star: np.ndarray,
-    radius: float,
+    A: np.ndarray, b: np.ndarray, sigma: np.ndarray, w_star: np.ndarray, radius: float
 ) -> float:
     """Bound on E||stochastic gradient||^2 over the ball ||w - w*|| <= radius.
 
-    ||A(w - b)|| <= ||A(w* - b)|| + radius * lambda_max(A) on the ball; the
-    mini-batch noise adds its exact second moment.
+    ||A_i(w - b_i)|| <= ||A_i(w* - b_i)|| + radius * lambda_max(A_i) on the
+    ball; client i's mini-batch noise adds its exact second moment sigma[i].
     """
-    G = 0.0
-    for loss, ds in zip(losses, datasets):
-        lam_max = float(np.max(np.linalg.eigvalsh(loss.A)))
-        base = float(np.linalg.norm(loss.A @ (w_star - loss.b))) + radius * lam_max
-        G = max(G, base**2 + sigma_bound(loss, ds))
-    return G
+    g = np.matmul(A, (w_star - b)[..., None])[..., 0]
+    norms = np.array([np.linalg.norm(gi) for gi in g])
+    base = norms + radius * np.linalg.eigvalsh(A).max(axis=1)
+    # squared as Python floats, as the per-client bound always was
+    return max(x**2 + s for x, s in zip(base.tolist(), sigma.tolist()))
 
 
 def problem_constants(
-    losses: list[QuadraticClientLoss],
-    datasets: list[ClientDataset],
-    radius: float,
+    A: np.ndarray, b: np.ndarray, p: np.ndarray, targets: np.ndarray, batch_size: int, radius: float
 ) -> ProblemConstants:
-    w_star, F_star = global_optimum(losses)
-    eigs = [np.linalg.eigvalsh(l.A) for l in losses]
-    mu = float(min(e.min() for e in eigs))
-    L = float(max(e.max() for e in eigs))
-    sigma = np.array([sigma_bound(l, d) for l, d in zip(losses, datasets)])
-    G = gradient_norm_bound(losses, datasets, w_star, radius)
+    w_star, F_star = global_optimum(A, b, p)
+    eigs = np.linalg.eigvalsh(A)
+    sigma = sigma_bound(A, b, targets, batch_size)
     return ProblemConstants(
-        mu=mu,
-        L=L,
-        gamma_het=heterogeneity_gamma(losses),
+        mu=float(eigs.min()),
+        L=float(eigs.max()),
+        gamma_het=heterogeneity_gamma(A, b, p),
         sigma_i=sigma,
-        G=G,
+        G=gradient_norm_bound(A, b, sigma, w_star, radius),
         w_star=w_star,
         F_star=F_star,
     )

@@ -436,9 +436,33 @@ def _drop_constants(out, manifest):
     return "'msp'"
 
 
+def _damage_constant(key, value):
+    """Delete one theorem constant (value None) or overwrite it."""
+
+    def damage(out, manifest):
+        constants = manifest["groups"]["msp"]["constants"]
+        if value is None:
+            del constants[key]
+        else:
+            constants[key] = value
+        return f"manifest group 'msp': constant {key!r}"
+
+    damage.__name__ = f"_damage_{key}_{value}"
+    return damage
+
+
 @pytest.mark.parametrize(
     "damage",
-    [_drop_metrics, _empty_group, _garble_metrics, _truncate_run, _drop_config, _drop_constants],
+    [
+        _drop_metrics, _empty_group, _garble_metrics, _truncate_run, _drop_config, _drop_constants,
+        # D2 and nu2 gate what report reads, so only the keys they gate are dropped
+        *(_damage_constant(key, None) for key in ("mu", "L", "vartheta", "dist0")),
+        _damage_constant("mu", "x"),
+        _damage_constant("D3", float("nan")),
+        _damage_constant("nu2", float("inf")),
+        _damage_constant("dist0", True),
+    ],
+    ids=lambda damage: damage.__name__,
 )
 def test_report_on_a_damaged_run_dir_exits_2_naming_it(msp_config_path, tmp_path, capsys, damage):
     code, out = _run_with(msp_config_path, tmp_path, "--seeds", "0..1")

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import pickle
 
 import numpy as np
@@ -13,7 +14,7 @@ from fedsplit import orchestrator as orch
 from fedsplit import rng as rngmod
 from fedsplit.errors import ConfigError, ProtocolIntegrityError
 from fedsplit.presets import desk_config
-from fedsplit.problem import make_client_datasets, make_quadratic_problem
+from fedsplit.problem import global_loss, make_client_targets, make_quadratic_problem
 
 
 def small_config(mode, seed=0, rounds=30, **overrides):
@@ -80,11 +81,9 @@ def test_sampled_aggregate_unbiased():
 
 
 def test_local_sgd_closed_form():
-    losses = make_quadratic_problem(1, 1, 0.0, seed=0)
-    losses = [type(losses[0])(A=np.eye(1), b=np.array([1.0]), p=1.0)]
-    datasets = make_client_datasets(losses, 8, 8, 0.0, seed=0)
+    A, b = np.eye(1)[None], np.ones((1, 1))
+    targets = make_client_targets(A, b, 8, 0.0, seed=0)
     rng = rngmod.stream(0, 4)
-    A, targets = losses[0].A[None], datasets[0].targets[None]
     w = orch.local_sgd(np.zeros(1), A, targets, eta=0.5, E=1, rngs=[rng], batch_size=8)[0]
     assert w[0] == pytest.approx(0.5, abs=1e-12)
     w_fix = orch.local_sgd(np.array([1.0]), A, targets, eta=0.5, E=3, rngs=[rng], batch_size=8)[0]
@@ -92,26 +91,26 @@ def test_local_sgd_closed_form():
 
 
 def test_local_sgd_full_batch_matches_linear_recursion():
-    losses = make_quadratic_problem(1, 3, 1.0, seed=5)
-    datasets = make_client_datasets(losses, 8, 8, 0.0, seed=5)
-    loss = losses[0]
+    A, b = make_quadratic_problem(1, 3, 1.0, seed=5)
+    targets = make_client_targets(A, b, 8, 0.0, seed=5)
     w0 = np.array([2.0, -1.0, 0.5])
     eta, E = 0.3, 6
     rng = rngmod.stream(1, 4)
-    w = orch.local_sgd(w0, loss.A[None], datasets[0].targets[None], eta, E, [rng], 8)[0]
-    M = np.eye(3) - eta * loss.A
-    expected = loss.b + np.linalg.matrix_power(M, E) @ (w0 - loss.b)
+    w = orch.local_sgd(w0, A, targets, eta, E, [rng], 8)[0]
+    M = np.eye(3) - eta * A[0]
+    expected = b[0] + np.linalg.matrix_power(M, E) @ (w0 - b[0])
     assert np.allclose(w, expected, atol=1e-12)
 
 
-def reference_local_sgd(w0, loss, dataset, eta, E, rng):
-    """The per-client loop the stacked pass replaced: one client, its own
-    stream, one `A @ w` and one batch mean per step."""
+def reference_local_sgd(w0, A, targets, batch_size, eta, E, rng):
+    """The per-client loop the stacked pass replaced: one client's (d, d)
+    curvature and (n, d) targets, its own stream, one `A @ w` and one batch
+    mean per step."""
     w = w0.copy()
     for _ in range(E):
-        batch = rng.integers(0, dataset.n, size=dataset.batch_size)
-        y_mean = np.add.reduce(dataset.targets[batch], axis=0) / len(batch)
-        w -= eta * (loss.A @ w - y_mean)
+        batch = rng.integers(0, len(targets), size=batch_size)
+        y_mean = np.add.reduce(targets[batch], axis=0) / len(batch)
+        w -= eta * (A @ w - y_mean)
     return w
 
 
@@ -139,7 +138,7 @@ def test_stacked_local_round_matches_per_client_loop(n_clients, cohort, dim, E, 
     cohort_ids = orch.sample_clients(bundle.p, cohort, rngmod.stream(seed, rngmod.CLIENT_SAMPLING, t))
     for slot, c in enumerate(cohort_ids):
         rng = rngmod.stream(seed, rngmod.GRADIENT, t, int(c))
-        want = reference_local_sgd(w_prev, bundle.losses[c], bundle.datasets[c], eta, E, rng)
+        want = reference_local_sgd(w_prev, bundle.A[c], bundle.targets[c], batch_size, eta, E, rng)
         assert got[slot].tobytes() == want.tobytes()
 
 
@@ -151,19 +150,25 @@ def test_global_loss_matches_per_loss_sum(n_clients, dim, seed):
     )
     bundle = orch.build_problem(cfg)
     for w in rngmod.stream(seed, 98).standard_normal((3, dim)) * [[0.0], [1.0], [50.0]]:
-        want = float(sum(l.p * l.value(w) for l in bundle.losses))
-        assert orch._global_loss(bundle, w) == want
+        values = [0.5 * float((w - bi) @ Ai @ (w - bi)) for Ai, bi in zip(bundle.A, bundle.b)]
+        want = float(sum(pi * v for pi, v in zip(bundle.p, values)))
+        assert global_loss(bundle.A, bundle.b, bundle.p, w) == want
 
 
 def test_problem_bundle_stacks_are_read_only_and_need_one_dataset_shape():
     cfg = small_config("fedavg")
     bundle = orch.build_problem(cfg)
-    for stack in (bundle.A, bundle.b, bundle.targets):
+    for stack in (bundle.p, bundle.A, bundle.b, bundle.targets):
         assert not stack.flags.writeable
     assert bundle.targets.shape == (cfg.n_clients, cfg.n_samples, cfg.dim)
-    odd = make_client_datasets(bundle.losses[:1], cfg.n_samples + 1, cfg.batch_size, 1.0, seed=0)
-    with pytest.raises(ConfigError, match="n_samples and batch_size"):
-        orch.ProblemBundle(bundle.losses, bundle.datasets[:-1] + odd, bundle.constants)
+    for field, stack in (
+        ("targets", bundle.targets[:-1]),
+        ("targets", bundle.targets[:, :, :-1]),
+        ("b", bundle.b[:, :-1]),
+        ("p", bundle.p[:-1]),
+    ):
+        with pytest.raises(ConfigError, match="client stacks must share one shape"):
+            dataclasses.replace(bundle, **{field: stack})
 
 
 def test_invariant_checks_reject_nan():
@@ -227,11 +232,11 @@ def test_fedavg_single_client_is_gradient_descent():
     pc = bundle.constants
     vt = orch.vartheta(pc.mu, pc.L, cfg.local_steps)
     w = np.zeros(cfg.dim)
-    loss = bundle.losses[0]
+    A, b = bundle.A[0], bundle.b[0]
     for t in range(1, cfg.rounds + 1):
         eta = orch.lr_schedule(t, pc.mu, vt)
         for _ in range(cfg.local_steps):
-            w = w - eta * loss.grad(w)
+            w = w - eta * (A @ (w - b))
         assert np.allclose(result.trajectory[t], w, atol=1e-12)
 
 
@@ -437,5 +442,47 @@ def test_problem_key_changes_whenever_the_problem_does(name):
         new = value + 1 if isinstance(value, int) else value * 1.25
     other = dataclasses.replace(base, **{name: new})
     same_key = orch.problem_key(other) == orch.problem_key(base)
-    same_problem = pickle.dumps(orch.build_problem(other)) == pickle.dumps(orch.build_problem(base))
+    same_problem = problem_bytes(orch.build_problem(other)) == problem_bytes(orch.build_problem(base))
     assert same_key == same_problem, name
+
+
+def problem_bytes(bundle):
+    """The pickled problem itself: the stacks and constants, not the key the
+    bundle stores."""
+    return pickle.dumps((bundle.p, bundle.A, bundle.b, bundle.targets, bundle.constants))
+
+
+def test_run_refuses_a_bundle_built_for_another_problem():
+    cfg = small_config("msp", rounds=2)
+    bundle = orch.build_problem(cfg)
+    other = dataclasses.replace(cfg, n_clients=5, ball_radius=50.0, batch_size=2)
+    with pytest.raises(ConfigError, match="n_clients 6 in the bundle, 5 in the config") as err:
+        orch.run(other, bundle)
+    for name in ("ball_radius", "batch_size"):
+        assert name in str(err.value)
+    for name in ("dim", "n_samples", "spread"):
+        assert name not in str(err.value)
+    with pytest.raises(ConfigError, match="dim"):
+        orch.run(dataclasses.replace(cfg, dim=4), bundle)
+    # fields outside the problem key share the bundle
+    orch.run(dataclasses.replace(cfg, seed=3, mode="mspdq", weight_rule="harmonic"), bundle)
+
+
+# SHA-256 of json.dumps(theorem_constants(...), sort_keys=True) on desk
+# bundles, the constants `fedsplit run` writes to manifest.json.
+GOLDEN_THEOREM_CONSTANTS = {
+    "msp": ({}, "611db196f1902f17ef2b5a6defc0c9dd643c1128a06b488cd634713c9f1afeab"),
+    "mspdq": ({}, "24a06d1a2da148b21bcabc10bf9552727e68c93ac7e6121f63ecb0de66bb274a"),
+    "msp_no_gamma_target": (
+        {"gamma_target": None, "center_offset": 0.0},
+        "4e694fc7f7f384d700eb3abd7701c0dc1500e3e562e26358b48df2e9aceb6714",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_THEOREM_CONSTANTS))
+def test_theorem_constants_match_golden_hashes(name):
+    fields, digest = GOLDEN_THEOREM_CONSTANTS[name]
+    cfg = dataclasses.replace(desk_config(name.split("_")[0], 0, level=256), **fields)
+    constants = orch.theorem_constants(orch.build_problem(cfg), cfg)
+    assert hashlib.sha256(json.dumps(constants, sort_keys=True).encode()).hexdigest() == digest

@@ -239,13 +239,17 @@ def _read_group(run_dir: Path, gid: str, group) -> tuple:
     except (AttributeError, KeyError, TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(f"manifest group {gid!r}: {exc!r}") from None
     # the constants cmd_report reads, under its presence gates: the bound
-    # curve (which reads an absent D3 as 0) and the complexity rows
+    # curve (which reads an absent D3 as 0) and the complexity rows; both
+    # divide by mu and dist0
     keys = ["mu", "L", "vartheta", "dist0", "D2", "D3"] if "D2" in constants else []
     for key in keys + (["mu", "vartheta", "dist0", "nu2"] if "nu2" in constants else []):
         value = constants.get(key, 0.0 if key == "D3" else "missing")
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        positive = key in ("mu", "dist0")
+        finite = not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+        if not finite or (positive and not value > 0):
             raise ConfigError(
-                f"manifest group {gid!r}: constant {key!r} must be a finite number, got {value!r}"
+                f"manifest group {gid!r}: constant {key!r} must be a "
+                f"{'positive ' if positive else ''}finite number, got {value!r}"
             )
     runs = [_read_metrics(run_dir / str(run_id) / "metrics.csv") for run_id in run_ids]
     if len({len(rows) for rows in runs}) != 1:

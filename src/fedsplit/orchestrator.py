@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .consensus import check_conserved, conserved_sum, run_consensus, state_from_splits
+from .consensus import RoundState, check_conserved, conserved_sum, run_consensus, state_from_splits
 from .errors import ConfigError, ProtocolIntegrityError
 from .problem import (
     ProblemBundle,
@@ -36,7 +36,7 @@ from .spectral import (
     lambda2_U,
     lambda_min_U,
 )
-from .splitting import SplitRule, SplitState, split_model
+from .splitting import SplitRule, SplitState, split_cohort
 
 MODES = ("fedavg", "ldp", "msp", "mspdq")
 
@@ -228,8 +228,14 @@ def kt_schedule(t: int, mu: float, vtheta: float, lam: float, mode: str) -> int:
 
 def sample_clients(p: np.ndarray, M: int, rng: np.random.Generator) -> np.ndarray:
     """M i.i.d. draws with replacement from the distribution p (a bundle's
-    checked `p`); duplicates are distinct cohort slots."""
-    return rng.choice(len(p), size=M, replace=True, p=p)
+    checked `p`); duplicates are distinct cohort slots.
+
+    This is the inverse-CDF draw that rng.choice(len(p), size=M, p=p) runs
+    once its argument checks pass, so both read the same values.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(M), side="right")
 
 
 def local_sgd(
@@ -244,19 +250,20 @@ def local_sgd(
     """E mini-batch gradient steps from the broadcast model for u stacked
     clients (A (u, d, d), targets (u, n, d)); returns the (u, d) local models.
 
-    Client i draws each step's batch from its own stream rngs[i], in the
-    order a pass over that client alone would, so the stacked pass is
-    bitwise u separate ones.
+    Client i draws all E batches from its own stream rngs[i] in one call.
+    The bounded draw keeps its spare 32-bit half-word in the bit generator,
+    not in the call, so that call reads the values E per-step calls would,
+    and the stacked pass is bitwise u separate ones.
     """
     if E < 1:
         raise ConfigError("need at least one local step")
     n = targets.shape[-2]
     w = np.empty((len(rngs), len(w0)))
     w[:] = w0
-    batch = np.empty((len(rngs), batch_size), dtype=np.int64)
-    for _ in range(E):
-        for i, rng in enumerate(rngs):
-            batch[i] = rng.integers(0, n, size=batch_size)
+    batches = np.empty((E, len(rngs), batch_size), dtype=np.int64)
+    for i, rng in enumerate(rngs):
+        batches[:, i] = rng.integers(0, n, size=(E, batch_size))
+    for batch in batches:
         w -= eta * stochastic_gradient(A, targets, w, batch)
     return w
 
@@ -359,7 +366,15 @@ def mspdq_initial_state(
     q0_width: float,
     level: int,
 ):
-    """Shared initial upload for the quantized mode; returns (state, shared).
+    """Quantized initial cohort state of a list of splits; returns (state,
+    shared)."""
+    state = state_from_splits(splits)
+    return state, snap_initial_upload(state, w_prev, q0_width, level)
+
+
+def snap_initial_upload(state: RoundState, w_prev: np.ndarray, q0_width: float, level: int) -> np.ndarray:
+    """Give a split cohort state the quantized mode's shared initial upload,
+    in place; returns the shared upload.
 
     The first cohort slot's visible draw is snapped to the nearest knob of
     the round-zero interval (scalar bounds around the broadcast model) and
@@ -369,20 +384,19 @@ def mspdq_initial_state(
     lo0 = float(np.min(w_prev)) - q0_width / 2.0
     hi0 = float(np.max(w_prev)) + q0_width / 2.0
     bin0 = (hi0 - lo0) / (level - 1)
-    vis0 = splits[0].visible
+    vis0 = state.visible[0]
     if np.any(vis0 < lo0) or np.any(vis0 > hi0):
         raise ProtocolIntegrityError(
             "initial split visible escaped the round-zero interval; increase q0_width"
         )
     idx = np.clip(np.round((vis0 - lo0) / bin0), 0, level - 1)
     shared = knob_values(lo0, hi0, level, idx)
-    state = state_from_splits(splits)
     state.invisible[np.arange(state.M), state.m_counts - 1] += state.visible - shared
     state.visible[:] = shared
     state.quantized = state.visible.copy()
     state.level = level
     state.global_model = state.quantized.mean(axis=0)
-    return state, shared
+    return shared
 
 
 def run(config: FLConfig, bundle: ProblemBundle | None = None) -> RunResult:
@@ -436,15 +450,13 @@ def run(config: FLConfig, bundle: ProblemBundle | None = None) -> RunResult:
             w = local.mean(axis=0)
         else:
             kt = config.kt_override or kt_schedule(t, pc.mu, vt, config.lambda_, config.mode)
-            splits = []
-            for slot, w_local in enumerate(local):
-                rng_ss = rngmod.stream(config.seed, rngmod.SPLITTING, t, slot)
-                splits.append(split_model(w_local, rule, rng_ss))
+            rngs = [rngmod.stream(config.seed, rngmod.SPLITTING, t, slot) for slot in range(config.cohort)]
+            visible, invisible = split_cohort(local, rule, rngs)
+            state = RoundState(visible, invisible, np.full(config.cohort, rule.m), visible.mean(axis=0))
+            rng_sq = None
             if quantized:
-                state, _ = mspdq_initial_state(splits, w, q0_width, config.level)
+                snap_initial_upload(state, w, q0_width, config.level)
                 rng_sq = rngmod.stream(config.seed, rngmod.QUANTIZATION, t)
-            else:
-                state, rng_sq = state_from_splits(splits), None
             final, _, summary = run_consensus(
                 state,
                 kt,

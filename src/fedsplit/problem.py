@@ -151,10 +151,11 @@ def global_optimum(A: np.ndarray, b: np.ndarray, p: np.ndarray) -> tuple[np.ndar
     return w_star, global_loss(A, b, p, w_star)
 
 
-def heterogeneity_gamma(A: np.ndarray, b: np.ndarray, p: np.ndarray) -> float:
+def heterogeneity_gamma(A: np.ndarray, b: np.ndarray, p: np.ndarray, F_star: float | None = None) -> float:
     """F* minus the weighted sum of per-client minima F_i(b_i) (zero for
-    quadratics)."""
-    _, F_star = global_optimum(A, b, p)
+    quadratics); F_star is solved here unless the caller has it."""
+    if F_star is None:
+        _, F_star = global_optimum(A, b, p)
     return F_star - global_loss(A, b, p, b)
 
 
@@ -169,16 +170,21 @@ def sigma_bound(A: np.ndarray, b: np.ndarray, targets: np.ndarray, batch_size: i
 
 
 def gradient_norm_bound(
-    A: np.ndarray, b: np.ndarray, sigma: np.ndarray, w_star: np.ndarray, radius: float
+    A: np.ndarray, b: np.ndarray, sigma: np.ndarray, w_star: np.ndarray, radius: float,
+    eigs: np.ndarray | None = None,
 ) -> float:
     """Bound on E||stochastic gradient||^2 over the ball ||w - w*|| <= radius.
 
     ||A_i(w - b_i)|| <= ||A_i(w* - b_i)|| + radius * lambda_max(A_i) on the
     ball; client i's mini-batch noise adds its exact second moment sigma[i].
+    eigs, the (n_clients, d) eigvalsh(A), is computed here unless the caller
+    has it.
     """
+    if eigs is None:
+        eigs = np.linalg.eigvalsh(A)
     g = np.matmul(A, (w_star - b)[..., None])[..., 0]
     norms = np.array([np.linalg.norm(gi) for gi in g])
-    base = norms + radius * np.linalg.eigvalsh(A).max(axis=1)
+    base = norms + radius * eigs.max(axis=1)
     # squared as Python floats, as the per-client bound always was
     return max(x**2 + s for x, s in zip(base.tolist(), sigma.tolist()))
 
@@ -192,9 +198,9 @@ def problem_constants(
     return ProblemConstants(
         mu=float(eigs.min()),
         L=float(eigs.max()),
-        gamma_het=heterogeneity_gamma(A, b, p),
+        gamma_het=heterogeneity_gamma(A, b, p, F_star),
         sigma_i=sigma,
-        G=gradient_norm_bound(A, b, sigma, w_star, radius),
+        G=gradient_norm_bound(A, b, sigma, w_star, radius, eigs),
         w_star=w_star,
         F_star=F_star,
     )

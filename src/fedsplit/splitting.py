@@ -59,42 +59,66 @@ class SplitState:
         return float(np.max(np.abs(total - target))) / scale
 
 
-def _uniform(lo: np.ndarray, hi: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Bitwise rng.uniform(lo, hi) for finite bounds of one shape: numpy's
-    own lo + (hi - lo) * next_double per element in C order, without the
-    broadcasting path."""
-    return lo + (hi - lo) * rng.random(lo.shape)
-
-
-def _draw_visible(w: np.ndarray, rule: SplitRule, rng: np.random.Generator) -> np.ndarray:
-    if rule.variant == "uniform":
-        a = rule.eps_split * w
-        b = (1 + rule.m - rule.eps_split) * w
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        return _uniform(lo, hi, rng) if (hi > lo).any() else lo.copy()
-    if rule.variant == "laplace":
-        return w + rng.laplace(0.0, rule.scale, size=w.shape)
-    # midpoint: deterministic center of the uniform interval
-    return (1 + rule.m) / 2.0 * w
-
-
-def split_model(w: np.ndarray, rule: SplitRule, rng: np.random.Generator) -> SplitState:
-    """Split w into 1 + m submodels obeying the exact sum constraint.
+def split_cohort(W: np.ndarray, rule: SplitRule, rngs: list) -> tuple[np.ndarray, np.ndarray]:
+    """Split each row of W (u, d) into 1 + m submodels obeying the exact sum
+    constraint; returns the visible (u, d) and invisible (u, m, d) stacks.
 
     Non-absorbing invisible submodels are drawn uniform on [w-|w|, w+|w|]
     per coordinate (any choice works; this one is scale-aware); the last
-    invisible absorbs the residual so the constraint holds exactly.
+    invisible absorbs the residual so the constraint holds exactly.  Row i
+    draws from its own stream rngs[i], the visible part first, then the
+    m - 1 non-absorbing invisibles in one call; a row whose interval is
+    empty draws nothing and keeps its endpoint, -0.0 included.  A uniform
+    draw is numpy's own lo + (hi - lo) * next_double per element, so each
+    row is bitwise a split of that row alone.
     """
+    W = np.asarray(W, dtype=np.float64)
+    u, d = W.shape
+    if len(rngs) != u:
+        raise ConfigError(f"need one stream per row: {len(rngs)} streams for {u} rows")
+    m = rule.m
+    half = np.abs(W)
+    if rule.variant == "uniform":
+        a = rule.eps_split * W
+        b = (1 + m - rule.eps_split) * W
+        lo = np.minimum(a, b)
+        hi = np.maximum(a, b)
+        draw_visible = (hi > lo).any(axis=1)
+    else:
+        draw_visible = np.full(u, rule.variant == "laplace")
+    draw_invisible = (half > 0).any(axis=1) & (m > 1)
+    noise = np.zeros((u, d))
+    unit = np.zeros((u, m - 1, d))
+    for i, rng in enumerate(rngs):
+        if draw_visible[i]:
+            if rule.variant == "uniform":
+                noise[i] = rng.random(d)
+            else:
+                noise[i] = rng.laplace(0.0, rule.scale, size=d)
+        if draw_invisible[i]:
+            unit[i] = rng.random((m - 1, d))
+    if rule.variant == "uniform":
+        visible = np.where(draw_visible[:, None], lo + (hi - lo) * noise, lo)
+    elif rule.variant == "laplace":
+        visible = W + noise
+    else:  # midpoint: deterministic center of the uniform interval
+        visible = (1 + m) / 2.0 * W
+    invisible = np.empty((u, m, d))
+    invisible[:, -1] = (1 + m) * W - visible
+    if m > 1:
+        lo_inv = W - half
+        drawn = lo_inv[:, None] + ((W + half) - lo_inv)[:, None] * unit
+        invisible[:, :-1] = np.where(draw_invisible[:, None, None], drawn, W[:, None])
+        # Python's sum, as the constraint is written: 0 + inv_1 + ... + inv_{m-1}
+        invisible[:, -1] -= sum(invisible[:, n] for n in range(m - 1))
+    return visible, invisible
+
+
+def split_model(w: np.ndarray, rule: SplitRule, rng: np.random.Generator) -> SplitState:
+    """Split one model w (d,): the u = 1 case of `split_cohort`."""
     w = np.asarray(w, dtype=np.float64)
-    visible = _draw_visible(w, rule, rng)
-    invisible = []
-    for _ in range(rule.m - 1):
-        half = np.abs(w)
-        invisible.append(_uniform(w - half, w + half, rng) if np.any(half > 0) else w.copy())
-    absorber = (1 + rule.m) * w - visible - sum(invisible) if invisible else (1 + rule.m) * w - visible
-    invisible.append(absorber)
-    return SplitState(visible=visible, invisible=invisible, origin=w)
+    visible, invisible = split_cohort(w[None], rule, [rng])
+    return SplitState(visible=visible[0], invisible=list(invisible[0]), origin=w)
 
 
 def z_sequence(

@@ -461,6 +461,9 @@ def _damage_constant(key, value):
         _damage_constant("D3", float("nan")),
         _damage_constant("nu2", float("inf")),
         _damage_constant("dist0", True),
+        # report divides by both, so a zero is damage too
+        _damage_constant("mu", 0.0),
+        _damage_constant("dist0", 0.0),
     ],
     ids=lambda damage: damage.__name__,
 )

@@ -66,6 +66,25 @@ def test_sample_clients_chi_square():
     assert chi2 <= stats.chi2.ppf(0.99, df=N - 1)
 
 
+@given(
+    weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e3)), min_size=1, max_size=12),
+    atom=st.integers(0, 11),
+    M=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+)
+def test_sample_clients_matches_generator_choice(weights, atom, M, seed):
+    p = np.array(weights)
+    if not p.sum() > 0:
+        # a single-atom distribution
+        p[atom % len(p)] = 1.0
+    p /= p.sum()
+    got_rng, ref_rng = rngmod.stream(seed, 3), rngmod.stream(seed, 3)
+    got = orch.sample_clients(p, M, got_rng)
+    want = ref_rng.choice(len(p), size=M, replace=True, p=p)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 def test_sampled_aggregate_unbiased():
     # mean over seeds of the cohort average of fixed values -> sum p_i x_i
     p = np.array([0.5, 0.3, 0.2])

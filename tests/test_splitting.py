@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -10,6 +10,7 @@ from fedsplit.splitting import (
     SplitRule,
     SplitState,
     laplace_split_density,
+    split_cohort,
     split_model,
     z_sequence,
 )
@@ -99,6 +100,62 @@ def test_uniform_split_draws_match_generator_uniform(w, m, eps, seed):
     for sub, want in zip(got.invisible, free):
         assert sub.tobytes() == want.tobytes()
     assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def reference_split_model(w, rule, rng):
+    """The per-model split that `split_cohort` stacked: one model, its own
+    stream, the visible draw, then one call per non-absorbing invisible."""
+    if rule.variant == "uniform":
+        a = rule.eps_split * w
+        b = (1 + rule.m - rule.eps_split) * w
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        visible = lo + (hi - lo) * rng.random(lo.shape) if (hi > lo).any() else lo.copy()
+    elif rule.variant == "laplace":
+        visible = w + rng.laplace(0.0, rule.scale, size=w.shape)
+    else:
+        visible = (1 + rule.m) / 2.0 * w
+    invisible = []
+    for _ in range(rule.m - 1):
+        half = np.abs(w)
+        lo, hi = w - half, w + half
+        invisible.append(lo + (hi - lo) * rng.random(w.shape) if np.any(half > 0) else w.copy())
+    absorber = (1 + rule.m) * w - visible - sum(invisible) if invisible else (1 + rule.m) * w - visible
+    return visible, invisible + [absorber]
+
+
+@settings(max_examples=200)
+@given(
+    shape=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+    m=st.integers(1, 3),
+    variant=st.sampled_from(["uniform", "laplace", "midpoint"]),
+    eps=st.sampled_from([0.0, 0.3, 0.9]),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_split_cohort_matches_per_row_split(shape, m, variant, eps, seed, data):
+    w = data.draw(hnp.arrays(
+        np.float64, shape,
+        elements=st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e3, 1e3, allow_nan=False)),
+    ))
+    # all-zero rows take the branches that draw nothing
+    zero_rows = data.draw(hnp.arrays(np.bool_, shape[0]))
+    w[zero_rows] = data.draw(st.sampled_from([0.0, -0.0]))
+    rule = SplitRule(variant, m=m, eps_split=eps, scale=0.7)
+    got_rngs = [rngmod.stream(seed, 9, i) for i in range(shape[0])]
+    ref_rngs = [rngmod.stream(seed, 9, i) for i in range(shape[0])]
+    visible, invisible = split_cohort(w, rule, got_rngs)
+    assert visible.shape == shape and invisible.shape == (shape[0], m, shape[1])
+    for i, (got_rng, ref_rng) in enumerate(zip(got_rngs, ref_rngs)):
+        want_visible, want_invisible = reference_split_model(w[i], rule, ref_rng)
+        # bytes, not values: signed zeros must match too
+        assert visible[i].tobytes() == want_visible.tobytes()
+        assert invisible[i].tobytes() == np.stack(want_invisible).tobytes()
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_split_cohort_needs_one_stream_per_row():
+    with pytest.raises(ConfigError, match="one stream per row"):
+        split_cohort(np.ones((3, 2)), SplitRule("uniform"), [rngmod.stream(0, 1)])
 
 
 def test_unbiasedness_monte_carlo_uniform_and_laplace():

@@ -39,7 +39,8 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _parse_seeds(spec: str) -> list[int]:
-    """Accepts '0..19', '3', or '0,2,5'; an empty selection is an error."""
+    """Accepts '0..19', '3', or '0,2,5'; an empty selection, a negative seed
+    or a repeated one is an error."""
     spec = spec.strip()
     try:
         if ".." in spec:
@@ -51,6 +52,10 @@ def _parse_seeds(spec: str) -> list[int]:
         raise ConfigError(f"--seeds {spec!r} must look like 0..19, 3 or 0,2,5") from None
     if not seeds:
         raise ConfigError(f"--seeds {spec!r} selects no seeds")
+    if min(seeds) < 0:
+        raise ConfigError(f"--seeds {spec!r} must list nonnegative seeds")
+    if len(set(seeds)) < len(seeds):
+        raise ConfigError(f"--seeds {spec!r} lists a seed more than once")
     return seeds
 
 

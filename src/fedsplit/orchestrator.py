@@ -94,6 +94,9 @@ class FLConfig:
             raise ConfigError("n_clients, cohort and dim must be positive")
         if self.local_steps < 1 or self.rounds < 1:
             raise ConfigError("local_steps and rounds must be positive")
+        for name in ("seed", "problem_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if not 1 <= self.batch_size <= self.n_samples:
             raise ConfigError("batch_size must lie in [1, n_samples]")
         if not self.ball_radius > 0:
@@ -332,19 +335,71 @@ def _check_ball(w: np.ndarray, w_star: np.ndarray, radius: float, what: str) -> 
 # -- training loops -----------------------------------------------------------
 
 
-def _local_round(config, bundle, w_prev, t, eta):
-    """Sample the cohort and run one stacked local SGD pass over its sorted
-    unique clients, each on its own (round, client) gradient stream; returns
-    the (M, d) local models of the cohort slots."""
-    rng_rs = rngmod.stream(config.seed, rngmod.CLIENT_SAMPLING, t)
-    cohort = sample_clients(bundle.p, config.cohort, rng_rs)
-    clients = sorted(set(cohort.tolist()))
-    rngs = [rngmod.stream(config.seed, rngmod.GRADIENT, t, c) for c in clients]
+# Learning rounds whose stream keys are hashed in one pass: the word tables
+# stay at a fixed size whatever the horizon.
+_HASH_BLOCK = 128
+
+
+@dataclass
+class _RoundStreams:
+    """The keyed streams of one learning round."""
+
+    cohort: np.ndarray  # (M,) client of each cohort slot
+    clients: np.ndarray  # the cohort's sorted unique clients
+    gradient: list  # one (round, client) stream per entry of clients
+    split: list  # one (round, slot) stream per cohort slot; empty without splitting
+    aggregate: np.random.Generator | None  # quantization (mspdq) or Laplace noise (ldp)
+
+
+def _round_streams(config: FLConfig, p: np.ndarray):
+    """Yields the _RoundStreams of rounds 1..T, hashing the keys of one block
+    of rounds per `rngmod.seed_words` call for each purpose.
+
+    A block's cohorts are drawn first (the sampling streams do not depend on
+    the model), so the gradient keys cover only the clients they use.
+    """
+    seed, M = config.seed, config.cohort
+    for start in range(1, config.rounds + 1, _HASH_BLOCK):
+        ts = np.arange(start, min(start + _HASH_BLOCK, config.rounds + 1))
+        cohorts = np.array([
+            sample_clients(p, M, rngmod.generator(words))
+            for words in rngmod.seed_words(seed, rngmod.CLIENT_SAMPLING, ts)
+        ])
+        ordered = np.sort(cohorts, axis=1)
+        first = np.ones(ordered.shape, dtype=bool)
+        first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+        rows, cols = np.nonzero(first)
+        gradient = rngmod.seed_words(seed, rngmod.GRADIENT, ts[rows], ordered[rows, cols])
+        split = aggregate = None
+        if config.mode in ("msp", "mspdq"):
+            split = rngmod.seed_words(seed, rngmod.SPLITTING, ts[:, None], np.arange(M))
+        if config.mode == "mspdq":
+            aggregate = rngmod.seed_words(seed, rngmod.QUANTIZATION, ts)
+        elif config.mode == "ldp" and config.ldp_scale > 0:
+            aggregate = rngmod.seed_words(seed, rngmod.LDP_NOISE, ts)
+        lo = 0
+        for i in range(len(ts)):
+            clients = ordered[i, first[i]]
+            hi = lo + len(clients)
+            yield _RoundStreams(
+                cohorts[i],
+                clients,
+                [rngmod.generator(words) for words in gradient[lo:hi]],
+                [] if split is None else [rngmod.generator(words) for words in split[i]],
+                None if aggregate is None else rngmod.generator(aggregate[i]),
+            )
+            lo = hi
+
+
+def _local_round(config, bundle, streams, w_prev, eta):
+    """One stacked local SGD pass over a round's sorted unique clients, each
+    on its own (round, client) gradient stream; returns the (M, d) local
+    models of the cohort slots."""
     local = local_sgd(
-        w_prev, bundle.A[clients], bundle.targets[clients], eta, config.local_steps, rngs,
-        config.batch_size,
+        w_prev, bundle.A[streams.clients], bundle.targets[streams.clients], eta,
+        config.local_steps, streams.gradient, config.batch_size,
     )
-    return local[np.searchsorted(clients, cohort)]
+    return local[np.searchsorted(streams.clients, streams.cohort)]
 
 
 def _base_constants(config: FLConfig, bundle: ProblemBundle) -> dict:
@@ -438,32 +493,28 @@ def run(config: FLConfig, bundle: ProblemBundle | None = None) -> RunResult:
     traj = [w.copy()]
     metrics = []
     w_tilde_run = 0.0
-    for t in range(1, config.rounds + 1):
+    for t, streams in enumerate(_round_streams(config, bundle.p), start=1):
         eta = lr_schedule(t, pc.mu, vt)
-        local = _local_round(config, bundle, w, t, eta)
+        local = _local_round(config, bundle, streams, w, eta)
         kt = 0
         summary = {"max_width": 0.0, "delta_max": 0.0}
         if not split:
-            if config.mode == "ldp" and config.ldp_scale > 0:
-                rng_n = rngmod.stream(config.seed, rngmod.LDP_NOISE, t)
-                local = local + rng_n.laplace(0.0, config.ldp_scale, size=local.shape)
+            if streams.aggregate is not None:
+                local = local + streams.aggregate.laplace(0.0, config.ldp_scale, size=local.shape)
             w = local.mean(axis=0)
         else:
             kt = config.kt_override or kt_schedule(t, pc.mu, vt, config.lambda_, config.mode)
-            rngs = [rngmod.stream(config.seed, rngmod.SPLITTING, t, slot) for slot in range(config.cohort)]
-            visible, invisible = split_cohort(local, rule, rngs)
+            visible, invisible = split_cohort(local, rule, streams.split)
             state = RoundState(visible, invisible, np.full(config.cohort, rule.m), visible.mean(axis=0))
-            rng_sq = None
             if quantized:
                 snap_initial_upload(state, w, q0_width, config.level)
-                rng_sq = rngmod.stream(config.seed, rngmod.QUANTIZATION, t)
             final, _, summary = run_consensus(
                 state,
                 kt,
                 config.mode,
                 config.epsilon,
                 weight_table[:kt],
-                rng=rng_sq,
+                rng=streams.aggregate,
                 lambda2_u=lam2,
                 record=False,
                 wire_check=quantized and t <= 2,

@@ -231,11 +231,15 @@ def test_empty_seed_range_exits_2(config_path, tmp_path, capsys):
         ("ball_radius", 0.0),
         ("ball_radius", -1.0),
         ("q0_width", 0.0),
+        ("problem_seed", -3),
     ],
 )
 def test_bad_field_value_exits_2(config_path, tmp_path, capsys, field, value):
-    code, _ = _run_with(config_path, tmp_path, **{field: value})
+    code, out = _run_with(config_path, tmp_path, **{field: value})
     assert code == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["validate", "--config", str(tmp_path / "edited.json")]) == 2
     assert field in capsys.readouterr().err
 
 
@@ -356,6 +360,9 @@ def test_sweep_may_override_a_bad_base_value(msp_config_path, tmp_path):
         (["audit", "--n-witness", "0"], "--n-witness"),
         (["report", "--rho", "0"], "--rho"),
         (["report", "--rho", "-1"], "--rho"),
+        (["run", "--seeds=-1"], "--seeds"),
+        (["run", "--seeds", "1,1"], "--seeds"),
+        (["audit", "--seeds=-2"], "--seeds"),
     ],
 )
 def test_bad_cli_number_exits_2(msp_config_path, tmp_path, capsys, argv, flag):
@@ -365,9 +372,12 @@ def test_bad_cli_number_exits_2(msp_config_path, tmp_path, capsys, argv, flag):
         argv = [*argv, "--run-dir", str(out)]
     else:
         argv = [*argv, "--out", str(out)]
+    if argv[0] == "run":
+        argv += ["--config", str(msp_config_path)]
     assert main(argv) == 2
     assert flag in capsys.readouterr().err
     assert not list(out.glob("*.csv")) and not (out / "audit.json").exists()
+    assert argv[0] == "report" or not out.exists()
 
 
 @pytest.mark.parametrize("mode", ["msp", "mspdq"])

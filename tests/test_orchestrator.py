@@ -146,14 +146,15 @@ def test_stacked_local_round_matches_per_client_loop(n_clients, cohort, dim, E, 
     # non-power-of-two n_samples take the rejection branch of the bounded
     # draw; a cohort larger than n_clients forces duplicate slots
     batch_size = max(1, round(batch_frac * n_samples))
+    t, eta = 3, 0.07
     cfg = orch.FLConfig(
-        n_clients=n_clients, cohort=cohort, dim=dim, local_steps=E, rounds=1, mode="fedavg",
+        n_clients=n_clients, cohort=cohort, dim=dim, local_steps=E, rounds=t, mode="fedavg",
         seed=seed, n_samples=n_samples, batch_size=batch_size,
     )
     bundle = orch.build_problem(cfg)
-    t, eta = 3, 0.07
     w_prev = rngmod.stream(seed, 99).standard_normal(dim)
-    got = orch._local_round(cfg, bundle, w_prev, t, eta)
+    streams = list(orch._round_streams(cfg, bundle.p))[t - 1]
+    got = orch._local_round(cfg, bundle, streams, w_prev, eta)
     cohort_ids = orch.sample_clients(bundle.p, cohort, rngmod.stream(seed, rngmod.CLIENT_SAMPLING, t))
     for slot, c in enumerate(cohort_ids):
         rng = rngmod.stream(seed, rngmod.GRADIENT, t, int(c))
@@ -215,6 +216,9 @@ def test_config_validation_messages():
     cfg = small_config("mspdq", weight_rule="constant")
     with pytest.raises(ConfigError, match="decaying"):
         cfg.validate()
+    for field in ("seed", "problem_seed"):
+        with pytest.raises(ConfigError, match=f"^{field} must be nonnegative"):
+            small_config("msp", **{field: -1}).validate()
 
 
 def test_config_from_dict_requires_safety_fields():

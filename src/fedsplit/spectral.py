@@ -14,8 +14,6 @@ import numpy as np
 
 from .errors import ConfigError, ScheduleValidationError
 
-PSD_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class StepWeights:
@@ -133,18 +131,6 @@ def build_P(u: np.ndarray, weights_k: np.ndarray, m: int) -> np.ndarray:
         P[(1 + j) * M : (2 + j) * M, (1 + j) * M : (2 + j) * M] = np.eye(M) - A
     P[0:M, 0:M] = u - A_sum
     return P
-
-
-def is_doubly_stochastic(mat: np.ndarray, tol: float = 1e-10) -> bool:
-    return bool(
-        np.all(np.abs(mat.sum(axis=0) - 1.0) <= tol)
-        and np.all(np.abs(mat.sum(axis=1) - 1.0) <= tol)
-    )
-
-
-def is_psd(mat: np.ndarray) -> bool:
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    return bool(np.min(np.linalg.eigvalsh(0.5 * (mat + mat.T))) >= -PSD_TOL * scale)
 
 
 def phi_product(mats: list[np.ndarray]) -> np.ndarray:

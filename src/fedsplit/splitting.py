@@ -52,12 +52,6 @@ class SplitState:
     def m(self) -> int:
         return len(self.invisible)
 
-    def constraint_residual(self) -> float:
-        total = self.visible + sum(self.invisible)
-        target = (1 + self.m) * self.origin
-        scale = max(1.0, float(np.max(np.abs(target))))
-        return float(np.max(np.abs(total - target))) / scale
-
 
 def split_cohort(W: np.ndarray, rule: SplitRule, rngs: list) -> tuple[np.ndarray, np.ndarray]:
     """Split each row of W (u, d) into 1 + m submodels obeying the exact sum
@@ -148,13 +142,3 @@ def z_sequence(
         if np.max(np.abs(z[k + 1] - predicted)) > Z_RECURSION_TOL * scale:
             raise ProtocolIntegrityError(f"z-recursion violated at round {k}")
     return z
-
-
-def laplace_split_density(w: np.ndarray, scale: float, x: np.ndarray) -> float:
-    """Density of the Laplace splitting rule at x: product over coordinates
-    of (1/(2 scale)) exp(-|x_j - w_j| / scale)."""
-    if scale <= 0:
-        raise ConfigError("scale must be positive")
-    w = np.atleast_1d(np.asarray(w, dtype=np.float64))
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    return float(np.prod(np.exp(-np.abs(x - w) / scale) / (2.0 * scale)))

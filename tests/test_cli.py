@@ -405,6 +405,38 @@ def test_nan_in_a_consensus_round_fails_the_run(msp_config_path, tmp_path, capsy
     assert json.loads((out / "manifest.json").read_text())["runs"] == []
 
 
+def test_level_that_is_not_a_power_of_two_runs(tmp_path, capsys):
+    # the error bound divides by l - 1, not 2^ceil(log2 l) - 1
+    config = Path(__file__).resolve().parents[1] / "configs" / "desk_mspdq.json"
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(config), "--seeds", "0", "--sweep", "level=257", "--sweep", "rounds=40"]
+    assert main([*argv, "--out", str(out)]) == 0, capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failed"] == [] and len(manifest["runs"]) == 1
+
+
+def test_quantization_error_over_its_bound_fails_the_run(config_path, tmp_path, capsys, monkeypatch):
+    real_round = consensus.mspdq_round
+
+    def lossy_round(state, epsilon, weights_k, width, rng, wire_check=False):
+        nxt, errors = real_round(state, epsilon, weights_k, width, rng, wire_check)
+        if state.k == 2:
+            errors = errors + np.sqrt(state.d) * width  # a whole box, past one bin
+        return nxt, errors
+
+    monkeypatch.setattr(consensus, "mspdq_round", lossy_round)
+    cfg = orch.FLConfig.from_dict(json.loads(config_path.read_text()))
+    with pytest.raises(ProtocolIntegrityError, match="exceeded its bound at round 2"):
+        orch.run(cfg)
+    code, out = _run_with(config_path, tmp_path, "--seeds", "0")
+    assert code == 3
+    assert "exceeded its bound at round" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["runs"] == []
+    (failed,) = manifest["failed"]
+    assert failed["run"] == "mspdq_seed0" and "exceeded its bound at round 2" in failed["error"]
+
+
 @pytest.mark.parametrize("level", [2**53 + 1, 2**70])
 def test_oversized_level_exits_2(config_path, tmp_path, capsys, level):
     code, out = _run_with(config_path, tmp_path, level=level)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fedsplit import consensus
 from fedsplit import rng as rngmod
 from fedsplit.consensus import (
     MSP,
@@ -24,13 +25,11 @@ from fedsplit.errors import ConfigError, ProtocolIntegrityError
 from fedsplit.orchestrator import mspdq_initial_state
 from fedsplit.quantizer import (
     QuantizerState,
-    bit_width,
     compute_pi_t,
     dynamic_error_bound,
     knob_values,
     output_distribution,
     round_to_knobs,
-    shrink_box,
 )
 from fedsplit.spectral import (
     StepWeights,
@@ -189,6 +188,11 @@ def quantized_setup(seed=0, M=4, d=3, level=64, eps=0.4, gamma=0.3, scale=0.5):
     return state, weights, lambda2_U(u)
 
 
+def a_max(weights_k):
+    """Largest first-invisible step weight of one round."""
+    return float(np.max(weights_k[:, 0]))
+
+
 def test_mspdq_round_exact_on_knobs_matches_plain_round():
     # zero quantization error: all submodels already on knobs, dense grid
     state, weights, lam2 = quantized_setup(level=2)
@@ -203,17 +207,17 @@ def test_mspdq_round_exact_on_knobs_matches_plain_round():
     state.level = 4095  # odd level puts a knob exactly at the box center
     plain = msp_round(state, 0.4, weights.at(0))
     rng = rngmod.stream(1, 22)
-    quant, rec = mspdq_round(state, 0.4, weights.at(0), pi_t=24.0, rng=rng)
+    quant, errors = mspdq_round(state, 0.4, weights.at(0), width=24.0 * a_max(weights.at(0)), rng=rng)
     assert np.allclose(quant.visible, plain.visible, atol=1e-12)
-    assert rec.delta_norms.max() == pytest.approx(0.0, abs=1e-12)
+    assert errors.max() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mspdq_uploads_are_knobs_of_each_clients_box():
     state, weights, lam2 = quantized_setup(level=16)
     pi = compute_pi_t(0.4, lam2, np.linalg.norm(state.visible - state.invisible[:, 0, :]))
-    weights_k = weights.at(0)
-    nxt, _ = mspdq_round(state, 0.4, weights_k, pi, rngmod.stream(6, 28))
-    lo, hi = shrink_box(state.quantized, pi, float(np.max(weights_k[:, 0])))
+    width = pi * a_max(weights.at(0))
+    nxt, _ = mspdq_round(state, 0.4, weights.at(0), width, rngmod.stream(6, 28))
+    lo, hi = state.quantized - 0.5 * width, state.quantized + 0.5 * width
     # the same draw, replayed through the shared rounding helper
     idx, _ = round_to_knobs(nxt.visible, lo, hi, state.level, rngmod.stream(6, 28))
     for i in range(state.M):
@@ -232,7 +236,7 @@ def test_mspdq_round_matches_msp_in_expectation():
     acc = np.zeros_like(state.visible)
     for s in range(n):
         rng = rngmod.stream(s, 23)
-        nxt, _ = mspdq_round(state, 0.4, weights.at(0), pi, rng)
+        nxt, _ = mspdq_round(state, 0.4, weights.at(0), pi * a_max(weights.at(0)), rng)
         acc += nxt.visible
     acc /= n
     # the visible update uses the (fixed) quantized reference, so the mean
@@ -254,7 +258,7 @@ def test_mspdq_conserved_in_expectation():
     acc = np.zeros_like(base)
     for s in range(n):
         rng = rngmod.stream(s, 24)
-        nxt, _ = mspdq_round(state, 0.4, weights.at(0), pi, rng)
+        nxt, _ = mspdq_round(state, 0.4, weights.at(0), pi * a_max(weights.at(0)), rng)
         acc += conserved_sum(nxt) - base
     drift = eps_drift_term(state, 0.4)
     assert np.allclose(acc / n - drift, 0.0, atol=4e-2)
@@ -279,8 +283,40 @@ def test_mspdq_bad_interval_raises():
     state, weights, lam2 = quantized_setup(level=16)
     rng = rngmod.stream(3, 26)
     with pytest.raises(ProtocolIntegrityError):
-        # pi_t far below the certified width forces an escape
-        mspdq_round(state, 0.4, weights.at(0), pi_t=1e-6, rng=rng)
+        # a box far below the certified width pi_t a_max forces an escape
+        mspdq_round(state, 0.4, weights.at(0), width=1e-6, rng=rng)
+
+
+@pytest.mark.parametrize("level", [9, 17, 257, 300, 5000])
+def test_error_bound_holds_at_levels_that_are_not_powers_of_two(level):
+    state, weights, lam2 = quantized_setup(seed=1, level=level)
+    K = 30
+    table = weights.table(K)
+    _, trace, summary = run_consensus(
+        state, K, MSPDQ, 0.4, table, rng=rngmod.stream(1, 41), lambda2_u=lam2, record=True
+    )
+    margins = []
+    for k in range(K):
+        errors = np.linalg.norm(trace.quantized[k + 1] - trace.visibles[k + 1], axis=1)
+        bound = np.sqrt(state.d) * trace.pis[k] * a_max(table[k]) / (level - 1)
+        margins.append(bound - errors.max())
+    assert min(margins) >= 0
+    assert summary["bound_margin_min"] == pytest.approx(min(margins), rel=1e-12)
+
+
+def test_run_consensus_names_the_first_round_over_the_bound(monkeypatch):
+    real_round = consensus.mspdq_round
+
+    def lossy_round(state, epsilon, weights_k, width, rng, wire_check=False):
+        nxt, errors = real_round(state, epsilon, weights_k, width, rng, wire_check)
+        if state.k in (4, 7):
+            errors = errors + np.sqrt(state.d) * width  # a whole box, past one bin
+        return nxt, errors
+
+    monkeypatch.setattr(consensus, "mspdq_round", lossy_round)
+    state, weights, lam2 = quantized_setup(level=16)
+    with pytest.raises(ProtocolIntegrityError, match="exceeded its bound at round 4:"):
+        run_consensus(state, 10, MSPDQ, 0.4, weights.table(10), rng=rngmod.stream(7, 42), lambda2_u=lam2)
 
 
 def test_run_consensus_rejects_too_few_step_weights():
@@ -386,7 +422,7 @@ def reference_mspdq_round(state, epsilon, weights_k, pi_t, rng):
     idx = tau + (rng.random(size=tau.shape) < p_up).astype(np.int64)
     q_vals = knob_values(lo, hi, level, idx)
     norms = np.linalg.norm(q_vals - new_vis, axis=1)
-    bound = dynamic_error_bound(pi_t, bit_width(level), a_max_k, state.d)
+    bound = dynamic_error_bound(pi_t, level, a_max_k, state.d)
     new_state = RoundState(
         visible=new_vis, invisible=new_inv, m_counts=state.m_counts,
         global_model=np.mean(q_vals, axis=0), quantized=q_vals, level=level, k=state.k + 1,

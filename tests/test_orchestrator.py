@@ -336,7 +336,9 @@ def test_consensus_phase_that_leaks_mass_raises(monkeypatch, mode, name):
 
 
 def test_theorem_constants_formulas():
-    assert orch.d3_formula(10, 0.2, 24.0, 4, 8) == pytest.approx(2.2145e-4, rel=1e-3)
+    assert orch.d3_formula(10, 0.2, 24.0, 4, 256) == pytest.approx(2.2145e-4, rel=1e-3)
+    # (l - 1)^2 in the denominator for any level, not only powers of two
+    assert orch.d3_formula(10, 0.2, 24.0, 4, 257) == pytest.approx(2.2145e-4 * (255 / 256) ** 2, rel=1e-3)
     # the split-factor polynomial (2x^2-4x+8)/3 has its vertex at x = 1
     poly = lambda x: (2 * x**2 - 4 * x + 8) / 3.0
     assert poly(1.0) == pytest.approx(2.0)

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from fedsplit import rng as rngmod
+from fedsplit.consensus import RoundState, mspdq_round
 from fedsplit.errors import CodecError, ConfigError, ProtocolIntegrityError
 from fedsplit.quantizer import (
     QuantizedVector,
@@ -17,14 +18,13 @@ from fedsplit.quantizer import (
     dynamic_error_bound,
     encode,
     encoded_size,
-    error_bound,
     knob_values,
     output_distribution,
     quantize,
     round_to_knobs,
-    shrink_box,
     tv_distance,
 )
+from fedsplit.spectral import StepWeights
 
 
 def unit_state(level=5, d=1):
@@ -157,16 +157,24 @@ def test_tv_distance_hand_value():
 
 
 def test_shrink_box_formula():
-    lo, hi = shrink_box(np.array([0.0]), pi_t=2.0, a_max_k=0.5)
-    assert lo[0] == pytest.approx(-0.5) and hi[0] == pytest.approx(0.5)
-    half_lo, half_hi = shrink_box(np.array([0.0]), pi_t=2.0, a_max_k=0.25)
-    assert half_hi[0] - half_lo[0] == pytest.approx(0.5 * (hi[0] - lo[0]))
+    # two knobs are the box ends, so a quantized round's uploads land on
+    # quantized -+ width/2 around the last upload
+    q = np.array([[0.25, -1.0], [0.25, -1.0]])
+    state = RoundState(
+        visible=q.copy(), invisible=q[:, None, :].copy(), m_counts=np.array([1, 1]),
+        global_model=q.mean(axis=0), quantized=q.copy(), level=2,
+    )
+    weights_k = np.full((2, 1), 0.1)
+    for width in (1.0, 0.5):
+        nxt, errors = mspdq_round(state, 0.4, weights_k, width, rngmod.stream(0, 40))
+        ends = np.stack([q - 0.5 * width, q + 0.5 * width])
+        assert np.all((nxt.quantized == ends[0]) | (nxt.quantized == ends[1]))
+        assert np.all(errors == pytest.approx(0.5 * width * np.sqrt(2)))
 
 
 def test_shrink_width_decreasing_under_harmonic_weights():
-    center = unit_state().knob(np.array([2]))
-    boxes = [shrink_box(center, 3.0, 0.2 / (k + 1)) for k in range(10)]
-    widths = [hi[0] - lo[0] for lo, hi in boxes]
+    a_max = StepWeights(gamma=np.array([[0.2], [0.1]]), rule="harmonic").table(10)[:, :, 0].max(axis=1)
+    widths = 3.0 * a_max
     assert all(w1 > w2 for w1, w2 in zip(widths, widths[1:]))
 
 
@@ -181,9 +189,14 @@ def test_compute_pi_t_values():
 
 
 def test_error_bounds():
-    qs = QuantizerState(lo=np.zeros(4), hi=np.ones(4), level=5)
-    assert error_bound(qs) == pytest.approx(0.5)
-    assert dynamic_error_bound(24.0, 3, 0.1, 1) == pytest.approx(24.0 * 0.1 / 7.0)
+    assert dynamic_error_bound(24.0, 8, 0.1, 1) == pytest.approx(24.0 * 0.1 / 7.0)
+    # one bin of l - 1 per coordinate, for any level, not only powers of two
+    assert dynamic_error_bound(24.0, 5, 0.1, 4) == pytest.approx(2.0 * 24.0 * 0.1 / 4.0)
+    pis, a_max = np.array([24.0, 30.0]), np.array([0.1, 0.05])
+    assert np.array_equal(
+        dynamic_error_bound(pis, 257, a_max, 3),
+        [dynamic_error_bound(p, 257, a, 3) for p, a in zip(pis, a_max)],
+    )
 
 
 def test_dp_delta_values():

@@ -11,13 +11,25 @@ from fedsplit.spectral import (
     check_step_weight_budget,
     contraction_probe,
     fit_contraction_constant,
-    is_doubly_stochastic,
-    is_psd,
     lambda2_U,
     lambda_min_U,
     phi_deviation,
     phi_product,
 )
+
+PSD_TOL = 1e-10
+
+
+def is_doubly_stochastic(mat: np.ndarray, tol: float = 1e-10) -> bool:
+    return bool(
+        np.all(np.abs(mat.sum(axis=0) - 1.0) <= tol)
+        and np.all(np.abs(mat.sum(axis=1) - 1.0) <= tol)
+    )
+
+
+def is_psd(mat: np.ndarray) -> bool:
+    scale = max(1.0, float(np.max(np.abs(mat))))
+    return bool(np.min(np.linalg.eigvalsh(0.5 * (mat + mat.T))) >= -PSD_TOL * scale)
 
 
 def test_build_U_two_clients():

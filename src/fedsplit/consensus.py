@@ -181,37 +181,37 @@ def mspdq_round(
     epsilon: float,
     weights_k: np.ndarray,
     width: float,
-    rng: np.random.Generator,
+    uniforms: np.ndarray,
     wire_check: bool = False,
 ) -> tuple[RoundState, np.ndarray]:
     """One quantized round: update, center each client's box of the given
-    width on its last quantized upload, quantize the new visible over it,
-    and aggregate the quantized uploads.  Returns the new state and the
-    (M,) upload error norms.
+    width on its last quantized upload, quantize the new visible over it
+    with the (M, d) uniforms, and aggregate the quantized uploads.  Returns
+    a new state (the input is not written) and the (M,) error norms.
 
     Raises ProtocolIntegrityError when a post-update visible escapes its
     box (a width below the certified pi_t a_max[k]).
     """
     if state.quantized is None or state.level is None:
         raise ConfigError("state lacks quantized uploads; initialize the quantized mode first")
-    level = state.level
     drift = _drift(state, epsilon, state.quantized)
     coupling, new_inv = _coupling_terms(state, weights_k)
     new_vis = state.visible + drift + coupling
 
     box_lo, box_hi = state.quantized - 0.5 * width, state.quantized + 0.5 * width
-    if not ((new_vis >= box_lo).all() and (new_vis <= box_hi).all()):
-        bad = np.argwhere(~((new_vis >= box_lo) & (new_vis <= box_hi)))[0]
+    inside = (new_vis >= box_lo) & (new_vis <= box_hi)
+    if not np.logical_and.reduce(inside, axis=None):
+        bad = np.argwhere(~inside)[0]
         raise ProtocolIntegrityError(
             f"visible escaped its shrunk interval at round {state.k} "
             f"(client {bad[0]}, coordinate {bad[1]}); box width too small"
         )
-    q_idx, q_vals = round_to_knobs(new_vis, box_lo, box_hi, level, rng)
+    tau, up, q_vals = round_to_knobs(new_vis, box_lo, box_hi, state.level, uniforms)
     if wire_check:
+        q_idx = tau.astype(np.int64) + up
         for i in range(state.M):
-            qs = QuantizerState(lo=box_lo[i], hi=box_hi[i], level=level)
-            blob = encode(QuantizedVector(indices=q_idx[i], state=qs))
-            back = decode(blob, qs)
+            qs = QuantizerState(lo=box_lo[i], hi=box_hi[i], level=state.level)
+            back = decode(encode(QuantizedVector(indices=q_idx[i], state=qs)), qs)
             if not np.array_equal(back.indices, q_idx[i]):
                 raise ProtocolIntegrityError("wire roundtrip altered an upload")
     delta = q_vals - new_vis
@@ -221,7 +221,7 @@ def mspdq_round(
         m_counts=state.m_counts,
         global_model=np.add.reduce(q_vals, axis=0) / state.M,
         quantized=q_vals,
-        level=level,
+        level=state.level,
         k=state.k + 1,
     )
     # the formula np.linalg.norm(delta, axis=1) evaluates
@@ -283,22 +283,24 @@ def run_consensus(
         a_max = np.asarray(weights[:K])[:, :, 0].max(axis=1)
         pis = np.empty(K)
         errors = np.empty((K, initial.M))
+        uniforms = rng.random(size=(K,) + initial.visible.shape)  # bitwise K per-round (M, d) draws
     w_tilde = 0.0
-    for k in range(K):
-        weights_k = weights[k]
-        if mode == MSP:
-            state = msp_round(state, epsilon, weights_k)
-        else:
-            w_tilde = max(w_tilde, beta_gap(state))
-            pi_t = compute_pi_t(epsilon, lambda2_u, w_tilde)
-            state, errors[k] = mspdq_round(state, epsilon, weights_k, pi_t * a_max[k], rng, wire_check)
-            pis[k] = pi_t
-        if record:
-            trace.weights.append(weights_k)
-            trace.snapshot(state)
+    # collapsed knobs divide by zero in the rounding kernel; see round_to_knobs
+    with np.errstate(divide="ignore", invalid="ignore") if mode == MSPDQ else np.errstate():
+        for k in range(K):
+            weights_k = weights[k]
+            if mode == MSP:
+                state = msp_round(state, epsilon, weights_k)
+            else:
+                w_tilde = max(w_tilde, beta_gap(state))
+                pi_t = compute_pi_t(epsilon, lambda2_u, w_tilde)
+                state, errors[k] = mspdq_round(state, epsilon, weights_k, pi_t * a_max[k], uniforms[k], wire_check)
+                pis[k] = pi_t
+            if record:
+                trace.weights.append(weights_k)
+                trace.snapshot(state)
     if mode == MSP:
-        summary = {"delta_max": 0.0, "bound_margin_min": float("inf"), "w_tilde_max": 0.0, "max_width": 0.0}
-        return state, trace, summary
+        return state, trace, {"delta_max": 0.0, "bound_margin_min": float("inf"), "w_tilde_max": 0.0, "max_width": 0.0}
     delta_max = errors.max(axis=1)
     bound = dynamic_error_bound(pis, state.level, a_max, state.d)
     margins = bound - delta_max

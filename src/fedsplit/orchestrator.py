@@ -436,21 +436,21 @@ def snap_initial_upload(state: RoundState, w_prev: np.ndarray, q0_width: float, 
     broadcast; every slot adopts it, and each slot's absorbing invisible
     soaks up the difference so its own sum constraint still holds exactly.
     """
-    lo0 = float(np.min(w_prev)) - q0_width / 2.0
-    hi0 = float(np.max(w_prev)) + q0_width / 2.0
+    lo0 = float(w_prev.min()) - q0_width / 2.0
+    hi0 = float(w_prev.max()) + q0_width / 2.0
     bin0 = (hi0 - lo0) / (level - 1)
     vis0 = state.visible[0]
-    if np.any(vis0 < lo0) or np.any(vis0 > hi0):
+    if np.logical_or.reduce((vis0 < lo0) | (vis0 > hi0)):
         raise ProtocolIntegrityError(
             "initial split visible escaped the round-zero interval; increase q0_width"
         )
-    idx = np.clip(np.round((vis0 - lo0) / bin0), 0, level - 1)
+    idx = np.minimum(np.rint((vis0 - lo0) / bin0), level - 1)  # np.round is rint; x >= 0 here
     shared = knob_values(lo0, hi0, level, idx)
     state.invisible[np.arange(state.M), state.m_counts - 1] += state.visible - shared
     state.visible[:] = shared
     state.quantized = state.visible.copy()
     state.level = level
-    state.global_model = state.quantized.mean(axis=0)
+    state.global_model = np.add.reduce(state.quantized, axis=0) / state.M
     return shared
 
 

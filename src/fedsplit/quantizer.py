@@ -59,9 +59,6 @@ class QuantizerState:
         """Knob values for integer indices (vectorized)."""
         return knob_values(self.lo, self.hi, self.level, np.asarray(indices))
 
-    def contains(self, w: np.ndarray) -> bool:
-        return bool(np.all(w >= self.lo) and np.all(w <= self.hi))
-
 
 @dataclass(frozen=True)
 class QuantizedVector:
@@ -83,34 +80,31 @@ def knob_values(lo: np.ndarray, hi: np.ndarray, level: int, indices: np.ndarray)
 
 
 def _bracket(w: np.ndarray, lo: np.ndarray, hi: np.ndarray, level: int):
-    """Per coordinate: bracketing knob index tau (clipped to l-2), the two
-    knob values, and the round-up probability.  Any shape that broadcasts
-    against the boxes, e.g. (d,) or (M, d)."""
-    # np.minimum(np.maximum(...)) is np.clip without its Python-level wrapper
+    """Per coordinate: the float index tau (capped at l-2; callers check
+    w >= lo) of the lower bracketing knob and the two knob values, for any
+    shape that broadcasts against the boxes, e.g. (d,) or (M, d)."""
     step = (hi - lo) / (level - 1)
-    tau = np.minimum(np.maximum(np.floor((w - lo) / step).astype(np.int64), 0), level - 2)
-    c_lo = lo + tau * step
-    c_hi = lo + (tau + 1) * step
-    p_up = np.minimum(np.maximum((w - c_lo) / (c_hi - c_lo), 0.0), 1.0)
-    return tau, c_lo, c_hi, p_up
+    tau = np.minimum(np.floor((w - lo) / step), level - 2)
+    return tau, lo + tau * step, lo + (tau + 1.0) * step
 
 
 def round_to_knobs(
-    w: np.ndarray, lo: np.ndarray, hi: np.ndarray, level: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Randomized rounding to the two bracketing knobs, from one uniform draw
-    per coordinate drawn in a single call of shape w.shape.  Returns the knob
-    indices and their values, which equal knob_values(lo, hi, level, idx)."""
-    tau, c_lo, c_hi, p_up = _bracket(w, lo, hi, level)
-    up = rng.random(size=tau.shape) < p_up
-    return tau + up, np.where(up, c_hi, c_lo)
+    w: np.ndarray, lo: np.ndarray, hi: np.ndarray, level: int, u: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Randomized rounding to the two bracketing knobs with one uniform u in
+    [0, 1) per coordinate: returns tau, the round-up mask and the knob values
+    (the knob index is tau + up).  Such u make clipping p to [0, 1] moot;
+    collapsed knobs divide by zero (callers silence it): inf rounds up, NaN down."""
+    tau, c_lo, c_hi = _bracket(w, lo, hi, level)
+    up = u < (w - c_lo) / (c_hi - c_lo)
+    return tau, up, np.where(up, c_hi, c_lo)
 
 
 def _checked_input(w: np.ndarray, qs: QuantizerState) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     if w.shape != qs.lo.shape:
         raise ConfigError("input dimension mismatch")
-    if not qs.contains(w):
+    if not np.logical_and.reduce((w >= qs.lo) & (w <= qs.hi)):
         raise ProtocolIntegrityError("quantizer input outside the current interval")
     return w
 
@@ -118,8 +112,9 @@ def _checked_input(w: np.ndarray, qs: QuantizerState) -> np.ndarray:
 def quantize(w: np.ndarray, qs: QuantizerState, rng: np.random.Generator) -> QuantizedVector:
     """Randomized rounding to the two bracketing knobs; coordinates independent."""
     w = _checked_input(w, qs)
-    indices, _ = round_to_knobs(w, qs.lo, qs.hi, qs.level, rng)
-    return QuantizedVector(indices=indices, state=qs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tau, up, _ = round_to_knobs(w, qs.lo, qs.hi, qs.level, rng.random(size=w.shape))
+    return QuantizedVector(indices=tau.astype(np.int64) + up, state=qs)
 
 
 def output_distribution(w: np.ndarray, qs: QuantizerState) -> list[list[tuple[float, float]]]:
@@ -128,7 +123,10 @@ def output_distribution(w: np.ndarray, qs: QuantizerState) -> list[list[tuple[fl
     Knob inputs give a single unit atom; probabilities of a two-atom law sum
     to exactly 1.0 (the down-probability is computed as 1 - p_up).
     """
-    _, c_lo, c_hi, p_up = _bracket(_checked_input(w, qs), qs.lo, qs.hi, qs.level)
+    w = _checked_input(w, qs)
+    _, c_lo, c_hi = _bracket(w, qs.lo, qs.hi, qs.level)
+    # np.minimum(np.maximum(...)) is np.clip without its Python-level wrapper
+    p_up = np.minimum(np.maximum((w - c_lo) / (c_hi - c_lo), 0.0), 1.0)
     out = []
     for j in range(qs.d):
         p = float(p_up[j])

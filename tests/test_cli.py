@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -413,6 +414,20 @@ def test_level_that_is_not_a_power_of_two_runs(tmp_path, capsys):
     assert main([*argv, "--out", str(out)]) == 0, capsys.readouterr().err
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["failed"] == [] and len(manifest["runs"]) == 1
+
+
+def test_collapsed_knobs_run_without_a_warning(tmp_path, capsys):
+    # at level 2**53 a bin is below the float spacing of the box, so the two
+    # bracketing knobs can be one float; pytest turns any RuntimeWarning of
+    # the rounding kernel into an error, and the outputs stay as recorded
+    config = Path(__file__).resolve().parents[1] / "configs" / "desk_mspdq.json"
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(config), "--seeds", "1", "--sweep", f"level={2**53}", "--sweep", "rounds=60"]
+    assert main([*argv, "--out", str(out)]) == 0, capsys.readouterr().err
+    assert "Warning" not in capsys.readouterr().err
+    (run_id,) = json.loads((out / "manifest.json").read_text())["runs"]
+    digest = hashlib.sha256((out / run_id / "metrics.csv").read_bytes()).hexdigest()
+    assert digest == "cdbbb848405ba78b4e58721a6dcdaf589f1e97fc7a45626c0f2e27fa9e4b249e"
 
 
 def test_quantization_error_over_its_bound_fails_the_run(config_path, tmp_path, capsys, monkeypatch):

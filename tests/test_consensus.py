@@ -206,8 +206,8 @@ def test_mspdq_round_exact_on_knobs_matches_plain_round():
     state.global_model = vis.mean(axis=0)
     state.level = 4095  # odd level puts a knob exactly at the box center
     plain = msp_round(state, 0.4, weights.at(0))
-    rng = rngmod.stream(1, 22)
-    quant, errors = mspdq_round(state, 0.4, weights.at(0), width=24.0 * a_max(weights.at(0)), rng=rng)
+    u = rngmod.stream(1, 22).random(size=(M, d))
+    quant, errors = mspdq_round(state, 0.4, weights.at(0), width=24.0 * a_max(weights.at(0)), uniforms=u)
     assert np.allclose(quant.visible, plain.visible, atol=1e-12)
     assert errors.max() == pytest.approx(0.0, abs=1e-12)
 
@@ -216,16 +216,34 @@ def test_mspdq_uploads_are_knobs_of_each_clients_box():
     state, weights, lam2 = quantized_setup(level=16)
     pi = compute_pi_t(0.4, lam2, np.linalg.norm(state.visible - state.invisible[:, 0, :]))
     width = pi * a_max(weights.at(0))
-    nxt, _ = mspdq_round(state, 0.4, weights.at(0), width, rngmod.stream(6, 28))
+    u = rngmod.stream(6, 28).random(size=state.visible.shape)
+    nxt, _ = mspdq_round(state, 0.4, weights.at(0), width, u)
     lo, hi = state.quantized - 0.5 * width, state.quantized + 0.5 * width
-    # the same draw, replayed through the shared rounding helper
-    idx, _ = round_to_knobs(nxt.visible, lo, hi, state.level, rngmod.stream(6, 28))
+    # the same uniforms, replayed through the shared rounding helper
+    tau, up, _ = round_to_knobs(nxt.visible, lo, hi, state.level, u)
+    idx = tau.astype(np.int64) + up
     for i in range(state.M):
         qs = QuantizerState(lo=lo[i], hi=hi[i], level=state.level)
         assert np.array_equal(qs.knob(idx[i]), nxt.quantized[i])
         atoms = output_distribution(nxt.visible[i], qs)
         for j, value in enumerate(nxt.quantized[i]):
             assert value in {v for v, p in atoms[j] if p > 0}
+
+
+@pytest.mark.parametrize("wire_check", [False, True])
+def test_mspdq_round_leaves_its_input_state_unchanged(wire_check):
+    state, weights, lam2 = quantized_setup(level=16)
+    pi = compute_pi_t(0.4, lam2, np.linalg.norm(state.visible - state.invisible[:, 0, :]))
+    arrays = {name: value for name, value in vars(state).items() if isinstance(value, np.ndarray)}
+    before = {name: value.copy() for name, value in arrays.items()}
+    u = rngmod.stream(8, 28).random(size=state.visible.shape)
+    nxt, _ = mspdq_round(state, 0.4, weights.at(0), pi * a_max(weights.at(0)), u, wire_check)
+    assert sorted(arrays) == ["global_model", "invisible", "m_counts", "quantized", "visible"]
+    for name, value in arrays.items():
+        assert getattr(state, name) is value and _same_bits(value, before[name]), name
+        if name != "m_counts":
+            assert not np.shares_memory(getattr(nxt, name), value), name
+    assert state.k == 0 and state.level == 16
 
 
 def test_mspdq_round_matches_msp_in_expectation():
@@ -235,8 +253,8 @@ def test_mspdq_round_matches_msp_in_expectation():
     n = 10_000
     acc = np.zeros_like(state.visible)
     for s in range(n):
-        rng = rngmod.stream(s, 23)
-        nxt, _ = mspdq_round(state, 0.4, weights.at(0), pi * a_max(weights.at(0)), rng)
+        u = rngmod.stream(s, 23).random(size=state.visible.shape)
+        nxt, _ = mspdq_round(state, 0.4, weights.at(0), pi * a_max(weights.at(0)), u)
         acc += nxt.visible
     acc /= n
     # the visible update uses the (fixed) quantized reference, so the mean
@@ -257,8 +275,8 @@ def test_mspdq_conserved_in_expectation():
     n = 10_000
     acc = np.zeros_like(base)
     for s in range(n):
-        rng = rngmod.stream(s, 24)
-        nxt, _ = mspdq_round(state, 0.4, weights.at(0), pi * a_max(weights.at(0)), rng)
+        u = rngmod.stream(s, 24).random(size=state.visible.shape)
+        nxt, _ = mspdq_round(state, 0.4, weights.at(0), pi * a_max(weights.at(0)), u)
         acc += conserved_sum(nxt) - base
     drift = eps_drift_term(state, 0.4)
     assert np.allclose(acc / n - drift, 0.0, atol=4e-2)
@@ -281,10 +299,10 @@ def test_mspdq_interval_containment_and_bound():
 
 def test_mspdq_bad_interval_raises():
     state, weights, lam2 = quantized_setup(level=16)
-    rng = rngmod.stream(3, 26)
+    u = rngmod.stream(3, 26).random(size=state.visible.shape)
     with pytest.raises(ProtocolIntegrityError):
         # a box far below the certified width pi_t a_max forces an escape
-        mspdq_round(state, 0.4, weights.at(0), width=1e-6, rng=rng)
+        mspdq_round(state, 0.4, weights.at(0), width=1e-6, uniforms=u)
 
 
 @pytest.mark.parametrize("level", [9, 17, 257, 300, 5000])
@@ -307,8 +325,8 @@ def test_error_bound_holds_at_levels_that_are_not_powers_of_two(level):
 def test_run_consensus_names_the_first_round_over_the_bound(monkeypatch):
     real_round = consensus.mspdq_round
 
-    def lossy_round(state, epsilon, weights_k, width, rng, wire_check=False):
-        nxt, errors = real_round(state, epsilon, weights_k, width, rng, wire_check)
+    def lossy_round(state, epsilon, weights_k, width, uniforms, wire_check=False):
+        nxt, errors = real_round(state, epsilon, weights_k, width, uniforms, wire_check)
         if state.k in (4, 7):
             errors = errors + np.sqrt(state.d) * width  # a whole box, past one bin
         return nxt, errors
@@ -434,18 +452,20 @@ def reference_run_consensus(state, K, mode, epsilon, weights, rng=None, lambda2_
     states = [state]
     summary = {"delta_max": 0.0, "bound_margin_min": float("inf"), "w_tilde_max": 0.0, "max_width": 0.0}
     w_tilde = 0.0
-    for k in range(K):
-        if mode == MSP:
-            state = reference_msp_round(state, epsilon, weights.at(k))
-        else:
-            w_tilde = max(w_tilde, float(np.linalg.norm(state.visible - state.invisible[:, 0, :])))
-            pi_t = compute_pi_t(epsilon, lambda2_u, w_tilde)
-            state, a_max_k, norms, bound = reference_mspdq_round(state, epsilon, weights.at(k), pi_t, rng)
-            summary["delta_max"] = max(summary["delta_max"], float(np.max(norms)))
-            summary["bound_margin_min"] = min(summary["bound_margin_min"], bound - float(np.max(norms)))
-            summary["w_tilde_max"] = max(summary["w_tilde_max"], w_tilde)
-            summary["max_width"] = max(summary["max_width"], pi_t * a_max_k)
-        states.append(state)
+    # knobs that collapse to one float (level 2**53) divide by zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(K):
+            if mode == MSP:
+                state = reference_msp_round(state, epsilon, weights.at(k))
+            else:
+                w_tilde = max(w_tilde, float(np.linalg.norm(state.visible - state.invisible[:, 0, :])))
+                pi_t = compute_pi_t(epsilon, lambda2_u, w_tilde)
+                state, a_max_k, norms, bound = reference_mspdq_round(state, epsilon, weights.at(k), pi_t, rng)
+                summary["delta_max"] = max(summary["delta_max"], float(np.max(norms)))
+                summary["bound_margin_min"] = min(summary["bound_margin_min"], bound - float(np.max(norms)))
+                summary["w_tilde_max"] = max(summary["w_tilde_max"], w_tilde)
+                summary["max_width"] = max(summary["max_width"], pi_t * a_max_k)
+            states.append(state)
     return states, summary
 
 
@@ -460,7 +480,7 @@ def _same_bits(a, b):
     K=st.integers(1, 25),
     rule=st.sampled_from(["constant", "harmonic", "inv_sqrt"]),
     mode=st.sampled_from([MSP, MSPDQ]),
-    level=st.sampled_from([2, 5, 16, 256, 4096]),
+    level=st.sampled_from([2, 5, 16, 256, 257, 4096, 2**53]),
     seed=st.integers(0, 2**16),
 )
 def test_run_consensus_matches_reference_rounds_bitwise(M, m, d, K, rule, mode, level, seed):

@@ -76,7 +76,9 @@ def test_quantize_equals_the_shared_rounding_helper():
     w = np.array([0.3, 0.49, 2.0])
     for seed in range(20):
         q = quantize(w, qs, rngmod.stream(seed, 30))
-        idx, vals = round_to_knobs(w, qs.lo, qs.hi, qs.level, rngmod.stream(seed, 30))
+        u = rngmod.stream(seed, 30).random(size=w.shape)
+        tau, up, vals = round_to_knobs(w, qs.lo, qs.hi, qs.level, u)
+        idx = tau.astype(np.int64) + up
         assert np.array_equal(q.indices, idx)
         assert vals.tobytes() == qs.knob(idx).tobytes()
 
@@ -87,12 +89,52 @@ def test_rounding_helper_on_a_matrix_equals_row_by_row_quantize():
     lo = rng.uniform(-2.0, 0.0, size=(5, 3))
     hi = lo + rng.uniform(0.5, 2.0, size=(5, 3))
     W = lo + rng.uniform(0.0, 1.0, size=(5, 3)) * (hi - lo)
-    idx, vals = round_to_knobs(W, lo, hi, 9, rngmod.stream(5, 30))
+    tau, up, vals = round_to_knobs(W, lo, hi, 9, rngmod.stream(5, 30).random(size=W.shape))
+    idx = tau.astype(np.int64) + up
     assert vals.tobytes() == knob_values(lo, hi, 9, idx).tobytes()
     rows = rngmod.stream(5, 30)
     for i in range(5):
         qs = QuantizerState(lo=lo[i], hi=hi[i], level=9)
         assert np.array_equal(quantize(W[i], qs, rows).indices, idx[i])
+
+
+def reference_rounding(w, lo, hi, level, u):
+    """The rounding law as first written: int64 knob index clipped to
+    [0, l-2], round-up probability clipped to [0, 1], knob_values."""
+    step = (hi - lo) / (level - 1)
+    tau = np.clip(np.floor((w - lo) / step).astype(np.int64), 0, level - 2)
+    c_lo = lo + tau * step
+    c_hi = lo + (tau + 1) * step
+    idx = tau + (u < np.clip((w - c_lo) / (c_hi - c_lo), 0.0, 1.0))
+    return idx, knob_values(lo, hi, level, idx)
+
+
+@given(
+    lo=st.floats(-1e3, 1e3),
+    width=st.floats(1e-6, 1e3),
+    level=st.sampled_from([2, 3, 5, 16, 257, 4096, 2**20, 2**40, 2**53]),
+    knobs=st.lists(st.integers(0, 2**53 - 1), min_size=1, max_size=4),
+    seed=st.integers(0, 2**16),
+)
+def test_rounding_kernel_matches_the_clipped_int64_reference(lo, width, level, knobs, seed):
+    # box ends, knobs, their float neighbours and random interior points,
+    # each rounded with u = 0, the largest u below 1 and a random u
+    hi = lo + width
+    rng = rngmod.stream(seed, 31)
+    ks = knob_values(lo, hi, level, np.array([k % level for k in knobs], dtype=np.float64))
+    ends = np.array([lo, hi])
+    w = np.concatenate([ends, np.nextafter(ends, -np.inf), np.nextafter(ends, np.inf), ks,
+                        np.nextafter(ks, -np.inf), np.nextafter(ks, np.inf), lo + rng.random(4) * width])
+    w = np.minimum(np.maximum(w, lo), hi)
+    w = np.tile(w, 3)
+    u = np.concatenate([np.zeros(w.size // 3), np.full(w.size // 3, np.nextafter(1.0, 0.0)),
+                        rng.random(w.size // 3)])
+    lo_b, hi_b = np.full_like(w, lo), np.full_like(w, hi)
+    with np.errstate(divide="ignore", invalid="ignore"):  # knobs collapse at 2**53
+        tau, up, vals = round_to_knobs(w, lo_b, hi_b, level, u)
+        ref_idx, ref_vals = reference_rounding(w, lo_b, hi_b, level, u)
+    assert np.array_equal(tau.astype(np.int64) + up, ref_idx)
+    assert vals.tobytes() == ref_vals.tobytes()
 
 
 def test_out_of_interval_rejected():
@@ -166,7 +208,7 @@ def test_shrink_box_formula():
     )
     weights_k = np.full((2, 1), 0.1)
     for width in (1.0, 0.5):
-        nxt, errors = mspdq_round(state, 0.4, weights_k, width, rngmod.stream(0, 40))
+        nxt, errors = mspdq_round(state, 0.4, weights_k, width, rngmod.stream(0, 40).random(size=q.shape))
         ends = np.stack([q - 0.5 * width, q + 0.5 * width])
         assert np.all((nxt.quantized == ends[0]) | (nxt.quantized == ends[1]))
         assert np.all(errors == pytest.approx(0.5 * width * np.sqrt(2)))

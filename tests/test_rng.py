@@ -79,3 +79,15 @@ def test_numpy_integer_scalars_hash_like_python_ints():
 def test_negative_or_oversized_keys_raise(seed, key):
     with pytest.raises(ConfigError):
         rngmod.seed_words(seed, *key)
+
+
+@given(seed=SEEDS, K=st.integers(1, 30), M=st.integers(1, 8), d=st.integers(1, 12))
+def test_one_phase_draw_reads_the_doubles_of_per_round_draws(seed, K, M, d):
+    # a quantized consensus phase draws its (K, M, d) uniforms at once; this
+    # holds only while numpy's PCG64 doubles stay unbuffered
+    phase, rounds = rngmod.stream(seed, 3), rngmod.stream(seed, 3)
+    uniforms = phase.random(size=(K, M, d))
+    per_round = np.stack([rounds.random(size=(M, d)) for _ in range(K)])
+    assert uniforms.tobytes() == per_round.tobytes()
+    assert phase.bit_generator.state == rounds.bit_generator.state
+    assert phase.random(5).tobytes() == rounds.random(5).tobytes()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,33 +70,27 @@ class RoundState:
 @dataclass
 class ConsensusTrace:
     """Complete state history of one consensus phase (simulator-side truth;
-    the adversary view is a filtered projection of this)."""
+    the adversary view is a filtered projection of this).  Row k of each
+    (K+1, ...) stack is the state after k rounds; weights[k] drove round k."""
 
     mode: str
     epsilon: float
     m_counts: np.ndarray
     origins: np.ndarray  # (M, d) pre-split local models, private
-    visibles: list = field(default_factory=list)  # per k: (M, d)
-    invisibles: list = field(default_factory=list)  # per k: (M, m_max, d)
-    globals_: list = field(default_factory=list)  # per k: (d,)
-    weights: list = field(default_factory=list)  # per k: (M, m_max)
-    quantized: list = field(default_factory=list)  # per k: (M, d) (quantized mode)
-    pis: list = field(default_factory=list)
+    visibles: np.ndarray  # (K+1, M, d)
+    invisibles: np.ndarray  # (K+1, M, m_max, d)
+    globals_: np.ndarray  # (K+1, d)
+    weights: np.ndarray  # (K, M, m_max)
+    quantized: np.ndarray | None = None  # (K+1, M, d), quantized mode only
+    pis: np.ndarray | None = None  # (K,) interval constants, quantized mode only
 
     @property
     def K(self) -> int:
-        return len(self.weights)
+        return self.weights.shape[0]
 
     @property
     def M(self) -> int:
         return self.origins.shape[0]
-
-    def snapshot(self, state: RoundState) -> None:
-        self.visibles.append(state.visible.copy())
-        self.invisibles.append(state.invisible.copy())
-        self.globals_.append(state.global_model.copy())
-        if state.quantized is not None:
-            self.quantized.append(state.quantized.copy())
 
 
 def state_from_splits(splits: list[SplitState]) -> RoundState:
@@ -104,12 +98,10 @@ def state_from_splits(splits: list[SplitState]) -> RoundState:
     M = len(splits)
     d = splits[0].visible.shape[0]
     m_counts = np.array([s.m for s in splits], dtype=np.int64)
-    m_max = int(m_counts.max())
     visible = np.stack([s.visible for s in splits])
-    invisible = np.zeros((M, m_max, d))
+    invisible = np.zeros((M, int(m_counts.max()), d))
     for i, s in enumerate(splits):
-        for n, sub in enumerate(s.invisible):
-            invisible[i, n] = sub
+        invisible[i, : s.m] = s.invisible
     return RoundState(
         visible=visible,
         invisible=invisible,
@@ -119,8 +111,9 @@ def state_from_splits(splits: list[SplitState]) -> RoundState:
 
 
 def conserved_sum(state: RoundState) -> np.ndarray:
-    """Total of every real submodel over the cohort (padded slots are zero)."""
-    return state.visible.sum(axis=0) + state.invisible.sum(axis=(0, 1))
+    """Total of every real submodel over the cohort (padded slots are zero);
+    a leading axis on the stacks gives one total per row."""
+    return state.visible.sum(axis=-2) + state.invisible.sum(axis=(-3, -2))
 
 
 def check_conserved(total0: np.ndarray, total: np.ndarray, rtol: float = CONSERVATION_RTOL) -> float:
@@ -251,8 +244,8 @@ def run_consensus(
     """Iterate the chosen round operator K times.
 
     `weights[k]` gives round k's (M, m) step weights: rows of a
-    StepWeights.table, or a recorded trace's `weights` list replaying its
-    own schedule.
+    StepWeights.table, or a recorded trace's `weights` replaying its own
+    schedule.
 
     Returns (final_state, trace_or_None, summary) where summary carries the
     interval-width and beta-gap maxima and the worst quantization error and
@@ -270,15 +263,7 @@ def run_consensus(
     if len(weights) < K:
         raise ConfigError(f"step weights cover {len(weights)} rounds, need {K}")
     state = initial
-    trace = None
-    if record:
-        trace = ConsensusTrace(
-            mode=mode,
-            epsilon=epsilon,
-            m_counts=initial.m_counts.copy(),
-            origins=(origins.copy() if origins is not None else np.zeros_like(initial.visible)),
-        )
-        trace.snapshot(state)
+    visited = [initial]
     if mode == MSPDQ:
         a_max = np.asarray(weights[:K])[:, :, 0].max(axis=1)
         pis = np.empty(K)
@@ -297,8 +282,21 @@ def run_consensus(
                 state, errors[k] = mspdq_round(state, epsilon, weights_k, pi_t * a_max[k], uniforms[k], wire_check)
                 pis[k] = pi_t
             if record:
-                trace.weights.append(weights_k)
-                trace.snapshot(state)
+                visited.append(state)
+    trace = None
+    if record:
+        trace = ConsensusTrace(
+            mode=mode,
+            epsilon=epsilon,
+            m_counts=initial.m_counts.copy(),
+            origins=(origins.copy() if origins is not None else np.zeros_like(initial.visible)),
+            visibles=np.stack([s.visible for s in visited]),
+            invisibles=np.stack([s.invisible for s in visited]),
+            globals_=np.stack([s.global_model for s in visited]),
+            weights=np.array(weights[:K]),
+            quantized=np.stack([s.quantized for s in visited]) if mode == MSPDQ else None,
+            pis=pis if mode == MSPDQ else None,
+        )
     if mode == MSP:
         return state, trace, {"delta_max": 0.0, "bound_margin_min": float("inf"), "w_tilde_max": 0.0, "max_width": 0.0}
     delta_max = errors.max(axis=1)
@@ -311,8 +309,6 @@ def run_consensus(
             f"quantization error exceeded its bound at round {initial.k + k}: "
             f"{delta_max[k]:.6g} > {bound[k]:.6g}"
         )
-    if record:
-        trace.pis = pis.tolist()
     summary = {
         "delta_max": float(delta_max.max()),
         "bound_margin_min": float(margins.min()),
@@ -324,8 +320,8 @@ def run_consensus(
 
 def check_conservation(trace: ConsensusTrace, rtol: float = CONSERVATION_RTOL) -> float:
     """Max relative drift of the conserved total over a trace."""
-    totals = [v.sum(axis=0) + inv.sum(axis=(0, 1)) for v, inv in zip(trace.visibles, trace.invisibles)]
-    return max(check_conserved(totals[0], t, rtol) for t in totals)
+    totals = conserved_sum(RoundState(trace.visibles, trace.invisibles, trace.m_counts, trace.globals_))
+    return check_conserved(totals[0], totals, rtol)
 
 
 def check_deviation_bound(trace: ConsensusTrace, lambda2_u: float) -> float:
@@ -345,9 +341,9 @@ def check_deviation_bound(trace: ConsensusTrace, lambda2_u: float) -> float:
     s_a = 0.0
     for k in range(trace.K):
         vis_k = trace.visibles[k]
-        w_tilde = max(w_tilde, float(np.linalg.norm(vis_k - trace.invisibles[k][:, 0, :])))
+        w_tilde = max(w_tilde, float(np.linalg.norm(vis_k - trace.invisibles[k, :, 0])))
         s_delta = lambda2_u * s_delta + float(np.linalg.norm(trace.quantized[k] - vis_k))
-        s_a = lambda2_u * s_a + float(np.max(trace.weights[k][:, 0]))
+        s_a = lambda2_u * s_a + float(np.max(trace.weights[k, :, 0]))
         vis_next = trace.visibles[k + 1]
         dev = float(np.linalg.norm(vis_next - vis_next.mean(axis=0)))
         bound = 2.0 * s_delta + w_tilde * s_a
@@ -367,16 +363,16 @@ def trace_to_jsonl(trace: ConsensusTrace, t: int = 0) -> str:
     invisible counts or honest invisible states.
     """
     lines = []
-    for k in range(len(trace.visibles)):
+    for k in range(trace.K + 1):
         rec = {
             "t": t,
             "k": k,
             "visible": trace.visibles[k].tolist(),
             "global": trace.globals_[k].tolist(),
         }
-        if trace.quantized:
+        if trace.quantized is not None:
             rec["quantized"] = trace.quantized[k].tolist()
-        if k < len(trace.pis):
-            rec["pi_t"] = trace.pis[k]
+            if k < trace.K:
+                rec["pi_t"] = float(trace.pis[k])
         lines.append(json.dumps(rec, sort_keys=True))
     return "\n".join(lines) + "\n"

@@ -73,17 +73,15 @@ def record_view(
     M = trace.M
     if any(not 0 <= c < M for c in corrupted):
         raise ConfigError("corrupted slot out of range")
-    visibles = np.stack(trace.visibles)
-    globals_ = np.stack(trace.globals_)
     corr = {}
     for c in sorted(corrupted):
         m_c = int(trace.m_counts[c])
         corr[int(c)] = {
-            "invisibles": np.stack([inv[c, :m_c] for inv in trace.invisibles]),
-            "coupling": np.stack([w[c, :m_c] for w in trace.weights]),
+            "invisibles": trace.invisibles[:, c, :m_c].copy(),
+            "coupling": trace.weights[:, c, :m_c].copy(),
         }
     return AdversaryView(
-        visibles=visibles, globals_=globals_, corrupted=corr, drift_alpha=1.0 / M
+        visibles=trace.visibles.copy(), globals_=trace.globals_.copy(), corrupted=corr, drift_alpha=1.0 / M
     )
 
 
@@ -125,16 +123,16 @@ def construct_witness(
     m_i = int(trace.m_counts[i])
     m_j = int(trace.m_counts[j])
     p, q = m_i - 1, m_j - 1
-    vis_i = trace.visibles[0][i]
-    vis_j = trace.visibles[0][j]
-    inv_i0 = trace.invisibles[0][i, p]
-    inv_j0 = trace.invisibles[0][j, q]
+    vis_i = trace.visibles[0, i]
+    vis_j = trace.visibles[0, j]
+    inv_i0 = trace.invisibles[0, i, p]
+    inv_j0 = trace.invisibles[0, j, q]
     if not np.any(e):
         return EquivalenceWitness(
             trace=trace, i=i, j=j, e=e, p=p, q=q,
             inv_i=inv_i0.copy(), inv_j=inv_j0.copy(),
-            a_i=np.full_like(vis_i, trace.weights[0][i, p]),
-            a_j=np.full_like(vis_j, trace.weights[0][j, q]),
+            a_i=np.full_like(vis_i, trace.weights[0, i, p]),
+            a_j=np.full_like(vis_j, trace.weights[0, j, q]),
             alpha_i=np.full_like(vis_i, 1.0 / M),
             alpha_j=np.full_like(vis_j, 1.0 / M),
             identity=True,
@@ -153,8 +151,8 @@ def construct_witness(
     ):
         if np.min(np.abs(den)) < DEGENERATE_TOL:
             raise WitnessDegenerateError(f"vanishing denominator in the {name}")
-    a_i0 = trace.weights[0][i, p]
-    a_j0 = trace.weights[0][j, q]
+    a_i0 = trace.weights[0, i, p]
+    a_j0 = trace.weights[0, j, q]
     a_i = (a_i0 * (vis_i - inv_i0) - (1 + m_i) * e) / den_a_i
     a_j = (a_j0 * (vis_j - inv_j0) + (1 + m_j) * e) / den_a_j
     alpha_i = (trace.epsilon / M * (vis_j - vis_i) - (1 + m_i) * e) / den_al_i
@@ -171,7 +169,8 @@ def _replay(witness: EquivalenceWitness) -> ConsensusTrace:
 
     Round zero runs the plain round, then recomputes the protected clients'
     rows of the new visible and invisible stacks with the witness weights;
-    rounds 1..K-1 run plain through run_consensus.
+    rounds 1..K-1 run plain through run_consensus, and the replayed trace
+    stacks round zero, the witness round and those rounds.
     """
     trace = witness.trace
     vis = trace.visibles[0]
@@ -183,9 +182,7 @@ def _replay(witness: EquivalenceWitness) -> ConsensusTrace:
         inv[witness.j, witness.q] = witness.inv_j
         origins[witness.i] = origins[witness.i] + witness.e
         origins[witness.j] = origins[witness.j] - witness.e
-    state = RoundState(
-        visible=vis.copy(), invisible=inv, m_counts=trace.m_counts.copy(), global_model=vis.mean(axis=0)
-    )
+    state = RoundState(visible=vis, invisible=inv, m_counts=trace.m_counts, global_model=vis.mean(axis=0))
     nxt = msp_round(state, trace.epsilon, w0)
     if not witness.identity:
         for c, n, a, src, alpha in (
@@ -201,19 +198,15 @@ def _replay(witness: EquivalenceWitness) -> ConsensusTrace:
             nxt.visible[c] = vis[c] + trace.epsilon * terms.sum(axis=0) + coupling
             nxt.invisible[c, n] = inv[c, n] + a * (vis[c] - inv[c, n])
         nxt.global_model = np.add.reduce(nxt.visible, axis=0) / trace.M
-    replayed = ConsensusTrace(
-        mode=MSP, epsilon=trace.epsilon, m_counts=trace.m_counts.copy(), origins=origins
-    )
-    replayed.snapshot(state)
-    replayed.weights.append(w0)
-    replayed.snapshot(nxt)
     if trace.K > 1:
         _, rest, _ = run_consensus(nxt, trace.K - 1, MSP, trace.epsilon, trace.weights[1:])
-        replayed.visibles += rest.visibles[1:]
-        replayed.invisibles += rest.invisibles[1:]
-        replayed.globals_ += rest.globals_[1:]
-        replayed.weights += rest.weights
-    return replayed
+        after = (rest.visibles, rest.invisibles, rest.globals_)
+    else:
+        after = (nxt.visible[None], nxt.invisible[None], nxt.global_model[None])
+    visibles, invisibles, globals_ = (
+        np.concatenate([first[None], rows]) for first, rows in zip((vis, inv, state.global_model), after)
+    )
+    return replace(trace, origins=origins, visibles=visibles, invisibles=invisibles, globals_=globals_)
 
 
 def replay_and_compare(
@@ -278,8 +271,8 @@ def _first_round_leverage(witness: EquivalenceWitness, param: str) -> np.ndarray
     between the witness invisible and the visible, and a perturbed
     invisible enters the visible through its coupling weight.
     """
-    vis_i = witness.trace.visibles[0][witness.i]
-    vis_j = witness.trace.visibles[0][witness.j]
+    vis_i = witness.trace.visibles[0, witness.i]
+    vis_j = witness.trace.visibles[0, witness.j]
     return np.abs({
         "inv_i": witness.a_i,
         "inv_j": witness.a_j,
@@ -404,11 +397,11 @@ def paired_hidden_count_traces(
     # trace_a runs constant weights, so its first matrix stands for every
     # round; the extra invisible gets zero weight
     gamma_b = np.zeros((M, m_max))
-    gamma_b[:, 0] = trace_a.weights[0][:, 0]
+    gamma_b[:, 0] = trace_a.weights[0, :, 0]
     # rebuild with identical slot states plus a frozen extra invisible
     visible0 = trace_a.visibles[0].copy()
     invisible0 = np.zeros((M, m_max, d))
-    invisible0[:, 0, :] = trace_a.invisibles[0][:, 0, :]
+    invisible0[:, 0, :] = trace_a.invisibles[0, :, 0, :]
     shift = rng.standard_normal(d)
     origins_b = trace_a.origins.copy()
     origins_b[0] = origins_b[0] + shift

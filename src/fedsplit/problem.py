@@ -125,11 +125,11 @@ def global_loss(A: np.ndarray, b: np.ndarray, p: np.ndarray, w: np.ndarray) -> f
 
     w is one (d,) model, or one (n_clients, d) row per client.  The stacked
     matmuls run the gemv and dot of each client's (w - b_i) @ A_i @ (w - b_i),
-    and Python's sum keeps the client order.
+    and a left fold keeps the client order.
     """
     dev = w - b
     q = np.matmul(np.matmul(dev[:, None, :], A), dev[:, :, None])
-    return sum((p * (0.5 * q[:, 0, 0])).tolist())
+    return rngmod.left_sum((p * (0.5 * q[:, 0, 0])).tolist())
 
 
 def global_optimum(A: np.ndarray, b: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, float]:

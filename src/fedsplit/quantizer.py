@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CodecError, ConfigError, ProtocolIntegrityError
+from .rng import left_sum
 
 _HEADER = struct.Struct("<QQQdd")  # d, l, B, lo[0], hi[0]
 # Knob indices and the grid (hi - lo)/(l - 1) are float64: past 2**53 adjacent
@@ -121,16 +122,20 @@ def output_distribution(w: np.ndarray, qs: QuantizerState) -> list[list[tuple[fl
     """Exact per-coordinate atom list [(value, probability), ...].
 
     Knob inputs give a single unit atom; probabilities of a two-atom law sum
-    to exactly 1.0 (the down-probability is computed as 1 - p_up).
+    to exactly 1.0 (the down-probability is computed as 1 - p_up).  Knobs
+    that collapse to one float (c_lo == c_hi) give a unit atom at that value,
+    which is what round_to_knobs uploads there.
     """
     w = _checked_input(w, qs)
     _, c_lo, c_hi = _bracket(w, qs.lo, qs.hi, qs.level)
-    # np.minimum(np.maximum(...)) is np.clip without its Python-level wrapper
-    p_up = np.minimum(np.maximum((w - c_lo) / (c_hi - c_lo), 0.0), 1.0)
+    # collapsed knobs divide by zero: inf clips to 1, NaN takes the first branch
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # np.minimum(np.maximum(...)) is np.clip without its Python-level wrapper
+        p_up = np.minimum(np.maximum((w - c_lo) / (c_hi - c_lo), 0.0), 1.0)
     out = []
     for j in range(qs.d):
         p = float(p_up[j])
-        if p == 0.0:
+        if not p > 0.0:
             out.append([(float(c_lo[j]), 1.0)])
         elif p == 1.0:
             out.append([(float(c_hi[j]), 1.0)])
@@ -140,8 +145,8 @@ def output_distribution(w: np.ndarray, qs: QuantizerState) -> list[list[tuple[fl
 
 
 def distribution_mean_var(atoms: list[tuple[float, float]]) -> tuple[float, float]:
-    mean = sum(v * p for v, p in atoms)
-    var = sum(p * (v - mean) ** 2 for v, p in atoms)
+    mean = left_sum(v * p for v, p in atoms)
+    var = left_sum(p * (v - mean) ** 2 for v, p in atoms)
     return mean, var
 
 
@@ -154,7 +159,7 @@ def tv_distance(atoms_a: list[tuple[float, float]], atoms_b: list[tuple[float, f
         pa[v] += p
     for v, p in atoms_b:
         pb[v] += p
-    return 0.5 * sum(abs(pa[v] - pb[v]) for v in support)
+    return 0.5 * left_sum(abs(pa[v] - pb[v]) for v in support)
 
 
 def compute_pi_t(epsilon: float, lambda2_u: float, w_tilde_max: float) -> float:

@@ -15,6 +15,7 @@ the words to PCG64's own seeding code.
 
 from __future__ import annotations
 
+import functools
 import operator
 
 import numpy as np
@@ -135,3 +136,9 @@ def generator(words: np.ndarray) -> np.random.Generator:
 def stream(root_seed: int, *key: int) -> np.random.Generator:
     """Independent generator for (root_seed, key...)."""
     return generator(seed_words(root_seed, *key))
+
+
+def left_sum(terms) -> float:
+    """Python floats added left to right from 0, as builtin sum did before
+    Python 3.12 made it compensated: output totals keep their bits on every version."""
+    return functools.reduce(operator.add, terms, 0)

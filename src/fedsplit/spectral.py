@@ -39,10 +39,6 @@ class StepWeights:
         object.__setattr__(self, "gamma", g)
 
     @property
-    def M(self) -> int:
-        return self.gamma.shape[0]
-
-    @property
     def m(self) -> int:
         return self.gamma.shape[1]
 

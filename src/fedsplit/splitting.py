@@ -45,7 +45,7 @@ class SplitRule:
 @dataclass(frozen=True)
 class SplitState:
     visible: np.ndarray
-    invisible: list  # list of m (d,) arrays
+    invisible: np.ndarray  # (m, d)
     origin: np.ndarray  # the pre-split local model (private)
 
     @property
@@ -112,7 +112,7 @@ def split_model(w: np.ndarray, rule: SplitRule, rng: np.random.Generator) -> Spl
     """Split one model w (d,): the u = 1 case of `split_cohort`."""
     w = np.asarray(w, dtype=np.float64)
     visible, invisible = split_cohort(w[None], rule, [rng])
-    return SplitState(visible=visible[0], invisible=list(invisible[0]), origin=w)
+    return SplitState(visible=visible[0], invisible=invisible[0], origin=w)
 
 
 def z_sequence(

@@ -1,3 +1,5 @@
+import math
+
 import hypothesis
 import numpy as np
 import pytest
@@ -40,3 +42,18 @@ def loglog_slope(gaps: np.ndarray, t_min: int = 50) -> float:
     A = np.vstack([np.log(ts[mask]), np.ones(mask.sum())]).T
     coef, _, _, _ = np.linalg.lstsq(A, np.log(gaps[mask]), rcond=None)
     return float(coef[0])
+
+
+def neumaier_sum(terms, start=0):
+    """Builtin sum of Python 3.12 and later on float terms, in pure Python:
+    the first term joins the int start exactly, later terms feed Neumaier's
+    running compensation, which is added at the end when finite and nonzero."""
+    total, comp = start, 0.0
+    for x in terms:
+        if type(total) is not float:
+            total = total + x
+            continue
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total

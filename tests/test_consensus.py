@@ -514,6 +514,17 @@ def test_run_consensus_matches_reference_rounds_bitwise(M, m, d, K, rule, mode, 
     )
     assert summary == ref_summary
     assert fin.k == K
+    m_max = state.invisible.shape[1]
+    assert trace.visibles.shape == (K + 1, M, d) and trace.globals_.shape == (K + 1, d)
+    assert trace.invisibles.shape == (K + 1, M, m_max, d) and trace.weights.shape == (K, M, m_max)
+    if mode == MSPDQ:
+        assert trace.quantized.shape == (K + 1, M, d)
+        # the phase's interval constants, from the reference states' running beta gap
+        gaps = [float(np.linalg.norm(s.visible - s.invisible[:, 0, :])) for s in ref_states[:-1]]
+        pis = np.array([compute_pi_t(epsilon, lam2, w) for w in np.maximum.accumulate(gaps)])
+        assert _same_bits(trace.pis, pis)
+    else:
+        assert trace.quantized is None and trace.pis is None
     for got, ref in ((fin.visible, ref_states[-1].visible), (fin.invisible, ref_states[-1].invisible),
                      (fin.global_model, ref_states[-1].global_model)):
         assert _same_bits(got, ref)

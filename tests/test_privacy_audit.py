@@ -31,6 +31,23 @@ def test_record_view_maximal_admissible():
     assert view.corrupted[3]["coupling"].shape == (trace.K, 1)
 
 
+def test_record_view_copies_the_trace():
+    trace = make_trace()
+    view = pa.record_view(trace, corrupted={1, 3}, protected={0, 2})
+    before = {
+        "visibles": view.visibles.copy(),
+        "globals_": view.globals_.copy(),
+        "invisibles": view.corrupted[1]["invisibles"].copy(),
+        "coupling": view.corrupted[3]["coupling"].copy(),
+    }
+    for stack in (trace.visibles, trace.globals_, trace.invisibles, trace.weights):
+        stack += 1.0
+    assert np.array_equal(view.visibles, before["visibles"])
+    assert np.array_equal(view.globals_, before["globals_"])
+    assert np.array_equal(view.corrupted[1]["invisibles"], before["invisibles"])
+    assert np.array_equal(view.corrupted[3]["coupling"], before["coupling"])
+
+
 def test_record_view_guards_protected():
     trace = make_trace()
     with pytest.raises(ConfigError):

@@ -191,6 +191,17 @@ def test_variance_bound_on_grid():
         assert var <= (qs.bin / 2) ** 2 * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("w", [1000.0004, 1000.0000001, 1000.001])
+def test_collapsed_knobs_give_one_unit_atom(w):
+    # past float resolution both bracketing knobs are one number
+    qs = QuantizerState(lo=np.array([1000.0]), hi=np.array([1000.001]), level=2**53)
+    [atoms] = output_distribution(np.array([w]), qs)
+    assert len(atoms) == 1 and atoms[0][1] == 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, _, uploaded = round_to_knobs(np.array([w]), qs.lo, qs.hi, qs.level, np.array([0.5]))
+    assert atoms[0][0] == uploaded[0]
+
+
 def test_tv_distance_hand_value():
     qs = unit_state()
     d1 = output_distribution(np.array([0.3]), qs)[0]

@@ -91,3 +91,31 @@ def test_one_phase_draw_reads_the_doubles_of_per_round_draws(seed, K, M, d):
     assert uniforms.tobytes() == per_round.tobytes()
     assert phase.bit_generator.state == rounds.bit_generator.state
     assert phase.random(5).tobytes() == rounds.random(5).tobytes()
+
+
+def test_float_folds_keep_left_fold_bits_under_a_compensated_sum(monkeypatch):
+    """Python 3.12 made builtin sum of floats Neumaier-compensated; the folds
+    that reach outputs must keep the left-fold bits, whatever `sum` is."""
+    from conftest import neumaier_sum
+
+    from fedsplit import problem, quantizer
+
+    def left_fold(terms):
+        total = 0
+        for x in terms:
+            total = total + x
+        return total
+
+    terms = [1.0, 1e-16, 1e-16]  # each tail term is below half an ulp of 1.0
+    assert neumaier_sum(terms) != left_fold(terms)
+    for module in (problem, quantizer):
+        monkeypatch.setattr(module, "sum", neumaier_sum, raising=False)
+    # one client term per entry of p: 0.5 (w - b)^T A (w - b) = 1 for each client
+    A = np.full((3, 1, 1), 2.0)
+    got = problem.global_loss(A, np.zeros((3, 1)), np.array(terms), np.ones(1))
+    assert got == left_fold(terms)
+    atoms = [(0.0, 1.0), (1.0, 1e-16), (2.0, 1e-16)]
+    assert quantizer.tv_distance(atoms, []) == 0.5 * left_fold(terms)
+    mean, var = quantizer.distribution_mean_var([(v, 1.0) for v in terms])
+    assert mean == left_fold(terms)
+    assert var == left_fold([(v - mean) ** 2 for v in terms])

@@ -23,6 +23,12 @@ def constraint_residual(state: SplitState) -> float:
     return float(np.max(np.abs(total - target))) / scale
 
 
+def test_split_model_invisible_is_one_block():
+    state = split_model(np.arange(3.0), SplitRule("uniform", m=4, eps_split=0.2), rngmod.stream(0, 9))
+    assert isinstance(state.invisible, np.ndarray)
+    assert state.invisible.shape == (4, 3) and state.m == 4
+
+
 def test_rule_validation():
     with pytest.raises(ConfigError):
         SplitRule("uniform", m=0)

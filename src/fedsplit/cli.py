@@ -136,6 +136,7 @@ def cmd_run(args) -> int:
             key = orch.problem_key(cfg)
             if key not in bundles:
                 bundles[key] = orch.build_problem(cfg)
+            orch.consensus_horizon(cfg, bundles[key].constants)  # raises past MAX_CONSENSUS_ROUNDS
             jobs.append((point, cfg, bundles[key]))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -198,6 +199,11 @@ def cmd_validate(args) -> int:
 
 def cmd_audit(args) -> int:
     e_mags = _parse_floats("--e-mags", args.e_mags) if args.e_mags else privacy_audit.DEFAULT_E_MAGNITUDES
+    if max(map(abs, e_mags)) > privacy_audit.MAX_E_MAGNITUDE:
+        raise ConfigError(
+            f"--e-mags {args.e_mags!r}: the witness replay resolves magnitudes up to "
+            f"{privacy_audit.MAX_E_MAGNITUDE:.3g} at tolerance {privacy_audit.REPLAY_TOL:g}"
+        )
     if args.n_witness < 1:
         raise ConfigError(f"--n-witness must be at least 1, got {args.n_witness}")
     seeds = _parse_seeds(args.seeds)

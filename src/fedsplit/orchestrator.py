@@ -19,6 +19,7 @@ from .consensus import RoundState, check_conserved, conserved_sum, run_consensus
 from .errors import ConfigError, ProtocolIntegrityError
 from .problem import (
     ProblemBundle,
+    ProblemConstants,
     global_loss,
     global_optimum,
     make_client_targets,
@@ -39,6 +40,16 @@ from .spectral import (
 from .splitting import SplitRule, SplitState, split_cohort
 
 MODES = ("fedavg", "ldp", "msp", "mspdq")
+
+# The task's scale envelope: its lengths (spread, |center_offset|,
+# sample_spread, ball_radius), gamma_target and eig_hi are at most SCALE_MAX,
+# and eig_lo is at least 1/SCALE_MAX.  The constants are products of a few
+# such scales (G ~ (eig_hi ball_radius)^2, nu ~ G / eig_lo^2), so inside the
+# envelope they stay finite in float64.
+SCALE_MAX = 1e20
+# Most consensus rounds one learning round may run: the step-weight table is
+# a (K_T, M, m) array.
+MAX_CONSENSUS_ROUNDS = 2**20
 
 
 @dataclass
@@ -101,6 +112,12 @@ class FLConfig:
             raise ConfigError("batch_size must lie in [1, n_samples]")
         if not self.ball_radius > 0:
             raise ConfigError(f"ball_radius must be positive, got {self.ball_radius}")
+        for name in ("spread", "gamma_target", "center_offset", "sample_spread", "ball_radius", "eig_hi"):
+            value = getattr(self, name)
+            if value is not None and not abs(value) <= SCALE_MAX:
+                raise ConfigError(f"{name} must lie within +-{SCALE_MAX:g} (the task's scale envelope), got {value!r}")
+        if not self.eig_lo >= 1.0 / SCALE_MAX:
+            raise ConfigError(f"eig_lo must be at least {1.0 / SCALE_MAX:g}, got {self.eig_lo!r}")
         if self.q0_width is not None and not self.q0_width > 0:
             raise ConfigError(f"q0_width must be positive, got {self.q0_width}")
         if self.mode in ("msp", "mspdq"):
@@ -124,8 +141,8 @@ class FLConfig:
                 raise ConfigError("quantized mode needs gamma_max > 0")
         if self.mode == "ldp" and self.ldp_scale < 0:
             raise ConfigError("ldp_scale must be nonnegative")
-        if self.kt_override is not None and self.kt_override < 1:
-            raise ConfigError(f"kt_override must be at least 1, got {self.kt_override}")
+        if self.kt_override is not None and not 1 <= self.kt_override <= MAX_CONSENSUS_ROUNDS:
+            raise ConfigError(f"kt_override must lie in [1, {MAX_CONSENSUS_ROUNDS}], got {self.kt_override}")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FLConfig":
@@ -218,15 +235,30 @@ def kt_schedule(t: int, mu: float, vtheta: float, lam: float, mode: str) -> int:
 
     Plain splitting: ceil(log_lam(2/(mu(vartheta+t)))); quantized mode takes
     the max with ceil(mu(vartheta+t)/2) so the interval has time to shrink.
-    Clamped to at least one round.
+    Clamped to at least one round; more than MAX_CONSENSUS_ROUNDS is a
+    ConfigError.
     """
     if not 0 < lam < 1:
         raise ConfigError("lambda must lie in (0, 1)")
     eta = 2.0 / (mu * (vtheta + t))
-    k_log = math.ceil(math.log(eta) / math.log(lam))
+    kt = max(1, math.ceil(math.log(eta) / math.log(lam)))
     if mode == "mspdq":
-        return max(1, k_log, math.ceil(1.0 / eta))
-    return max(1, k_log)
+        kt = max(kt, math.ceil(1.0 / eta))
+    if kt > MAX_CONSENSUS_ROUNDS:
+        raise ConfigError(
+            f"round {t} needs {kt} consensus rounds, over {MAX_CONSENSUS_ROUNDS}; "
+            "the budget grows with eig_hi, rounds and lambda_"
+        )
+    return kt
+
+
+def consensus_horizon(config: FLConfig, pc: ProblemConstants) -> int:
+    """K_T, the most consensus rounds a learning round of the run takes
+    (kt_schedule never decreases in t); 0 in the modes without consensus."""
+    if config.mode not in ("msp", "mspdq"):
+        return 0
+    vt = vartheta(pc.mu, pc.L, config.local_steps)
+    return config.kt_override or kt_schedule(config.rounds, pc.mu, vt, config.lambda_, config.mode)
 
 
 def sample_clients(p: np.ndarray, M: int, rng: np.random.Generator) -> np.ndarray:
@@ -478,9 +510,7 @@ def run(config: FLConfig, bundle: ProblemBundle | None = None) -> RunResult:
     quantized = config.mode == "mspdq"
     if split:
         rule = _split_rule(config)
-        # kt_schedule never decreases in t, so round T needs the most weights
-        kt_max = config.kt_override or kt_schedule(config.rounds, pc.mu, vt, config.lambda_, config.mode)
-        weight_table = _step_weights(config).table(kt_max)
+        weight_table = _step_weights(config).table(consensus_horizon(config, pc))
     lam2 = None
     upload_bits = 64 * config.dim
     if quantized:

@@ -124,23 +124,20 @@ def output_distribution(w: np.ndarray, qs: QuantizerState) -> list[list[tuple[fl
     Knob inputs give a single unit atom; probabilities of a two-atom law sum
     to exactly 1.0 (the down-probability is computed as 1 - p_up).  Knobs
     that collapse to one float (c_lo == c_hi) give a unit atom at that value,
-    which is what round_to_knobs uploads there.
+    which is what round_to_knobs uploads there.  p_up and the atoms are
+    formed on Python floats, whose IEEE operations give the float64 bits.
     """
     w = _checked_input(w, qs)
     _, c_lo, c_hi = _bracket(w, qs.lo, qs.hi, qs.level)
-    # collapsed knobs divide by zero: inf clips to 1, NaN takes the first branch
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # np.minimum(np.maximum(...)) is np.clip without its Python-level wrapper
-        p_up = np.minimum(np.maximum((w - c_lo) / (c_hi - c_lo), 0.0), 1.0)
     out = []
-    for j in range(qs.d):
-        p = float(p_up[j])
+    for x, lo, hi in zip(w.tolist(), c_lo.tolist(), c_hi.tolist()):
+        p = (x - lo) / (hi - lo) if hi > lo else 0.0
         if not p > 0.0:
-            out.append([(float(c_lo[j]), 1.0)])
-        elif p == 1.0:
-            out.append([(float(c_hi[j]), 1.0)])
+            out.append([(lo, 1.0)])
+        elif p >= 1.0:
+            out.append([(hi, 1.0)])
         else:
-            out.append([(float(c_lo[j]), 1.0 - p), (float(c_hi[j]), p)])
+            out.append([(lo, 1.0 - p), (hi, p)])
     return out
 
 

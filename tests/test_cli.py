@@ -233,6 +233,12 @@ def test_empty_seed_range_exits_2(config_path, tmp_path, capsys):
         ("ball_radius", -1.0),
         ("q0_width", 0.0),
         ("problem_seed", -3),
+        ("kt_override", orch.MAX_CONSENSUS_ROUNDS + 1),
+        *[
+            (field, float(np.nextafter(orch.SCALE_MAX, np.inf)))
+            for field in ("spread", "gamma_target", "center_offset", "sample_spread", "ball_radius", "eig_hi")
+        ],
+        ("eig_lo", float(np.nextafter(1 / orch.SCALE_MAX, 0.0))),
     ],
 )
 def test_bad_field_value_exits_2(config_path, tmp_path, capsys, field, value):
@@ -364,6 +370,8 @@ def test_sweep_may_override_a_bad_base_value(msp_config_path, tmp_path):
         (["run", "--seeds=-1"], "--seeds"),
         (["run", "--seeds", "1,1"], "--seeds"),
         (["audit", "--seeds=-2"], "--seeds"),
+        (["audit", "--e-mags", "1e308"], "--e-mags"),
+        (["audit", "--e-mags", "0.001,-1e10"], "--e-mags"),
     ],
 )
 def test_bad_cli_number_exits_2(msp_config_path, tmp_path, capsys, argv, flag):
@@ -460,6 +468,38 @@ def test_oversized_level_exits_2(config_path, tmp_path, capsys, level):
     assert not out.exists()
     assert main(["validate", "--config", str(tmp_path / "edited.json")]) == 2
     assert "level" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["msp", "mspdq"])
+@pytest.mark.parametrize(
+    "field, value",
+    [("ball_radius", 1e160), ("eig_hi", 1e300), ("center_offset", 1e300), ("sample_spread", 1e300)],
+)
+def test_overflowing_scale_exits_2_before_any_write(tmp_path, capsys, mode, field, value):
+    # each value overflowed a constant or the consensus horizon; pytest turns
+    # a numpy overflow warning into an error
+    config = Path(__file__).resolve().parents[1] / "configs" / f"desk_{mode}.json"
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(config), "--seeds", "0", "--sweep", "rounds=20", "--sweep", f"{field}={value}"]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps({**json.loads(config.read_text()), field: value}))
+    assert main(["validate", "--config", str(edited)]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_consensus_horizon_past_its_cap_exits_2(config_path, tmp_path, capsys):
+    # inside the scale envelope, eig_hi = 1e7 still asks mspdq for ~4e7
+    # consensus rounds per learning round
+    code, out = _run_with(config_path, tmp_path, "--sweep", "eig_hi=1.0,1e7")
+    assert code == 2
+    assert "eig_hi" in capsys.readouterr().err
+    assert not out.exists()
+    assert _run_with(config_path, tmp_path, eig_hi=1e7)[0] == 2
+    assert main(["validate", "--config", str(tmp_path / "edited.json")]) == 2
+    assert "eig_hi" in capsys.readouterr().err
 
 
 def _drop_metrics(out, manifest):

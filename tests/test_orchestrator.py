@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import pickle
 
 import numpy as np
@@ -42,6 +43,24 @@ def test_kt_schedule_values():
     assert orch.kt_schedule(1, 1.0, 7.0, 0.5, "mspdq") == 4
     with pytest.raises(ConfigError):
         orch.kt_schedule(1, 1.0, 7.0, 1.5, "msp")
+
+
+def test_kt_schedule_past_its_cap_raises():
+    with pytest.raises(ConfigError, match="lambda_"):
+        orch.kt_schedule(1, 1.0, 7.0, 1 - 2**-52, "msp")
+
+
+def test_scale_envelope_corners_keep_the_constants_finite():
+    S = orch.SCALE_MAX
+    cfg = dataclasses.replace(
+        desk_config("msp", 0, rounds=5), eig_lo=1 / S, eig_hi=S, ball_radius=S, center_offset=-S,
+        sample_spread=S, gamma_target=S,
+    )
+    cfg.validate()
+    constants = orch.theorem_constants(orch.build_problem(cfg), cfg)
+    numbers = [v for v in constants.values() if isinstance(v, float)] + constants["sigma"]
+    assert all(math.isfinite(v) for v in numbers)
+    assert np.isfinite(orch.bound_curve(constants, cfg, np.arange(1, 6))).all()
 
 
 def test_kt_schedule_nondecreasing():

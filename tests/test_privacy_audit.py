@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -228,6 +229,44 @@ def test_run_audit_report_matches_golden_hash():
     for (seed, mutate), expected in AUDIT_REPORT_SHA256.items():
         text = pa.report_to_json(pa.run_audit(seed=seed, mutate=mutate))
         assert hashlib.sha256(text.encode()).hexdigest() == expected, (seed, mutate)
+
+
+# recorded before the law moved to Python floats and the audit to one law
+# per grid input; every row of the audit keeps its bits
+DP_AUDIT_ROWS_SHA256 = "8fc05cb7684c21d76ec5572f5a7ef8adf05c068557bfc8700b1d13c593a7cc46"
+
+
+def test_dp_audit_rows_match_golden_hash():
+    digest = hashlib.sha256()
+    for seed in (0, 1, 2):
+        for grid in (2, 5, 33):
+            rows = pa.quantizer_dp_audit(200, seed, grid)
+            digest.update(json.dumps(rows, sort_keys=True).encode())
+    assert digest.hexdigest() == DP_AUDIT_ROWS_SHA256
+
+
+@pytest.mark.parametrize("n, grid", [(1, 2), (3, 5), (4, 33)])
+def test_dp_audit_forms_each_grid_law_once(monkeypatch, n, grid):
+    # one law per grid input plus one per sign neighbour; a distance per pair
+    counts = {"laws": 0, "distances": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(pa, "output_distribution", counted("laws", pa.output_distribution))
+    monkeypatch.setattr(pa, "tv_distance", counted("distances", pa.tv_distance))
+    pa.quantizer_dp_audit(n, 0, grid)
+    assert counts == {"laws": 3 * n * grid, "distances": 2 * n * grid}
+
+
+def test_witness_replay_resolves_shifts_up_to_the_cap():
+    assert pa.MAX_E_MAGNITUDE >= max(pa.DEFAULT_E_MAGNITUDES)
+    for seed in range(12):
+        report = pa.run_audit(seed=seed, n_witness=4, e_magnitudes=(pa.MAX_E_MAGNITUDE,), n_dp_configs=0)
+        assert report["pass"], seed
 
 
 def test_mutation_targets_the_coordinate_with_most_leverage():

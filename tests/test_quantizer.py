@@ -2,13 +2,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsplit import rng as rngmod
 from fedsplit.consensus import RoundState, mspdq_round
 from fedsplit.errors import CodecError, ConfigError, ProtocolIntegrityError
 from fedsplit.quantizer import (
+    MAX_LEVEL,
     QuantizedVector,
     QuantizerState,
     compute_pi_t,
@@ -200,6 +201,72 @@ def test_collapsed_knobs_give_one_unit_atom(w):
     with np.errstate(divide="ignore", invalid="ignore"):
         _, _, uploaded = round_to_knobs(np.array([w]), qs.lo, qs.hi, qs.level, np.array([0.5]))
     assert atoms[0][0] == uploaded[0]
+
+
+def reference_output_distribution(w, qs):
+    """The law as it was first written, on float64 arrays: the oracle for
+    the scalar version."""
+    w = np.asarray(w, dtype=np.float64)
+    step = (qs.hi - qs.lo) / (qs.level - 1)
+    tau = np.minimum(np.floor((w - qs.lo) / step), qs.level - 2)
+    c_lo, c_hi = qs.lo + tau * step, qs.lo + (tau + 1.0) * step
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_up = np.minimum(np.maximum((w - c_lo) / (c_hi - c_lo), 0.0), 1.0)
+    out = []
+    for j in range(qs.d):
+        p = float(p_up[j])
+        if not p > 0.0:
+            out.append([(float(c_lo[j]), 1.0)])
+        elif p == 1.0:
+            out.append([(float(c_hi[j]), 1.0)])
+        else:
+            out.append([(float(c_lo[j]), 1.0 - p), (float(c_hi[j]), p)])
+    return out
+
+
+@st.composite
+def law_inputs(draw):
+    """A box per coordinate and an input in it: a box end, a knob, a knob's
+    float neighbour or an interior point, at levels up to 2**53 (where
+    adjacent knobs can collapse to one float)."""
+    d = draw(st.integers(1, 8))
+    level = draw(st.one_of(st.integers(2, 300), st.integers(2, MAX_LEVEL), st.sampled_from([2**40, MAX_LEVEL])))
+    lo = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=d, max_size=d)))
+    width = np.array(draw(st.lists(st.floats(1e-3, 1e3), min_size=d, max_size=d)))
+    qs = QuantizerState(lo=lo, hi=lo + width, level=level)
+    w = np.empty(d)
+    for j in range(d):
+        kind = draw(st.sampled_from(["lo", "hi", "knob", "below", "above", "inside"]))
+        knob = float(knob_values(qs.lo[j], qs.hi[j], level, draw(st.integers(0, level - 1))))
+        w[j] = {
+            "lo": qs.lo[j],
+            "hi": qs.hi[j],
+            "knob": knob,
+            "below": np.nextafter(knob, -np.inf),
+            "above": np.nextafter(knob, np.inf),
+            "inside": qs.lo[j] + draw(st.floats(0.0, 1.0)) * width[j],
+        }[kind]
+    return np.clip(w, qs.lo, qs.hi), qs
+
+
+def _bits(law):
+    return [[(type(v), v.hex(), type(p), p.hex()) for v, p in atoms] for atoms in law]
+
+
+@settings(max_examples=300)
+@given(law_inputs())
+def test_output_distribution_equals_the_float64_law_bitwise(case):
+    w, qs = case
+    assert _bits(output_distribution(w, qs)) == _bits(reference_output_distribution(w, qs))
+
+
+@pytest.mark.parametrize(
+    "w, level",
+    [(1000.0004, 2**53), (1000.0000001, 2**53), (1000.001, 2**53), (1000.0, 2**53), (1000.0005, 3)],
+)
+def test_output_distribution_equals_the_float64_law_on_collapsed_knobs(w, level):
+    qs = QuantizerState(lo=np.array([1000.0]), hi=np.array([1000.001]), level=level)
+    assert _bits(output_distribution(np.array([w]), qs)) == _bits(reference_output_distribution(np.array([w]), qs))
 
 
 def test_tv_distance_hand_value():

@@ -16,6 +16,7 @@ client's own submodels.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -35,6 +36,11 @@ from .quantizer import (
 from .splitting import SplitState
 
 CONSERVATION_RTOL = 1e-9
+# Bytes of stacked rows a non-recording quantized phase holds at once:
+# visibles, invisibles, globals, uploads and uniforms.  Longer phases run in
+# blocks, so phase memory does not grow with K; a desk phase (M = 8,
+# d = 10, K <= 130 at 500 learning rounds) fits in one block.
+BLOCK_BYTES = 1 << 20
 
 MSP = "msp"
 MSPDQ = "mspdq"
@@ -131,42 +137,59 @@ def consensus_target(state: RoundState) -> np.ndarray:
     return conserved_sum(state) / float(np.sum(1 + state.m_counts))
 
 
-def _coupling_terms(state: RoundState, weights_k: np.ndarray):
-    """Visible-side coupling sum and the updated invisible stack.
+def _blank(state: RoundState, quantized: bool) -> RoundState:
+    """Uninitialised arrays shaped like a state (uploads only if
+    `quantized`): where a round operator called without `out` writes."""
+    return RoundState(
+        np.empty_like(state.visible),
+        np.empty_like(state.invisible),
+        state.m_counts,
+        np.empty_like(state.global_model),
+        np.empty_like(state.visible) if quantized else None,
+        state.level if quantized else None,
+        state.k,
+    )
 
-    The flow a (inv - vis) enters the visible and leaves the invisible, so
-    inv - flow is bitwise inv + a (vis - inv).
-    """
-    vis = state.visible
-    inv = state.invisible
-    flow = weights_k[..., None] * (inv - vis[..., None, :])
-    return np.add.reduce(flow, axis=-2), inv - flow
 
+def _update(
+    state: RoundState, epsilon: float, weights_k: np.ndarray, reference: np.ndarray, out: RoundState
+) -> np.ndarray:
+    """Write the update law's new visible and invisible stacks into `out`
+    and return the new visible:
 
-def _drift(state: RoundState, epsilon: float, reference: np.ndarray) -> np.ndarray:
-    """epsilon * (global - reference_i).
+        vis + epsilon (global - reference_i) + sum_n a_n (inv_n - vis)
 
     `reference` is the visible matrix in plain mode and the quantized uploads
-    in quantized mode.
+    in quantized mode.  The flow a (inv - vis) enters the visible and leaves
+    the invisible, so inv - flow is bitwise inv + a (vis - inv).  Each
+    chain's last ufunc writes its row; `out` goes positionally, which on
+    these small arrays costs less than the keyword.
     """
-    return epsilon * (state.global_model[..., None, :] - reference)
+    vis, inv = state.visible, state.invisible
+    flow = weights_k[..., None] * (inv - vis[..., None, :])
+    np.subtract(inv, flow, out.invisible)
+    drift = epsilon * (state.global_model[..., None, :] - reference)
+    return np.add(vis + drift, np.add.reduce(flow, axis=-2), out.visible)
 
 
-def msp_round(state: RoundState, epsilon: float, weights_k: np.ndarray) -> RoundState:
-    """One plain communication round followed by server aggregation; a
-    leading seed axis on the state (and optionally the weights) batches
-    seeds, each bitwise equal to its own call."""
-    drift = _drift(state, epsilon, state.visible)
-    coupling, new_inv = _coupling_terms(state, weights_k)
-    new_vis = state.visible + drift + coupling
-    # np.add.reduce(x, axis=-2) / n is bitwise x.mean(axis=-2), without the wrapper
-    return RoundState(
-        visible=new_vis,
-        invisible=new_inv,
-        m_counts=state.m_counts,
-        global_model=np.add.reduce(new_vis, axis=-2) / state.M,
-        k=state.k + 1,
-    )
+def _aggregate(values: np.ndarray, out: RoundState) -> None:
+    """out.global_model = the mean over clients of `values`;
+    np.add.reduce(x, axis=-2) / M is bitwise x.mean(axis=-2)."""
+    np.divide(np.add.reduce(values, axis=-2), values.shape[-2], out.global_model)
+
+
+def msp_round(state: RoundState, epsilon: float, weights_k: np.ndarray, out: RoundState | None = None) -> RoundState:
+    """One plain communication round followed by server aggregation.
+
+    Writes the new state into `out` or, without it, into fresh arrays, and
+    returns it.  `out` may be `state` itself: the round reads each input
+    before it writes that array.  A leading seed axis on the state (and
+    optionally the weights) batches seeds, each bitwise equal to its own call.
+    """
+    out = _blank(state, quantized=False) if out is None else out
+    _aggregate(_update(state, epsilon, weights_k, state.visible, out), out)
+    out.k = state.k + 1
+    return out
 
 
 def mspdq_round(
@@ -175,50 +198,26 @@ def mspdq_round(
     weights_k: np.ndarray,
     width: float,
     uniforms: np.ndarray,
-    wire_check: bool = False,
-) -> tuple[RoundState, np.ndarray]:
+    out: RoundState | None = None,
+) -> RoundState:
     """One quantized round: update, center each client's box of the given
     width on its last quantized upload, quantize the new visible over it
-    with the (M, d) uniforms, and aggregate the quantized uploads.  Returns
-    a new state (the input is not written) and the (M,) error norms.
+    with the (M, d) uniforms, and aggregate the quantized uploads.
 
-    Raises ProtocolIntegrityError when a post-update visible escapes its
-    box (a width below the certified pi_t a_max[k]).
+    Writes the new state into `out` (arrays that share no memory with
+    `state`) or, without it, into fresh arrays, and returns it; the input is
+    not written.  The round checks nothing: run_consensus checks a phase's
+    box containment, upload errors and wire roundtrip over its stacks.
     """
     if state.quantized is None or state.level is None:
         raise ConfigError("state lacks quantized uploads; initialize the quantized mode first")
-    drift = _drift(state, epsilon, state.quantized)
-    coupling, new_inv = _coupling_terms(state, weights_k)
-    new_vis = state.visible + drift + coupling
-
-    box_lo, box_hi = state.quantized - 0.5 * width, state.quantized + 0.5 * width
-    inside = (new_vis >= box_lo) & (new_vis <= box_hi)
-    if not np.logical_and.reduce(inside, axis=None):
-        bad = np.argwhere(~inside)[0]
-        raise ProtocolIntegrityError(
-            f"visible escaped its shrunk interval at round {state.k} "
-            f"(client {bad[0]}, coordinate {bad[1]}); box width too small"
-        )
-    tau, up, q_vals = round_to_knobs(new_vis, box_lo, box_hi, state.level, uniforms)
-    if wire_check:
-        q_idx = tau.astype(np.int64) + up
-        for i in range(state.M):
-            qs = QuantizerState(lo=box_lo[i], hi=box_hi[i], level=state.level)
-            back = decode(encode(QuantizedVector(indices=q_idx[i], state=qs)), qs)
-            if not np.array_equal(back.indices, q_idx[i]):
-                raise ProtocolIntegrityError("wire roundtrip altered an upload")
-    delta = q_vals - new_vis
-    new_state = RoundState(
-        visible=new_vis,
-        invisible=new_inv,
-        m_counts=state.m_counts,
-        global_model=np.add.reduce(q_vals, axis=0) / state.M,
-        quantized=q_vals,
-        level=state.level,
-        k=state.k + 1,
-    )
-    # the formula np.linalg.norm(delta, axis=1) evaluates
-    return new_state, np.sqrt(np.add.reduce(delta * delta, axis=1))
+    out = _blank(state, quantized=True) if out is None else out
+    new_vis = _update(state, epsilon, weights_k, state.quantized, out)
+    half = 0.5 * width
+    round_to_knobs(new_vis, state.quantized - half, state.quantized + half, state.level, uniforms, out=out.quantized)
+    _aggregate(out.quantized, out)
+    out.k = state.k + 1
+    return out
 
 
 def beta_gap(state: RoundState) -> float:
@@ -227,6 +226,49 @@ def beta_gap(state: RoundState) -> float:
     flat dot product is the formula np.linalg.norm evaluates."""
     gap = (state.visible - state.invisible[:, 0, :]).ravel()
     return math.sqrt(gap.dot(gap))
+
+
+def _check_quantized_rounds(
+    k0: int,
+    visibles: np.ndarray,
+    quantized: np.ndarray,
+    uniforms: np.ndarray,
+    widths: np.ndarray,
+    level: int,
+    wire_check: bool,
+) -> np.ndarray:
+    """Check b quantized rounds, the first of them round k0, from their
+    (b+1, M, d) visible and upload rows, the (b, M, d) uniforms and the (b,)
+    box widths; returns each round's largest upload error norm.
+
+    In order: every post-update visible lies in its box, else
+    ProtocolIntegrityError names the first escape by round, client and
+    coordinate; then, with wire_check, every upload's knob indices survive
+    the codec.  The boxes and indices are the rounds' own: the same
+    elementwise arithmetic over the stacks gives the same bits.
+    """
+    half = (0.5 * widths)[:, None, None]
+    lo, hi = quantized[:-1] - half, quantized[:-1] + half
+    new_vis = visibles[1:]
+    inside = (new_vis >= lo) & (new_vis <= hi)
+    if not np.logical_and.reduce(inside, axis=None):
+        k, i, j = np.argwhere(~inside)[0]
+        raise ProtocolIntegrityError(
+            f"visible escaped its shrunk interval at round {k0 + k} "
+            f"(client {i}, coordinate {j}); box width too small"
+        )
+    if wire_check:
+        d = new_vis.shape[-1]
+        tau, up, _ = round_to_knobs(new_vis, lo, hi, level, uniforms)
+        q_idx = tau.astype(np.int64) + up
+        for idx, box_lo, box_hi in zip(q_idx.reshape(-1, d), lo.reshape(-1, d), hi.reshape(-1, d)):
+            qs = QuantizerState(lo=box_lo, hi=box_hi, level=level)
+            back = decode(encode(QuantizedVector(indices=idx, state=qs)), qs)
+            if not np.array_equal(back.indices, idx):
+                raise ProtocolIntegrityError("wire roundtrip altered an upload")
+    delta = quantized[1:] - new_vis
+    # the formula np.linalg.norm(delta, axis=-1) evaluates
+    return np.sqrt(np.add.reduce(delta * delta, axis=-1)).max(axis=-1)
 
 
 def run_consensus(
@@ -247,42 +289,89 @@ def run_consensus(
     StepWeights.table, or a recorded trace's `weights` replaying its own
     schedule.
 
+    The phase's states live in (rows, ...) stacks allocated once, row 0 a
+    copy of `initial`; each round's operator call writes the next row.  A
+    recording phase holds all K+1 rows and its ConsensusTrace wraps them.
+    A non-recording quantized phase keeps the rows its checks read in
+    blocks of at most BLOCK_BYTES, each block starting from the last row of
+    the one before, and draws each block's uniforms in one call (PCG64
+    doubles are unbuffered, so the blocks read what one (K, M, d) draw
+    would).  A non-recording plain phase has no checks and keeps one row,
+    which every round rewrites in place.
+
     Returns (final_state, trace_or_None, summary) where summary carries the
     interval-width and beta-gap maxima and the worst quantization error and
     its margin below the bound (zeros and inf for plain rounds).  In
-    quantized mode, round k's box width is pi_t a_max[k]; after the last
-    round every upload error is checked against dynamic_error_bound, and
-    ProtocolIntegrityError names the first round that exceeded it.
+    quantized mode, round k's box width is pi_t a_max[k], and the phase is
+    checked over its stacks, each block after its last round: first box
+    containment, then (with wire_check) the codec roundtrip, and after the
+    last block every upload error against dynamic_error_bound.  Each raises
+    ProtocolIntegrityError naming the first round that failed it, so an
+    escape anywhere in the phase wins over an error-bound violation.
     """
     if K < 1:
         raise ConfigError("need at least one communication round")
     if mode not in (MSP, MSPDQ):
         raise ConfigError(f"unknown mode {mode!r}")
-    if mode == MSPDQ and (rng is None or lambda2_u is None):
+    quantized = mode == MSPDQ
+    if quantized and (rng is None or lambda2_u is None):
         raise ConfigError("quantized mode needs an rng and lambda2(U)")
     if len(weights) < K:
         raise ConfigError(f"step weights cover {len(weights)} rounds, need {K}")
-    state = initial
-    visited = [initial]
-    if mode == MSPDQ:
+    rows = [initial.visible, initial.invisible, initial.global_model]
+    if quantized:
+        rows.append(initial.quantized)
+    in_place = not (record or quantized)
+    B = K  # rounds per block
+    if not (record or in_place):
+        row_bytes = sum(a.nbytes for a in rows) + initial.visible.nbytes  # and the round's uniforms
+        B = max(1, min(K, BLOCK_BYTES // row_bytes))
+    stacks = [np.empty((1 if in_place else B + 1,) + a.shape) for a in rows]
+    for stack, a in zip(stacks, rows):
+        stack[0] = a
+    vis, inv, glob = stacks[:3]
+    q = stacks[3] if quantized else None
+    # one state of row views per row, reused by every block; each round's
+    # operator sets the k of the row it writes
+    uploads = q if quantized else itertools.repeat(None)
+    states = [
+        RoundState(v, i, initial.m_counts, g, u, initial.level, initial.k) for v, i, g, u in zip(vis, inv, glob, uploads)
+    ]
+    state = states[0]
+    if quantized:
         a_max = np.asarray(weights[:K])[:, :, 0].max(axis=1)
         pis = np.empty(K)
-        errors = np.empty((K, initial.M))
-        uniforms = rng.random(size=(K,) + initial.visible.shape)  # bitwise K per-round (M, d) draws
+        delta_max = np.empty(K)
     w_tilde = 0.0
-    # collapsed knobs divide by zero in the rounding kernel; see round_to_knobs
-    with np.errstate(divide="ignore", invalid="ignore") if mode == MSPDQ else np.errstate():
-        for k in range(K):
-            weights_k = weights[k]
-            if mode == MSP:
-                state = msp_round(state, epsilon, weights_k)
-            else:
-                w_tilde = max(w_tilde, beta_gap(state))
-                pi_t = compute_pi_t(epsilon, lambda2_u, w_tilde)
-                state, errors[k] = mspdq_round(state, epsilon, weights_k, pi_t * a_max[k], uniforms[k], wire_check)
-                pis[k] = pi_t
-            if record:
-                visited.append(state)
+    # collapsed knobs divide by zero in the rounding kernel (see round_to_knobs),
+    # and rounds after an escape run on until the block's check, which any
+    # non-finite visible fails
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore") if quantized else np.errstate():
+        for start in range(0, K, B):
+            b = min(B, K - start)
+            if start:
+                for stack in stacks:
+                    stack[0] = stack[B]
+                states[0].k = state.k
+                state = states[0]
+            if quantized:
+                uniforms = rng.random(size=(b,) + initial.visible.shape)
+            for r in range(b):
+                k = start + r
+                out = state if in_place else states[r + 1]
+                if quantized:
+                    w_tilde = max(w_tilde, beta_gap(state))
+                    pi_t = compute_pi_t(epsilon, lambda2_u, w_tilde)
+                    pis[k] = pi_t
+                    state = mspdq_round(state, epsilon, weights[k], pi_t * a_max[k], uniforms[r], out=out)
+                else:
+                    state = msp_round(state, epsilon, weights[k], out=out)
+            if quantized:
+                span = slice(start, start + b)
+                delta_max[span] = _check_quantized_rounds(
+                    initial.k + start, vis[: b + 1], q[: b + 1], uniforms, pis[span] * a_max[span],
+                    initial.level, wire_check,
+                )
     trace = None
     if record:
         trace = ConsensusTrace(
@@ -290,17 +379,16 @@ def run_consensus(
             epsilon=epsilon,
             m_counts=initial.m_counts.copy(),
             origins=(origins.copy() if origins is not None else np.zeros_like(initial.visible)),
-            visibles=np.stack([s.visible for s in visited]),
-            invisibles=np.stack([s.invisible for s in visited]),
-            globals_=np.stack([s.global_model for s in visited]),
+            visibles=vis,
+            invisibles=inv,
+            globals_=glob,
             weights=np.array(weights[:K]),
-            quantized=np.stack([s.quantized for s in visited]) if mode == MSPDQ else None,
-            pis=pis if mode == MSPDQ else None,
+            quantized=q,
+            pis=pis if quantized else None,
         )
-    if mode == MSP:
+    if not quantized:
         return state, trace, {"delta_max": 0.0, "bound_margin_min": float("inf"), "w_tilde_max": 0.0, "max_width": 0.0}
-    delta_max = errors.max(axis=1)
-    bound = dynamic_error_bound(pis, state.level, a_max, state.d)
+    bound = dynamic_error_bound(pis, initial.level, a_max, initial.d)
     margins = bound - delta_max
     bad = np.flatnonzero(~(margins >= 0))
     if bad.size:

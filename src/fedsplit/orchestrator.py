@@ -42,10 +42,11 @@ from .splitting import SplitRule, SplitState, split_cohort
 MODES = ("fedavg", "ldp", "msp", "mspdq")
 
 # The task's scale envelope: its lengths (spread, |center_offset|,
-# sample_spread, ball_radius), gamma_target and eig_hi are at most SCALE_MAX,
-# and eig_lo is at least 1/SCALE_MAX.  The constants are products of a few
-# such scales (G ~ (eig_hi ball_radius)^2, nu ~ G / eig_lo^2), so inside the
-# envelope they stay finite in float64.
+# sample_spread, ball_radius), its noise scales (ldp_scale, laplace_scale),
+# gamma_target and eig_hi are at most SCALE_MAX, and eig_lo is at least
+# 1/SCALE_MAX.  The constants are products of a few such scales
+# (G ~ (eig_hi ball_radius)^2, nu ~ G / eig_lo^2), so inside the envelope
+# they stay finite in float64.
 SCALE_MAX = 1e20
 # Most consensus rounds one learning round may run: the step-weight table is
 # a (K_T, M, m) array.
@@ -112,7 +113,10 @@ class FLConfig:
             raise ConfigError("batch_size must lie in [1, n_samples]")
         if not self.ball_radius > 0:
             raise ConfigError(f"ball_radius must be positive, got {self.ball_radius}")
-        for name in ("spread", "gamma_target", "center_offset", "sample_spread", "ball_radius", "eig_hi"):
+        for name in (
+            "spread", "gamma_target", "center_offset", "sample_spread", "ball_radius", "eig_hi",
+            "ldp_scale", "laplace_scale",
+        ):
             value = getattr(self, name)
             if value is not None and not abs(value) <= SCALE_MAX:
                 raise ConfigError(f"{name} must lie within +-{SCALE_MAX:g} (the task's scale envelope), got {value!r}")

@@ -80,25 +80,28 @@ def knob_values(lo: np.ndarray, hi: np.ndarray, level: int, indices: np.ndarray)
     return lo + indices * ((hi - lo) / (level - 1))
 
 
-def _bracket(w: np.ndarray, lo: np.ndarray, hi: np.ndarray, level: int):
+def _bracket(w: np.ndarray, lo: np.ndarray, hi: np.ndarray, level: int, out: np.ndarray | None = None):
     """Per coordinate: the float index tau (capped at l-2; callers check
     w >= lo) of the lower bracketing knob and the two knob values, for any
-    shape that broadcasts against the boxes, e.g. (d,) or (M, d)."""
+    shape that broadcasts against the boxes, e.g. (d,) or (M, d); the lower
+    knob values go into `out` when given."""
     step = (hi - lo) / (level - 1)
     tau = np.minimum(np.floor((w - lo) / step), level - 2)
-    return tau, lo + tau * step, lo + (tau + 1.0) * step
+    return tau, np.add(lo, tau * step, out), lo + (tau + 1.0) * step
 
 
 def round_to_knobs(
-    w: np.ndarray, lo: np.ndarray, hi: np.ndarray, level: int, u: np.ndarray
+    w: np.ndarray, lo: np.ndarray, hi: np.ndarray, level: int, u: np.ndarray, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Randomized rounding to the two bracketing knobs with one uniform u in
     [0, 1) per coordinate: returns tau, the round-up mask and the knob values
-    (the knob index is tau + up).  Such u make clipping p to [0, 1] moot;
-    collapsed knobs divide by zero (callers silence it): inf rounds up, NaN down."""
-    tau, c_lo, c_hi = _bracket(w, lo, hi, level)
+    (the knob index is tau + up), written into `out` when given.  Such u make
+    clipping p to [0, 1] moot; collapsed knobs divide by zero (callers
+    silence it): inf rounds up, NaN down."""
+    tau, c_lo, c_hi = _bracket(w, lo, hi, level, out)
     up = u < (w - c_lo) / (c_hi - c_lo)
-    return tau, up, np.where(up, c_hi, c_lo)
+    np.copyto(c_lo, c_hi, where=up)  # the bits of np.where(up, c_hi, c_lo)
+    return tau, up, c_lo
 
 
 def _checked_input(w: np.ndarray, qs: QuantizerState) -> np.ndarray:

@@ -239,6 +239,7 @@ def test_empty_seed_range_exits_2(config_path, tmp_path, capsys):
             for field in ("spread", "gamma_target", "center_offset", "sample_spread", "ball_radius", "eig_hi")
         ],
         ("eig_lo", float(np.nextafter(1 / orch.SCALE_MAX, 0.0))),
+        *[(field, float(np.nextafter(orch.SCALE_MAX, np.inf))) for field in ("ldp_scale", "laplace_scale")],
     ],
 )
 def test_bad_field_value_exits_2(config_path, tmp_path, capsys, field, value):
@@ -331,8 +332,8 @@ def test_seed_sweep_axis_exits_2_naming_seeds(msp_config_path, tmp_path, capsys)
 def test_conservation_leak_fails_the_run(msp_config_path, tmp_path, capsys, monkeypatch):
     real_round = consensus.msp_round
 
-    def leaky_round(state, epsilon, weights_k):
-        nxt = real_round(state, epsilon, weights_k)
+    def leaky_round(state, epsilon, weights_k, **kwargs):
+        nxt = real_round(state, epsilon, weights_k, **kwargs)
         nxt.visible[0] += 1e-6
         return nxt
 
@@ -399,8 +400,8 @@ def test_shipped_configs_equal_the_desk_preset(mode):
 def test_nan_in_a_consensus_round_fails_the_run(msp_config_path, tmp_path, capsys, monkeypatch):
     real_round = consensus.msp_round
 
-    def nan_round(state, epsilon, weights_k):
-        nxt = real_round(state, epsilon, weights_k)
+    def nan_round(state, epsilon, weights_k, **kwargs):
+        nxt = real_round(state, epsilon, weights_k, **kwargs)
         nxt.visible[0, 0] = np.nan
         return nxt
 
@@ -424,6 +425,34 @@ def test_level_that_is_not_a_power_of_two_runs(tmp_path, capsys):
     assert manifest["failed"] == [] and len(manifest["runs"]) == 1
 
 
+@pytest.mark.parametrize(
+    "level, errors",
+    [
+        (2, ["visible escaped its shrunk interval at round 1 (client 0, coordinate 0); box width too small"] * 2),
+        (3, [
+            "visible escaped its shrunk interval at round 1 (client 5, coordinate 9); box width too small",
+            "visible escaped its shrunk interval at round 1 (client 4, coordinate 2); box width too small",
+        ]),
+        (8, ["global model left the operating ball (radius 6.0); theorem constants are void, enlarge ball_radius"] * 2),
+    ],
+)
+def test_coarse_levels_fail_with_the_first_violation(tmp_path, capsys, level, errors):
+    # a consensus phase reports its first escape by round, client and
+    # coordinate; pytest turns any RuntimeWarning of the rounds an escape
+    # leaves behind into an error
+    config = Path(__file__).resolve().parents[1] / "configs" / "desk_mspdq.json"
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(config), "--seeds", "0,1", "--sweep", f"level={level}", "--sweep", "rounds=40"]
+    assert main([*argv, "--out", str(out)]) == 3
+    runs = [f"mspdq_seed{seed}_level{level}_rounds40" for seed in (0, 1)]
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[:2] == [f"integrity violation in {run}: {error}" for run, error in zip(runs, errors)]
+    assert "Warning" not in "\n".join(lines)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["runs"] == []
+    assert [(f["run"], f["error"]) for f in manifest["failed"]] == list(zip(runs, errors))
+
+
 def test_collapsed_knobs_run_without_a_warning(tmp_path, capsys):
     # at level 2**53 a bin is below the float spacing of the box, so the two
     # bracketing knobs can be one float; pytest turns any RuntimeWarning of
@@ -439,15 +468,15 @@ def test_collapsed_knobs_run_without_a_warning(tmp_path, capsys):
 
 
 def test_quantization_error_over_its_bound_fails_the_run(config_path, tmp_path, capsys, monkeypatch):
-    real_round = consensus.mspdq_round
+    real_bound = consensus.dynamic_error_bound
 
-    def lossy_round(state, epsilon, weights_k, width, rng, wire_check=False):
-        nxt, errors = real_round(state, epsilon, weights_k, width, rng, wire_check)
-        if state.k == 2:
-            errors = errors + np.sqrt(state.d) * width  # a whole box, past one bin
-        return nxt, errors
+    def lossy_bound(pi_t, level, a_max_k, d):
+        bound = real_bound(pi_t, level, a_max_k, d)
+        if len(bound) > 2:  # round 2 of every phase errs a whole box, past one bin
+            bound[2] -= np.sqrt(d) * pi_t[2] * a_max_k[2]
+        return bound
 
-    monkeypatch.setattr(consensus, "mspdq_round", lossy_round)
+    monkeypatch.setattr(consensus, "dynamic_error_bound", lossy_bound)
     cfg = orch.FLConfig.from_dict(json.loads(config_path.read_text()))
     with pytest.raises(ProtocolIntegrityError, match="exceeded its bound at round 2"):
         orch.run(cfg)
@@ -473,7 +502,10 @@ def test_oversized_level_exits_2(config_path, tmp_path, capsys, level):
 @pytest.mark.parametrize("mode", ["msp", "mspdq"])
 @pytest.mark.parametrize(
     "field, value",
-    [("ball_radius", 1e160), ("eig_hi", 1e300), ("center_offset", 1e300), ("sample_spread", 1e300)],
+    [
+        ("ball_radius", 1e160), ("eig_hi", 1e300), ("center_offset", 1e300), ("sample_spread", 1e300),
+        ("ldp_scale", 1e308), ("laplace_scale", 1e308),
+    ],
 )
 def test_overflowing_scale_exits_2_before_any_write(tmp_path, capsys, mode, field, value):
     # each value overflowed a constant or the consensus horizon; pytest turns

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -207,8 +208,9 @@ def test_mspdq_round_exact_on_knobs_matches_plain_round():
     state.level = 4095  # odd level puts a knob exactly at the box center
     plain = msp_round(state, 0.4, weights.at(0))
     u = rngmod.stream(1, 22).random(size=(M, d))
-    quant, errors = mspdq_round(state, 0.4, weights.at(0), width=24.0 * a_max(weights.at(0)), uniforms=u)
+    quant = mspdq_round(state, 0.4, weights.at(0), width=24.0 * a_max(weights.at(0)), uniforms=u)
     assert np.allclose(quant.visible, plain.visible, atol=1e-12)
+    errors = np.linalg.norm(quant.quantized - quant.visible, axis=1)
     assert errors.max() == pytest.approx(0.0, abs=1e-12)
 
 
@@ -217,7 +219,7 @@ def test_mspdq_uploads_are_knobs_of_each_clients_box():
     pi = compute_pi_t(0.4, lam2, np.linalg.norm(state.visible - state.invisible[:, 0, :]))
     width = pi * a_max(weights.at(0))
     u = rngmod.stream(6, 28).random(size=state.visible.shape)
-    nxt, _ = mspdq_round(state, 0.4, weights.at(0), width, u)
+    nxt = mspdq_round(state, 0.4, weights.at(0), width, u)
     lo, hi = state.quantized - 0.5 * width, state.quantized + 0.5 * width
     # the same uniforms, replayed through the shared rounding helper
     tau, up, _ = round_to_knobs(nxt.visible, lo, hi, state.level, u)
@@ -236,8 +238,15 @@ def test_mspdq_round_leaves_its_input_state_unchanged(wire_check):
     pi = compute_pi_t(0.4, lam2, np.linalg.norm(state.visible - state.invisible[:, 0, :]))
     arrays = {name: value for name, value in vars(state).items() if isinstance(value, np.ndarray)}
     before = {name: value.copy() for name, value in arrays.items()}
-    u = rngmod.stream(8, 28).random(size=state.visible.shape)
-    nxt, _ = mspdq_round(state, 0.4, weights.at(0), pi * a_max(weights.at(0)), u, wire_check)
+    if wire_check:
+        # the wire check belongs to the phase: one round through run_consensus
+        nxt, _, _ = run_consensus(
+            state, 1, MSPDQ, 0.4, weights.table(1), rng=rngmod.stream(8, 28), lambda2_u=lam2,
+            record=False, wire_check=True,
+        )
+    else:
+        u = rngmod.stream(8, 28).random(size=state.visible.shape)
+        nxt = mspdq_round(state, 0.4, weights.at(0), pi * a_max(weights.at(0)), u)
     assert sorted(arrays) == ["global_model", "invisible", "m_counts", "quantized", "visible"]
     for name, value in arrays.items():
         assert getattr(state, name) is value and _same_bits(value, before[name]), name
@@ -254,7 +263,7 @@ def test_mspdq_round_matches_msp_in_expectation():
     acc = np.zeros_like(state.visible)
     for s in range(n):
         u = rngmod.stream(s, 23).random(size=state.visible.shape)
-        nxt, _ = mspdq_round(state, 0.4, weights.at(0), pi * a_max(weights.at(0)), u)
+        nxt = mspdq_round(state, 0.4, weights.at(0), pi * a_max(weights.at(0)), u)
         acc += nxt.visible
     acc /= n
     # the visible update uses the (fixed) quantized reference, so the mean
@@ -276,7 +285,7 @@ def test_mspdq_conserved_in_expectation():
     acc = np.zeros_like(base)
     for s in range(n):
         u = rngmod.stream(s, 24).random(size=state.visible.shape)
-        nxt, _ = mspdq_round(state, 0.4, weights.at(0), pi * a_max(weights.at(0)), u)
+        nxt = mspdq_round(state, 0.4, weights.at(0), pi * a_max(weights.at(0)), u)
         acc += conserved_sum(nxt) - base
     drift = eps_drift_term(state, 0.4)
     assert np.allclose(acc / n - drift, 0.0, atol=4e-2)
@@ -297,12 +306,12 @@ def test_mspdq_interval_containment_and_bound():
     assert check_deviation_bound(trace, lam2) >= 0.0
 
 
-def test_mspdq_bad_interval_raises():
+def test_mspdq_bad_interval_raises(monkeypatch):
     state, weights, lam2 = quantized_setup(level=16)
-    u = rngmod.stream(3, 26).random(size=state.visible.shape)
-    with pytest.raises(ProtocolIntegrityError):
-        # a box far below the certified width pi_t a_max forces an escape
-        mspdq_round(state, 0.4, weights.at(0), width=1e-6, uniforms=u)
+    # a box far below the certified width pi_t a_max forces an escape
+    monkeypatch.setattr(consensus, "compute_pi_t", lambda *args: 1e-6)
+    with pytest.raises(ProtocolIntegrityError, match="escaped its shrunk interval at round 0"):
+        run_consensus(state, 3, MSPDQ, 0.4, weights.table(3), rng=rngmod.stream(3, 26), lambda2_u=lam2)
 
 
 @pytest.mark.parametrize("level", [9, 17, 257, 300, 5000])
@@ -322,19 +331,90 @@ def test_error_bound_holds_at_levels_that_are_not_powers_of_two(level):
     assert summary["bound_margin_min"] == pytest.approx(min(margins), rel=1e-12)
 
 
+def lossy_bound(rounds):
+    """dynamic_error_bound less a whole box (past one bin) at the given
+    rounds of a phase, as if those rounds' uploads had erred that far."""
+    real_bound = consensus.dynamic_error_bound
+
+    def bound(pi_t, level, a_max_k, d):
+        out = real_bound(pi_t, level, a_max_k, d)
+        ks = [k for k in rounds if k < len(out)]
+        out[ks] -= np.sqrt(d) * pi_t[ks] * a_max_k[ks]
+        return out
+
+    return bound
+
+
 def test_run_consensus_names_the_first_round_over_the_bound(monkeypatch):
-    real_round = consensus.mspdq_round
-
-    def lossy_round(state, epsilon, weights_k, width, uniforms, wire_check=False):
-        nxt, errors = real_round(state, epsilon, weights_k, width, uniforms, wire_check)
-        if state.k in (4, 7):
-            errors = errors + np.sqrt(state.d) * width  # a whole box, past one bin
-        return nxt, errors
-
-    monkeypatch.setattr(consensus, "mspdq_round", lossy_round)
+    monkeypatch.setattr(consensus, "dynamic_error_bound", lossy_bound([4, 7]))
     state, weights, lam2 = quantized_setup(level=16)
     with pytest.raises(ProtocolIntegrityError, match="exceeded its bound at round 4:"):
         run_consensus(state, 10, MSPDQ, 0.4, weights.table(10), rng=rngmod.stream(7, 42), lambda2_u=lam2)
+
+
+def narrow_box_at(rounds):
+    """compute_pi_t, but far below the certified width at the given rounds
+    of a phase (it is called once per round), which forces an escape."""
+    real_pi_t = consensus.compute_pi_t
+    calls = []
+
+    def pi_t(*args):
+        calls.append(args)
+        return 1e-6 if len(calls) - 1 in rounds else real_pi_t(*args)
+
+    return pi_t
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1])
+def test_an_escape_wins_over_an_earlier_bound_violation(monkeypatch, block_bytes):
+    # an escape raises however late in the phase; the error bound is checked
+    # after it, also when the escape lies in a later block than the violation
+    state, weights, lam2 = quantized_setup(level=16)
+    if block_bytes is not None:
+        monkeypatch.setattr(consensus, "BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(consensus, "dynamic_error_bound", lossy_bound([2]))
+    phase = dict(rng=rngmod.stream(7, 43), lambda2_u=lam2, record=block_bytes is None)
+    with pytest.raises(ProtocolIntegrityError, match="exceeded its bound at round 2:"):
+        run_consensus(state, 10, MSPDQ, 0.4, weights.table(10), **phase)
+    monkeypatch.setattr(consensus, "compute_pi_t", narrow_box_at({5}))
+    phase["rng"] = rngmod.stream(7, 43)
+    with pytest.raises(ProtocolIntegrityError, match="escaped its shrunk interval at round 5 "):
+        run_consensus(state, 10, MSPDQ, 0.4, weights.table(10), **phase)
+
+
+def test_an_escape_in_a_wire_checked_phase_is_a_protocol_error(monkeypatch):
+    # an escaped visible can have knob indices outside [0, level); the
+    # containment check runs before the codec would reject them with a
+    # CodecError
+    state, weights, lam2 = quantized_setup(level=16)
+    monkeypatch.setattr(consensus, "compute_pi_t", narrow_box_at(set(range(4))))
+    with pytest.raises(ProtocolIntegrityError, match="escaped its shrunk interval at round 0 "):
+        run_consensus(
+            state, 4, MSPDQ, 0.4, weights.table(4), rng=rngmod.stream(9, 44), lambda2_u=lam2,
+            record=False, wire_check=True,
+        )
+
+
+@pytest.mark.parametrize("mode", [MSP, MSPDQ])
+def test_non_recording_phase_memory_does_not_grow_with_K(mode):
+    # a plain phase keeps one row; for a quantized one, M = 8 clients in
+    # d = 40 pass the block budget within 256 rounds, so both phases hold
+    # the same full blocks
+    state, weights, lam2 = quantized_setup(seed=3, M=8, d=40, level=256)
+    if mode == MSP:
+        state = RoundState(state.visible, state.invisible, state.m_counts, state.visible.mean(axis=0))
+    assert 256 * (state.visible.nbytes + state.invisible.nbytes) > consensus.BLOCK_BYTES
+
+    def peak(K):
+        table = weights.table(K)
+        tracemalloc.start()
+        try:
+            run_consensus(state, K, mode, 0.4, table, rng=rngmod.stream(3, 45), lambda2_u=lam2, record=False)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4096) <= 2 * peak(256)
 
 
 def test_run_consensus_rejects_too_few_step_weights():
@@ -501,17 +581,36 @@ def test_run_consensus_matches_reference_rounds_bitwise(M, m, d, K, rule, mode, 
     else:
         state = state_from_splits(splits)
     lam2 = lambda2_U(u)
+    # a budget of one byte to a few rows splits a non-recording quantized
+    # phase into blocks of one to a few rounds
+    block_bytes = (1, 600, 3000)[seed % 3]
+
+    def run(record, budget=consensus.BLOCK_BYTES):
+        phase_rng = rngmod.stream(seed, 33)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(consensus, "BLOCK_BYTES", budget)
+            fin, trace, summary = run_consensus(
+                state, K, mode, epsilon, weights.table(K), rng=phase_rng, lambda2_u=lam2, record=record
+            )
+        return fin, trace, summary, phase_rng.bit_generator.state
+
+    ref_rng = rngmod.stream(seed, 33)
     try:
-        ref_states, ref_summary = reference_run_consensus(
-            state, K, mode, epsilon, weights, rngmod.stream(seed, 33), lam2
-        )
+        ref_states, ref_summary = reference_run_consensus(state, K, mode, epsilon, weights, ref_rng, lam2)
     except ProtocolIntegrityError:
-        with pytest.raises(ProtocolIntegrityError):
-            run_consensus(state, K, mode, epsilon, weights.table(K), rng=rngmod.stream(seed, 33), lambda2_u=lam2)
+        for record, budget in ((True, consensus.BLOCK_BYTES), (False, consensus.BLOCK_BYTES), (False, block_bytes)):
+            with pytest.raises(ProtocolIntegrityError):
+                run(record, budget)
         return
-    fin, trace, summary = run_consensus(
-        state, K, mode, epsilon, weights.table(K), rng=rngmod.stream(seed, 33), lambda2_u=lam2, record=True
-    )
+    fin, trace, summary, rng_end = run(True)
+    for other in (run(False), run(False, block_bytes)):
+        assert other[1] is None
+        assert other[2] == summary and other[3] == rng_end
+        assert other[0].k == fin.k
+        for name in ("visible", "invisible", "global_model", "quantized"):
+            got, ref = getattr(other[0], name), getattr(fin, name)
+            assert (got is None and ref is None) or _same_bits(got, ref), name
+    assert rng_end == ref_rng.bit_generator.state
     assert summary == ref_summary
     assert fin.k == K
     m_max = state.invisible.shape[1]
@@ -523,6 +622,7 @@ def test_run_consensus_matches_reference_rounds_bitwise(M, m, d, K, rule, mode, 
         gaps = [float(np.linalg.norm(s.visible - s.invisible[:, 0, :])) for s in ref_states[:-1]]
         pis = np.array([compute_pi_t(epsilon, lam2, w) for w in np.maximum.accumulate(gaps)])
         assert _same_bits(trace.pis, pis)
+        assert _same_bits(fin.quantized, ref_states[-1].quantized)
     else:
         assert trace.quantized is None and trace.pis is None
     for got, ref in ((fin.visible, ref_states[-1].visible), (fin.invisible, ref_states[-1].invisible),

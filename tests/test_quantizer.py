@@ -286,7 +286,8 @@ def test_shrink_box_formula():
     )
     weights_k = np.full((2, 1), 0.1)
     for width in (1.0, 0.5):
-        nxt, errors = mspdq_round(state, 0.4, weights_k, width, rngmod.stream(0, 40).random(size=q.shape))
+        nxt = mspdq_round(state, 0.4, weights_k, width, rngmod.stream(0, 40).random(size=q.shape))
+        errors = np.linalg.norm(nxt.quantized - nxt.visible, axis=1)
         ends = np.stack([q - 0.5 * width, q + 0.5 * width])
         assert np.all((nxt.quantized == ends[0]) | (nxt.quantized == ends[1]))
         assert np.all(errors == pytest.approx(0.5 * width * np.sqrt(2)))

@@ -276,50 +276,47 @@ def cmd_report(args) -> int:
     if min(rhos) <= 0:
         raise ConfigError(f"--rho {args.rho!r} must list positive numbers")
     try:
-        groups = json.loads((run_dir / "manifest.json").read_text())["groups"]
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        groups = manifest["groups"]
         if not isinstance(groups, dict):
             raise TypeError("groups must be an object")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(
             f"--run-dir {run_dir}: needs a manifest.json with per-group runs ({exc!r})"
         ) from None
+    if not groups:
+        failed = manifest.get("failed")
+        raise ConfigError(
+            f"--run-dir {run_dir}: the manifest lists no runs "
+            f"({len(failed) if isinstance(failed, list) else 0} under 'failed')"
+        )
     groups = {gid: _read_group(run_dir, gid, group) for gid, group in groups.items()}
     out = Path(args.out) if args.out else run_dir
     out.mkdir(parents=True, exist_ok=True)
     all_within = True
-    complexity = ["group,rho,measured_uploads,bound"]
+    complexity = []
     for gid, (cfg, constants, runs) in groups.items():
         T = len(runs[0])
         ts = np.arange(1, T + 1)
         gaps = np.array([[row["gap"] for row in rows] for rows in runs])
         bits = np.array([[row["bits"] for row in rows] for rows in runs])
         mean = gaps.mean(axis=0)
-        std = gaps.std(axis=0)
         if "D2" in constants:
             bound = orch.bound_curve(constants, cfg, ts)
         else:
             bound = np.full(T, float("inf"))
         within = mean <= bound
         all_within &= bool(within.all())
-        lines = ["t,mean,std,bound,within_bound"]
-        for idx in range(T):
-            lines.append(
-                f"{int(ts[idx])},{float(mean[idx])!r},{float(std[idx])!r},"
-                f"{float(bound[idx])!r},{int(within[idx])}"
-            )
-        _atomic_write(out / f"gap_vs_t_{gid}.csv", "\n".join(lines) + "\n")
-        cum_bits = bits.cumsum(axis=1).mean(axis=0)
-        blines = ["t,mean_cumulative_bits"]
-        for idx in range(T):
-            blines.append(f"{int(ts[idx])},{float(cum_bits[idx])!r}")
-        _atomic_write(out / f"bits_vs_t_{gid}.csv", "\n".join(blines) + "\n")
+        gap_rows = zip(*(c.tolist() for c in (ts, mean, gaps.std(axis=0), bound, within.astype(int))))
+        _atomic_write(out / f"gap_vs_t_{gid}.csv", orch.csv_text(("t", "mean", "std", "bound", "within_bound"), gap_rows))
+        bits_rows = zip(ts.tolist(), bits.cumsum(axis=1).mean(axis=0).tolist())
+        _atomic_write(out / f"bits_vs_t_{gid}.csv", orch.csv_text(("t", "mean_cumulative_bits"), bits_rows))
         if "nu2" in constants:
             for rho in rhos:
                 measured = _measured_uploads(runs, constants, rho)
-                bound_rho = orch.comm_complexity_bound(rho, constants, cfg.cohort)
-                complexity.append(f"{gid},{rho!r},{measured},{bound_rho}")
-    if len(complexity) > 1:
-        _atomic_write(out / "complexity.csv", "\n".join(complexity) + "\n")
+                complexity.append((gid, rho, measured, orch.comm_complexity_bound(rho, constants, cfg.cohort)))
+    if complexity:
+        _atomic_write(out / "complexity.csv", orch.csv_text(("group", "rho", "measured_uploads", "bound"), complexity))
     if not all_within:
         print("warning: mean gap exceeded the bound curve somewhere", file=sys.stderr)
     print(f"report written to {out}")

@@ -31,6 +31,7 @@ from .quantizer import (
     decode,
     dynamic_error_bound,
     encode,
+    knob_rounding_allowance,
     round_to_knobs,
 )
 from .splitting import SplitState
@@ -236,10 +237,11 @@ def _check_quantized_rounds(
     widths: np.ndarray,
     level: int,
     wire_check: bool,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Check b quantized rounds, the first of them round k0, from their
     (b+1, M, d) visible and upload rows, the (b, M, d) uniforms and the (b,)
-    box widths; returns each round's largest upload error norm.
+    box widths; returns each round's largest upload error norm and largest
+    |box end|.
 
     In order: every post-update visible lies in its box, else
     ProtocolIntegrityError names the first escape by round, client and
@@ -267,8 +269,10 @@ def _check_quantized_rounds(
             if not np.array_equal(back.indices, idx):
                 raise ProtocolIntegrityError("wire roundtrip altered an upload")
     delta = quantized[1:] - new_vis
-    # the formula np.linalg.norm(delta, axis=-1) evaluates
-    return np.sqrt(np.add.reduce(delta * delta, axis=-1)).max(axis=-1)
+    # the formula np.linalg.norm(delta, axis=-1) evaluates; hi >= lo, so the
+    # largest |box end| is max(max hi, -min lo)
+    norms = np.sqrt(np.add.reduce(delta * delta, axis=-1)).max(axis=-1)
+    return norms, np.maximum(hi.max(axis=(1, 2)), -lo.min(axis=(1, 2)))
 
 
 def run_consensus(
@@ -301,11 +305,13 @@ def run_consensus(
 
     Returns (final_state, trace_or_None, summary) where summary carries the
     interval-width and beta-gap maxima and the worst quantization error and
-    its margin below the bound (zeros and inf for plain rounds).  In
+    its margin below dynamic_error_bound, negative only within the rounding
+    allowance (zeros and inf for plain rounds).  In
     quantized mode, round k's box width is pi_t a_max[k], and the phase is
     checked over its stacks, each block after its last round: first box
     containment, then (with wire_check) the codec roundtrip, and after the
-    last block every upload error against dynamic_error_bound.  Each raises
+    last block every upload error against dynamic_error_bound plus the
+    knob_rounding_allowance of the round's largest |box end|.  Each raises
     ProtocolIntegrityError naming the first round that failed it, so an
     escape anywhere in the phase wins over an error-bound violation.
     """
@@ -342,6 +348,7 @@ def run_consensus(
         a_max = np.asarray(weights[:K])[:, :, 0].max(axis=1)
         pis = np.empty(K)
         delta_max = np.empty(K)
+        box_end_max = np.empty(K)
     w_tilde = 0.0
     # collapsed knobs divide by zero in the rounding kernel (see round_to_knobs),
     # and rounds after an escape run on until the block's check, which any
@@ -368,7 +375,7 @@ def run_consensus(
                     state = msp_round(state, epsilon, weights[k], out=out)
             if quantized:
                 span = slice(start, start + b)
-                delta_max[span] = _check_quantized_rounds(
+                delta_max[span], box_end_max[span] = _check_quantized_rounds(
                     initial.k + start, vis[: b + 1], q[: b + 1], uniforms, pis[span] * a_max[span],
                     initial.level, wire_check,
                 )
@@ -389,14 +396,15 @@ def run_consensus(
     if not quantized:
         return state, trace, {"delta_max": 0.0, "bound_margin_min": float("inf"), "w_tilde_max": 0.0, "max_width": 0.0}
     bound = dynamic_error_bound(pis, initial.level, a_max, initial.d)
-    margins = bound - delta_max
-    bad = np.flatnonzero(~(margins >= 0))
+    limit = bound + knob_rounding_allowance(box_end_max, initial.d)
+    bad = np.flatnonzero(~(delta_max <= limit))
     if bad.size:
         k = int(bad[0])
         raise ProtocolIntegrityError(
             f"quantization error exceeded its bound at round {initial.k + k}: "
-            f"{delta_max[k]:.6g} > {bound[k]:.6g}"
+            f"{delta_max[k]:.6g} > {limit[k]:.6g}"
         )
+    margins = bound - delta_max
     summary = {
         "delta_max": float(delta_max.max()),
         "bound_margin_min": float(margins.min()),

@@ -680,13 +680,14 @@ def comm_counter(metrics: list) -> int:
 METRIC_FIELDS = ("t", "gap", "dist2", "kt", "uploads", "bits", "max_width", "delta_max")
 
 
+def csv_text(header, rows) -> str:
+    """CSV of a header and rows of ints, floats and strings; str gives a
+    float's shortest round-trip digits, so floats parse back bit for bit."""
+    return "\n".join([",".join(header), *(",".join(map(str, row)) for row in rows)]) + "\n"
+
+
 def metrics_to_csv(metrics: list) -> str:
-    lines = [",".join(METRIC_FIELDS)]
-    for m in metrics:
-        lines.append(
-            ",".join(repr(getattr(m, f)) if isinstance(getattr(m, f), float) else str(getattr(m, f)) for f in METRIC_FIELDS)
-        )
-    return "\n".join(lines) + "\n"
+    return csv_text(METRIC_FIELDS, ([getattr(m, f) for f in METRIC_FIELDS] for m in metrics))
 
 
 def summary_dict(result: RunResult) -> dict:

@@ -14,14 +14,14 @@ DESK_T = 500
 
 
 def desk_config(mode: str, seed: int, level: int = 256, rounds: int = DESK_T) -> FLConfig:
-    if mode == "msp":
-        eps, gamma, lam, rule = 0.5, 0.3, 0.87, "constant"
-    elif mode == "mspdq":
+    if mode == "mspdq":
         # inv_sqrt keeps the quantization-error floor proportional to the
         # learning rate, so the 1/t profile survives at every bit width
         eps, gamma, lam, rule = 0.35, 0.38, 0.5, "inv_sqrt"
     else:
-        eps, gamma, lam, rule = 0.5, 0.3, 0.9, "constant"
+        # fedavg and ldp read none of these; sharing msp's values makes
+        # configs/desk_msp.json the preset of all three modes
+        eps, gamma, lam, rule = 0.5, 0.3, 0.87, "constant"
     return FLConfig(
         n_clients=20,
         cohort=8,

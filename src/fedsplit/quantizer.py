@@ -176,6 +176,29 @@ def dynamic_error_bound(pi_t, level: int, a_max_k, d: int):
     return math.sqrt(d) * pi_t * a_max_k / (level - 1)
 
 
+def knob_rounding_allowance(box_end_max, d: int):
+    """sqrt(d) 18 spacing(A): the float slack of a round's upload error
+    norm over dynamic_error_bound, for A, the round's largest |box end|, a
+    normal float.
+
+    With u = 2**-53 and s = spacing(A) > u A, rounding v errs by at most
+    u |v|: under s for |v| <= A, under 2s for |v| <= 2A.  Per coordinate,
+    against the exact knobs G_j = lo + j (hi - lo)/(l - 1) of a box of
+    width W: the ends q -+ W/2 round once each, so a bin of G is at most
+    W/(l - 1) + 2s; step = fl(fl(hi - lo)/(l - 1)) rounds twice, moving
+    j step (at most 2A) by under 4s, and j step and lo + j step round once
+    more (2s, s), so a float knob lies within 7s of G_j; floor(fl(fl(w - lo)
+    / step)) rounds w - lo four times, so G_tau and G_tau+1 bracket w to
+    within 8s (the cap at l - 2 binds only within 8s of hi); and the upload
+    is one of the two float knobs, the nearer one when w lies outside them.
+    So a coordinate errs by at most W/(l - 1) + 17s, up to terms u times
+    smaller, and the allowance takes 18s.  The norm and the bound themselves
+    round by a few d u of the bound, which matters only for a whole bin's
+    error in every coordinate.
+    """
+    return math.sqrt(d) * 18.0 * np.spacing(box_end_max)
+
+
 def dp_delta(C4: float, pi_t: float, a_max_k: float, level: int, B: int) -> float:
     """(0, delta) privacy level of one quantized upload:
     min{ C4 (l-1)/(pi a), (l-1)/(2^B - 1) }."""

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from dataclasses import asdict
@@ -136,6 +138,65 @@ def test_report_without_a_group_manifest_exits_2(tmp_path, capsys, manifest):
         (tmp_path / "manifest.json").write_text(manifest)
     assert main(["report", "--run-dir", str(tmp_path)]) == 2
     assert "--run-dir" in capsys.readouterr().err
+
+
+def test_cli_reproduces_the_desk_experiment_and_bit_sweep(tmp_path):
+    # A hand-written experiment loop (one shared bundle, orch.run per mode,
+    # level and seed, numpy's mean and std over seeds, summed bits) against
+    # README's two experiment recipes at the same size: report's CSVs hold
+    # the same floats, bit for bit, once parsed.  (np.std of a 1-D array sums
+    # pairwise from 8 entries on, so from 8 seeds the final-row std of the
+    # columns can differ from it in the last bit.)
+    R, configs = 10, Path(__file__).resolve().parents[1] / "configs"
+    recipes = {
+        "modes": ["--config", str(configs / "desk_msp.json"), "--sweep", "mode=fedavg,ldp,msp", "--sweep", "ldp_scale=0.05"],
+        "levels": ["--config", str(configs / "desk_mspdq.json"), "--sweep", "level=16,256"],
+    }
+    for name, argv in recipes.items():
+        out = str(tmp_path / name)
+        assert main(["run", *argv, "--seeds", "0..1", "--sweep", f"rounds={R}", "--out", out]) == 0
+        assert main(["report", "--run-dir", out]) == 0
+
+    def column(pattern, name):
+        (path,) = tmp_path.glob(pattern)
+        header, *rows = path.read_text().splitlines()
+        return np.array([float(row.split(",")[header.split(",").index(name)]) for row in rows])
+
+    bundle = orch.build_problem(desk_config("msp", 0, rounds=R))
+    for mode, level, group in [
+        ("fedavg", 256, "modes/{}_fedavg_*"), ("ldp", 256, "modes/{}_ldp_*"), ("msp", 256, "modes/{}_msp_*"),
+        ("mspdq", 256, "levels/{}_mspdq_level256_*"), ("mspdq", 16, "levels/{}_mspdq_level16_*"),
+    ]:
+        runs = []
+        for seed in (0, 1):
+            cfg = desk_config(mode, seed, level=level, rounds=R)
+            if mode == "ldp":
+                cfg.ldp_scale = 0.05
+            runs.append(orch.run(cfg, bundle).metrics)
+        gaps = np.array([[m.gap for m in metrics] for metrics in runs])
+        mean, std = column(group.format("gap_vs_t"), "mean"), column(group.format("gap_vs_t"), "std")
+        assert mean.tobytes() == gaps.mean(axis=0).tobytes() and std.tobytes() == gaps.std(axis=0).tobytes()
+        assert (mean[-1], std[-1]) == (np.mean(gaps[:, -1]), np.std(gaps[:, -1]))
+        total_bits = np.mean([sum(m.bits for m in metrics) for metrics in runs])
+        assert column(group.format("bits_vs_t"), "mean_cumulative_bits")[-1] == total_bits
+
+
+def test_readme_run_recipes_work(tmp_path, monkeypatch, capsys):
+    # README holds the experiment recipes: each `fedsplit run` in its code
+    # blocks runs at one seed and three rounds (argparse keeps the last
+    # --seeds and --out, and a later sweep axis replaces an earlier one),
+    # and report reads the run dir it writes
+    root = Path(__file__).resolve().parents[1]
+    blocks = re.findall(r"```\w*\n(.*?)```", (root / "README.md").read_text(), flags=re.S)
+    lines = [line.strip() for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    commands = [line for line in lines if line.startswith("fedsplit run ")]
+    assert len(commands) >= 3
+    monkeypatch.chdir(root)
+    for i, command in enumerate(commands):
+        out = str(tmp_path / str(i))
+        argv = [*shlex.split(command, comments=True)[1:], "--seeds", "0", "--sweep", "rounds=3", "--out", out]
+        assert main(argv) == 0, (command, capsys.readouterr().err)
+        assert main(["report", "--run-dir", out]) == 0, command
 
 
 def test_audit_command_and_negative_control(tmp_path):
@@ -390,10 +451,11 @@ def test_bad_cli_number_exits_2(msp_config_path, tmp_path, capsys, argv, flag):
     assert argv[0] == "report" or not out.exists()
 
 
-@pytest.mark.parametrize("mode", ["msp", "mspdq"])
+@pytest.mark.parametrize("mode", ["fedavg", "ldp", "msp", "mspdq"])
 def test_shipped_configs_equal_the_desk_preset(mode):
-    path = Path(__file__).resolve().parents[1] / "configs" / f"desk_{mode}.json"
-    shipped = orch.FLConfig.from_dict(json.loads(path.read_text()))
+    # fedavg and ldp run on desk_msp.json under --mode or --sweep mode=
+    path = Path(__file__).resolve().parents[1] / "configs" / f"desk_{'mspdq' if mode == 'mspdq' else 'msp'}.json"
+    shipped = orch.FLConfig.from_dict({**json.loads(path.read_text()), "mode": mode})
     assert asdict(shipped) == asdict(desk_config(mode, 0, rounds=200))
 
 
@@ -451,6 +513,10 @@ def test_coarse_levels_fail_with_the_first_violation(tmp_path, capsys, level, er
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["runs"] == []
     assert [(f["run"], f["error"]) for f in manifest["failed"]] == list(zip(runs, errors))
+    # no run is left to aggregate, so report refuses the run dir
+    assert main(["report", "--run-dir", str(out)]) == 2
+    assert f"--run-dir {out}: the manifest lists no runs (2 under 'failed')" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
 
 
 def test_collapsed_knobs_run_without_a_warning(tmp_path, capsys):

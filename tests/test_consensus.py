@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fedsplit import consensus
@@ -563,6 +563,9 @@ def _same_bits(a, b):
     level=st.sampled_from([2, 5, 16, 256, 257, 4096, 2**53]),
     seed=st.integers(0, 2**16),
 )
+# an upload one ulp past a bin below the float spacing of its box, within
+# the knob rounding allowance
+@example(M=5, m=1, d=1, K=5, rule="harmonic", mode=MSPDQ, level=2**53, seed=0)
 def test_run_consensus_matches_reference_rounds_bitwise(M, m, d, K, rule, mode, level, seed):
     if mode == MSPDQ and rule == "constant":
         rule = "harmonic"  # the quantized mode needs a decaying rule

@@ -19,6 +19,7 @@ from fedsplit.quantizer import (
     dynamic_error_bound,
     encode,
     encoded_size,
+    knob_rounding_allowance,
     knob_values,
     output_distribution,
     quantize,
@@ -318,6 +319,33 @@ def test_error_bounds():
         dynamic_error_bound(pis, 257, a_max, 3),
         [dynamic_error_bound(p, 257, a, 3) for p, a in zip(pis, a_max)],
     )
+
+
+@settings(max_examples=200)
+@given(
+    d=st.integers(1, 8),
+    exponent=st.integers(-30, 60),
+    log_width=st.floats(-15.0, 1.0),
+    level=st.one_of(st.integers(2, 300), st.integers(2, MAX_LEVEL), st.sampled_from([2**40, MAX_LEVEL])),
+    seed=st.integers(0, 2**16),
+)
+def test_uploads_err_within_a_bin_plus_the_rounding_allowance(d, exponent, log_width, level, seed):
+    # boxes at large |values|, from a few float spacings wide (bins below
+    # the spacing of their ends) to wider than their centre; inputs anywhere,
+    # at the top end, or one float off it or off a knob; uniforms anywhere
+    # or at either end of [0, 1)
+    rng = rngmod.stream(seed, 45)
+    q = rng.choice([-1.0, 1.0], size=d) * np.ldexp(rng.uniform(1.0, 2.0, size=d), exponent)
+    width = float(np.abs(q).max()) * 10.0**log_width
+    lo, hi = q - 0.5 * width, q + 0.5 * width
+    knob = knob_values(lo, hi, level, rng.integers(0, level, size=d).astype(float))
+    inputs = np.stack([lo + rng.random(d) * (hi - lo), hi, np.nextafter(hi, lo), np.nextafter(knob, lo), np.nextafter(knob, hi)])
+    w = np.clip(inputs[rng.integers(5, size=d), np.arange(d)], lo, hi)
+    u = np.stack([rng.random(d), np.zeros(d), np.full(d, np.nextafter(1.0, 0.0))])[rng.integers(3, size=d), np.arange(d)]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, _, upload = round_to_knobs(w, lo, hi, level, u)
+    allowance = knob_rounding_allowance(max(hi.max(), -lo.min()), 1)
+    assert np.all(np.abs(upload - w) <= dynamic_error_bound(width, level, 1.0, 1) + allowance)
 
 
 def test_dp_delta_values():

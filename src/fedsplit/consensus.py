@@ -16,7 +16,6 @@ client's own submodels.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -38,9 +37,9 @@ from .splitting import SplitState
 
 CONSERVATION_RTOL = 1e-9
 # Bytes of stacked rows a non-recording quantized phase holds at once:
-# visibles, invisibles, globals, uploads and uniforms.  Longer phases run in
-# blocks, so phase memory does not grow with K; a desk phase (M = 8,
-# d = 10, K <= 130 at 500 learning rounds) fits in one block.
+# visibles, uploads and uniforms.  Longer phases run in blocks, so phase
+# memory does not grow with K; a desk phase (M = 8, d = 10, K <= 130 at 500
+# learning rounds) fits in one block.
 BLOCK_BYTES = 1 << 20
 
 MSP = "msp"
@@ -63,7 +62,6 @@ class RoundState:
     global_model: np.ndarray
     quantized: np.ndarray | None = None
     level: int | None = None
-    k: int = 0
 
     @property
     def M(self) -> int:
@@ -148,7 +146,6 @@ def _blank(state: RoundState, quantized: bool) -> RoundState:
         np.empty_like(state.global_model),
         np.empty_like(state.visible) if quantized else None,
         state.level if quantized else None,
-        state.k,
     )
 
 
@@ -189,7 +186,6 @@ def msp_round(state: RoundState, epsilon: float, weights_k: np.ndarray, out: Rou
     """
     out = _blank(state, quantized=False) if out is None else out
     _aggregate(_update(state, epsilon, weights_k, state.visible, out), out)
-    out.k = state.k + 1
     return out
 
 
@@ -205,10 +201,11 @@ def mspdq_round(
     width on its last quantized upload, quantize the new visible over it
     with the (M, d) uniforms, and aggregate the quantized uploads.
 
-    Writes the new state into `out` (arrays that share no memory with
-    `state`) or, without it, into fresh arrays, and returns it; the input is
-    not written.  The round checks nothing: run_consensus checks a phase's
-    box containment, upload errors and wire roundtrip over its stacks.
+    Writes the new state into `out` or, without it, into fresh arrays, and
+    returns it.  `out` may be `state` itself: the round reads each input
+    before it writes that array.  The round checks nothing: run_consensus
+    checks a phase's box containment, upload errors and wire roundtrip over
+    its stacks.
     """
     if state.quantized is None or state.level is None:
         raise ConfigError("state lacks quantized uploads; initialize the quantized mode first")
@@ -217,7 +214,6 @@ def mspdq_round(
     half = 0.5 * width
     round_to_knobs(new_vis, state.quantized - half, state.quantized + half, state.level, uniforms, out=out.quantized)
     _aggregate(out.quantized, out)
-    out.k = state.k + 1
     return out
 
 
@@ -293,15 +289,14 @@ def run_consensus(
     StepWeights.table, or a recorded trace's `weights` replaying its own
     schedule.
 
-    The phase's states live in (rows, ...) stacks allocated once, row 0 a
-    copy of `initial`; each round's operator call writes the next row.  A
-    recording phase holds all K+1 rows and its ConsensusTrace wraps them.
-    A non-recording quantized phase keeps the rows its checks read in
-    blocks of at most BLOCK_BYTES, each block starting from the last row of
-    the one before, and draws each block's uniforms in one call (PCG64
+    Every round's operator call rewrites one working state, a copy of
+    `initial`, in place; after it, the phase copies into (rows, ...) stacks
+    only the arrays a reader uses.  A recording phase keeps all four arrays
+    for K+1 rows, which its ConsensusTrace wraps.  A non-recording quantized
+    phase keeps the visibles and uploads its checks read, in blocks of at
+    most BLOCK_BYTES, and draws each block's uniforms in one call (PCG64
     doubles are unbuffered, so the blocks read what one (K, M, d) draw
-    would).  A non-recording plain phase has no checks and keeps one row,
-    which every round rewrites in place.
+    would).  A non-recording plain phase keeps nothing.
 
     Returns (final_state, trace_or_None, summary) where summary carries the
     interval-width and beta-gap maxima and the worst quantization error and
@@ -324,26 +319,19 @@ def run_consensus(
         raise ConfigError("quantized mode needs an rng and lambda2(U)")
     if len(weights) < K:
         raise ConfigError(f"step weights cover {len(weights)} rounds, need {K}")
-    rows = [initial.visible, initial.invisible, initial.global_model]
-    if quantized:
-        rows.append(initial.quantized)
-    in_place = not (record or quantized)
+    # the working state: a copy of `initial` that every round rewrites in place
+    state = RoundState(
+        initial.visible.copy(), initial.invisible.copy(), initial.m_counts, initial.global_model.copy(),
+        initial.quantized.copy() if quantized else None, initial.level,
+    )
     B = K  # rounds per block
-    if not (record or in_place):
-        row_bytes = sum(a.nbytes for a in rows) + initial.visible.nbytes  # and the round's uniforms
-        B = max(1, min(K, BLOCK_BYTES // row_bytes))
-    stacks = [np.empty((1 if in_place else B + 1,) + a.shape) for a in rows]
-    for stack, a in zip(stacks, rows):
-        stack[0] = a
-    vis, inv, glob = stacks[:3]
-    q = stacks[3] if quantized else None
-    # one state of row views per row, reused by every block; each round's
-    # operator sets the k of the row it writes
-    uploads = q if quantized else itertools.repeat(None)
-    states = [
-        RoundState(v, i, initial.m_counts, g, u, initial.level, initial.k) for v, i, g, u in zip(vis, inv, glob, uploads)
-    ]
-    state = states[0]
+    kept = []  # the arrays whose rows a reader uses
+    if record:
+        kept = [state.visible, state.invisible, state.global_model] + ([state.quantized] if quantized else [])
+    elif quantized:
+        kept = [state.visible, state.quantized]
+        B = max(1, min(K, BLOCK_BYTES // (3 * initial.visible.nbytes)))  # visible, upload, uniforms
+    stacks = [np.empty((B + 1,) + a.shape) for a in kept]
     if quantized:
         a_max = np.asarray(weights[:K])[:, :, 0].max(axis=1)
         pis = np.empty(K)
@@ -356,27 +344,25 @@ def run_consensus(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore") if quantized else np.errstate():
         for start in range(0, K, B):
             b = min(B, K - start)
-            if start:
-                for stack in stacks:
-                    stack[0] = stack[B]
-                states[0].k = state.k
-                state = states[0]
+            for stack, a in zip(stacks, kept):
+                stack[0] = a
             if quantized:
                 uniforms = rng.random(size=(b,) + initial.visible.shape)
             for r in range(b):
                 k = start + r
-                out = state if in_place else states[r + 1]
                 if quantized:
                     w_tilde = max(w_tilde, beta_gap(state))
                     pi_t = compute_pi_t(epsilon, lambda2_u, w_tilde)
                     pis[k] = pi_t
-                    state = mspdq_round(state, epsilon, weights[k], pi_t * a_max[k], uniforms[r], out=out)
+                    mspdq_round(state, epsilon, weights[k], pi_t * a_max[k], uniforms[r], out=state)
                 else:
-                    state = msp_round(state, epsilon, weights[k], out=out)
+                    msp_round(state, epsilon, weights[k], out=state)
+                for stack, a in zip(stacks, kept):
+                    stack[r + 1] = a
             if quantized:
                 span = slice(start, start + b)
                 delta_max[span], box_end_max[span] = _check_quantized_rounds(
-                    initial.k + start, vis[: b + 1], q[: b + 1], uniforms, pis[span] * a_max[span],
+                    start, stacks[0][: b + 1], stacks[-1][: b + 1], uniforms, pis[span] * a_max[span],
                     initial.level, wire_check,
                 )
     trace = None
@@ -386,11 +372,11 @@ def run_consensus(
             epsilon=epsilon,
             m_counts=initial.m_counts.copy(),
             origins=(origins.copy() if origins is not None else np.zeros_like(initial.visible)),
-            visibles=vis,
-            invisibles=inv,
-            globals_=glob,
+            visibles=stacks[0],
+            invisibles=stacks[1],
+            globals_=stacks[2],
             weights=np.array(weights[:K]),
-            quantized=q,
+            quantized=stacks[3] if quantized else None,
             pis=pis if quantized else None,
         )
     if not quantized:
@@ -401,7 +387,7 @@ def run_consensus(
     if bad.size:
         k = int(bad[0])
         raise ProtocolIntegrityError(
-            f"quantization error exceeded its bound at round {initial.k + k}: "
+            f"quantization error exceeded its bound at round {k}: "
             f"{delta_max[k]:.6g} > {limit[k]:.6g}"
         )
     margins = bound - delta_max

@@ -381,8 +381,7 @@ class _RoundStreams:
     """The keyed streams of one learning round."""
 
     cohort: np.ndarray  # (M,) client of each cohort slot
-    clients: np.ndarray  # the cohort's sorted unique clients
-    gradient: list  # one (round, client) stream per entry of clients
+    gradient: list  # one (round, client) stream per cohort slot
     split: list  # one (round, slot) stream per cohort slot; empty without splitting
     aggregate: np.random.Generator | None  # quantization (mspdq) or Laplace noise (ldp)
 
@@ -392,7 +391,8 @@ def _round_streams(config: FLConfig, p: np.ndarray):
     of rounds per `rngmod.seed_words` call for each purpose.
 
     A block's cohorts are drawn first (the sampling streams do not depend on
-    the model), so the gradient keys cover only the clients they use.
+    the model), so the gradient keys cover only the clients they use; slots
+    that hold the same client get equal streams.
     """
     seed, M = config.seed, config.cohort
     for start in range(1, config.rounds + 1, _HASH_BLOCK):
@@ -401,11 +401,7 @@ def _round_streams(config: FLConfig, p: np.ndarray):
             sample_clients(p, M, rngmod.generator(words))
             for words in rngmod.seed_words(seed, rngmod.CLIENT_SAMPLING, ts)
         ])
-        ordered = np.sort(cohorts, axis=1)
-        first = np.ones(ordered.shape, dtype=bool)
-        first[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-        rows, cols = np.nonzero(first)
-        gradient = rngmod.seed_words(seed, rngmod.GRADIENT, ts[rows], ordered[rows, cols])
+        gradient = rngmod.seed_words(seed, rngmod.GRADIENT, ts[:, None], cohorts)
         split = aggregate = None
         if config.mode in ("msp", "mspdq"):
             split = rngmod.seed_words(seed, rngmod.SPLITTING, ts[:, None], np.arange(M))
@@ -413,29 +409,13 @@ def _round_streams(config: FLConfig, p: np.ndarray):
             aggregate = rngmod.seed_words(seed, rngmod.QUANTIZATION, ts)
         elif config.mode == "ldp" and config.ldp_scale > 0:
             aggregate = rngmod.seed_words(seed, rngmod.LDP_NOISE, ts)
-        lo = 0
         for i in range(len(ts)):
-            clients = ordered[i, first[i]]
-            hi = lo + len(clients)
             yield _RoundStreams(
                 cohorts[i],
-                clients,
-                [rngmod.generator(words) for words in gradient[lo:hi]],
+                [rngmod.generator(words) for words in gradient[i]],
                 [] if split is None else [rngmod.generator(words) for words in split[i]],
                 None if aggregate is None else rngmod.generator(aggregate[i]),
             )
-            lo = hi
-
-
-def _local_round(config, bundle, streams, w_prev, eta):
-    """One stacked local SGD pass over a round's sorted unique clients, each
-    on its own (round, client) gradient stream; returns the (M, d) local
-    models of the cohort slots."""
-    local = local_sgd(
-        w_prev, bundle.A[streams.clients], bundle.targets[streams.clients], eta,
-        config.local_steps, streams.gradient, config.batch_size,
-    )
-    return local[np.searchsorted(streams.clients, streams.cohort)]
 
 
 def _base_constants(config: FLConfig, bundle: ProblemBundle) -> dict:
@@ -529,7 +509,10 @@ def run(config: FLConfig, bundle: ProblemBundle | None = None) -> RunResult:
     w_tilde_run = 0.0
     for t, streams in enumerate(_round_streams(config, bundle.p), start=1):
         eta = lr_schedule(t, pc.mu, vt)
-        local = _local_round(config, bundle, streams, w, eta)
+        local = local_sgd(
+            w, bundle.A[streams.cohort], bundle.targets[streams.cohort], eta,
+            config.local_steps, streams.gradient, config.batch_size,
+        )
         kt = 0
         summary = {"max_width": 0.0, "delta_max": 0.0}
         if not split:
@@ -604,10 +587,7 @@ def theorem_constants(
         u = build_U(config.cohort, config.epsilon)
         out["lambda2_U"] = lambda2_U(u)
         out["lambda_min_U"] = lambda_min_U(u)
-        horizon = max(
-            kt_schedule(t, pc.mu, vt, config.lambda_, config.mode)
-            for t in (1, config.rounds)
-        )
+        horizon = kt_schedule(config.rounds, pc.mu, vt, config.lambda_, config.mode)
         devs, measured = contraction_probe(u, _step_weights(config), horizon)
         C = fit_contraction_constant(devs, config.lambda_)
         out["C"] = C

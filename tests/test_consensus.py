@@ -1,3 +1,4 @@
+import copy
 import json
 import tracemalloc
 
@@ -232,27 +233,38 @@ def test_mspdq_uploads_are_knobs_of_each_clients_box():
             assert value in {v for v, p in atoms[j] if p > 0}
 
 
-@pytest.mark.parametrize("wire_check", [False, True])
-def test_mspdq_round_leaves_its_input_state_unchanged(wire_check):
+@pytest.mark.parametrize("call", ["round", "in_place_round", "phase", "recorded_phase"])
+def test_mspdq_round_leaves_its_input_state_unchanged(call):
     state, weights, lam2 = quantized_setup(level=16)
     pi = compute_pi_t(0.4, lam2, np.linalg.norm(state.visible - state.invisible[:, 0, :]))
     arrays = {name: value for name, value in vars(state).items() if isinstance(value, np.ndarray)}
     before = {name: value.copy() for name, value in arrays.items()}
-    if wire_check:
-        # the wire check belongs to the phase: one round through run_consensus
-        nxt, _, _ = run_consensus(
+    stacks = []
+    if call.endswith("phase"):
+        # the wire check belongs to the phase: one round through run_consensus,
+        # whose working state is a copy of its input
+        nxt, trace, _ = run_consensus(
             state, 1, MSPDQ, 0.4, weights.table(1), rng=rngmod.stream(8, 28), lambda2_u=lam2,
-            record=False, wire_check=True,
+            record=call == "recorded_phase", wire_check=True,
         )
+        if trace is not None:
+            stacks = [trace.visibles, trace.invisibles, trace.globals_, trace.quantized]
     else:
         u = rngmod.stream(8, 28).random(size=state.visible.shape)
         nxt = mspdq_round(state, 0.4, weights.at(0), pi * a_max(weights.at(0)), u)
+        if call == "in_place_round":
+            # `out` may be the state itself: the same bits as fresh arrays
+            work = copy.deepcopy(state)
+            assert mspdq_round(work, 0.4, weights.at(0), pi * a_max(weights.at(0)), u, out=work) is work
+            for name in arrays:
+                assert _same_bits(getattr(work, name), getattr(nxt, name)), name
     assert sorted(arrays) == ["global_model", "invisible", "m_counts", "quantized", "visible"]
     for name, value in arrays.items():
         assert getattr(state, name) is value and _same_bits(value, before[name]), name
         if name != "m_counts":
             assert not np.shares_memory(getattr(nxt, name), value), name
-    assert state.k == 0 and state.level == 16
+            assert not any(np.shares_memory(getattr(nxt, name), stack) for stack in stacks), name
+    assert state.level == 16
 
 
 def test_mspdq_round_matches_msp_in_expectation():
@@ -496,7 +508,7 @@ def reference_msp_round(state, epsilon, weights_k):
     new_inv = inv + w * (vis[:, None, :] - inv)
     return RoundState(
         visible=new_vis, invisible=new_inv, m_counts=state.m_counts,
-        global_model=np.mean(new_vis, axis=0), k=state.k + 1,
+        global_model=np.mean(new_vis, axis=0),
     )
 
 
@@ -523,7 +535,7 @@ def reference_mspdq_round(state, epsilon, weights_k, pi_t, rng):
     bound = dynamic_error_bound(pi_t, level, a_max_k, state.d)
     new_state = RoundState(
         visible=new_vis, invisible=new_inv, m_counts=state.m_counts,
-        global_model=np.mean(q_vals, axis=0), quantized=q_vals, level=level, k=state.k + 1,
+        global_model=np.mean(q_vals, axis=0), quantized=q_vals, level=level,
     )
     return new_state, a_max_k, norms, bound
 
@@ -609,13 +621,11 @@ def test_run_consensus_matches_reference_rounds_bitwise(M, m, d, K, rule, mode, 
     for other in (run(False), run(False, block_bytes)):
         assert other[1] is None
         assert other[2] == summary and other[3] == rng_end
-        assert other[0].k == fin.k
         for name in ("visible", "invisible", "global_model", "quantized"):
             got, ref = getattr(other[0], name), getattr(fin, name)
             assert (got is None and ref is None) or _same_bits(got, ref), name
     assert rng_end == ref_rng.bit_generator.state
     assert summary == ref_summary
-    assert fin.k == K
     m_max = state.invisible.shape[1]
     assert trace.visibles.shape == (K + 1, M, d) and trace.globals_.shape == (K + 1, d)
     assert trace.invisibles.shape == (K + 1, M, m_max, d) and trace.weights.shape == (K, M, m_max)

@@ -173,7 +173,9 @@ def test_stacked_local_round_matches_per_client_loop(n_clients, cohort, dim, E, 
     bundle = orch.build_problem(cfg)
     w_prev = rngmod.stream(seed, 99).standard_normal(dim)
     streams = list(orch._round_streams(cfg, bundle.p))[t - 1]
-    got = orch._local_round(cfg, bundle, streams, w_prev, eta)
+    got = orch.local_sgd(
+        w_prev, bundle.A[streams.cohort], bundle.targets[streams.cohort], eta, E, streams.gradient, batch_size
+    )
     cohort_ids = orch.sample_clients(bundle.p, cohort, rngmod.stream(seed, rngmod.CLIENT_SAMPLING, t))
     for slot, c in enumerate(cohort_ids):
         rng = rngmod.stream(seed, rngmod.GRADIENT, t, int(c))

@@ -26,6 +26,8 @@ from .errors import ConfigError, ProtocolIntegrityError
 from .quantizer import (
     QuantizedVector,
     QuantizerState,
+    _bound,
+    _round,
     compute_pi_t,
     decode,
     dynamic_error_bound,
@@ -36,10 +38,10 @@ from .quantizer import (
 from .splitting import SplitState
 
 CONSERVATION_RTOL = 1e-9
-# Bytes of stacked rows a non-recording quantized phase holds at once:
-# visibles, uploads and uniforms.  Longer phases run in blocks, so phase
-# memory does not grow with K; a desk phase (M = 8, d = 10, K <= 130 at 500
-# learning rounds) fits in one block.
+# Bytes of stacked rows a non-recording phase holds at once: broadcast step
+# weights, and in quantized mode visibles, uploads and uniforms.  Longer
+# phases run in blocks, so phase memory does not grow with K; a desk phase
+# (M = 8, d = 10, K <= 130 at 500 learning rounds) fits in one block.
 BLOCK_BYTES = 1 << 20
 
 MSP = "msp"
@@ -136,56 +138,126 @@ def consensus_target(state: RoundState) -> np.ndarray:
     return conserved_sum(state) / float(np.sum(1 + state.m_counts))
 
 
-def _blank(state: RoundState, quantized: bool) -> RoundState:
-    """Uninitialised arrays shaped like a state (uploads only if
-    `quantized`): where a round operator called without `out` writes."""
-    return RoundState(
-        np.empty_like(state.visible),
-        np.empty_like(state.invisible),
-        state.m_counts,
-        np.empty_like(state.global_model),
-        np.empty_like(state.visible) if quantized else None,
-        state.level if quantized else None,
-    )
+class _Workspace(RoundState):
+    """A state that the round kernels advance in place, with what a round
+    needs bound once over its arrays: the broadcast views of the visible
+    and global model, the first-invisible view, the epsilon, client-count
+    and knob constants as filled arrays, scratch for every intermediate,
+    and `rows` preallocated step-weight rows broadcast to the invisible
+    shape.  With them every ufunc of a round writes `out=` into contiguous
+    same-shape operands.
 
-
-def _update(
-    state: RoundState, epsilon: float, weights_k: np.ndarray, reference: np.ndarray, out: RoundState
-) -> np.ndarray:
-    """Write the update law's new visible and invisible stacks into `out`
-    and return the new visible:
-
-        vis + epsilon (global - reference_i) + sum_n a_n (inv_n - vis)
-
-    `reference` is the visible matrix in plain mode and the quantized uploads
-    in quantized mode.  The flow a (inv - vis) enters the visible and leaves
-    the invisible, so inv - flow is bitwise inv + a (vis - inv).  Each
-    chain's last ufunc writes its row; `out` goes positionally, which on
-    these small arrays costs less than the keyword.
+    run_consensus binds one per phase over its working state; a standalone
+    operator call binds a throwaway one over its output, into which it
+    first copies its input.  `bound` is the (epsilon, level) the constants
+    were filled with.
     """
-    vis, inv = state.visible, state.invisible
-    flow = weights_k[..., None] * (inv - vis[..., None, :])
-    np.subtract(inv, flow, out.invisible)
-    drift = epsilon * (state.global_model[..., None, :] - reference)
-    return np.add(vis + drift, np.add.reduce(flow, axis=-2), out.visible)
+
+    def __init__(self, work: RoundState, epsilon: float, level: int | None, rows: int = 0):
+        super().__init__(work.visible, work.invisible, work.m_counts, work.global_model, work.quantized, level)
+        vis, inv = self.visible, self.invisible
+        self.bound = (epsilon, level)
+        self.eps = np.full_like(vis, epsilon)
+        self.count = np.full_like(self.global_model, vis.shape[-2])
+        self.visible_b = vis[..., None, :]
+        self.global_b = self.global_model[..., None, :]
+        self.flow = np.empty_like(inv)
+        # one invisible row (the desk shape) is its own flow sum: no op
+        self.sum_rows = inv.shape[-2] != 1
+        self.flow_sum = np.empty_like(vis) if self.sum_rows else self.flow[..., 0, :]
+        self.drift = np.empty_like(vis)
+        self.weight_rows = np.empty((rows,) + inv.shape)
+        if level is not None:
+            self.first_invisible = inv[..., 0, :]
+            self.gap = np.empty_like(vis)
+            self.gap_flat = self.gap.reshape(-1)
+            self.half, self.lo, self.hi = np.empty_like(vis), np.empty_like(vis), np.empty_like(vis)
+            self.knobs = _bound(level, vis)
+
+    def update(self, weights_k: np.ndarray, reference: np.ndarray) -> None:
+        """Rewrite the visible and invisible stacks by the update law
+
+            vis + epsilon (global - reference_i) + sum_n a_n (inv_n - vis)
+
+        where `reference` is the visible matrix in plain mode and the
+        quantized uploads in quantized mode, and `weights_k` is (..., M, m)
+        or already broadcast to the full invisible shape, seed axis
+        included.  The flow a (inv - vis) enters the visible and leaves the
+        invisible, so inv - flow is bitwise inv + a (vis - inv).  Every
+        input is read before it is written.
+        """
+        vis, inv, flow, total = self.visible, self.invisible, self.flow, self.flow_sum
+        np.subtract(inv, self.visible_b, flow)
+        np.multiply(weights_k if weights_k.shape == inv.shape else weights_k[..., None], flow, flow)
+        np.subtract(inv, flow, inv)
+        drift = np.subtract(self.global_b, reference, self.drift)
+        np.multiply(self.eps, drift, drift)
+        np.add(vis, drift, drift)
+        if self.sum_rows:
+            np.add.reduce(flow, axis=-2, out=total)
+        np.add(drift, total, vis)
+
+    def aggregate(self, values: np.ndarray) -> None:
+        """global = the mean over clients of `values`: np.add.reduce over
+        the client axis, divided by M, is bitwise values.mean(axis=-2)."""
+        total = np.add.reduce(values, axis=-2, out=self.global_model)
+        np.divide(total, self.count, total)
+
+    def quantize(self, width: float, uniforms: np.ndarray) -> None:
+        """Round the new visible over each client's box of the given width
+        centred on its last upload, with the (M, d) uniforms, into the
+        uploads."""
+        half, q = self.half, self.quantized
+        half.fill(0.5 * width)
+        lo, hi = np.subtract(q, half, self.lo), np.add(q, half, self.hi)
+        _round(self.visible, lo, hi, uniforms, self.knobs, out=q)
+
+    def beta_gap(self) -> float:
+        """Frobenius distance between the visible stack and the first
+        invisible stack; its running max feeds the interval-width constant.
+        sqrt of the flat dot product is the formula np.linalg.norm
+        evaluates."""
+        np.subtract(self.visible, self.first_invisible, self.gap)
+        return math.sqrt(self.gap_flat.dot(self.gap_flat))
 
 
-def _aggregate(values: np.ndarray, out: RoundState) -> None:
-    """out.global_model = the mean over clients of `values`;
-    np.add.reduce(x, axis=-2) / M is bitwise x.mean(axis=-2)."""
-    np.divide(np.add.reduce(values, axis=-2), values.shape[-2], out.global_model)
+def _bind(state: RoundState, out: RoundState | None, epsilon: float, quantized: bool) -> tuple[_Workspace, RoundState]:
+    """The workspace a round advances and the state it returns: the
+    workspace run_consensus bound, when `out` is it, is `state` and was
+    bound with this epsilon and level; else a throwaway one over `out`, or
+    over fresh arrays without it, holding a copy of `state`."""
+    if out is state and type(out) is _Workspace and out.bound == (epsilon, state.level if quantized else None):
+        return out, out
+    if quantized:
+        _require_uploads(state)
+    if out is None:
+        out = RoundState(
+            state.visible.copy(), state.invisible.copy(), state.m_counts, state.global_model.copy(),
+            state.quantized.copy() if quantized else None, state.level if quantized else None,
+        )
+    elif out is not state:
+        for name in ("visible", "invisible", "global_model") + (("quantized",) if quantized else ()):
+            np.copyto(getattr(out, name), getattr(state, name))
+    return _Workspace(out, epsilon, state.level if quantized else None), out
+
+
+def _require_uploads(state: RoundState) -> None:
+    if state.quantized is None or state.level is None:
+        raise ConfigError("state lacks quantized uploads; initialize the quantized mode first")
 
 
 def msp_round(state: RoundState, epsilon: float, weights_k: np.ndarray, out: RoundState | None = None) -> RoundState:
     """One plain communication round followed by server aggregation.
 
     Writes the new state into `out` or, without it, into fresh arrays, and
-    returns it.  `out` may be `state` itself: the round reads each input
-    before it writes that array.  A leading seed axis on the state (and
-    optionally the weights) batches seeds, each bitwise equal to its own call.
+    returns it.  `out` may be `state` itself.  `weights_k` is (..., M, m),
+    or already broadcast to the full invisible shape.  A leading seed axis on
+    the state (and optionally the weights) batches seeds, each bitwise
+    equal to its own call.
     """
-    out = _blank(state, quantized=False) if out is None else out
-    _aggregate(_update(state, epsilon, weights_k, state.visible, out), out)
+    ws, out = _bind(state, out, epsilon, quantized=False)
+    ws.update(weights_k, ws.visible)
+    ws.aggregate(ws.visible)
     return out
 
 
@@ -202,27 +274,15 @@ def mspdq_round(
     with the (M, d) uniforms, and aggregate the quantized uploads.
 
     Writes the new state into `out` or, without it, into fresh arrays, and
-    returns it.  `out` may be `state` itself: the round reads each input
-    before it writes that array.  The round checks nothing: run_consensus
-    checks a phase's box containment, upload errors and wire roundtrip over
-    its stacks.
+    returns it.  `out` may be `state` itself.  The round checks nothing:
+    run_consensus checks a phase's box containment, upload errors and wire
+    roundtrip over its stacks.
     """
-    if state.quantized is None or state.level is None:
-        raise ConfigError("state lacks quantized uploads; initialize the quantized mode first")
-    out = _blank(state, quantized=True) if out is None else out
-    new_vis = _update(state, epsilon, weights_k, state.quantized, out)
-    half = 0.5 * width
-    round_to_knobs(new_vis, state.quantized - half, state.quantized + half, state.level, uniforms, out=out.quantized)
-    _aggregate(out.quantized, out)
+    ws, out = _bind(state, out, epsilon, quantized=True)
+    ws.update(weights_k, ws.quantized)
+    ws.quantize(width, uniforms)
+    ws.aggregate(ws.quantized)
     return out
-
-
-def beta_gap(state: RoundState) -> float:
-    """Frobenius distance between the visible stack and the first invisible
-    stack; its running max feeds the interval-width constant.  sqrt of the
-    flat dot product is the formula np.linalg.norm evaluates."""
-    gap = (state.visible - state.invisible[:, 0, :]).ravel()
-    return math.sqrt(gap.dot(gap))
 
 
 def _check_quantized_rounds(
@@ -293,10 +353,26 @@ def run_consensus(
     `initial`, in place; after it, the phase copies into (rows, ...) stacks
     only the arrays a reader uses.  A recording phase keeps all four arrays
     for K+1 rows, which its ConsensusTrace wraps.  A non-recording quantized
-    phase keeps the visibles and uploads its checks read, in blocks of at
-    most BLOCK_BYTES, and draws each block's uniforms in one call (PCG64
-    doubles are unbuffered, so the blocks read what one (K, M, d) draw
-    would).  A non-recording plain phase keeps nothing.
+    phase keeps the visibles and uploads its checks read; a non-recording
+    plain phase keeps nothing.
+
+    The working state is a workspace bound once per phase (about 10 us):
+    the broadcast and first-row views of its arrays, filled constant arrays,
+    scratch for every intermediate, and the step weights of a block of
+    rounds broadcast to the invisible shape.  What a round costs depends
+    more on its operands than on its numpy calls: on (8, 10) float64 arrays
+    a same-shape contiguous ufunc writing `out=` takes ~0.26 us, one with a
+    broadcast or strided operand ~0.6-0.7 us, one with a Python-float
+    operand ~0.39 us, and np.add.reduce along an axis ~0.7-0.8 us.  So the
+    bound rounds write every result into contiguous same-shape operands,
+    sum the flow over the invisible rows only when there are several, and
+    pick the upper knob with np.putmask.  The weight rows count
+    against BLOCK_BYTES in both modes, beside the visibles, uploads and
+    uniforms of a quantized phase: a non-recording phase runs in blocks of
+    at most that many bytes, so its memory does not grow with K, and draws
+    each block's uniforms in one call (PCG64 doubles are unbuffered, so the
+    blocks read what one (K, M, d) draw would).  A recording phase runs in
+    one block.
 
     Returns (final_state, trace_or_None, summary) where summary carries the
     interval-width and beta-gap maxima and the worst quantization error and
@@ -315,25 +391,35 @@ def run_consensus(
     if mode not in (MSP, MSPDQ):
         raise ConfigError(f"unknown mode {mode!r}")
     quantized = mode == MSPDQ
-    if quantized and (rng is None or lambda2_u is None):
-        raise ConfigError("quantized mode needs an rng and lambda2(U)")
+    if quantized:
+        _require_uploads(initial)
+        if rng is None or lambda2_u is None:
+            raise ConfigError("quantized mode needs an rng and lambda2(U)")
     if len(weights) < K:
         raise ConfigError(f"step weights cover {len(weights)} rounds, need {K}")
-    # the working state: a copy of `initial` that every round rewrites in place
-    state = RoundState(
-        initial.visible.copy(), initial.invisible.copy(), initial.m_counts, initial.global_model.copy(),
-        initial.quantized.copy() if quantized else None, initial.level,
-    )
+    table = np.asarray(weights[:K])
     B = K  # rounds per block
+    if not record:
+        # a round's weight row, and with quantization its visible, upload and uniforms
+        row_bytes = initial.invisible.nbytes + (3 * initial.visible.nbytes if quantized else 0)
+        B = max(1, min(K, BLOCK_BYTES // row_bytes))
+    # the working state: a copy of `initial` that every round rewrites in place
+    state = _Workspace(
+        RoundState(
+            initial.visible.copy(), initial.invisible.copy(), initial.m_counts, initial.global_model.copy(),
+            initial.quantized.copy() if quantized else None,
+        ),
+        epsilon, initial.level if quantized else None, rows=B,
+    )
     kept = []  # the arrays whose rows a reader uses
     if record:
         kept = [state.visible, state.invisible, state.global_model] + ([state.quantized] if quantized else [])
     elif quantized:
         kept = [state.visible, state.quantized]
-        B = max(1, min(K, BLOCK_BYTES // (3 * initial.visible.nbytes)))  # visible, upload, uniforms
     stacks = [np.empty((B + 1,) + a.shape) for a in kept]
     if quantized:
-        a_max = np.asarray(weights[:K])[:, :, 0].max(axis=1)
+        a_max = table[:, :, 0].max(axis=1)
+        a_maxes = a_max.tolist()  # Python floats: the per-round product with pi_t is cheaper
         pis = np.empty(K)
         delta_max = np.empty(K)
         box_end_max = np.empty(K)
@@ -344,6 +430,8 @@ def run_consensus(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore") if quantized else np.errstate():
         for start in range(0, K, B):
             b = min(B, K - start)
+            rows = state.weight_rows[:b]
+            np.copyto(rows, table[start : start + b, ..., None])
             for stack, a in zip(stacks, kept):
                 stack[0] = a
             if quantized:
@@ -351,12 +439,12 @@ def run_consensus(
             for r in range(b):
                 k = start + r
                 if quantized:
-                    w_tilde = max(w_tilde, beta_gap(state))
+                    w_tilde = max(w_tilde, state.beta_gap())
                     pi_t = compute_pi_t(epsilon, lambda2_u, w_tilde)
                     pis[k] = pi_t
-                    mspdq_round(state, epsilon, weights[k], pi_t * a_max[k], uniforms[r], out=state)
+                    mspdq_round(state, epsilon, rows[r], pi_t * a_maxes[k], uniforms[r], out=state)
                 else:
-                    msp_round(state, epsilon, weights[k], out=state)
+                    msp_round(state, epsilon, rows[r], out=state)
                 for stack, a in zip(stacks, kept):
                     stack[r + 1] = a
             if quantized:
@@ -365,6 +453,7 @@ def run_consensus(
                     start, stacks[0][: b + 1], stacks[-1][: b + 1], uniforms, pis[span] * a_max[span],
                     initial.level, wire_check,
                 )
+    final = RoundState(state.visible, state.invisible, state.m_counts, state.global_model, state.quantized, initial.level)
     trace = None
     if record:
         trace = ConsensusTrace(
@@ -375,12 +464,12 @@ def run_consensus(
             visibles=stacks[0],
             invisibles=stacks[1],
             globals_=stacks[2],
-            weights=np.array(weights[:K]),
+            weights=table.copy(),
             quantized=stacks[3] if quantized else None,
             pis=pis if quantized else None,
         )
     if not quantized:
-        return state, trace, {"delta_max": 0.0, "bound_margin_min": float("inf"), "w_tilde_max": 0.0, "max_width": 0.0}
+        return final, trace, {"delta_max": 0.0, "bound_margin_min": float("inf"), "w_tilde_max": 0.0, "max_width": 0.0}
     bound = dynamic_error_bound(pis, initial.level, a_max, initial.d)
     limit = bound + knob_rounding_allowance(box_end_max, initial.d)
     bad = np.flatnonzero(~(delta_max <= limit))
@@ -397,7 +486,7 @@ def run_consensus(
         "w_tilde_max": w_tilde,  # a running max: its last value
         "max_width": float((pis * a_max).max()),
     }
-    return state, trace, summary
+    return final, trace, summary
 
 
 def check_conservation(trace: ConsensusTrace, rtol: float = CONSERVATION_RTOL) -> float:

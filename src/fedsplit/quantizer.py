@@ -11,9 +11,11 @@ probability one.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,14 +82,67 @@ def knob_values(lo: np.ndarray, hi: np.ndarray, level: int, indices: np.ndarray)
     return lo + indices * ((hi - lo) / (level - 1))
 
 
-def _bracket(w: np.ndarray, lo: np.ndarray, hi: np.ndarray, level: int, out: np.ndarray | None = None):
+class _Knobs(NamedTuple):
+    """The knob law's constants l-1, l-2 and 1.0, and the out buffers of
+    its step, tau, c_hi, p and up (step is reused for c_hi - c_lo)."""
+
+    lm1: np.ndarray
+    lm2: np.ndarray
+    one: np.ndarray
+    step: np.ndarray | None
+    tau: np.ndarray | None
+    c_hi: np.ndarray | None
+    p: np.ndarray | None
+    up: np.ndarray | None
+
+
+@functools.lru_cache(maxsize=64)
+def _unbound(level: int) -> _Knobs:
+    """The knob law's constants unbound: 0-d arrays (numpy takes them
+    faster than Python numbers, with the same bits), and no buffers, so
+    numpy allocates each result."""
+    return _Knobs(*(np.array(float(c)) for c in (level - 1, level - 2, 1.0)), None, None, None, None, None)
+
+
+def _bound(level: int, like: np.ndarray) -> _Knobs:
+    """_unbound's constants and buffers as arrays shaped like `like`, with
+    which a caller that rounds many times makes every ufunc same-shape and
+    contiguous and allocates nothing."""
+    return _Knobs(
+        *(np.full_like(like, c) for c in (level - 1, level - 2, 1.0)),
+        *(np.empty_like(like) for _ in range(4)),
+        np.empty(like.shape, dtype=bool),
+    )
+
+
+def _bracket(w: np.ndarray, lo: np.ndarray, hi: np.ndarray, k: _Knobs, out: np.ndarray | None = None):
     """Per coordinate: the float index tau (capped at l-2; callers check
-    w >= lo) of the lower bracketing knob and the two knob values, for any
-    shape that broadcasts against the boxes, e.g. (d,) or (M, d); the lower
-    knob values go into `out` when given."""
-    step = (hi - lo) / (level - 1)
-    tau = np.minimum(np.floor((w - lo) / step), level - 2)
-    return tau, np.add(lo, tau * step, out), lo + (tau + 1.0) * step
+    w >= lo) of the lower bracketing knob and the two knob values, for
+    same-shape inputs, e.g. (d,) or (M, d); the lower knob values go into
+    `out` (which must not alias an input) when given.  Every result goes to
+    its buffer, positionally (cheaper than the keyword on small arrays;
+    np.minimum takes only the keyword), or to a fresh array when unbound: a
+    scalar operand beside an `out` array costs numpy ~0.3 us more.
+
+        tau = min(floor((w - lo) / step), l - 2),  step = (hi - lo) / (l - 1)
+        c_lo = lo + tau step,  c_hi = lo + (tau + 1) step
+    """
+    step = np.divide(np.subtract(hi, lo, k.step), k.lm1, k.step)
+    tau = np.divide(np.subtract(w, lo, k.tau), step, k.tau)
+    tau = np.minimum(np.floor(tau, k.tau), k.lm2, out=k.tau)
+    c_lo = np.add(lo, np.multiply(tau, step, out), out)
+    c_hi = np.add(lo, np.multiply(np.add(tau, k.one, k.c_hi), step, k.c_hi), k.c_hi)
+    return tau, c_lo, c_hi
+
+
+def _round(w: np.ndarray, lo: np.ndarray, hi: np.ndarray, u: np.ndarray, k: _Knobs, out: np.ndarray | None = None):
+    """round_to_knobs with _unbound or _bound knobs: up = u < (w - c_lo) /
+    (c_hi - c_lo), then np.putmask gives the bits of np.where(up, c_hi, c_lo)."""
+    tau, c_lo, c_hi = _bracket(w, lo, hi, k, out)
+    p = np.divide(np.subtract(w, c_lo, k.p), np.subtract(c_hi, c_lo, k.step), k.p)
+    up = np.less(u, p, k.up)
+    np.putmask(c_lo, up, c_hi)
+    return tau, up, c_lo
 
 
 def round_to_knobs(
@@ -98,10 +153,7 @@ def round_to_knobs(
     (the knob index is tau + up), written into `out` when given.  Such u make
     clipping p to [0, 1] moot; collapsed knobs divide by zero (callers
     silence it): inf rounds up, NaN down."""
-    tau, c_lo, c_hi = _bracket(w, lo, hi, level, out)
-    up = u < (w - c_lo) / (c_hi - c_lo)
-    np.copyto(c_lo, c_hi, where=up)  # the bits of np.where(up, c_hi, c_lo)
-    return tau, up, c_lo
+    return _round(w, lo, hi, u, _unbound(level), out)
 
 
 def _checked_input(w: np.ndarray, qs: QuantizerState) -> np.ndarray:
@@ -131,7 +183,7 @@ def output_distribution(w: np.ndarray, qs: QuantizerState) -> list[list[tuple[fl
     formed on Python floats, whose IEEE operations give the float64 bits.
     """
     w = _checked_input(w, qs)
-    _, c_lo, c_hi = _bracket(w, qs.lo, qs.hi, qs.level)
+    _, c_lo, c_hi = _bracket(w, qs.lo, qs.hi, _unbound(qs.level))
     out = []
     for x, lo, hi in zip(w.tolist(), c_lo.tolist(), c_hi.tolist()):
         p = (x - lo) / (hi - lo) if hi > lo else 0.0

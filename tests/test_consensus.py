@@ -692,3 +692,155 @@ def test_msp_round_seed_axis_matches_per_seed_calls(S, M, m, d, k, rule, per_see
         assert _same_bits(batched.visible[s], one.visible)
         assert _same_bits(batched.invisible[s], one.invisible)
         assert _same_bits(batched.global_model[s], one.global_model)
+
+
+def test_quantized_phase_without_uploads_raises_config_error():
+    # the operator's check, raised before the phase copies anything
+    state = hand_state()
+    for level in (None, 16):
+        state.level = level
+        with pytest.raises(ConfigError, match="state lacks quantized uploads"):
+            run_consensus(state, 3, MSPDQ, 0.4, np.full((3, 2, 1), 0.1), rng=rngmod.stream(0, 46), lambda2_u=0.5)
+
+
+def ragged_cohort(rng, M, m_max, d, epsilon, rule, mode, level):
+    """A cohort whose clients hold 1..m_max invisibles (both ends present),
+    with step weights zero on every padded slot."""
+    m_counts = rng.integers(1, m_max + 1, size=M)
+    m_counts[:2] = 1, m_max
+    cap = step_weight_cap(build_U(M, epsilon))
+    real = np.arange(m_max) < m_counts[:, None]
+    weights = StepWeights(gamma=rng.uniform(0.1, 1.0, size=real.shape) * real * 0.9 * cap / m_max, rule=rule)
+    w_prev = rng.standard_normal(d)
+    splits = [
+        split_model(w_prev + 0.5 * rng.standard_normal(d), SplitRule("uniform", m=int(m), eps_split=0.3), rng)
+        for m in m_counts
+    ]
+    if mode == MSPDQ:
+        return mspdq_initial_state(splits, w_prev, q0_width=40.0, level=level)[0], weights
+    return state_from_splits(splits), weights
+
+
+@given(
+    M=st.integers(2, 6),
+    m_max=st.integers(2, 10),
+    d=st.integers(1, 4),
+    K=st.integers(1, 20),
+    rule=st.sampled_from(["harmonic", "inv_sqrt"]),
+    mode=st.sampled_from([MSP, MSPDQ]),
+    level=st.sampled_from([5, 16, 257, 4096]),
+    seed=st.integers(0, 2**16),
+)
+# d = 1 with 7 and 9 invisible rows: the last count the flow sums with
+# running adds, and the first it hands to np.add.reduce
+@example(M=3, m_max=7, d=1, K=6, rule="harmonic", mode=MSP, level=16, seed=1)
+@example(M=3, m_max=9, d=1, K=6, rule="harmonic", mode=MSPDQ, level=16, seed=2)
+def test_ragged_phase_matches_reference_rounds_bitwise(M, m_max, d, K, rule, mode, level, seed):
+    rng = rngmod.stream(seed, 47)
+    epsilon = float(rng.uniform(0.1, 0.9))
+    state, weights = ragged_cohort(rng, M, m_max, d, epsilon, rule, mode, level)
+    lam2 = lambda2_U(build_U(M, epsilon))
+    try:
+        ref_states, ref_summary = reference_run_consensus(
+            state, K, mode, epsilon, weights, rngmod.stream(seed, 48), lam2
+        )
+    except ProtocolIntegrityError:
+        ref_states = None
+    # recorded, non-recording, and non-recording in one-round blocks
+    for record, budget in ((True, consensus.BLOCK_BYTES), (False, consensus.BLOCK_BYTES), (False, 1)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(consensus, "BLOCK_BYTES", budget)
+            call = lambda: run_consensus(  # noqa: E731
+                state, K, mode, epsilon, weights.table(K), rng=rngmod.stream(seed, 48), lambda2_u=lam2, record=record
+            )
+            if ref_states is None:
+                with pytest.raises(ProtocolIntegrityError):
+                    call()
+                continue
+            fin, trace, summary = call()
+        assert summary == ref_summary
+        names = ("visible", "invisible", "global_model") + (("quantized",) if mode == MSPDQ else ())
+        for name in names:
+            assert _same_bits(getattr(fin, name), getattr(ref_states[-1], name)), name
+        if record:
+            stacks = (trace.visibles, trace.invisibles, trace.globals_, trace.quantized)
+            for k, ref in enumerate(ref_states):
+                for name, stack in zip(names, stacks):
+                    assert _same_bits(stack[k], getattr(ref, name)), (name, k)
+
+
+@given(
+    S=st.integers(0, 3),
+    M=st.integers(2, 6),
+    m_max=st.integers(1, 3),
+    d=st.integers(1, 4),
+    rounds_before=st.integers(0, 3),
+    mode=st.sampled_from([MSP, MSPDQ]),
+    out=st.sampled_from(["none", "state", "separate", "workspace"]),
+    broadcast_weights=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_standalone_round_calls_match_reference_rounds_bitwise(
+    S, M, m_max, d, rounds_before, mode, out, broadcast_weights, seed
+):
+    # each operator call binds a throwaway workspace; a leading seed axis
+    # of S > 0 seeds is taken by msp_round only; out="workspace" advances in
+    # place a state bound with another epsilon, which the call must not use
+    if mode == MSPDQ:
+        S = 0
+    rng = rngmod.stream(seed, 49)
+    epsilon = float(rng.uniform(0.1, 0.9))
+    lam2 = lambda2_U(build_U(M, epsilon))
+    k = rounds_before
+    seeds, refs, args = [], [], []
+    for _ in range(max(S, 1)):
+        state, weights = ragged_cohort(rng, M, m_max, d, epsilon, "harmonic", mode, 256)
+        try:
+            history, _ = reference_run_consensus(state, k, mode, epsilon, weights, rngmod.stream(seed, 50), lam2)
+        except ProtocolIntegrityError:
+            return
+        before = history[-1]
+        weights_k = weights.at(k)
+        if mode == MSP:
+            refs.append(reference_msp_round(before, epsilon, weights_k))
+        else:
+            gaps = [np.linalg.norm(s.visible - s.invisible[:, 0, :]) for s in history]
+            pi_t = compute_pi_t(epsilon, lam2, float(max(gaps)))
+            try:
+                refs.append(reference_mspdq_round(before, epsilon, weights_k, pi_t, rngmod.stream(seed, 51))[0])
+            except ProtocolIntegrityError:
+                return
+            args = [pi_t * a_max(weights_k), rngmod.stream(seed, 51).random(size=(M, d))]
+        seeds.append((before, weights_k))
+    if S:
+        before = RoundState(
+            visible=np.stack([b.visible for b, _ in seeds]),
+            invisible=np.stack([b.invisible for b, _ in seeds]),
+            m_counts=seeds[0][0].m_counts,
+            global_model=np.stack([b.global_model for b, _ in seeds]),
+        )
+        weights_k = np.stack([w for _, w in seeds])
+    names = ("visible", "invisible", "global_model") + (("quantized",) if mode == MSPDQ else ())
+    kept = {name: getattr(before, name).copy() for name in names}
+    if broadcast_weights:
+        weights_k = np.broadcast_to(weights_k[..., None], before.invisible.shape).copy()
+    target = None
+    if out == "workspace":
+        before = consensus._Workspace(before, epsilon / 2, before.level if mode == MSPDQ else None)
+    if out in ("state", "workspace"):
+        target = before
+    elif out == "separate":
+        target = RoundState(
+            visible=np.empty_like(before.visible), invisible=np.empty_like(before.invisible),
+            m_counts=before.m_counts, global_model=np.empty_like(before.global_model),
+            quantized=np.empty_like(before.quantized) if mode == MSPDQ else None,
+        )
+    operator = msp_round if mode == MSP else mspdq_round
+    got = operator(before, epsilon, weights_k, *args, out=target)
+    assert target is None or got is target
+    for name in names:
+        value = getattr(got, name)
+        for s, ref in enumerate(refs):
+            assert _same_bits(value[s] if S else value, getattr(ref, name)), name
+        if target is not before:
+            assert _same_bits(getattr(before, name), kept[name]), name

@@ -139,22 +139,27 @@ def consensus_target(state: RoundState) -> np.ndarray:
 
 
 class _Workspace(RoundState):
-    """A state that the round kernels advance in place, with what a round
-    needs bound once over its arrays: the broadcast views of the visible
-    and global model, the first-invisible view, the epsilon, client-count
-    and knob constants as filled arrays, scratch for every intermediate,
-    and `rows` preallocated step-weight rows broadcast to the invisible
-    shape.  With them every ufunc of a round writes `out=` into contiguous
-    same-shape operands.
+    """A copy of a state that the round kernels advance in place, with what
+    a round needs bound once over its arrays: the broadcast views of the
+    visible and global model, the first-invisible view, the epsilon,
+    client-count and knob constants as filled arrays, scratch for every
+    intermediate, and `rows` preallocated step-weight rows broadcast to the
+    invisible shape.  With them every ufunc of a round writes `out=` into
+    contiguous same-shape operands.
 
-    run_consensus binds one per phase over its working state; a standalone
-    operator call binds a throwaway one over its output, into which it
-    first copies its input.  `bound` is the (epsilon, level) the constants
-    were filled with.
+    run_consensus binds one per phase as its working state; a standalone
+    operator call binds a throwaway one.  `bound` is the (epsilon, level)
+    the constants were filled with.
     """
 
-    def __init__(self, work: RoundState, epsilon: float, level: int | None, rows: int = 0):
-        super().__init__(work.visible, work.invisible, work.m_counts, work.global_model, work.quantized, level)
+    def __init__(self, state: RoundState, epsilon: float, quantized: bool, rows: int = 0):
+        if quantized and (state.quantized is None or state.level is None):
+            raise ConfigError("state lacks quantized uploads; initialize the quantized mode first")
+        level = state.level if quantized else None
+        super().__init__(
+            state.visible.copy(), state.invisible.copy(), state.m_counts, state.global_model.copy(),
+            state.quantized.copy() if quantized else None, level,
+        )
         vis, inv = self.visible, self.invisible
         self.bound = (epsilon, level)
         self.eps = np.full_like(vis, epsilon)
@@ -167,28 +172,31 @@ class _Workspace(RoundState):
         self.flow_sum = np.empty_like(vis) if self.sum_rows else self.flow[..., 0, :]
         self.drift = np.empty_like(vis)
         self.weight_rows = np.empty((rows,) + inv.shape)
-        if level is not None:
+        if quantized:
             self.first_invisible = inv[..., 0, :]
             self.gap = np.empty_like(vis)
             self.gap_flat = self.gap.reshape(-1)
             self.half, self.lo, self.hi = np.empty_like(vis), np.empty_like(vis), np.empty_like(vis)
             self.knobs = _bound(level, vis)
 
-    def update(self, weights_k: np.ndarray, reference: np.ndarray) -> None:
+    def state(self) -> RoundState:
+        """A plain state over the workspace's arrays."""
+        return RoundState(self.visible, self.invisible, self.m_counts, self.global_model, self.quantized, self.level)
+
+    def update(self, weights: np.ndarray, reference: np.ndarray) -> None:
         """Rewrite the visible and invisible stacks by the update law
 
             vis + epsilon (global - reference_i) + sum_n a_n (inv_n - vis)
 
         where `reference` is the visible matrix in plain mode and the
-        quantized uploads in quantized mode, and `weights_k` is (..., M, m)
-        or already broadcast to the full invisible shape, seed axis
-        included.  The flow a (inv - vis) enters the visible and leaves the
-        invisible, so inv - flow is bitwise inv + a (vis - inv).  Every
-        input is read before it is written.
+        quantized uploads in quantized mode, and `weights` broadcasts to the
+        invisible shape.  The flow a (inv - vis) enters the visible and
+        leaves the invisible, so inv - flow is bitwise inv + a (vis - inv).
+        Every input is read before it is written.
         """
         vis, inv, flow, total = self.visible, self.invisible, self.flow, self.flow_sum
         np.subtract(inv, self.visible_b, flow)
-        np.multiply(weights_k if weights_k.shape == inv.shape else weights_k[..., None], flow, flow)
+        np.multiply(weights, flow, flow)
         np.subtract(inv, flow, inv)
         drift = np.subtract(self.global_b, reference, self.drift)
         np.multiply(self.eps, drift, drift)
@@ -221,68 +229,54 @@ class _Workspace(RoundState):
         return math.sqrt(self.gap_flat.dot(self.gap_flat))
 
 
-def _bind(state: RoundState, out: RoundState | None, epsilon: float, quantized: bool) -> tuple[_Workspace, RoundState]:
-    """The workspace a round advances and the state it returns: the
-    workspace run_consensus bound, when `out` is it, is `state` and was
-    bound with this epsilon and level; else a throwaway one over `out`, or
-    over fresh arrays without it, holding a copy of `state`."""
-    if out is state and type(out) is _Workspace and out.bound == (epsilon, state.level if quantized else None):
-        return out, out
-    if quantized:
-        _require_uploads(state)
-    if out is None:
-        out = RoundState(
-            state.visible.copy(), state.invisible.copy(), state.m_counts, state.global_model.copy(),
-            state.quantized.copy() if quantized else None, state.level if quantized else None,
-        )
-    elif out is not state:
-        for name in ("visible", "invisible", "global_model") + (("quantized",) if quantized else ()):
-            np.copyto(getattr(out, name), getattr(state, name))
-    return _Workspace(out, epsilon, state.level if quantized else None), out
+def _bind(state: RoundState, epsilon: float, weights_k: np.ndarray, quantized: bool) -> tuple[_Workspace, np.ndarray]:
+    """The workspace a round advances and its step weights, broadcastable
+    to the invisible shape: run_consensus's working state itself, when
+    `state` is it and was bound with this epsilon and level (its weights
+    are then rows already broadcast); else a throwaway copy of `state`,
+    with the (..., M, m) weights given a trailing axis."""
+    if type(state) is _Workspace and state.bound == (epsilon, state.level if quantized else None):
+        return state, weights_k
+    return _Workspace(state, epsilon, quantized), weights_k[..., None]
 
 
-def _require_uploads(state: RoundState) -> None:
-    if state.quantized is None or state.level is None:
-        raise ConfigError("state lacks quantized uploads; initialize the quantized mode first")
-
-
-def msp_round(state: RoundState, epsilon: float, weights_k: np.ndarray, out: RoundState | None = None) -> RoundState:
+def msp_round(state: RoundState, epsilon: float, weights_k: np.ndarray) -> RoundState:
     """One plain communication round followed by server aggregation.
 
-    Writes the new state into `out` or, without it, into fresh arrays, and
-    returns it.  `out` may be `state` itself.  `weights_k` is (..., M, m),
-    or already broadcast to the full invisible shape.  A leading seed axis on
-    the state (and optionally the weights) batches seeds, each bitwise
-    equal to its own call.
+    Returns the new state in fresh arrays and leaves `state` alone.
+    `weights_k` is (..., M, m).  A leading seed axis on the state (and
+    optionally the weights) batches seeds, each bitwise equal to its own
+    call.
     """
-    ws, out = _bind(state, out, epsilon, quantized=False)
+    ws, weights_k = _bind(state, epsilon, weights_k, quantized=False)
     ws.update(weights_k, ws.visible)
     ws.aggregate(ws.visible)
-    return out
+    return ws if ws is state else ws.state()
 
 
 def mspdq_round(
-    state: RoundState,
-    epsilon: float,
-    weights_k: np.ndarray,
-    width: float,
-    uniforms: np.ndarray,
-    out: RoundState | None = None,
+    state: RoundState, epsilon: float, weights_k: np.ndarray, width: float, uniforms: np.ndarray
 ) -> RoundState:
     """One quantized round: update, center each client's box of the given
     width on its last quantized upload, quantize the new visible over it
     with the (M, d) uniforms, and aggregate the quantized uploads.
 
-    Writes the new state into `out` or, without it, into fresh arrays, and
-    returns it.  `out` may be `state` itself.  The round checks nothing:
-    run_consensus checks a phase's box containment, upload errors and wire
-    roundtrip over its stacks.
+    Returns the new state in fresh arrays and leaves `state` alone.
+    `weights_k` is (M, m).  The round checks nothing: run_consensus checks
+    a phase's box containment, upload errors and wire roundtrip over its
+    stacks.
     """
-    ws, out = _bind(state, out, epsilon, quantized=True)
+    ws, weights_k = _bind(state, epsilon, weights_k, quantized=True)
     ws.update(weights_k, ws.quantized)
-    ws.quantize(width, uniforms)
+    if ws is state:
+        ws.quantize(width, uniforms)
+    else:
+        # collapsed knobs divide by zero (see round_to_knobs); run_consensus
+        # silences that once per phase
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ws.quantize(width, uniforms)
     ws.aggregate(ws.quantized)
-    return out
+    return ws if ws is state else ws.state()
 
 
 def _check_quantized_rounds(
@@ -384,33 +378,27 @@ def run_consensus(
     last block every upload error against dynamic_error_bound plus the
     knob_rounding_allowance of the round's largest |box end|.  Each raises
     ProtocolIntegrityError naming the first round that failed it, so an
-    escape anywhere in the phase wins over an error-bound violation.
+    escape anywhere in the phase wins over an error-bound violation.  Last,
+    in both modes, check_conserved raises if the final cohort total drifted
+    from the initial one.
     """
     if K < 1:
         raise ConfigError("need at least one communication round")
     if mode not in (MSP, MSPDQ):
         raise ConfigError(f"unknown mode {mode!r}")
     quantized = mode == MSPDQ
-    if quantized:
-        _require_uploads(initial)
-        if rng is None or lambda2_u is None:
-            raise ConfigError("quantized mode needs an rng and lambda2(U)")
-    if len(weights) < K:
-        raise ConfigError(f"step weights cover {len(weights)} rounds, need {K}")
-    table = np.asarray(weights[:K])
     B = K  # rounds per block
     if not record:
         # a round's weight row, and with quantization its visible, upload and uniforms
         row_bytes = initial.invisible.nbytes + (3 * initial.visible.nbytes if quantized else 0)
         B = max(1, min(K, BLOCK_BYTES // row_bytes))
     # the working state: a copy of `initial` that every round rewrites in place
-    state = _Workspace(
-        RoundState(
-            initial.visible.copy(), initial.invisible.copy(), initial.m_counts, initial.global_model.copy(),
-            initial.quantized.copy() if quantized else None,
-        ),
-        epsilon, initial.level if quantized else None, rows=B,
-    )
+    state = _Workspace(initial, epsilon, quantized, rows=B)
+    if quantized and (rng is None or lambda2_u is None):
+        raise ConfigError("quantized mode needs an rng and lambda2(U)")
+    if len(weights) < K:
+        raise ConfigError(f"step weights cover {len(weights)} rounds, need {K}")
+    table = np.asarray(weights[:K])
     kept = []  # the arrays whose rows a reader uses
     if record:
         kept = [state.visible, state.invisible, state.global_model] + ([state.quantized] if quantized else [])
@@ -442,9 +430,9 @@ def run_consensus(
                     w_tilde = max(w_tilde, state.beta_gap())
                     pi_t = compute_pi_t(epsilon, lambda2_u, w_tilde)
                     pis[k] = pi_t
-                    mspdq_round(state, epsilon, rows[r], pi_t * a_maxes[k], uniforms[r], out=state)
+                    mspdq_round(state, epsilon, rows[r], pi_t * a_maxes[k], uniforms[r])
                 else:
-                    msp_round(state, epsilon, rows[r], out=state)
+                    msp_round(state, epsilon, rows[r])
                 for stack, a in zip(stacks, kept):
                     stack[r + 1] = a
             if quantized:
@@ -453,7 +441,7 @@ def run_consensus(
                     start, stacks[0][: b + 1], stacks[-1][: b + 1], uniforms, pis[span] * a_max[span],
                     initial.level, wire_check,
                 )
-    final = RoundState(state.visible, state.invisible, state.m_counts, state.global_model, state.quantized, initial.level)
+    final = state.state()
     trace = None
     if record:
         trace = ConsensusTrace(
@@ -468,24 +456,24 @@ def run_consensus(
             quantized=stacks[3] if quantized else None,
             pis=pis if quantized else None,
         )
-    if not quantized:
-        return final, trace, {"delta_max": 0.0, "bound_margin_min": float("inf"), "w_tilde_max": 0.0, "max_width": 0.0}
-    bound = dynamic_error_bound(pis, initial.level, a_max, initial.d)
-    limit = bound + knob_rounding_allowance(box_end_max, initial.d)
-    bad = np.flatnonzero(~(delta_max <= limit))
-    if bad.size:
-        k = int(bad[0])
-        raise ProtocolIntegrityError(
-            f"quantization error exceeded its bound at round {k}: "
-            f"{delta_max[k]:.6g} > {limit[k]:.6g}"
-        )
-    margins = bound - delta_max
-    summary = {
-        "delta_max": float(delta_max.max()),
-        "bound_margin_min": float(margins.min()),
-        "w_tilde_max": w_tilde,  # a running max: its last value
-        "max_width": float((pis * a_max).max()),
-    }
+    summary = {"delta_max": 0.0, "bound_margin_min": float("inf"), "w_tilde_max": 0.0, "max_width": 0.0}
+    if quantized:
+        bound = dynamic_error_bound(pis, initial.level, a_max, initial.d)
+        limit = bound + knob_rounding_allowance(box_end_max, initial.d)
+        bad = np.flatnonzero(~(delta_max <= limit))
+        if bad.size:
+            k = int(bad[0])
+            raise ProtocolIntegrityError(
+                f"quantization error exceeded its bound at round {k}: "
+                f"{delta_max[k]:.6g} > {limit[k]:.6g}"
+            )
+        summary = {
+            "delta_max": float(delta_max.max()),
+            "bound_margin_min": float((bound - delta_max).min()),
+            "w_tilde_max": w_tilde,  # a running max: its last value
+            "max_width": float((pis * a_max).max()),
+        }
+    check_conserved(conserved_sum(initial), conserved_sum(final))
     return final, trace, summary
 
 

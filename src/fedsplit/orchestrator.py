@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .consensus import RoundState, check_conserved, conserved_sum, run_consensus, state_from_splits
+from .consensus import RoundState, run_consensus, state_from_splits
 from .errors import ConfigError, ProtocolIntegrityError
 from .problem import (
     ProblemBundle,
@@ -536,7 +536,6 @@ def run(config: FLConfig, bundle: ProblemBundle | None = None) -> RunResult:
                 record=False,
                 wire_check=quantized and t <= 2,
             )
-            check_conserved(conserved_sum(state), conserved_sum(final))
             w_tilde_run = max(w_tilde_run, summary["w_tilde_max"])
             w = final.global_model
         _check_ball(w, pc.w_star, config.ball_radius, "global model")
@@ -587,8 +586,7 @@ def theorem_constants(
         u = build_U(config.cohort, config.epsilon)
         out["lambda2_U"] = lambda2_U(u)
         out["lambda_min_U"] = lambda_min_U(u)
-        horizon = kt_schedule(config.rounds, pc.mu, vt, config.lambda_, config.mode)
-        devs, measured = contraction_probe(u, _step_weights(config), horizon)
+        devs, measured = contraction_probe(u, _step_weights(config), consensus_horizon(config, pc))
         C = fit_contraction_constant(devs, config.lambda_)
         out["C"] = C
         out["measured_contraction"] = measured

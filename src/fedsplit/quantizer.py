@@ -146,14 +146,14 @@ def _round(w: np.ndarray, lo: np.ndarray, hi: np.ndarray, u: np.ndarray, k: _Kno
 
 
 def round_to_knobs(
-    w: np.ndarray, lo: np.ndarray, hi: np.ndarray, level: int, u: np.ndarray, out: np.ndarray | None = None
+    w: np.ndarray, lo: np.ndarray, hi: np.ndarray, level: int, u: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Randomized rounding to the two bracketing knobs with one uniform u in
     [0, 1) per coordinate: returns tau, the round-up mask and the knob values
-    (the knob index is tau + up), written into `out` when given.  Such u make
-    clipping p to [0, 1] moot; collapsed knobs divide by zero (callers
-    silence it): inf rounds up, NaN down."""
-    return _round(w, lo, hi, u, _unbound(level), out)
+    (the knob index is tau + up).  Such u make clipping p to [0, 1] moot;
+    collapsed knobs divide by zero (callers silence it): inf rounds up, NaN
+    down."""
+    return _round(w, lo, hi, u, _unbound(level))
 
 
 def _checked_input(w: np.ndarray, qs: QuantizerState) -> np.ndarray:

@@ -181,22 +181,36 @@ def test_cli_reproduces_the_desk_experiment_and_bit_sweep(tmp_path):
         assert column(group.format("bits_vs_t"), "mean_cumulative_bits")[-1] == total_bits
 
 
+def readme_commands(monkeypatch, command: str) -> list[list[str]]:
+    """The arguments of every `fedsplit <command>` line in README's code
+    blocks, with the working directory set to the repo root they name
+    their configs from."""
+    root = Path(__file__).resolve().parents[1]
+    blocks = re.findall(r"```\w*\n(.*?)```", (root / "README.md").read_text(), flags=re.S)
+    lines = [line.strip() for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    monkeypatch.chdir(root)
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith(f"fedsplit {command} ")]
+
+
 def test_readme_run_recipes_work(tmp_path, monkeypatch, capsys):
     # README holds the experiment recipes: each `fedsplit run` in its code
     # blocks runs at one seed and three rounds (argparse keeps the last
     # --seeds and --out, and a later sweep axis replaces an earlier one),
     # and report reads the run dir it writes
-    root = Path(__file__).resolve().parents[1]
-    blocks = re.findall(r"```\w*\n(.*?)```", (root / "README.md").read_text(), flags=re.S)
-    lines = [line.strip() for block in blocks for line in block.replace("\\\n", " ").splitlines()]
-    commands = [line for line in lines if line.startswith("fedsplit run ")]
+    commands = readme_commands(monkeypatch, "run")
     assert len(commands) >= 3
-    monkeypatch.chdir(root)
     for i, command in enumerate(commands):
         out = str(tmp_path / str(i))
-        argv = [*shlex.split(command, comments=True)[1:], "--seeds", "0", "--sweep", "rounds=3", "--out", out]
+        argv = [*command, "--seeds", "0", "--sweep", "rounds=3", "--out", out]
         assert main(argv) == 0, (command, capsys.readouterr().err)
         assert main(["report", "--run-dir", out]) == 0, command
+
+
+def test_readme_validate_lines_work(monkeypatch, capsys):
+    commands = readme_commands(monkeypatch, "validate")
+    assert commands
+    for command in commands:
+        assert main(command) == 0, (command, capsys.readouterr().err)
 
 
 def test_audit_command_and_negative_control(tmp_path):
@@ -598,6 +612,23 @@ def test_consensus_horizon_past_its_cap_exits_2(config_path, tmp_path, capsys):
     assert _run_with(config_path, tmp_path, eig_hi=1e7)[0] == 2
     assert main(["validate", "--config", str(tmp_path / "edited.json")]) == 2
     assert "eig_hi" in capsys.readouterr().err
+
+
+def test_kt_override_sets_the_consensus_horizon_of_run_and_validate(tmp_path, capsys):
+    # the schedule alone asks for ~1.5e6 consensus rounds at round 3, over
+    # the cap; kt_override replaces it in the theorem constants' probe too
+    config = Path(__file__).resolve().parents[1] / "configs" / "desk_msp.json"
+    point = {"lambda_": 0.99999, "eig_hi": 1e6, "kt_override": 3, "rounds": 3}
+    sweeps = [arg for field, value in point.items() for arg in ("--sweep", f"{field}={value}")]
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config), "--seeds", "0", *sweeps, "--out", str(out)]) == 0, (
+        capsys.readouterr().err
+    )
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert len(manifest["runs"]) == 1 and manifest["failed"] == []
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps({**json.loads(config.read_text()), **point}))
+    assert main(["validate", "--config", str(edited)]) == 0, capsys.readouterr().err
 
 
 def _drop_metrics(out, manifest):

@@ -1,6 +1,6 @@
-import copy
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -233,7 +233,7 @@ def test_mspdq_uploads_are_knobs_of_each_clients_box():
             assert value in {v for v, p in atoms[j] if p > 0}
 
 
-@pytest.mark.parametrize("call", ["round", "in_place_round", "phase", "recorded_phase"])
+@pytest.mark.parametrize("call", ["round", "phase", "recorded_phase"])
 def test_mspdq_round_leaves_its_input_state_unchanged(call):
     state, weights, lam2 = quantized_setup(level=16)
     pi = compute_pi_t(0.4, lam2, np.linalg.norm(state.visible - state.invisible[:, 0, :]))
@@ -252,12 +252,6 @@ def test_mspdq_round_leaves_its_input_state_unchanged(call):
     else:
         u = rngmod.stream(8, 28).random(size=state.visible.shape)
         nxt = mspdq_round(state, 0.4, weights.at(0), pi * a_max(weights.at(0)), u)
-        if call == "in_place_round":
-            # `out` may be the state itself: the same bits as fresh arrays
-            work = copy.deepcopy(state)
-            assert mspdq_round(work, 0.4, weights.at(0), pi * a_max(weights.at(0)), u, out=work) is work
-            for name in arrays:
-                assert _same_bits(getattr(work, name), getattr(nxt, name)), name
     assert sorted(arrays) == ["global_model", "invisible", "m_counts", "quantized", "visible"]
     for name, value in arrays.items():
         assert getattr(state, name) is value and _same_bits(value, before[name]), name
@@ -324,6 +318,40 @@ def test_mspdq_bad_interval_raises(monkeypatch):
     monkeypatch.setattr(consensus, "compute_pi_t", lambda *args: 1e-6)
     with pytest.raises(ProtocolIntegrityError, match="escaped its shrunk interval at round 0"):
         run_consensus(state, 3, MSPDQ, 0.4, weights.table(3), rng=rngmod.stream(3, 26), lambda2_u=lam2)
+
+
+@pytest.mark.parametrize("mode", [MSP, MSPDQ])
+def test_recorded_phase_whose_operator_leaks_mass_raises(monkeypatch, mode):
+    # the phase checks its own conservation, so a recorded phase (as the
+    # audit replays run) fails as a run's phase does
+    state, weights, lam2 = quantized_setup(level=16)
+    name = "msp_round" if mode == MSP else "mspdq_round"
+    real_round = getattr(consensus, name)
+
+    def leaky_round(*args):
+        nxt = real_round(*args)
+        nxt.invisible[0, 0] += 1e-6
+        return nxt
+
+    monkeypatch.setattr(consensus, name, leaky_round)
+    with pytest.raises(ProtocolIntegrityError, match="conserved sum drifted"):
+        run_consensus(state, 3, mode, 0.4, weights.table(3), rng=rngmod.stream(4, 52), lambda2_u=lam2, record=True)
+
+
+def test_standalone_round_uploads_a_collapsed_knob_without_a_warning():
+    # at level 2**53 a box of width 1e-9 around 1000.0 has bins far below the
+    # float spacing, so both knobs bracketing the visible are one float
+    M, d, level, width = 2, 1, 2**53, 1e-9
+    at = np.full((M, d), 1000.0)
+    state = RoundState(at, at[:, None, :], np.ones(M, dtype=np.int64), at[0], at, level)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nxt = mspdq_round(state, 0.4, np.full((M, 1), 0.1), width, np.full((M, d), 0.5))
+    assert np.array_equal(nxt.visible, at)
+    for i in range(M):
+        qs = QuantizerState(lo=at[i] - 0.5 * width, hi=at[i] + 0.5 * width, level=level)
+        (((knob, p),),) = output_distribution(nxt.visible[i], qs)
+        assert p == 1.0 and nxt.quantized[i, 0] == knob
 
 
 @pytest.mark.parametrize("level", [9, 17, 257, 300, 5000])
@@ -776,16 +804,14 @@ def test_ragged_phase_matches_reference_rounds_bitwise(M, m_max, d, K, rule, mod
     d=st.integers(1, 4),
     rounds_before=st.integers(0, 3),
     mode=st.sampled_from([MSP, MSPDQ]),
-    out=st.sampled_from(["none", "state", "separate", "workspace"]),
-    broadcast_weights=st.booleans(),
+    call=st.sampled_from(["none", "workspace"]),
     seed=st.integers(0, 2**16),
 )
-def test_standalone_round_calls_match_reference_rounds_bitwise(
-    S, M, m_max, d, rounds_before, mode, out, broadcast_weights, seed
-):
-    # each operator call binds a throwaway workspace; a leading seed axis
-    # of S > 0 seeds is taken by msp_round only; out="workspace" advances in
-    # place a state bound with another epsilon, which the call must not use
+def test_standalone_round_calls_match_reference_rounds_bitwise(S, M, m_max, d, rounds_before, mode, call, seed):
+    # each operator call binds a throwaway workspace and returns fresh
+    # arrays; a leading seed axis of S > 0 seeds is taken by msp_round only;
+    # call="workspace" passes a working state bound with another epsilon,
+    # which the call must copy, not advance
     if mode == MSPDQ:
         S = 0
     rng = rngmod.stream(seed, 49)
@@ -821,26 +847,15 @@ def test_standalone_round_calls_match_reference_rounds_bitwise(
         )
         weights_k = np.stack([w for _, w in seeds])
     names = ("visible", "invisible", "global_model") + (("quantized",) if mode == MSPDQ else ())
+    if call == "workspace":
+        before = consensus._Workspace(before, epsilon / 2, mode == MSPDQ)
     kept = {name: getattr(before, name).copy() for name in names}
-    if broadcast_weights:
-        weights_k = np.broadcast_to(weights_k[..., None], before.invisible.shape).copy()
-    target = None
-    if out == "workspace":
-        before = consensus._Workspace(before, epsilon / 2, before.level if mode == MSPDQ else None)
-    if out in ("state", "workspace"):
-        target = before
-    elif out == "separate":
-        target = RoundState(
-            visible=np.empty_like(before.visible), invisible=np.empty_like(before.invisible),
-            m_counts=before.m_counts, global_model=np.empty_like(before.global_model),
-            quantized=np.empty_like(before.quantized) if mode == MSPDQ else None,
-        )
     operator = msp_round if mode == MSP else mspdq_round
-    got = operator(before, epsilon, weights_k, *args, out=target)
-    assert target is None or got is target
+    got = operator(before, epsilon, weights_k, *args)
+    assert type(got) is RoundState
     for name in names:
         value = getattr(got, name)
         for s, ref in enumerate(refs):
             assert _same_bits(value[s] if S else value, getattr(ref, name)), name
-        if target is not before:
-            assert _same_bits(getattr(before, name), kept[name]), name
+        assert _same_bits(getattr(before, name), kept[name]), name
+        assert not np.shares_memory(value, getattr(before, name)), name

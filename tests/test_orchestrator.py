@@ -367,6 +367,23 @@ def test_theorem_constants_formulas():
     assert all(poly(x) >= poly(1.0) for x in xs)
 
 
+@pytest.mark.parametrize("mode", ["msp", "mspdq"])
+def test_theorem_constants_probe_the_consensus_horizon(monkeypatch, mode):
+    # the contraction probe runs to consensus_horizon, so an override equal
+    # to the schedule's own horizon leaves every constant's bits as they are
+    cfg = small_config(mode, rounds=10)
+    bundle = orch.build_problem(cfg)
+    horizon = orch.consensus_horizon(cfg, bundle.constants)
+    assert horizon > 2
+    same = dataclasses.replace(cfg, kt_override=horizon)
+    assert orch.theorem_constants(bundle, same) == orch.theorem_constants(bundle, cfg)
+    probed = []
+    real_probe = orch.contraction_probe
+    monkeypatch.setattr(orch, "contraction_probe", lambda u, w, k: probed.append(k) or real_probe(u, w, k))
+    orch.theorem_constants(bundle, dataclasses.replace(cfg, kt_override=2))
+    assert probed == [2]
+
+
 def test_bound_curve_decays_like_one_over_t():
     cfg = small_config("msp", rounds=10)
     bundle = orch.build_problem(cfg)

@@ -73,6 +73,9 @@ def _parse_sweep(items: list[str]) -> dict:
                 parsed.append(json.loads(v))
             except json.JSONDecodeError:
                 parsed.append(v)
+        # a value's run id part is str(value): a repeat would name one run twice
+        if len({str(v) for v in parsed}) < len(parsed):
+            raise ConfigError(f"sweep axis {key!r} lists a value more than once: {vals!r}")
         axes[key] = parsed
     return axes
 
@@ -136,7 +139,7 @@ def cmd_run(args) -> int:
             key = orch.problem_key(cfg)
             if key not in bundles:
                 bundles[key] = orch.build_problem(cfg)
-            orch.consensus_horizon(cfg, bundles[key].constants)  # raises past MAX_CONSENSUS_ROUNDS
+            orch.consensus_rounds(cfg, bundles[key].constants, cfg.rounds)  # raises past MAX_CONSENSUS_ROUNDS
             jobs.append((point, cfg, bundles[key]))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -167,10 +170,7 @@ def cmd_run(args) -> int:
     manifest_groups = {}
     for gid, group in groups.items():
         cfg = group["cfg"]
-        w_tilde = group["w_tilde"] or None
-        constants = orch.theorem_constants(
-            group["bundle"], cfg, w_tilde_max=w_tilde if cfg.mode == "mspdq" else None
-        )
+        constants = orch.theorem_constants(group["bundle"], cfg, w_tilde_max=group["w_tilde"] or None)
         manifest_groups[gid] = {"config": asdict(cfg), "constants": constants, "runs": group["runs"]}
     manifest = {
         "sweep": axes,
@@ -220,7 +220,7 @@ def cmd_audit(args) -> int:
         ok &= report["pass"]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out / "audit.json", json.dumps(reports, sort_keys=True, indent=2))
+    _atomic_write(out / "audit.json", privacy_audit.report_to_json(reports))
     print(f"audit {'passed' if ok else 'FAILED'}; report at {out / 'audit.json'}")
     return EXIT_OK if ok else EXIT_INTEGRITY
 

@@ -83,13 +83,13 @@ class ConsensusTrace:
     mode: str
     epsilon: float
     m_counts: np.ndarray
-    origins: np.ndarray  # (M, d) pre-split local models, private
     visibles: np.ndarray  # (K+1, M, d)
     invisibles: np.ndarray  # (K+1, M, m_max, d)
     globals_: np.ndarray  # (K+1, d)
     weights: np.ndarray  # (K, M, m_max)
     quantized: np.ndarray | None = None  # (K+1, M, d), quantized mode only
     pis: np.ndarray | None = None  # (K,) interval constants, quantized mode only
+    origins: np.ndarray | None = None  # (M, d) pre-split local models, private; set by the auditor
 
     @property
     def K(self) -> int:
@@ -97,7 +97,7 @@ class ConsensusTrace:
 
     @property
     def M(self) -> int:
-        return self.origins.shape[0]
+        return self.m_counts.shape[0]
 
 
 def state_from_splits(splits: list[SplitState]) -> RoundState:
@@ -333,7 +333,6 @@ def run_consensus(
     weights,
     rng: np.random.Generator | None = None,
     lambda2_u: float | None = None,
-    origins: np.ndarray | None = None,
     record: bool = True,
     wire_check: bool = False,
 ):
@@ -350,23 +349,20 @@ def run_consensus(
     phase keeps the visibles and uploads its checks read; a non-recording
     plain phase keeps nothing.
 
-    The working state is a workspace bound once per phase (about 10 us):
-    the broadcast and first-row views of its arrays, filled constant arrays,
-    scratch for every intermediate, and the step weights of a block of
-    rounds broadcast to the invisible shape.  What a round costs depends
-    more on its operands than on its numpy calls: on (8, 10) float64 arrays
-    a same-shape contiguous ufunc writing `out=` takes ~0.26 us, one with a
-    broadcast or strided operand ~0.6-0.7 us, one with a Python-float
-    operand ~0.39 us, and np.add.reduce along an axis ~0.7-0.8 us.  So the
-    bound rounds write every result into contiguous same-shape operands,
-    sum the flow over the invisible rows only when there are several, and
-    pick the upper knob with np.putmask.  The weight rows count
-    against BLOCK_BYTES in both modes, beside the visibles, uploads and
-    uniforms of a quantized phase: a non-recording phase runs in blocks of
-    at most that many bytes, so its memory does not grow with K, and draws
-    each block's uniforms in one call (PCG64 doubles are unbuffered, so the
-    blocks read what one (K, M, d) draw would).  A recording phase runs in
-    one block.
+    The working state is a workspace bound once per phase: the broadcast
+    and first-row views of its arrays, filled constant arrays, scratch for
+    every intermediate, and the step weights of a block of rounds broadcast
+    to the invisible shape.  On these small arrays a round's cost depends
+    more on its operands than on its numpy calls (README gives the per-call
+    costs), so the bound rounds write every result `out=` into contiguous
+    same-shape operands, sum the flow over the invisible rows only when
+    there are several, and pick the upper knob with np.putmask.  The weight
+    rows count against BLOCK_BYTES in both modes, beside the visibles,
+    uploads and uniforms of a quantized phase: a non-recording phase runs in
+    blocks of at most that many bytes, so its memory does not grow with K,
+    and draws each block's uniforms in one call (PCG64 doubles are
+    unbuffered, so the blocks read what one (K, M, d) draw would).  A
+    recording phase runs in one block.
 
     Returns (final_state, trace_or_None, summary) where summary carries the
     interval-width and beta-gap maxima and the worst quantization error and
@@ -448,7 +444,6 @@ def run_consensus(
             mode=mode,
             epsilon=epsilon,
             m_counts=initial.m_counts.copy(),
-            origins=(origins.copy() if origins is not None else np.zeros_like(initial.visible)),
             visibles=stacks[0],
             invisibles=stacks[1],
             globals_=stacks[2],

@@ -127,7 +127,7 @@ class FLConfig:
         if self.mode in ("msp", "mspdq"):
             u = build_U(self.cohort, self.epsilon)
             if not (self.lambda_ == self.lambda_ and 0 < self.lambda_ < 1):
-                raise ConfigError("lambda must lie in (0, 1)")
+                raise ConfigError(f"lambda_ must lie in (0, 1), got {self.lambda_!r}")
             if not self.gamma_max == self.gamma_max or self.gamma_max < 0:
                 raise ConfigError("gamma_max must be a nonnegative number")
             # the split rule and the step weights check their own fields
@@ -140,7 +140,7 @@ class FLConfig:
             if not 2 <= self.level <= MAX_LEVEL:
                 raise ConfigError(f"quantization level must lie in [2, 2**53], got {self.level}")
             if self.weight_rule == "constant":
-                raise ConfigError("quantized mode needs a decaying step-weight rule")
+                raise ConfigError(f"quantized mode needs a decaying weight_rule, got {self.weight_rule!r}")
             if self.gamma_max <= 0:
                 raise ConfigError("quantized mode needs gamma_max > 0")
         if self.mode == "ldp" and self.ldp_scale < 0:
@@ -244,7 +244,7 @@ def kt_schedule(t: int, mu: float, vtheta: float, lam: float, mode: str) -> int:
     """
     if not 0 < lam < 1:
         raise ConfigError("lambda must lie in (0, 1)")
-    eta = 2.0 / (mu * (vtheta + t))
+    eta = lr_schedule(t, mu, vtheta)
     kt = max(1, math.ceil(math.log(eta) / math.log(lam)))
     if mode == "mspdq":
         kt = max(kt, math.ceil(1.0 / eta))
@@ -256,13 +256,14 @@ def kt_schedule(t: int, mu: float, vtheta: float, lam: float, mode: str) -> int:
     return kt
 
 
-def consensus_horizon(config: FLConfig, pc: ProblemConstants) -> int:
-    """K_T, the most consensus rounds a learning round of the run takes
-    (kt_schedule never decreases in t); 0 in the modes without consensus."""
+def consensus_rounds(config: FLConfig, pc: ProblemConstants, t: int) -> int:
+    """K_t, the consensus budget of learning round t: 0 in the modes without
+    consensus, else kt_override, else kt_schedule.  kt_schedule never
+    decreases in t, so t = config.rounds gives K_T, the most any round takes."""
     if config.mode not in ("msp", "mspdq"):
         return 0
     vt = vartheta(pc.mu, pc.L, config.local_steps)
-    return config.kt_override or kt_schedule(config.rounds, pc.mu, vt, config.lambda_, config.mode)
+    return config.kt_override or kt_schedule(t, pc.mu, vt, config.lambda_, config.mode)
 
 
 def sample_clients(p: np.ndarray, M: int, rng: np.random.Generator) -> np.ndarray:
@@ -325,13 +326,15 @@ def problem_key(config: FLConfig) -> tuple:
 def build_problem(config: FLConfig) -> ProblemBundle:
     """Instantiate the synthetic task; gamma_target rescales the minimizer
     spread to hit the requested heterogeneity exactly (it is quadratic in
-    the spread)."""
+    the spread), so gamma_target = 0 gives every client one minimizer."""
     A, b = make_quadratic_problem(
         config.n_clients, config.dim, config.spread, config.problem_seed,
         eig_range=(config.eig_lo, config.eig_hi),
     )
     p = np.full(config.n_clients, 1.0 / config.n_clients)
-    if config.gamma_target is not None and config.gamma_target > 0:
+    if config.gamma_target is not None:
+        if config.gamma_target < 0:
+            raise ConfigError(f"gamma_target must be nonnegative, got {config.gamma_target!r}")
         if config.spread <= 0:
             raise ConfigError("gamma_target needs a positive starting spread")
         _, F_star = global_optimum(A, b, p)
@@ -494,7 +497,7 @@ def run(config: FLConfig, bundle: ProblemBundle | None = None) -> RunResult:
     quantized = config.mode == "mspdq"
     if split:
         rule = _split_rule(config)
-        weight_table = _step_weights(config).table(consensus_horizon(config, pc))
+        weight_table = _step_weights(config).table(consensus_rounds(config, pc, config.rounds))
     lam2 = None
     upload_bits = 64 * config.dim
     if quantized:
@@ -513,14 +516,13 @@ def run(config: FLConfig, bundle: ProblemBundle | None = None) -> RunResult:
             w, bundle.A[streams.cohort], bundle.targets[streams.cohort], eta,
             config.local_steps, streams.gradient, config.batch_size,
         )
-        kt = 0
+        kt = consensus_rounds(config, pc, t)
         summary = {"max_width": 0.0, "delta_max": 0.0}
         if not split:
             if streams.aggregate is not None:
                 local = local + streams.aggregate.laplace(0.0, config.ldp_scale, size=local.shape)
             w = local.mean(axis=0)
         else:
-            kt = config.kt_override or kt_schedule(t, pc.mu, vt, config.lambda_, config.mode)
             visible, invisible = split_cohort(local, rule, streams.split)
             state = RoundState(visible, invisible, np.full(config.cohort, rule.m), visible.mean(axis=0))
             if quantized:
@@ -586,7 +588,7 @@ def theorem_constants(
         u = build_U(config.cohort, config.epsilon)
         out["lambda2_U"] = lambda2_U(u)
         out["lambda_min_U"] = lambda_min_U(u)
-        devs, measured = contraction_probe(u, _step_weights(config), consensus_horizon(config, pc))
+        devs, measured = contraction_probe(u, _step_weights(config), consensus_rounds(config, pc, config.rounds))
         C = fit_contraction_constant(devs, config.lambda_)
         out["C"] = C
         out["measured_contraction"] = measured
@@ -606,7 +608,7 @@ def theorem_constants(
         if config.mode == "mspdq":
             if w_tilde_max is None:
                 w_tilde_max = 2.0 * math.sqrt(config.cohort) * (1 + config.split_m) * w_max_norm
-            pi_tilde = compute_pi_t(config.epsilon, lambda2_U(u), w_tilde_max)
+            pi_tilde = compute_pi_t(config.epsilon, out["lambda2_U"], w_tilde_max)
             D3 = d3_formula(config.dim, config.gamma_max, pi_tilde, config.cohort, config.level)
             out["pi_tilde"] = pi_tilde
             out["w_tilde_max"] = w_tilde_max

@@ -118,6 +118,8 @@ def construct_witness(
     """Build the alternative round-zero parameters for a +-e local shift."""
     if trace.mode != MSP:
         raise ConfigError("witness construction audits plain-mode transcripts")
+    if trace.origins is None:
+        raise ConfigError("witness construction needs the trace's pre-split origins")
     if i == j:
         raise ConfigError("need two distinct cohort slots")
     M = trace.M
@@ -335,10 +337,8 @@ def sample_consensus_trace(
         rule_i = SplitRule("uniform", m=m_counts[idx], eps_split=0.3)
         splits.append(split_model(origins[idx], rule_i, rng))
     state = state_from_splits(splits)
-    _, trace, _ = run_consensus(
-        state, K, MSP, epsilon, weights.table(K), origins=origins, record=True
-    )
-    return trace
+    _, trace, _ = run_consensus(state, K, MSP, epsilon, weights.table(K))
+    return replace(trace, origins=origins)
 
 
 def witness_with_retries(
@@ -418,10 +418,8 @@ def paired_hidden_count_traces(
         global_model=visible0.mean(axis=0),
     )
     weights_b = StepWeights(gamma=gamma_b, rule="constant").table(trace_a.K)
-    _, trace_b, _ = run_consensus(
-        state, trace_a.K, MSP, epsilon, weights_b, origins=origins_b, record=True
-    )
-    return trace_a, trace_b
+    _, trace_b, _ = run_consensus(state, trace_a.K, MSP, epsilon, weights_b)
+    return trace_a, replace(trace_b, origins=origins_b)
 
 
 # -- quantizer differential-privacy audit --------------------------------------
@@ -538,5 +536,5 @@ def run_audit(
     }
 
 
-def report_to_json(report: dict) -> str:
+def report_to_json(report: dict | list) -> str:
     return json.dumps(report, sort_keys=True, indent=2)

@@ -86,7 +86,7 @@ def make_quadratic_problem(
         raise ConfigError("spread must be nonnegative")
     lo, hi = eig_range
     if not 0 < lo <= hi:
-        raise ConfigError("eig_range must satisfy 0 < lo <= hi")
+        raise ConfigError(f"eig_lo and eig_hi must satisfy 0 < eig_lo <= eig_hi, got {lo!r} and {hi!r}")
     rng = rngmod.stream(seed, rngmod.PROBLEM)
     A = np.empty((n_clients, dim, dim))
     b = np.empty((n_clients, dim))
@@ -110,6 +110,8 @@ def make_client_targets(
     are centered to mean zero per client, so the full batch recovers the
     true gradient.
     """
+    if sample_spread < 0:
+        raise ConfigError(f"sample_spread must be nonnegative, got {sample_spread!r}")
     rng = rngmod.stream(seed, rngmod.PROBLEM, 1)
     xi = np.empty((len(b), n_samples, b.shape[1]))
     for row in xi:

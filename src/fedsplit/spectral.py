@@ -35,7 +35,7 @@ class StepWeights:
         if np.any(g < 0):
             raise ScheduleValidationError("step weights must be nonnegative")
         if self.rule not in ("constant", "harmonic", "inv_sqrt"):
-            raise ScheduleValidationError(f"unknown step-weight rule {self.rule!r}")
+            raise ScheduleValidationError(f"unknown weight_rule {self.rule!r}; expected constant, harmonic or inv_sqrt")
         object.__setattr__(self, "gamma", g)
 
     @property

@@ -33,13 +33,13 @@ class SplitRule:
 
     def __post_init__(self):
         if self.variant not in ("uniform", "laplace", "midpoint"):
-            raise ConfigError(f"unknown split variant {self.variant!r}")
+            raise ConfigError(f"unknown split_variant {self.variant!r}; expected uniform, laplace or midpoint")
         if self.m < 1:
-            raise ConfigError("need at least one invisible submodel")
+            raise ConfigError(f"split_m must be at least 1 (one invisible submodel), got {self.m}")
         if self.variant == "uniform" and not 0.0 <= self.eps_split < 1.0:
             raise ConfigError("eps_split must lie in [0, 1)")
         if self.variant == "laplace" and self.scale <= 0:
-            raise ConfigError("laplace scale must be positive")
+            raise ConfigError(f"laplace_scale must be positive, got {self.scale!r}")
 
 
 @dataclass(frozen=True)

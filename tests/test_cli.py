@@ -213,6 +213,16 @@ def test_readme_validate_lines_work(monkeypatch, capsys):
         assert main(command) == 0, (command, capsys.readouterr().err)
 
 
+def test_readme_audit_lines_work(tmp_path, monkeypatch, capsys):
+    commands = readme_commands(monkeypatch, "audit")
+    assert commands
+    for i, command in enumerate(commands):
+        out = tmp_path / str(i)
+        assert main([*command, "--out", str(out)]) == 0, (command, capsys.readouterr().err)
+        reports = json.loads((out / "audit.json").read_text())
+        assert reports and all(report["pass"] is True for report in reports)
+
+
 def test_audit_command_and_negative_control(tmp_path):
     out = tmp_path / "audit"
     code = main(["audit", "--seeds", "0", "--n-witness", "3", "--mutate", "--out", str(out)])
@@ -315,15 +325,41 @@ def test_empty_seed_range_exits_2(config_path, tmp_path, capsys):
         ],
         ("eig_lo", float(np.nextafter(1 / orch.SCALE_MAX, 0.0))),
         *[(field, float(np.nextafter(orch.SCALE_MAX, np.inf))) for field in ("ldp_scale", "laplace_scale")],
+        ("gamma_target", -0.5),
+        ("sample_spread", -1.0),
+        ("eig_hi", 0.3),
+        ("split_m", 0),
+        ("split_variant", "bogus"),
+        ("laplace_scale", 0.0),
+        ("weight_rule", "bogus"),
+        ("weight_rule", "constant"),
+        ("lambda_", 1.0),
     ],
 )
 def test_bad_field_value_exits_2(config_path, tmp_path, capsys, field, value):
-    code, out = _run_with(config_path, tmp_path, **{field: value})
+    # the test config is mspdq (where a constant weight_rule is bad), and
+    # laplace_scale is read only under the laplace split
+    others = {"split_variant": "laplace"} if field == "laplace_scale" else {}
+    code, out = _run_with(config_path, tmp_path, **others, **{field: value})
     assert code == 2
     assert field in capsys.readouterr().err
     assert not out.exists()
     assert main(["validate", "--config", str(tmp_path / "edited.json")]) == 2
     assert field in capsys.readouterr().err
+
+
+def test_gamma_target_zero_gives_a_task_without_heterogeneity(config_path, tmp_path):
+    code, out = _run_with(config_path, tmp_path, gamma_target=0.0, rounds=2)
+    assert code == 0
+    (group,) = json.loads((out / "manifest.json").read_text())["groups"].values()
+    assert abs(group["constants"]["gamma_het"]) <= 1e-12
+
+
+def test_repeated_sweep_value_exits_2(config_path, tmp_path, capsys):
+    code, out = _run_with(config_path, tmp_path, "--sweep", "level=16,16", rounds=2)
+    assert code == 2
+    assert "'level'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"])

@@ -369,11 +369,11 @@ def test_theorem_constants_formulas():
 
 @pytest.mark.parametrize("mode", ["msp", "mspdq"])
 def test_theorem_constants_probe_the_consensus_horizon(monkeypatch, mode):
-    # the contraction probe runs to consensus_horizon, so an override equal
-    # to the schedule's own horizon leaves every constant's bits as they are
+    # the contraction probe runs to K_T = consensus_rounds at t = rounds, so
+    # an override equal to it leaves every constant's bits as they are
     cfg = small_config(mode, rounds=10)
     bundle = orch.build_problem(cfg)
-    horizon = orch.consensus_horizon(cfg, bundle.constants)
+    horizon = orch.consensus_rounds(cfg, bundle.constants, cfg.rounds)
     assert horizon > 2
     same = dataclasses.replace(cfg, kt_override=horizon)
     assert orch.theorem_constants(bundle, same) == orch.theorem_constants(bundle, cfg)

@@ -6,7 +6,7 @@ import pytest
 
 from fedsplit import privacy_audit as pa
 from fedsplit import rng as rngmod
-from fedsplit.consensus import trace_to_jsonl
+from fedsplit.consensus import MSP, RoundState, run_consensus, trace_to_jsonl
 from fedsplit.errors import ConfigError, WitnessDegenerateError
 from fedsplit.quantizer import dp_delta
 
@@ -82,6 +82,18 @@ def test_witness_recovers_exact_shift():
     assert np.allclose(shifted_j - trace.origins[2], -e)
     # the perturbed invisible absorbs (1+m_i) e exactly
     assert np.allclose(w.inv_i - trace.invisibles[0][0, w.p], (1 + trace.m_counts[0]) * e)
+
+
+def test_witness_needs_the_origins_the_auditor_attaches():
+    # a phase recorded alone knows no pre-split models: a witness on it is a
+    # config error, not a witness around made-up zero origins
+    trace = make_trace(seed=7)
+    initial = RoundState(trace.visibles[0], trace.invisibles[0], trace.m_counts, trace.globals_[0])
+    _, bare, _ = run_consensus(initial, trace.K, MSP, trace.epsilon, trace.weights)
+    assert bare.origins is None and trace.origins is not None
+    assert np.array_equal(bare.visibles, trace.visibles)
+    with pytest.raises(ConfigError, match="origins"):
+        pa.construct_witness(bare, 0, 2, np.array([0.7, -0.2, 0.1]))
 
 
 def test_witness_round_zero_replay_matches():

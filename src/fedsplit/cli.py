@@ -132,6 +132,7 @@ def cmd_run(args) -> int:
 
     jobs = []
     bundles: dict[tuple, orch.ProblemBundle] = {}
+    done = []  # (point, its last seed's config)
     for point in _sweep_points(axes):
         for seed in seeds:
             cfg = orch.FLConfig.from_dict({**doc, **point, "seed": seed})
@@ -141,6 +142,14 @@ def cmd_run(args) -> int:
                 bundles[key] = orch.build_problem(cfg)
             orch.consensus_rounds(cfg, bundles[key].constants, cfg.rounds)  # raises past MAX_CONSENSUS_ROUNDS
             jobs.append((point, cfg, bundles[key]))
+        # values that read differently can still give one config, e.g. 6 and 6.0
+        for other, other_cfg in done:
+            if cfg == other_cfg:
+                names = ", ".join(
+                    f"{k!r} ({other[k]!r}, {point[k]!r})" for k in point if repr(other[k]) != repr(point[k])
+                )
+                raise ConfigError(f"sweep axis {names} lists values that give one config")
+        done.append((point, cfg))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 

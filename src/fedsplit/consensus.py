@@ -26,8 +26,7 @@ from .errors import ConfigError, ProtocolIntegrityError
 from .quantizer import (
     QuantizedVector,
     QuantizerState,
-    _bound,
-    _round,
+    _knob_law,
     compute_pi_t,
     decode,
     dynamic_error_bound,
@@ -120,14 +119,14 @@ def state_from_splits(splits: list[SplitState]) -> RoundState:
 def conserved_sum(state: RoundState) -> np.ndarray:
     """Total of every real submodel over the cohort (padded slots are zero);
     a leading axis on the stacks gives one total per row."""
-    return state.visible.sum(axis=-2) + state.invisible.sum(axis=(-3, -2))
+    return np.add.reduce(state.visible, axis=-2) + np.add.reduce(state.invisible, axis=(-3, -2))
 
 
 def check_conserved(total0: np.ndarray, total: np.ndarray, rtol: float = CONSERVATION_RTOL) -> float:
     """Drift of a conserved total relative to max(1, max|total0|); raises
     ProtocolIntegrityError past rtol or on NaN."""
-    scale = max(1.0, float(np.max(np.abs(total0))))
-    drift = float(np.max(np.abs(total - total0))) / scale
+    scale = max(1.0, float(np.maximum.reduce(np.abs(total0), axis=None)))
+    drift = float(np.maximum.reduce(np.abs(total - total0), axis=None)) / scale
     if not drift <= rtol:
         raise ProtocolIntegrityError(f"conserved sum drifted by {drift:.3e} relative")
     return drift
@@ -139,119 +138,97 @@ def consensus_target(state: RoundState) -> np.ndarray:
 
 
 class _Workspace(RoundState):
-    """A copy of a state that the round kernels advance in place, with what
-    a round needs bound once over its arrays: the broadcast views of the
-    visible and global model, the first-invisible view, the epsilon,
-    client-count and knob constants as filled arrays, scratch for every
-    intermediate, and `rows` preallocated step-weight rows broadcast to the
-    invisible shape.  With them every ufunc of a round writes `out=` into
-    contiguous same-shape operands.
+    """A copy of a state that its kernel `step` advances in place.
 
-    run_consensus binds one per phase as its working state; a standalone
-    operator call binds a throwaway one.  `bound` is the (epsilon, level)
-    the constants were filled with.
+    step(weights) runs one plain round, step(weights, width, uniforms) one
+    quantized round, on the copy:
+
+        vis <- vis + epsilon (global - ref_i) + sum_n a_n (inv_n - vis)
+        inv <- inv + a (vis - inv)
+
+    where ref is the visible matrix in plain mode and the quantized uploads
+    in quantized mode, and `weights` broadcasts to the invisible shape.  A
+    quantized round then rounds the new visible, with the (M, d) uniforms,
+    over each client's box of the given width centred on its last upload
+    (the quantizer's bound knob law), into the uploads.  Both aggregate:
+    global = the mean over clients of ref, np.add.reduce over the client
+    axis divided by M, bitwise ref.mean(axis=-2).
+
+    step is one closure bound once over every operand as a local: the
+    arrays and their broadcast views, the epsilon, client count and
+    half-width as 0-d arrays, and scratch for every intermediate, so every
+    ufunc writes `out=` into contiguous same-shape operands.  The flow
+    a (inv - vis) enters the visible and leaves the invisible, so inv - flow
+    is bitwise inv + a (vis - inv); every input is read before it is
+    written; one invisible row (the desk shape) is its own flow sum.
+
+    run_consensus binds one per phase as its working state, with `rows`
+    preallocated step-weight rows broadcast to the invisible shape; a
+    standalone operator call binds a throwaway one.  `bound` is the
+    (epsilon, quantized) it was bound with.
     """
 
     def __init__(self, state: RoundState, epsilon: float, quantized: bool, rows: int = 0):
         if quantized and (state.quantized is None or state.level is None):
             raise ConfigError("state lacks quantized uploads; initialize the quantized mode first")
-        level = state.level if quantized else None
         super().__init__(
             state.visible.copy(), state.invisible.copy(), state.m_counts, state.global_model.copy(),
-            state.quantized.copy() if quantized else None, level,
+            state.quantized.copy() if quantized else None, state.level if quantized else None,
         )
-        vis, inv = self.visible, self.invisible
-        self.bound = (epsilon, level)
-        self.eps = np.full_like(vis, epsilon)
-        self.count = np.full_like(self.global_model, vis.shape[-2])
-        self.visible_b = vis[..., None, :]
-        self.global_b = self.global_model[..., None, :]
-        self.flow = np.empty_like(inv)
-        # one invisible row (the desk shape) is its own flow sum: no op
-        self.sum_rows = inv.shape[-2] != 1
-        self.flow_sum = np.empty_like(vis) if self.sum_rows else self.flow[..., 0, :]
-        self.drift = np.empty_like(vis)
-        self.weight_rows = np.empty((rows,) + inv.shape)
+        self.bound = (epsilon, quantized)
+        self.weight_rows = np.empty((rows,) + self.invisible.shape)
+        vis, inv, glob, q = self.visible, self.invisible, self.global_model, self.quantized
+        vis_b, glob_b = vis[..., None, :], glob[..., None, :]
+        eps, count, half = np.array(float(epsilon)), np.array(float(vis.shape[-2])), np.array(0.0)
+        flow, drift = np.empty_like(inv), np.empty_like(vis)
+        sum_rows = inv.shape[-2] != 1
+        total = np.empty_like(vis) if sum_rows else flow[..., 0, :]
+        ref = q if quantized else vis
         if quantized:
-            self.first_invisible = inv[..., 0, :]
-            self.gap = np.empty_like(vis)
-            self.gap_flat = self.gap.reshape(-1)
-            self.half, self.lo, self.hi = np.empty_like(vis), np.empty_like(vis), np.empty_like(vis)
-            self.knobs = _bound(level, vis)
+            lo, hi = np.empty_like(vis), np.empty_like(vis)
+            round_ = _knob_law(self.level, vis)[1]
+        # numpy's functions as closure locals, as in quantizer._knob_law
+        add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+        add_reduce = add.reduce
+
+        def step(weights, width=None, uniforms=None):
+            subtract(inv, vis_b, flow)
+            multiply(weights, flow, flow)
+            subtract(inv, flow, inv)
+            subtract(glob_b, ref, drift)
+            multiply(eps, drift, drift)
+            add(vis, drift, drift)
+            if sum_rows:
+                add_reduce(flow, axis=-2, out=total)
+            add(drift, total, vis)
+            if quantized:
+                half[()] = 0.5 * width
+                round_(vis, subtract(q, half, lo), add(q, half, hi), uniforms, q)
+            divide(add_reduce(ref, axis=-2, out=glob), count, glob)
+
+        self.step = step
 
     def state(self) -> RoundState:
         """A plain state over the workspace's arrays."""
         return RoundState(self.visible, self.invisible, self.m_counts, self.global_model, self.quantized, self.level)
 
-    def update(self, weights: np.ndarray, reference: np.ndarray) -> None:
-        """Rewrite the visible and invisible stacks by the update law
-
-            vis + epsilon (global - reference_i) + sum_n a_n (inv_n - vis)
-
-        where `reference` is the visible matrix in plain mode and the
-        quantized uploads in quantized mode, and `weights` broadcasts to the
-        invisible shape.  The flow a (inv - vis) enters the visible and
-        leaves the invisible, so inv - flow is bitwise inv + a (vis - inv).
-        Every input is read before it is written.
-        """
-        vis, inv, flow, total = self.visible, self.invisible, self.flow, self.flow_sum
-        np.subtract(inv, self.visible_b, flow)
-        np.multiply(weights, flow, flow)
-        np.subtract(inv, flow, inv)
-        drift = np.subtract(self.global_b, reference, self.drift)
-        np.multiply(self.eps, drift, drift)
-        np.add(vis, drift, drift)
-        if self.sum_rows:
-            np.add.reduce(flow, axis=-2, out=total)
-        np.add(drift, total, vis)
-
-    def aggregate(self, values: np.ndarray) -> None:
-        """global = the mean over clients of `values`: np.add.reduce over
-        the client axis, divided by M, is bitwise values.mean(axis=-2)."""
-        total = np.add.reduce(values, axis=-2, out=self.global_model)
-        np.divide(total, self.count, total)
-
-    def quantize(self, width: float, uniforms: np.ndarray) -> None:
-        """Round the new visible over each client's box of the given width
-        centred on its last upload, with the (M, d) uniforms, into the
-        uploads."""
-        half, q = self.half, self.quantized
-        half.fill(0.5 * width)
-        lo, hi = np.subtract(q, half, self.lo), np.add(q, half, self.hi)
-        _round(self.visible, lo, hi, uniforms, self.knobs, out=q)
-
-    def beta_gap(self) -> float:
-        """Frobenius distance between the visible stack and the first
-        invisible stack; its running max feeds the interval-width constant.
-        sqrt of the flat dot product is the formula np.linalg.norm
-        evaluates."""
-        np.subtract(self.visible, self.first_invisible, self.gap)
-        return math.sqrt(self.gap_flat.dot(self.gap_flat))
-
-
-def _bind(state: RoundState, epsilon: float, weights_k: np.ndarray, quantized: bool) -> tuple[_Workspace, np.ndarray]:
-    """The workspace a round advances and its step weights, broadcastable
-    to the invisible shape: run_consensus's working state itself, when
-    `state` is it and was bound with this epsilon and level (its weights
-    are then rows already broadcast); else a throwaway copy of `state`,
-    with the (..., M, m) weights given a trailing axis."""
-    if type(state) is _Workspace and state.bound == (epsilon, state.level if quantized else None):
-        return state, weights_k
-    return _Workspace(state, epsilon, quantized), weights_k[..., None]
-
 
 def msp_round(state: RoundState, epsilon: float, weights_k: np.ndarray) -> RoundState:
     """One plain communication round followed by server aggregation.
 
-    Returns the new state in fresh arrays and leaves `state` alone.
+    Returns the new state in fresh arrays and leaves `state` alone, unless
+    `state` is run_consensus's working state bound with this epsilon: that
+    it advances in place, taking weights broadcast to the invisible shape.
     `weights_k` is (..., M, m).  A leading seed axis on the state (and
     optionally the weights) batches seeds, each bitwise equal to its own
     call.
     """
-    ws, weights_k = _bind(state, epsilon, weights_k, quantized=False)
-    ws.update(weights_k, ws.visible)
-    ws.aggregate(ws.visible)
-    return ws if ws is state else ws.state()
+    if type(state) is _Workspace and state.bound == (epsilon, False):
+        state.step(weights_k)
+        return state
+    ws = _Workspace(state, epsilon, quantized=False)
+    ws.step(weights_k[..., None])
+    return ws.state()
 
 
 def mspdq_round(
@@ -261,22 +238,21 @@ def mspdq_round(
     width on its last quantized upload, quantize the new visible over it
     with the (M, d) uniforms, and aggregate the quantized uploads.
 
-    Returns the new state in fresh arrays and leaves `state` alone.
-    `weights_k` is (M, m).  The round checks nothing: run_consensus checks
-    a phase's box containment, upload errors and wire roundtrip over its
-    stacks.
+    Returns the new state in fresh arrays and leaves `state` alone, unless
+    `state` is run_consensus's working state bound with this epsilon (see
+    msp_round).  `weights_k` is (M, m).  The round checks nothing:
+    run_consensus checks a phase's box containment, upload errors and wire
+    roundtrip over its stacks.
     """
-    ws, weights_k = _bind(state, epsilon, weights_k, quantized=True)
-    ws.update(weights_k, ws.quantized)
-    if ws is state:
-        ws.quantize(width, uniforms)
-    else:
-        # collapsed knobs divide by zero (see round_to_knobs); run_consensus
-        # silences that once per phase
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ws.quantize(width, uniforms)
-    ws.aggregate(ws.quantized)
-    return ws if ws is state else ws.state()
+    if type(state) is _Workspace and state.bound == (epsilon, True):
+        state.step(weights_k, width, uniforms)
+        return state
+    ws = _Workspace(state, epsilon, quantized=True)
+    # collapsed knobs divide by zero (see round_to_knobs); run_consensus
+    # silences that once per phase
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ws.step(weights_k[..., None], width, uniforms)
+    return ws.state()
 
 
 def _check_quantized_rounds(
@@ -299,7 +275,8 @@ def _check_quantized_rounds(
     the codec.  The boxes and indices are the rounds' own: the same
     elementwise arithmetic over the stacks gives the same bits.
     """
-    half = (0.5 * widths)[:, None, None]
+    halves = 0.5 * widths
+    half = halves[:, None, None]
     lo, hi = quantized[:-1] - half, quantized[:-1] + half
     new_vis = visibles[1:]
     inside = (new_vis >= lo) & (new_vis <= hi)
@@ -319,10 +296,12 @@ def _check_quantized_rounds(
             if not np.array_equal(back.indices, idx):
                 raise ProtocolIntegrityError("wire roundtrip altered an upload")
     delta = quantized[1:] - new_vis
-    # the formula np.linalg.norm(delta, axis=-1) evaluates; hi >= lo, so the
-    # largest |box end| is max(max hi, -min lo)
-    norms = np.sqrt(np.add.reduce(delta * delta, axis=-1)).max(axis=-1)
-    return norms, np.maximum(hi.max(axis=(1, 2)), -lo.min(axis=(1, 2)))
+    # the formula np.linalg.norm(delta, axis=-1) evaluates, with the max over
+    # clients taken before the (monotone) sqrt.  hi >= lo, so the largest
+    # |box end| is max(max hi, -min lo); float rounding is monotone and odd,
+    # so that is bitwise max|upload| + half
+    norms = np.sqrt(np.maximum.reduce(np.add.reduce(delta * delta, axis=-1), axis=-1))
+    return norms, np.maximum.reduce(np.abs(quantized[:-1]), axis=(1, 2)) + halves
 
 
 def run_consensus(
@@ -349,14 +328,13 @@ def run_consensus(
     phase keeps the visibles and uploads its checks read; a non-recording
     plain phase keeps nothing.
 
-    The working state is a workspace bound once per phase: the broadcast
-    and first-row views of its arrays, filled constant arrays, scratch for
-    every intermediate, and the step weights of a block of rounds broadcast
-    to the invisible shape.  On these small arrays a round's cost depends
-    more on its operands than on its numpy calls (README gives the per-call
-    costs), so the bound rounds write every result `out=` into contiguous
-    same-shape operands, sum the flow over the invisible rows only when
-    there are several, and pick the upper knob with np.putmask.  The weight
+    The working state is a workspace bound once per phase: one kernel
+    closure over every operand of a round, with the constants and the
+    half-width as 0-d arrays (see _Workspace), and the step weights of a
+    block of rounds broadcast to the invisible shape.  On these small arrays
+    a round's cost is its numpy calls and their operands (README gives the
+    per-call costs), so the loop adds to each operator call only the beta
+    gap, pi_t and the row copies a reader uses.  The weight
     rows count against BLOCK_BYTES in both modes, beside the visibles,
     uploads and uniforms of a quantized phase: a non-recording phase runs in
     blocks of at most that many bytes, so its memory does not grow with K,
@@ -395,18 +373,24 @@ def run_consensus(
     if len(weights) < K:
         raise ConfigError(f"step weights cover {len(weights)} rounds, need {K}")
     table = np.asarray(weights[:K])
-    kept = []  # the arrays whose rows a reader uses
+    kept = ()  # the arrays whose rows a reader uses
     if record:
-        kept = [state.visible, state.invisible, state.global_model] + ([state.quantized] if quantized else [])
+        kept = (state.visible, state.invisible, state.global_model) + ((state.quantized,) if quantized else ())
     elif quantized:
-        kept = [state.visible, state.quantized]
+        kept = (state.visible, state.quantized)
     stacks = [np.empty((B + 1,) + a.shape) for a in kept]
+    copies = tuple(zip(stacks, kept))
     if quantized:
-        a_max = table[:, :, 0].max(axis=1)
+        # the beta gap is the Frobenius distance between the visible stack
+        # and the first invisible stack; sqrt of the flat dot product is the
+        # formula np.linalg.norm evaluates
+        vis, first_inv = state.visible, state.invisible[..., 0, :]
+        gap = np.empty_like(vis)
+        gap_flat = gap.reshape(-1)
+        subtract = np.subtract  # a local, as in the kernel
+        a_max = np.maximum.reduce(table[:, :, 0], axis=1)
         a_maxes = a_max.tolist()  # Python floats: the per-round product with pi_t is cheaper
-        pis = np.empty(K)
-        delta_max = np.empty(K)
-        box_end_max = np.empty(K)
+        pis, widths, delta_max, box_end_max = np.empty(K), np.empty(K), np.empty(K), np.empty(K)
     w_tilde = 0.0
     # collapsed knobs divide by zero in the rounding kernel (see round_to_knobs),
     # and rounds after an escape run on until the block's check, which any
@@ -416,26 +400,27 @@ def run_consensus(
             b = min(B, K - start)
             rows = state.weight_rows[:b]
             np.copyto(rows, table[start : start + b, ..., None])
-            for stack, a in zip(stacks, kept):
+            for stack, a in copies:
                 stack[0] = a
             if quantized:
-                uniforms = rng.random(size=(b,) + initial.visible.shape)
+                uniforms = rng.random(size=(b,) + vis.shape)
             for r in range(b):
-                k = start + r
                 if quantized:
-                    w_tilde = max(w_tilde, state.beta_gap())
-                    pi_t = compute_pi_t(epsilon, lambda2_u, w_tilde)
-                    pis[k] = pi_t
-                    mspdq_round(state, epsilon, rows[r], pi_t * a_maxes[k], uniforms[r])
+                    subtract(vis, first_inv, gap)
+                    beta = math.sqrt(gap_flat.dot(gap_flat))
+                    if beta > w_tilde:  # a running max
+                        w_tilde = beta
+                    pis[start + r] = pi_t = compute_pi_t(epsilon, lambda2_u, w_tilde)
+                    mspdq_round(state, epsilon, rows[r], pi_t * a_maxes[start + r], uniforms[r])
                 else:
                     msp_round(state, epsilon, rows[r])
-                for stack, a in zip(stacks, kept):
+                for stack, a in copies:
                     stack[r + 1] = a
             if quantized:
                 span = slice(start, start + b)
+                widths[span] = pis[span] * a_max[span]  # the rounds' own products
                 delta_max[span], box_end_max[span] = _check_quantized_rounds(
-                    start, stacks[0][: b + 1], stacks[-1][: b + 1], uniforms, pis[span] * a_max[span],
-                    initial.level, wire_check,
+                    start, stacks[0][: b + 1], stacks[-1][: b + 1], uniforms, widths[span], initial.level, wire_check
                 )
     final = state.state()
     trace = None
@@ -455,18 +440,17 @@ def run_consensus(
     if quantized:
         bound = dynamic_error_bound(pis, initial.level, a_max, initial.d)
         limit = bound + knob_rounding_allowance(box_end_max, initial.d)
-        bad = np.flatnonzero(~(delta_max <= limit))
-        if bad.size:
-            k = int(bad[0])
+        within = delta_max <= limit
+        if not np.logical_and.reduce(within):
+            k = int(np.flatnonzero(~within)[0])
             raise ProtocolIntegrityError(
-                f"quantization error exceeded its bound at round {k}: "
-                f"{delta_max[k]:.6g} > {limit[k]:.6g}"
+                f"quantization error exceeded its bound at round {k}: {delta_max[k]:.6g} > {limit[k]:.6g}"
             )
         summary = {
-            "delta_max": float(delta_max.max()),
-            "bound_margin_min": float((bound - delta_max).min()),
+            "delta_max": float(np.maximum.reduce(delta_max)),
+            "bound_margin_min": float(np.minimum.reduce(bound - delta_max)),
             "w_tilde_max": w_tilde,  # a running max: its last value
-            "max_width": float((pis * a_max).max()),
+            "max_width": float(np.maximum.reduce(widths)),
         }
     check_conserved(conserved_sum(initial), conserved_sum(final))
     return final, trace, summary

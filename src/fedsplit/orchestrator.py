@@ -335,12 +335,15 @@ def build_problem(config: FLConfig) -> ProblemBundle:
     if config.gamma_target is not None:
         if config.gamma_target < 0:
             raise ConfigError(f"gamma_target must be nonnegative, got {config.gamma_target!r}")
-        if config.spread <= 0:
-            raise ConfigError("gamma_target needs a positive starting spread")
-        _, F_star = global_optimum(A, b, p)
-        if F_star <= 0:
-            raise ConfigError("degenerate problem: zero heterogeneity at positive spread")
-        b = b * math.sqrt(config.gamma_target / F_star)
+        scale = 0.0  # zero heterogeneity at any spread
+        if config.gamma_target > 0:
+            if config.spread <= 0:
+                raise ConfigError("a positive gamma_target needs a positive starting spread")
+            _, F_star = global_optimum(A, b, p)
+            if F_star <= 0:
+                raise ConfigError("degenerate problem: zero heterogeneity at positive spread")
+            scale = math.sqrt(config.gamma_target / F_star)
+        b = b * scale
     if config.center_offset:
         b = b + config.center_offset * np.ones(config.dim) / math.sqrt(config.dim)
     targets = make_client_targets(A, b, config.n_samples, config.sample_spread, config.problem_seed)

@@ -15,7 +15,6 @@ import functools
 import math
 import struct
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -82,67 +81,52 @@ def knob_values(lo: np.ndarray, hi: np.ndarray, level: int, indices: np.ndarray)
     return lo + indices * ((hi - lo) / (level - 1))
 
 
-class _Knobs(NamedTuple):
-    """The knob law's constants l-1, l-2 and 1.0, and the out buffers of
-    its step, tau, c_hi, p and up (step is reused for c_hi - c_lo)."""
-
-    lm1: np.ndarray
-    lm2: np.ndarray
-    one: np.ndarray
-    step: np.ndarray | None
-    tau: np.ndarray | None
-    c_hi: np.ndarray | None
-    p: np.ndarray | None
-    up: np.ndarray | None
-
-
-@functools.lru_cache(maxsize=64)
-def _unbound(level: int) -> _Knobs:
-    """The knob law's constants unbound: 0-d arrays (numpy takes them
-    faster than Python numbers, with the same bits), and no buffers, so
-    numpy allocates each result."""
-    return _Knobs(*(np.array(float(c)) for c in (level - 1, level - 2, 1.0)), None, None, None, None, None)
-
-
-def _bound(level: int, like: np.ndarray) -> _Knobs:
-    """_unbound's constants and buffers as arrays shaped like `like`, with
-    which a caller that rounds many times makes every ufunc same-shape and
-    contiguous and allocates nothing."""
-    return _Knobs(
-        *(np.full_like(like, c) for c in (level - 1, level - 2, 1.0)),
-        *(np.empty_like(like) for _ in range(4)),
-        np.empty(like.shape, dtype=bool),
-    )
-
-
-def _bracket(w: np.ndarray, lo: np.ndarray, hi: np.ndarray, k: _Knobs, out: np.ndarray | None = None):
-    """Per coordinate: the float index tau (capped at l-2; callers check
-    w >= lo) of the lower bracketing knob and the two knob values, for
-    same-shape inputs, e.g. (d,) or (M, d); the lower knob values go into
-    `out` (which must not alias an input) when given.  Every result goes to
-    its buffer, positionally (cheaper than the keyword on small arrays;
-    np.minimum takes only the keyword), or to a fresh array when unbound: a
-    scalar operand beside an `out` array costs numpy ~0.3 us more.
+def _knob_law(level: int, like: np.ndarray | None = None):
+    """The knob law as two closures, bracket(w, lo, hi, out=None) -> (tau,
+    c_lo, c_hi) and round_(w, lo, hi, u, out=None) -> (tau, up, values),
+    over its constants l-1, l-2 and 1.0 as 0-d arrays (numpy takes them as
+    fast as a same-shape array and faster than a Python number, with the
+    same bits).  Given `like`, they also close over out buffers shaped like
+    it, so a caller that rounds many times makes every ufunc same-shape and
+    allocates nothing; else numpy allocates each result.  The lower knob
+    values go into `out` (which must not alias an input) when given.  Inputs
+    are same-shape, e.g. (d,) or (M, d); callers check w >= lo.
 
         tau = min(floor((w - lo) / step), l - 2),  step = (hi - lo) / (l - 1)
         c_lo = lo + tau step,  c_hi = lo + (tau + 1) step
+        up = u < (w - c_lo) / (c_hi - c_lo)
+
+    Every result goes to its buffer positionally (cheaper than the keyword on
+    small arrays; np.minimum takes only the keyword), and np.putmask gives
+    the bits of np.where(up, c_hi, c_lo); step's buffer is reused for
+    c_hi - c_lo.
     """
-    step = np.divide(np.subtract(hi, lo, k.step), k.lm1, k.step)
-    tau = np.divide(np.subtract(w, lo, k.tau), step, k.tau)
-    tau = np.minimum(np.floor(tau, k.tau), k.lm2, out=k.tau)
-    c_lo = np.add(lo, np.multiply(tau, step, out), out)
-    c_hi = np.add(lo, np.multiply(np.add(tau, k.one, k.c_hi), step, k.c_hi), k.c_hi)
-    return tau, c_lo, c_hi
+    lm1, lm2, one = np.array(float(level - 1)), np.array(float(level - 2)), np.array(1.0)
+    step = tau = c_hi = p = up = None
+    if like is not None:
+        step, tau, c_hi, p = np.empty_like(like), np.empty_like(like), np.empty_like(like), np.empty_like(like)
+        up = np.empty(like.shape, dtype=bool)
+    # numpy's functions as closure locals: looking up np.<name> costs ~30 ns
+    # a call, a tenth of a ufunc on these small arrays
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    floor, minimum, less, putmask = np.floor, np.minimum, np.less, np.putmask
+
+    def bracket(w, lo, hi, out=None):
+        s = divide(subtract(hi, lo, step), lm1, step)
+        t = minimum(floor(divide(subtract(w, lo, tau), s, tau), tau), lm2, out=tau)
+        c_lo = add(lo, multiply(t, s, out), out)
+        return t, c_lo, add(lo, multiply(add(t, one, c_hi), s, c_hi), c_hi)
+
+    def round_(w, lo, hi, u, out=None):
+        t, c_lo, c_h = bracket(w, lo, hi, out)
+        is_up = less(u, divide(subtract(w, c_lo, p), subtract(c_h, c_lo, step), p), up)
+        putmask(c_lo, is_up, c_h)
+        return t, is_up, c_lo
+
+    return bracket, round_
 
 
-def _round(w: np.ndarray, lo: np.ndarray, hi: np.ndarray, u: np.ndarray, k: _Knobs, out: np.ndarray | None = None):
-    """round_to_knobs with _unbound or _bound knobs: up = u < (w - c_lo) /
-    (c_hi - c_lo), then np.putmask gives the bits of np.where(up, c_hi, c_lo)."""
-    tau, c_lo, c_hi = _bracket(w, lo, hi, k, out)
-    p = np.divide(np.subtract(w, c_lo, k.p), np.subtract(c_hi, c_lo, k.step), k.p)
-    up = np.less(u, p, k.up)
-    np.putmask(c_lo, up, c_hi)
-    return tau, up, c_lo
+_unbound = functools.lru_cache(maxsize=64)(_knob_law)
 
 
 def round_to_knobs(
@@ -153,7 +137,7 @@ def round_to_knobs(
     (the knob index is tau + up).  Such u make clipping p to [0, 1] moot;
     collapsed knobs divide by zero (callers silence it): inf rounds up, NaN
     down."""
-    return _round(w, lo, hi, u, _unbound(level))
+    return _unbound(level)[1](w, lo, hi, u)
 
 
 def _checked_input(w: np.ndarray, qs: QuantizerState) -> np.ndarray:
@@ -183,7 +167,7 @@ def output_distribution(w: np.ndarray, qs: QuantizerState) -> list[list[tuple[fl
     formed on Python floats, whose IEEE operations give the float64 bits.
     """
     w = _checked_input(w, qs)
-    _, c_lo, c_hi = _bracket(w, qs.lo, qs.hi, _unbound(qs.level))
+    _, c_lo, c_hi = _unbound(qs.level)[0](w, qs.lo, qs.hi)
     out = []
     for x, lo, hi in zip(w.tolist(), c_lo.tolist(), c_hi.tolist()):
         p = (x - lo) / (hi - lo) if hi > lo else 0.0
@@ -218,7 +202,7 @@ def compute_pi_t(epsilon: float, lambda2_u: float, w_tilde_max: float) -> float:
     """Interval-width constant 8(eps + eps~ + eps~ W~)/(1 - lambda2)."""
     if lambda2_u >= 1.0:
         raise ConfigError("lambda2(U) must be below 1")
-    eps_t = max(1.0, epsilon)
+    eps_t = epsilon if epsilon > 1.0 else 1.0  # max(1, epsilon) without the builtin's call
     return 8.0 * (epsilon + eps_t + eps_t * w_tilde_max) / (1.0 - lambda2_u)
 
 

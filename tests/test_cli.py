@@ -362,6 +362,22 @@ def test_repeated_sweep_value_exits_2(config_path, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_sweep_values_that_give_one_config_exit_2(config_path, tmp_path, capsys):
+    # 6 and 6.0 would name two run dirs over one config
+    code, out = _run_with(config_path, tmp_path, "--sweep", "ball_radius=6,6.0", rounds=2)
+    assert code == 2
+    assert "'ball_radius'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gamma_target_zero_at_zero_spread_gives_a_task_without_heterogeneity(config_path, tmp_path):
+    # with no common offset every minimizer is zero, so gamma_het is exactly zero
+    doc = {**json.loads(config_path.read_text()), "gamma_target": 0.0, "spread": 0.0, "center_offset": 0.0}
+    assert orch.build_problem(orch.FLConfig.from_dict(doc)).constants.gamma_het == 0
+    code, _ = _run_with(config_path, tmp_path, "--sweep", "gamma_target=0", "--sweep", "spread=0", rounds=2)
+    assert code == 0
+
+
 @pytest.mark.parametrize("text", [None, "{not json", "[1, 2]"])
 def test_unreadable_config_exits_2(tmp_path, capsys, text):
     path = tmp_path / "cfg.json"

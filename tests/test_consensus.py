@@ -457,6 +457,32 @@ def test_non_recording_phase_memory_does_not_grow_with_K(mode):
     assert peak(4096) <= 2 * peak(256)
 
 
+@pytest.mark.parametrize("mode", [MSP, MSPDQ])
+@pytest.mark.parametrize("record, block_bytes", [(True, None), (False, None), (False, 1)])
+def test_phase_calls_its_operator_and_pi_t_once_per_round(monkeypatch, mode, record, block_bytes):
+    # the kernel contract: a phase calls the module's round operator once per
+    # round and, in quantized mode, compute_pi_t once per round, uncached;
+    # perfbench's traced *_round_eq_sum_kt checks and the operator patches
+    # in these tests rely on it
+    state, weights, lam2 = quantized_setup(level=16)
+    if mode == MSP:
+        state = RoundState(state.visible, state.invisible, state.m_counts, state.visible.mean(axis=0))
+    if block_bytes is not None:
+        monkeypatch.setattr(consensus, "BLOCK_BYTES", block_bytes)
+    calls = dict.fromkeys(("msp_round", "mspdq_round", "compute_pi_t"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(consensus, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(consensus, name, counted)
+    K = 7
+    run_consensus(state, K, mode, 0.4, weights.table(K), rng=rngmod.stream(5, 53), lambda2_u=lam2, record=record)
+    quantized = mode == MSPDQ
+    assert calls == {"msp_round": 0 if quantized else K, "mspdq_round": K if quantized else 0,
+                     "compute_pi_t": K if quantized else 0}
+
+
 def test_run_consensus_rejects_too_few_step_weights():
     state, weights, lam2 = quantized_setup(level=16)
     with pytest.raises(ConfigError, match="step weights cover 2 rounds, need 3"):
@@ -677,6 +703,31 @@ def test_run_consensus_matches_reference_rounds_bitwise(M, m, d, K, rule, mode, 
             assert _same_bits(trace.quantized[k], ref.quantized)
     for k in range(K):
         assert _same_bits(np.asarray(trace.weights[k]), weights.at(k))
+
+
+@given(
+    b=st.integers(1, 4),
+    M=st.integers(1, 4),
+    d=st.integers(1, 4),
+    exponent=st.integers(-150, 150),
+    seed=st.integers(0, 2**16),
+)
+def test_phase_check_error_norms_and_box_ends_match_their_formulas(b, M, d, exponent, seed):
+    # the check takes the sqrt after the max over clients, and each round's
+    # largest |box end| as max|upload| + half: float rounding is monotone
+    # and odd, so both give the bits of the plain formulas
+    rng = rngmod.stream(seed, 54)
+    scale = 10.0**exponent
+    quantized = rng.standard_normal((b + 1, M, d)) * scale
+    widths = rng.uniform(0.0, 4.0, size=b) * scale * 10.0 ** rng.integers(-20, 20, size=b)
+    # each post-update visible sits at its box centre, the last upload
+    visibles = np.concatenate([quantized[:1], quantized[:-1]])
+    uniforms = rng.random((b, M, d))
+    norms, box_ends = consensus._check_quantized_rounds(0, visibles, quantized, uniforms, widths, 16, False)
+    half = (0.5 * widths)[:, None, None]
+    lo, hi = quantized[:-1] - half, quantized[:-1] + half
+    assert _same_bits(box_ends, np.maximum(hi.max(axis=(1, 2)), -lo.min(axis=(1, 2))))
+    assert _same_bits(norms, np.linalg.norm(quantized[1:] - visibles[1:], axis=-1).max(axis=-1))
 
 
 @given(

@@ -266,16 +266,18 @@ def consensus_rounds(config: FLConfig, pc: ProblemConstants, t: int) -> int:
     return config.kt_override or kt_schedule(t, pc.mu, vt, config.lambda_, config.mode)
 
 
-def sample_clients(p: np.ndarray, M: int, rng: np.random.Generator) -> np.ndarray:
-    """M i.i.d. draws with replacement from the distribution p (a bundle's
-    checked `p`); duplicates are distinct cohort slots.
+def sample_clients(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One i.i.d. draw with replacement from the distribution p (a bundle's
+    checked `p`) per uniform in u, in u's shape; duplicates are distinct
+    cohort slots.
 
     This is the inverse-CDF draw that rng.choice(len(p), size=M, p=p) runs
-    once its argument checks pass, so both read the same values.
+    on its M uniforms once its argument checks pass, so both read the same
+    values.
     """
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(M), side="right")
+    return cdf.searchsorted(u, side="right")
 
 
 def local_sgd(
@@ -283,26 +285,18 @@ def local_sgd(
     A: np.ndarray,
     targets: np.ndarray,
     eta: float,
-    E: int,
-    rngs: list,
-    batch_size: int,
+    batches: np.ndarray,
 ) -> np.ndarray:
     """E mini-batch gradient steps from the broadcast model for u stacked
     clients (A (u, d, d), targets (u, n, d)); returns the (u, d) local models.
 
-    Client i draws all E batches from its own stream rngs[i] in one call.
-    The bounded draw keeps its spare 32-bit half-word in the bit generator,
-    not in the call, so that call reads the values E per-step calls would,
-    and the stacked pass is bitwise u separate ones.
+    batches is (E, u, s): row [e, i] holds client i's sample indices at step
+    e.  The stacked pass is bitwise u separate ones.
     """
-    if E < 1:
+    if len(batches) < 1:
         raise ConfigError("need at least one local step")
-    n = targets.shape[-2]
-    w = np.empty((len(rngs), len(w0)))
+    w = np.empty((batches.shape[1], len(w0)))
     w[:] = w0
-    batches = np.empty((E, len(rngs), batch_size), dtype=np.int64)
-    for i, rng in enumerate(rngs):
-        batches[:, i] = rng.integers(0, n, size=(E, batch_size))
     for batch in batches:
         w -= eta * stochastic_gradient(A, targets, w, batch)
     return w
@@ -384,10 +378,10 @@ _HASH_BLOCK = 128
 
 @dataclass
 class _RoundStreams:
-    """The keyed streams of one learning round."""
+    """The keyed streams of one learning round, or their draws."""
 
     cohort: np.ndarray  # (M,) client of each cohort slot
-    gradient: list  # one (round, client) stream per cohort slot
+    gradient: np.ndarray  # (E, M, s) batches, each slot's from its (round, client) stream
     split: list  # one (round, slot) stream per cohort slot; empty without splitting
     aggregate: np.random.Generator | None  # quantization (mspdq) or Laplace noise (ldp)
 
@@ -396,18 +390,22 @@ def _round_streams(config: FLConfig, p: np.ndarray):
     """Yields the _RoundStreams of rounds 1..T, hashing the keys of one block
     of rounds per `rngmod.seed_words` call for each purpose.
 
-    A block's cohorts are drawn first (the sampling streams do not depend on
-    the model), so the gradient keys cover only the clients they use; slots
-    that hold the same client get equal streams.
+    A block's cohorts and gradient batches are each drawn in one pass over
+    its streams.  The cohorts come first (the sampling streams do not depend
+    on the model), so the gradient keys cover only the clients they use;
+    slots that hold the same client get equal batches.
     """
     seed, M = config.seed, config.cohort
+    E, s = config.local_steps, config.batch_size
     for start in range(1, config.rounds + 1, _HASH_BLOCK):
         ts = np.arange(start, min(start + _HASH_BLOCK, config.rounds + 1))
-        cohorts = np.array([
-            sample_clients(p, M, rngmod.generator(words))
-            for words in rngmod.seed_words(seed, rngmod.CLIENT_SAMPLING, ts)
-        ])
-        gradient = rngmod.seed_words(seed, rngmod.GRADIENT, ts[:, None], cohorts)
+        cohorts = sample_clients(p, rngmod.uniforms(rngmod.seed_words(seed, rngmod.CLIENT_SAMPLING, ts), M))
+        draws = rngmod.integers_below(
+            rngmod.seed_words(seed, rngmod.GRADIENT, ts[:, None], cohorts), config.n_samples, E * s
+        )
+        # each slot's stream draws its E batches step by step; step-major
+        # rows keep each step's (M, s) batch contiguous
+        gradient = np.ascontiguousarray(draws.reshape(len(ts), M, E, s).transpose(0, 2, 1, 3))
         split = aggregate = None
         if config.mode in ("msp", "mspdq"):
             split = rngmod.seed_words(seed, rngmod.SPLITTING, ts[:, None], np.arange(M))
@@ -418,7 +416,7 @@ def _round_streams(config: FLConfig, p: np.ndarray):
         for i in range(len(ts)):
             yield _RoundStreams(
                 cohorts[i],
-                [rngmod.generator(words) for words in gradient[i]],
+                gradient[i],
                 [] if split is None else [rngmod.generator(words) for words in split[i]],
                 None if aggregate is None else rngmod.generator(aggregate[i]),
             )
@@ -500,6 +498,7 @@ def run(config: FLConfig, bundle: ProblemBundle | None = None) -> RunResult:
     quantized = config.mode == "mspdq"
     if split:
         rule = _split_rule(config)
+        m_counts = np.full(config.cohort, rule.m)
         weight_table = _step_weights(config).table(consensus_rounds(config, pc, config.rounds))
     lam2 = None
     upload_bits = 64 * config.dim
@@ -515,10 +514,7 @@ def run(config: FLConfig, bundle: ProblemBundle | None = None) -> RunResult:
     w_tilde_run = 0.0
     for t, streams in enumerate(_round_streams(config, bundle.p), start=1):
         eta = lr_schedule(t, pc.mu, vt)
-        local = local_sgd(
-            w, bundle.A[streams.cohort], bundle.targets[streams.cohort], eta,
-            config.local_steps, streams.gradient, config.batch_size,
-        )
+        local = local_sgd(w, bundle.A[streams.cohort], bundle.targets[streams.cohort], eta, streams.gradient)
         kt = consensus_rounds(config, pc, t)
         summary = {"max_width": 0.0, "delta_max": 0.0}
         if not split:
@@ -527,9 +523,11 @@ def run(config: FLConfig, bundle: ProblemBundle | None = None) -> RunResult:
             w = local.mean(axis=0)
         else:
             visible, invisible = split_cohort(local, rule, streams.split)
-            state = RoundState(visible, invisible, np.full(config.cohort, rule.m), visible.mean(axis=0))
+            state = RoundState(visible, invisible, m_counts, None)
             if quantized:
                 snap_initial_upload(state, w, q0_width, config.level)
+            else:
+                state.global_model = visible.mean(axis=0)
             final, _, summary = run_consensus(
                 state,
                 kt,

@@ -11,6 +11,15 @@ plain integer operators, so one call hashes one key (Python ints) or every
 key of a run at once (index arrays broadcast against each other); the root
 seed's part of the hash stays in Python ints either way. `generator` hands
 the words to PCG64's own seeding code.
+
+Streams that are fresh and make a few draws each (a block's cohort and
+gradient streams) skip the Generator and are drawn in one numpy pass.
+`raw_outputs` gives output j of every stream from PCG64's 128-bit LCG by
+jump-ahead, s_j = MULT**(j+1) (inc + initstate) + inc sum_{i<=j} MULT**i
+(mod 2**128), on uint64 (hi, lo) word pairs, then PCG64's XSL-RR output.
+`uniforms` and `integers_below` are numpy's `random` and `integers(0, high)`
+on those outputs.  A stream whose bounded draw would reject takes numpy's own
+`integers` call instead, so every value is the one a Generator reads.
 """
 
 from __future__ import annotations
@@ -136,6 +145,100 @@ def generator(words: np.ndarray) -> np.random.Generator:
 def stream(root_seed: int, *key: int) -> np.random.Generator:
     """Independent generator for (root_seed, key...)."""
     return generator(seed_words(root_seed, *key))
+
+
+# numpy's PCG64 (pcg64.h): the 128-bit LCG s -> s * _PCG_MULT + inc, whose
+# outputs are the XSL-RR of each stepped state
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = 2**64 - 1
+_MASK128 = 2**128 - 1
+
+
+@functools.lru_cache(maxsize=16)
+def _jump_constants(n: int) -> tuple:
+    """The (hi, lo) words of a_j = MULT**(j+1) and b_j = sum_{i<=j} MULT**i
+    (mod 2**128) for j = 1..n, as four read-only (n,) uint64 arrays: output
+    j of the stream seeded with (initstate, inc) steps from the state
+    a_j (inc + initstate) + b_j inc."""
+    a, b, rows = _PCG_MULT, 1, []
+    for _ in range(n):
+        a = a * _PCG_MULT & _MASK128
+        b = (b * _PCG_MULT + 1) & _MASK128
+        rows.append((a >> 64, a & _MASK64, b >> 64, b & _MASK64))
+    table = np.array(rows, dtype=np.uint64).reshape(n, 4).T.copy()
+    table.flags.writeable = False
+    return tuple(table)
+
+
+def _mul128(ah, al, bh, bl):
+    """(ah 2**64 + al)(bh 2**64 + bl) mod 2**128 as (hi, lo) uint64 words;
+    the high word of al * bl is summed from its 32-bit limb products."""
+    a0, a1 = al & _MASK32, al >> 32
+    b0, b1 = bl & _MASK32, bl >> 32
+    p01, p10 = a0 * b1, a1 * b0
+    carry = ((a0 * b0 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)) >> 32
+    hi = a1 * b1 + (p01 >> 32) + (p10 >> 32) + carry + ah * bl + al * bh
+    return hi, al * bl
+
+
+def raw_outputs(words, n: int) -> np.ndarray:
+    """Outputs 1..n of the stream of each (4,) row of seed words, as a
+    (..., n) uint64 array: row w holds generator(w).bit_generator.random_raw(n).
+
+    PCG64 seeds with initstate = (w[0], w[1]) and initseq = (w[2], w[3]),
+    high word first, so inc = 2 initseq + 1; every output's state comes
+    from one jump-ahead product pair, with no loop over the outputs.
+    """
+    words = np.asarray(words, dtype=np.uint64)
+    lanes = words.reshape(-1, 4)
+    init_hi, init_lo, seq_hi, seq_lo = (lanes[:, i, None] for i in range(4))
+    inc_hi = seq_hi << 1 | seq_lo >> 63
+    inc_lo = seq_lo << 1 | 1
+    x_lo = inc_lo + init_lo
+    x_hi = inc_hi + init_hi + (x_lo < inc_lo)
+    a_hi, a_lo, b_hi, b_lo = _jump_constants(n)
+    ah, al = _mul128(x_hi, x_lo, a_hi, a_lo)
+    bh, bl = _mul128(inc_hi, inc_lo, b_hi, b_lo)
+    lo = al + bl
+    hi = ah + bh + (lo < al)
+    # XSL-RR: the xor of the halves, rotated right by the top 6 bits
+    x = hi ^ lo
+    rot = hi >> 58
+    out = x >> rot | x << (64 - rot & 63)
+    return out.reshape(words.shape[:-1] + (n,))
+
+
+def uniforms(words, n: int) -> np.ndarray:
+    """The doubles generator(w).random(n) draws for each row w of seed words,
+    as a (..., n) float64 array: numpy makes each from one 64-bit output."""
+    return (raw_outputs(words, n) >> 11) * 2.0**-53
+
+
+def integers_below(words, high: int, n: int) -> np.ndarray:
+    """The draws generator(w).integers(0, high, size=n) makes for each row w
+    of seed words, as a (..., n) int64 array; high lies in [1, 2**32].
+
+    numpy scales each 32-bit half-output (low half first) by high and keeps
+    the top word (Lemire), rejecting a draw whose low word falls below
+    2**32 % high.  A stream that rejects one of its n draws takes numpy's own
+    draw instead; a power-of-two high never rejects.
+    """
+    high = operator.index(high)
+    if not 1 <= high <= 2**32:
+        raise ConfigError(f"bounded draws need high in [1, 2**32], got {high}")
+    words = np.asarray(words, dtype=np.uint64)
+    lanes = words.reshape(-1, 4)
+    raw = raw_outputs(lanes, (n + 1) // 2)
+    halves = np.empty((len(lanes), 2 * raw.shape[1]), dtype=np.uint64)
+    halves[:, 0::2] = raw & _MASK32
+    halves[:, 1::2] = raw >> 32
+    scaled = halves[:, :n] * high
+    draws = (scaled >> 32).astype(np.int64)
+    threshold = 2**32 % high
+    if threshold:
+        for lane in np.flatnonzero(((scaled & _MASK32) < threshold).any(axis=1)):
+            draws[lane] = generator(lanes[lane]).integers(0, high, size=n)
+    return draws.reshape(words.shape[:-1] + (n,))
 
 
 def left_sum(terms) -> float:

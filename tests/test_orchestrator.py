@@ -72,14 +72,14 @@ def test_kt_schedule_nondecreasing():
 
 def test_sample_clients_degenerate():
     rng = rngmod.stream(0, 3)
-    picks = orch.sample_clients(np.array([1.0, 0.0, 0.0]), 2, rng)
+    picks = orch.sample_clients(np.array([1.0, 0.0, 0.0]), rng.random(2))
     assert np.array_equal(picks, [0, 0])
 
 
 def test_sample_clients_chi_square():
     rng = rngmod.stream(1, 3)
     N, n = 4, 100_000
-    picks = orch.sample_clients(np.full(N, 0.25), n, rng)
+    picks = orch.sample_clients(np.full(N, 0.25), rng.random(n))
     counts = np.bincount(picks, minlength=N)
     chi2 = np.sum((counts - n / N) ** 2 / (n / N))
     assert chi2 <= stats.chi2.ppf(0.99, df=N - 1)
@@ -98,7 +98,7 @@ def test_sample_clients_matches_generator_choice(weights, atom, M, seed):
         p[atom % len(p)] = 1.0
     p /= p.sum()
     got_rng, ref_rng = rngmod.stream(seed, 3), rngmod.stream(seed, 3)
-    got = orch.sample_clients(p, M, got_rng)
+    got = orch.sample_clients(p, got_rng.random(M))
     want = ref_rng.choice(len(p), size=M, replace=True, p=p)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert got_rng.bit_generator.state == ref_rng.bit_generator.state
@@ -112,7 +112,7 @@ def test_sampled_aggregate_unbiased():
     rng = rngmod.stream(2, 3)
     agg = np.empty(n)
     for s in range(n):
-        picks = orch.sample_clients(p, 4, rng)
+        picks = orch.sample_clients(p, rng.random(4))
         agg[s] = x[picks].mean()
     expect = float(p @ x)
     assert abs(agg.mean() - expect) <= 4.0 * agg.std() / np.sqrt(n)
@@ -122,9 +122,9 @@ def test_local_sgd_closed_form():
     A, b = np.eye(1)[None], np.ones((1, 1))
     targets = make_client_targets(A, b, 8, 0.0, seed=0)
     rng = rngmod.stream(0, 4)
-    w = orch.local_sgd(np.zeros(1), A, targets, eta=0.5, E=1, rngs=[rng], batch_size=8)[0]
+    w = orch.local_sgd(np.zeros(1), A, targets, eta=0.5, batches=rng.integers(0, 8, size=(1, 1, 8)))[0]
     assert w[0] == pytest.approx(0.5, abs=1e-12)
-    w_fix = orch.local_sgd(np.array([1.0]), A, targets, eta=0.5, E=3, rngs=[rng], batch_size=8)[0]
+    w_fix = orch.local_sgd(np.array([1.0]), A, targets, eta=0.5, batches=rng.integers(0, 8, size=(3, 1, 8)))[0]
     assert w_fix[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -134,7 +134,7 @@ def test_local_sgd_full_batch_matches_linear_recursion():
     w0 = np.array([2.0, -1.0, 0.5])
     eta, E = 0.3, 6
     rng = rngmod.stream(1, 4)
-    w = orch.local_sgd(w0, A, targets, eta, E, [rng], 8)[0]
+    w = orch.local_sgd(w0, A, targets, eta, rng.integers(0, 8, size=(E, 1, 8)))[0]
     M = np.eye(3) - eta * A[0]
     expected = b[0] + np.linalg.matrix_power(M, E) @ (w0 - b[0])
     assert np.allclose(w, expected, atol=1e-12)
@@ -173,10 +173,8 @@ def test_stacked_local_round_matches_per_client_loop(n_clients, cohort, dim, E, 
     bundle = orch.build_problem(cfg)
     w_prev = rngmod.stream(seed, 99).standard_normal(dim)
     streams = list(orch._round_streams(cfg, bundle.p))[t - 1]
-    got = orch.local_sgd(
-        w_prev, bundle.A[streams.cohort], bundle.targets[streams.cohort], eta, E, streams.gradient, batch_size
-    )
-    cohort_ids = orch.sample_clients(bundle.p, cohort, rngmod.stream(seed, rngmod.CLIENT_SAMPLING, t))
+    got = orch.local_sgd(w_prev, bundle.A[streams.cohort], bundle.targets[streams.cohort], eta, streams.gradient)
+    cohort_ids = orch.sample_clients(bundle.p, rngmod.stream(seed, rngmod.CLIENT_SAMPLING, t).random(cohort))
     for slot, c in enumerate(cohort_ids):
         rng = rngmod.stream(seed, rngmod.GRADIENT, t, int(c))
         want = reference_local_sgd(w_prev, bundle.A[c], bundle.targets[c], batch_size, eta, E, rng)

@@ -93,6 +93,66 @@ def test_one_phase_draw_reads_the_doubles_of_per_round_draws(seed, K, M, d):
     assert phase.random(5).tobytes() == rounds.random(5).tobytes()
 
 
+HIGHS = [1, 2, 3, 7, 64, 100, 2**31, 3 * 2**30, 2**32 - 1, 2**32]
+LEAD_SHAPES = st.lists(st.integers(1, 4), max_size=2)
+
+
+def keyed_words(seed, base, shape):
+    """Seed words of the keys (seed, 7, base + i, base + j, ...) over a lead
+    shape, and each lane's key tuple."""
+    axes = [base + np.arange(k).reshape((k,) + (1,) * (len(shape) - 1 - i)) for i, k in enumerate(shape)]
+    words = rngmod.seed_words(seed, 7, *axes)
+    return words, {idx: (7, *(base + i for i in idx)) for idx in np.ndindex(*shape)}
+
+
+def draws_below(words, high, n):
+    """integers_below, and the seed words of each stream that took numpy's own draw."""
+    generator, fallbacks = rngmod.generator, []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rngmod, "generator", lambda w: fallbacks.append(w) or generator(w))
+        return rngmod.integers_below(words, high, n), fallbacks
+
+
+@given(seed=SEEDS, base=st.integers(0, 2**31), shape=LEAD_SHAPES, n=st.integers(1, 40))
+def test_raw_outputs_and_uniforms_match_numpy_draws(seed, base, shape, n):
+    words, keys = keyed_words(seed, base, shape)
+    raw, doubles = rngmod.raw_outputs(words, n), rngmod.uniforms(words, n)
+    assert raw.shape == doubles.shape == (*shape, n)
+    assert raw.dtype == np.uint64 and doubles.dtype == np.float64
+    for idx, key in keys.items():
+        assert np.array_equal(raw[idx], reference_generator(seed, *key).bit_generator.random_raw(n))
+        assert doubles[idx].tobytes() == reference_generator(seed, *key).random(n).tobytes()
+
+
+@given(
+    seed=SEEDS, base=st.integers(0, 2**31), shape=LEAD_SHAPES, n=st.integers(1, 40), high=st.sampled_from(HIGHS)
+)
+def test_integers_below_matches_numpy_bounded_draws(seed, base, shape, n, high):
+    words, keys = keyed_words(seed, base, shape)
+    got, fallbacks = draws_below(words, high, n)
+    if high & (high - 1) == 0:
+        assert not fallbacks  # a power of two never rejects
+    assert got.shape == (*shape, n) and got.dtype == np.int64
+    for idx, key in keys.items():
+        assert np.array_equal(got[idx], reference_generator(seed, *key).integers(0, high, size=n))
+
+
+def test_rejected_draws_take_numpys_own_draw():
+    # at high = 3 * 2**30 a quarter of the leftovers fall below 2**32 % high,
+    # so some of 16 streams of 8 draws reject and some do not
+    words, keys = keyed_words(5, 0, (16,))
+    got, fallbacks = draws_below(words, 3 * 2**30, 8)
+    assert 0 < len(fallbacks) < 16
+    for idx, key in keys.items():
+        assert np.array_equal(got[idx], reference_generator(5, *key).integers(0, 3 * 2**30, size=8))
+
+
+@pytest.mark.parametrize("high", [0, 2**32 + 1])
+def test_integers_below_rejects_high_outside_32_bits(high):
+    with pytest.raises(ConfigError, match="high"):
+        rngmod.integers_below(rngmod.seed_words(0, 7), high, 4)
+
+
 def test_float_folds_keep_left_fold_bits_under_a_compensated_sum(monkeypatch):
     """Python 3.12 made builtin sum of floats Neumaier-compensated; the folds
     that reach outputs must keep the left-fold bits, whatever `sum` is."""

@@ -65,6 +65,8 @@ def _parse_sweep(items: list[str]) -> dict:
         if "=" not in item:
             raise ConfigError(f"sweep axis {item!r} must look like key=v1,v2")
         key, vals = item.split("=", 1)
+        if not key.strip():
+            raise ConfigError(f"--sweep {item!r}: the axis name is empty; expected key=v1,v2")
         if key == "seed":
             raise ConfigError(f"sweep axis {item!r}: seeds are set with --seeds, e.g. --seeds 5,6")
         parsed = []

@@ -34,7 +34,6 @@ from .quantizer import (
     knob_rounding_allowance,
     round_to_knobs,
 )
-from .splitting import SplitState
 
 CONSERVATION_RTOL = 1e-9
 # Bytes of stacked rows a non-recording phase holds at once: broadcast step
@@ -52,9 +51,10 @@ class RoundState:
     """Cohort state at one communication round.
 
     visible: (M, d); invisible: (M, m_max, d) zero-padded past each client's
-    own invisible count (msp_round also takes a leading seed axis on both and
-    on global_model); global_model is the aggregation that produced this
-    round (mean visible for plain rounds, mean quantized upload otherwise).
+    own invisible count (a bound plain workspace also takes a leading seed
+    axis on both and on global_model); global_model is the aggregation that
+    produced this round (mean visible for plain rounds, mean quantized upload
+    otherwise).
     """
 
     visible: np.ndarray
@@ -99,23 +99,6 @@ class ConsensusTrace:
         return self.m_counts.shape[0]
 
 
-def state_from_splits(splits: list[SplitState]) -> RoundState:
-    """Plain-mode initial cohort state; global is the mean initial visible."""
-    M = len(splits)
-    d = splits[0].visible.shape[0]
-    m_counts = np.array([s.m for s in splits], dtype=np.int64)
-    visible = np.stack([s.visible for s in splits])
-    invisible = np.zeros((M, int(m_counts.max()), d))
-    for i, s in enumerate(splits):
-        invisible[i, : s.m] = s.invisible
-    return RoundState(
-        visible=visible,
-        invisible=invisible,
-        m_counts=m_counts,
-        global_model=visible.mean(axis=0),
-    )
-
-
 def conserved_sum(state: RoundState) -> np.ndarray:
     """Total of every real submodel over the cohort (padded slots are zero);
     a leading axis on the stacks gives one total per row."""
@@ -130,11 +113,6 @@ def check_conserved(total0: np.ndarray, total: np.ndarray, rtol: float = CONSERV
     if not drift <= rtol:
         raise ProtocolIntegrityError(f"conserved sum drifted by {drift:.3e} relative")
     return drift
-
-
-def consensus_target(state: RoundState) -> np.ndarray:
-    """Common limit of all submodels: conserved sum over the submodel count."""
-    return conserved_sum(state) / float(np.sum(1 + state.m_counts))
 
 
 class _Workspace(RoundState):
@@ -163,9 +141,9 @@ class _Workspace(RoundState):
     written; one invisible row (the desk shape) is its own flow sum.
 
     run_consensus binds one per phase as its working state, with `rows`
-    preallocated step-weight rows broadcast to the invisible shape; a
-    standalone operator call binds a throwaway one.  `bound` is the
-    (epsilon, quantized) it was bound with.
+    preallocated step-weight rows broadcast to the invisible shape; the
+    round operators advance nothing else.  `bound` is the (epsilon,
+    quantized) it was bound with.
     """
 
     def __init__(self, state: RoundState, epsilon: float, quantized: bool, rows: int = 0):
@@ -208,27 +186,22 @@ class _Workspace(RoundState):
 
         self.step = step
 
-    def state(self) -> RoundState:
-        """A plain state over the workspace's arrays."""
-        return RoundState(self.visible, self.invisible, self.m_counts, self.global_model, self.quantized, self.level)
-
 
 def msp_round(state: RoundState, epsilon: float, weights_k: np.ndarray) -> RoundState:
     """One plain communication round followed by server aggregation.
 
-    Returns the new state in fresh arrays and leaves `state` alone, unless
-    `state` is run_consensus's working state bound with this epsilon: that
-    it advances in place, taking weights broadcast to the invisible shape.
-    `weights_k` is (..., M, m).  A leading seed axis on the state (and
-    optionally the weights) batches seeds, each bitwise equal to its own
-    call.
+    Advances run_consensus's working state bound with this epsilon in place
+    and returns it; `weights_k` broadcasts to the invisible shape.  A
+    leading seed axis on the state (and optionally the weights) batches
+    seeds, each bitwise equal to its own round.  Any other state raises
+    ConfigError.
     """
     if type(state) is _Workspace and state.bound == (epsilon, False):
         state.step(weights_k)
         return state
-    ws = _Workspace(state, epsilon, quantized=False)
-    ws.step(weights_k[..., None])
-    return ws.state()
+    raise ConfigError(
+        f"msp_round advances only a plain working state bound with epsilon {epsilon}; rounds run through run_consensus"
+    )
 
 
 def mspdq_round(
@@ -238,21 +211,19 @@ def mspdq_round(
     width on its last quantized upload, quantize the new visible over it
     with the (M, d) uniforms, and aggregate the quantized uploads.
 
-    Returns the new state in fresh arrays and leaves `state` alone, unless
-    `state` is run_consensus's working state bound with this epsilon (see
-    msp_round).  `weights_k` is (M, m).  The round checks nothing:
-    run_consensus checks a phase's box containment, upload errors and wire
-    roundtrip over its stacks.
+    Advances run_consensus's working state bound with this epsilon in
+    quantized mode, as msp_round does; any other state raises ConfigError.
+    The round checks nothing, and collapsed knobs divide by zero in it (see
+    round_to_knobs): run_consensus silences that once per phase and checks
+    the phase's box containment, upload errors and wire roundtrip over its
+    stacks.
     """
     if type(state) is _Workspace and state.bound == (epsilon, True):
         state.step(weights_k, width, uniforms)
         return state
-    ws = _Workspace(state, epsilon, quantized=True)
-    # collapsed knobs divide by zero (see round_to_knobs); run_consensus
-    # silences that once per phase
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ws.step(weights_k[..., None], width, uniforms)
-    return ws.state()
+    raise ConfigError(
+        f"mspdq_round advances only a quantized working state bound with epsilon {epsilon}; rounds run through run_consensus"
+    )
 
 
 def _check_quantized_rounds(
@@ -321,8 +292,9 @@ def run_consensus(
     StepWeights.table, or a recorded trace's `weights` replaying its own
     schedule.
 
-    Every round's operator call rewrites one working state, a copy of
-    `initial`, in place; after it, the phase copies into (rows, ...) stacks
+    This is the one caller of the round operators.  Every round's operator
+    call rewrites one working state, a copy of `initial` (which stays
+    unchanged), in place; after it, the phase copies into (rows, ...) stacks
     only the arrays a reader uses.  A recording phase keeps all four arrays
     for K+1 rows, which its ConsensusTrace wraps.  A non-recording quantized
     phase keeps the visibles and uploads its checks read; a non-recording
@@ -422,7 +394,7 @@ def run_consensus(
                 delta_max[span], box_end_max[span] = _check_quantized_rounds(
                     start, stacks[0][: b + 1], stacks[-1][: b + 1], uniforms, widths[span], initial.level, wire_check
                 )
-    final = state.state()
+    final = RoundState(state.visible, state.invisible, state.m_counts, state.global_model, state.quantized, state.level)
     trace = None
     if record:
         trace = ConsensusTrace(
@@ -454,12 +426,6 @@ def run_consensus(
         }
     check_conserved(conserved_sum(initial), conserved_sum(final))
     return final, trace, summary
-
-
-def check_conservation(trace: ConsensusTrace, rtol: float = CONSERVATION_RTOL) -> float:
-    """Max relative drift of the conserved total over a trace."""
-    totals = conserved_sum(RoundState(trace.visibles, trace.invisibles, trace.m_counts, trace.globals_))
-    return check_conserved(totals[0], totals, rtol)
 
 
 def check_deviation_bound(trace: ConsensusTrace, lambda2_u: float) -> float:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .consensus import RoundState, run_consensus, state_from_splits
+from .consensus import RoundState, run_consensus
 from .errors import ConfigError, ProtocolIntegrityError
 from .problem import (
     ProblemBundle,
@@ -37,7 +37,7 @@ from .spectral import (
     lambda2_U,
     lambda_min_U,
 )
-from .splitting import SplitRule, SplitState, split_cohort
+from .splitting import SplitRule, split_cohort
 
 MODES = ("fedavg", "ldp", "msp", "mspdq")
 
@@ -433,18 +433,6 @@ def _base_constants(config: FLConfig, bundle: ProblemBundle) -> dict:
         "F_star": pc.F_star,
         "vartheta": vartheta(pc.mu, pc.L, config.local_steps),
     }
-
-
-def mspdq_initial_state(
-    splits: list[SplitState],
-    w_prev: np.ndarray,
-    q0_width: float,
-    level: int,
-):
-    """Quantized initial cohort state of a list of splits; returns (state,
-    shared)."""
-    state = state_from_splits(splits)
-    return state, snap_initial_upload(state, w_prev, q0_width, level)
 
 
 def snap_initial_upload(state: RoundState, w_prev: np.ndarray, q0_width: float, level: int) -> np.ndarray:

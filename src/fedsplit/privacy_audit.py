@@ -25,18 +25,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng as rngmod
-from .consensus import (
-    MSP,
-    ConsensusTrace,
-    RoundState,
-    msp_round,
-    run_consensus,
-    state_from_splits,
-)
+from .consensus import MSP, ConsensusTrace, RoundState, run_consensus
 from .errors import ConfigError, WitnessDegenerateError
 from .quantizer import QuantizerState, dp_delta, output_distribution, tv_distance
 from .spectral import StepWeights, build_U, step_weight_cap
-from .splitting import SplitRule, split_model
+from .splitting import SplitRule, split_cohort
 
 REPLAY_TOL = 1e-6
 MUTATION_MIN_DEVIATION = 1e-3
@@ -173,10 +166,15 @@ def construct_witness(
 def _replay(witness: EquivalenceWitness) -> ConsensusTrace:
     """Re-run the transcript from the witness's round-zero parameters.
 
-    Round zero runs the plain round, then recomputes the protected clients'
-    rows of the new visible and invisible stacks with the witness weights;
-    rounds 1..K-1 run plain through run_consensus, and the replayed trace
-    stacks round zero, the witness round and those rounds.
+    Round zero runs as a one-round phase from the recorded round-zero
+    state, then recomputes the protected clients' rows of the new visible
+    and invisible stacks with the witness invisibles and weights: the
+    witness changes nothing else, and a client's invisibles enter only its
+    own rows.  (A phase from the witness state itself fails its
+    conservation check at large shifts: its shifted invisibles, (1 + m) |e|
+    large, round by far more than the total allows.)  Rounds 1..K-1 run as
+    a second phase, and the replayed trace stacks round zero, the witness
+    round and those rounds.
     """
     trace = witness.trace
     vis = trace.visibles[0]
@@ -188,8 +186,8 @@ def _replay(witness: EquivalenceWitness) -> ConsensusTrace:
         inv[witness.j, witness.q] = witness.inv_j
         origins[witness.i] = origins[witness.i] + witness.e
         origins[witness.j] = origins[witness.j] - witness.e
-    state = RoundState(visible=vis, invisible=inv, m_counts=trace.m_counts, global_model=vis.mean(axis=0))
-    nxt = msp_round(state, trace.epsilon, w0)
+    recorded = RoundState(vis, trace.invisibles[0], trace.m_counts, vis.mean(axis=0))
+    nxt, _, _ = run_consensus(recorded, 1, MSP, trace.epsilon, trace.weights[:1], record=False)
     if not witness.identity:
         for c, n, a, src, alpha in (
             (witness.i, witness.p, witness.a_i, witness.j, witness.alpha_i),
@@ -210,7 +208,7 @@ def _replay(witness: EquivalenceWitness) -> ConsensusTrace:
     else:
         after = (nxt.visible[None], nxt.invisible[None], nxt.global_model[None])
     visibles, invisibles, globals_ = (
-        np.concatenate([first[None], rows]) for first, rows in zip((vis, inv, state.global_model), after)
+        np.concatenate([first[None], rows]) for first, rows in zip((vis, inv, recorded.global_model), after)
     )
     return replace(trace, origins=origins, visibles=visibles, invisibles=invisibles, globals_=globals_)
 
@@ -332,11 +330,12 @@ def sample_consensus_trace(
         gamma_mat[idx, :m_c] = min(gamma, 0.9 * cap / m_c)
     weights = StepWeights(gamma=gamma_mat, rule=rule)
     origins = rng.standard_normal((M, d))
-    splits = []
-    for idx in range(M):
-        rule_i = SplitRule("uniform", m=m_counts[idx], eps_split=0.3)
-        splits.append(split_model(origins[idx], rule_i, rng))
-    state = state_from_splits(splits)
+    # one split per row, each on the audit stream in turn
+    visible, invisible = np.empty((M, d)), np.zeros((M, m_max, d))
+    for idx, m_c in enumerate(m_counts):
+        vis, inv = split_cohort(origins[idx : idx + 1], SplitRule("uniform", m=m_c, eps_split=0.3), [rng])
+        visible[idx], invisible[idx, :m_c] = vis[0], inv[0]
+    state = RoundState(visible, invisible, np.array(m_counts, dtype=np.int64), visible.mean(axis=0))
     _, trace, _ = run_consensus(state, K, MSP, epsilon, weights.table(K))
     return replace(trace, origins=origins)
 

@@ -67,9 +67,6 @@ class QuantizedVector:
     indices: np.ndarray
     state: QuantizerState
 
-    def values(self) -> np.ndarray:
-        return self.state.knob(self.indices)
-
 
 def bit_width(level: int) -> int:
     """Wire bits per coordinate for `level` knobs: ceil(log2 level), at least 1."""
@@ -178,12 +175,6 @@ def output_distribution(w: np.ndarray, qs: QuantizerState) -> list[list[tuple[fl
         else:
             out.append([(lo, 1.0 - p), (hi, p)])
     return out
-
-
-def distribution_mean_var(atoms: list[tuple[float, float]]) -> tuple[float, float]:
-    mean = left_sum(v * p for v, p in atoms)
-    var = left_sum(p * (v - mean) ** 2 for v, p in atoms)
-    return mean, var
 
 
 def tv_distance(atoms_a: list[tuple[float, float]], atoms_b: list[tuple[float, float]]) -> float:

@@ -129,20 +129,6 @@ def build_P(u: np.ndarray, weights_k: np.ndarray, m: int) -> np.ndarray:
     return P
 
 
-def phi_product(mats: list[np.ndarray]) -> np.ndarray:
-    """Ordered product P[k] ... P[0] of the round transitions."""
-    if not mats:
-        raise ConfigError("need at least one transition matrix")
-    n = mats[0].shape[0]
-    for mat in mats:
-        if mat.shape != (n, n):
-            raise ConfigError("transition matrices must share dimensions")
-    phi = mats[0]
-    for mat in mats[1:]:
-        phi = mat @ phi
-    return phi
-
-
 def phi_deviation(phi: np.ndarray) -> float:
     """Max entrywise distance from the rank-one averaging matrix."""
     n = phi.shape[0]

@@ -5,6 +5,9 @@ free except for the sum constraint
         visible + sum_n invisible_n = (1 + m) * local model,
 which the last invisible submodel absorbs exactly.  The invisible count m
 is private per client and never enters any serialized transcript.
+
+`split_cohort` is the one split: training splits a learning round's cohort
+in one call, and the auditor splits its ragged cohorts one row per call.
 """
 
 from __future__ import annotations
@@ -40,17 +43,6 @@ class SplitRule:
             raise ConfigError("eps_split must lie in [0, 1)")
         if self.variant == "laplace" and self.scale <= 0:
             raise ConfigError(f"laplace_scale must be positive, got {self.scale!r}")
-
-
-@dataclass(frozen=True)
-class SplitState:
-    visible: np.ndarray
-    invisible: np.ndarray  # (m, d)
-    origin: np.ndarray  # the pre-split local model (private)
-
-    @property
-    def m(self) -> int:
-        return len(self.invisible)
 
 
 def split_cohort(W: np.ndarray, rule: SplitRule, rngs: list) -> tuple[np.ndarray, np.ndarray]:
@@ -106,13 +98,6 @@ def split_cohort(W: np.ndarray, rule: SplitRule, rngs: list) -> tuple[np.ndarray
         # Python's sum, as the constraint is written: 0 + inv_1 + ... + inv_{m-1}
         invisible[:, -1] -= sum(invisible[:, n] for n in range(m - 1))
     return visible, invisible
-
-
-def split_model(w: np.ndarray, rule: SplitRule, rng: np.random.Generator) -> SplitState:
-    """Split one model w (d,): the u = 1 case of `split_cohort`."""
-    w = np.asarray(w, dtype=np.float64)
-    visible, invisible = split_cohort(w[None], rule, [rng])
-    return SplitState(visible=visible[0], invisible=invisible[0], origin=w)
 
 
 def z_sequence(

@@ -17,18 +17,14 @@ from fedsplit import rng as rngmod
 from fedsplit.consensus import (
     MSP,
     MSPDQ,
-    check_conservation,
     check_deviation_bound,
-    consensus_target,
     run_consensus,
-    state_from_splits,
 )
 from fedsplit.presets import desk_config
 from fedsplit.quantizer import (
     QuantizedVector,
     QuantizerState,
     decode,
-    distribution_mean_var,
     encode,
     output_distribution,
     quantize,
@@ -40,7 +36,8 @@ from fedsplit.spectral import (
     lambda2_U,
     lambda_min_U,
 )
-from fedsplit.splitting import SplitRule, split_model
+from fedsplit.splitting import SplitRule, split_cohort
+from oracles import check_conservation, cohort_state, consensus_target, distribution_mean_var, values
 from tests.conftest import loglog_slope
 
 SEEDS = range(20)
@@ -100,10 +97,10 @@ def test_criterion_01_conservation():
             gamma[i, :m_c] = rng.uniform(0.2, 0.9) * cap / m_c
         weights = StepWeights(gamma=gamma, rule=("constant", "harmonic")[int(rng.integers(2))])
         splits = [
-            split_model(rng.standard_normal(d), SplitRule("uniform", m=m_counts[i], eps_split=0.3), rng)
+            split_cohort(rng.standard_normal((1, d)), SplitRule("uniform", m=m_counts[i], eps_split=0.3), [rng])
             for i in range(M)
         ]
-        _, trace, _ = run_consensus(state_from_splits(splits), K, MSP, eps, weights.table(K))
+        _, trace, _ = run_consensus(cohort_state(splits), K, MSP, eps, weights.table(K))
         worst = max(worst, check_conservation(trace, rtol=1e-9))
     elapsed = time.monotonic() - t0
     report(1, worst <= 1e-9 and elapsed < 10, f"max conservation drift {worst:.2e} over 100 runs in {elapsed:.1f}s")
@@ -122,10 +119,10 @@ def test_criterion_02_consensus_limit():
         cap = lambda_min_U(u) / (1 + lambda_min_U(u))
         weights = StepWeights(gamma=np.full((M, m), 0.85 * cap / m), rule="constant")
         splits = [
-            split_model(rng.standard_normal(d), SplitRule("uniform", m=m, eps_split=0.2), rng)
+            split_cohort(rng.standard_normal((1, d)), SplitRule("uniform", m=m, eps_split=0.2), [rng])
             for _ in range(M)
         ]
-        state = state_from_splits(splits)
+        state = cohort_state(splits)
         target = consensus_target(state)
         fin, _, _ = run_consensus(state, 300, MSP, eps, weights.table(300), record=False)
         dev = max(
@@ -160,7 +157,7 @@ def test_criterion_03_quantizer_exactness():
     rng = rngmod.stream(103, 0)
     tiled = QuantizerState(lo=np.zeros(n), hi=np.ones(n), level=level)
     w0 = 0.37
-    draws = quantize(np.full(n, w0), tiled, rng).values()
+    draws = values(quantize(np.full(n, w0), tiled, rng))
     _, var0 = distribution_mean_var(output_distribution(np.array([w0]), qs)[0])
     mc_ok = abs(draws.mean() - w0) <= 4.0 * np.sqrt(var0 / n)
     elapsed = time.monotonic() - t0
@@ -187,10 +184,11 @@ def containment_sweep():
         weights = StepWeights(gamma=np.full((M, 1), gamma), rule="harmonic")
         w_prev = rng.standard_normal(d)
         splits = [
-            split_model(w_prev + 0.4 * rng.standard_normal(d), SplitRule("uniform", m=1, eps_split=0.4), rng)
+            split_cohort(w_prev + 0.4 * rng.standard_normal((1, d)), SplitRule("uniform", m=1, eps_split=0.4), [rng])
             for _ in range(M)
         ]
-        state, _ = orch.mspdq_initial_state(splits, w_prev, q0_width=10.0, level=level)
+        state = cohort_state(splits)
+        orch.snap_initial_upload(state, w_prev, q0_width=10.0, level=level)
         K = int(rng.integers(20, 61))
         qrng = rngmod.stream(104, 1, trial)
         _, trace, summary = run_consensus(

@@ -441,6 +441,7 @@ def test_failed_sweep_point_keeps_the_finished_runs(config_path, tmp_path, capsy
         "spread=1.0,-1.0",
         "eig_lo=0.5,-1",
         "epsilon=0.5,1.2",
+        "=3",
     ],
 )
 def test_bad_sweep_point_exits_2_before_any_write(msp_config_path, tmp_path, sweep):

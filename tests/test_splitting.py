@@ -6,27 +6,22 @@ from hypothesis.extra import numpy as hnp
 
 from fedsplit import rng as rngmod
 from fedsplit.errors import ConfigError, ProtocolIntegrityError
-from fedsplit.splitting import (
-    SplitRule,
-    SplitState,
-    split_cohort,
-    split_model,
-    z_sequence,
-)
+from fedsplit.splitting import SplitRule, split_cohort, z_sequence
 
 
-def constraint_residual(state: SplitState) -> float:
-    """Relative residual of visible + sum_n invisible_n = (1 + m) origin."""
-    total = state.visible + sum(state.invisible)
-    target = (1 + state.m) * state.origin
+def constraint_residual(w, visible, invisible) -> float:
+    """Relative residual of visible + sum_n invisible_n = (1 + m) w for the
+    one-row split (visible (1, d), invisible (1, m, d)) of a model w."""
+    total = visible[0] + sum(invisible[0])
+    target = (1 + len(invisible[0])) * w
     scale = max(1.0, float(np.max(np.abs(target))))
     return float(np.max(np.abs(total - target))) / scale
 
 
 def test_split_model_invisible_is_one_block():
-    state = split_model(np.arange(3.0), SplitRule("uniform", m=4, eps_split=0.2), rngmod.stream(0, 9))
-    assert isinstance(state.invisible, np.ndarray)
-    assert state.invisible.shape == (4, 3) and state.m == 4
+    _, invisible = split_cohort(np.arange(3.0)[None], SplitRule("uniform", m=4, eps_split=0.2), [rngmod.stream(0, 9)])
+    assert isinstance(invisible, np.ndarray)
+    assert invisible.shape == (1, 4, 3)
 
 
 def test_rule_validation():
@@ -42,25 +37,24 @@ def test_rule_validation():
 
 def test_midpoint_split_is_the_local_model():
     rng = rngmod.stream(0, 1)
-    state = split_model(np.array([2.0]), SplitRule("midpoint", m=1), rng)
-    assert state.visible[0] == pytest.approx(2.0, abs=0)
-    assert state.invisible[0][0] == pytest.approx(2.0, abs=0)
+    visible, invisible = split_cohort(np.array([[2.0]]), SplitRule("midpoint", m=1), [rng])
+    assert visible[0, 0] == pytest.approx(2.0, abs=0)
+    assert invisible[0, 0, 0] == pytest.approx(2.0, abs=0)
 
 
 def test_sum_constraint_absorber():
     # m=1, w=2.0, visible drawn at 1.5 -> invisible must be 2.5
-    state = SplitState(visible=np.array([1.5]), invisible=[np.array([2.5])], origin=np.array([2.0]))
-    assert constraint_residual(state) <= 1e-12
+    assert constraint_residual(np.array([2.0]), np.array([[1.5]]), np.array([[[2.5]]])) <= 1e-12
     rng = rngmod.stream(3, 1)
-    drawn = split_model(np.array([2.0]), SplitRule("uniform", m=1, eps_split=0.25), rng)
-    assert drawn.visible[0] + drawn.invisible[0][0] == pytest.approx(4.0, abs=1e-12)
+    visible, invisible = split_cohort(np.array([[2.0]]), SplitRule("uniform", m=1, eps_split=0.25), [rng])
+    assert visible[0, 0] + invisible[0, 0, 0] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_degenerate_zero_model():
     rng = rngmod.stream(1, 1)
-    state = split_model(np.zeros(3), SplitRule("uniform", m=2, eps_split=0.5), rng)
-    assert np.allclose(state.visible, 0.0)
-    assert constraint_residual(state) == 0.0
+    visible, invisible = split_cohort(np.zeros((1, 3)), SplitRule("uniform", m=2, eps_split=0.5), [rng])
+    assert np.allclose(visible, 0.0)
+    assert constraint_residual(np.zeros(3), visible, invisible) == 0.0
 
 
 def test_uniform_support_with_sign_handling():
@@ -68,7 +62,7 @@ def test_uniform_support_with_sign_handling():
     w = np.array([1.0, -2.0, 0.5])
     rule = SplitRule("uniform", m=1, eps_split=0.3)
     for _ in range(200):
-        vis = split_model(w, rule, rng).visible
+        vis = split_cohort(w[None], rule, [rng])[0][0]
         lo = np.minimum(rule.eps_split * w, (1 + rule.m - rule.eps_split) * w)
         hi = np.maximum(rule.eps_split * w, (1 + rule.m - rule.eps_split) * w)
         assert np.all(vis >= lo - 1e-12) and np.all(vis <= hi + 1e-12)
@@ -82,9 +76,9 @@ def test_uniform_support_with_sign_handling():
 )
 def test_sum_constraint_always_exact(w, m, variant, seed):
     rule = SplitRule(variant, m=m, eps_split=0.4, scale=0.7)
-    state = split_model(w, rule, rngmod.stream(seed, 9))
-    assert constraint_residual(state) <= 1e-9
-    assert state.m == m
+    visible, invisible = split_cohort(w[None], rule, [rngmod.stream(seed, 9)])
+    assert constraint_residual(w, visible, invisible) <= 1e-9
+    assert invisible.shape[1] == m
 
 
 @given(
@@ -98,7 +92,7 @@ def test_sum_constraint_always_exact(w, m, variant, seed):
 )
 def test_uniform_split_draws_match_generator_uniform(w, m, eps, seed):
     got_rng, ref_rng = rngmod.stream(seed, 9), rngmod.stream(seed, 9)
-    got = split_model(w, SplitRule("uniform", m=m, eps_split=eps), got_rng)
+    got_visible, got_invisible = split_cohort(w[None], SplitRule("uniform", m=m, eps_split=eps), [got_rng])
     # reference: the Generator.uniform draws, with their no-draw branches
     a, b = eps * w, (1 + m - eps) * w
     lo, hi = np.minimum(a, b), np.maximum(a, b)
@@ -109,8 +103,8 @@ def test_uniform_split_draws_match_generator_uniform(w, m, eps, seed):
         for _ in range(m - 1)
     ]
     # bytes, not values: signed zeros must match too
-    assert got.visible.tobytes() == visible.tobytes()
-    for sub, want in zip(got.invisible, free):
+    assert got_visible[0].tobytes() == visible.tobytes()
+    for sub, want in zip(got_invisible[0], free):
         assert sub.tobytes() == want.tobytes()
     assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -176,7 +170,8 @@ def test_unbiasedness_monte_carlo_uniform_and_laplace():
     n = 100_000
     for rule in (SplitRule("uniform", m=1, eps_split=0.3), SplitRule("laplace", m=1, scale=0.5)):
         rng = rngmod.stream(17, 2)
-        draws = np.array([split_model(w, rule, rng).visible[0] for _ in range(n)])
+        # n one-row splits on one stream, in turn
+        draws = split_cohort(np.tile(w, (n, 1)), rule, [rng] * n)[0][:, 0]
         std = draws.std()
         assert abs(draws.mean() - 1.0) <= 4.0 * std / np.sqrt(n)
 

@@ -42,9 +42,6 @@ CONSERVATION_RTOL = 1e-9
 # (M = 8, d = 10, K <= 130 at 500 learning rounds) fits in one block.
 BLOCK_BYTES = 1 << 20
 
-MSP = "msp"
-MSPDQ = "mspdq"
-
 
 @dataclass
 class RoundState:
@@ -52,15 +49,17 @@ class RoundState:
 
     visible: (M, d); invisible: (M, m_max, d) zero-padded past each client's
     own invisible count (a bound plain workspace also takes a leading seed
-    axis on both and on global_model); global_model is the aggregation that
-    produced this round (mean visible for plain rounds, mean quantized upload
-    otherwise).
+    axis on both); global_model is the aggregation that produced this round
+    (mean visible for plain rounds, mean quantized upload otherwise).  A
+    state with quantized uploads and their level starts a quantized phase,
+    one without them a plain phase; a phase aggregates its own round zero,
+    so it never reads `initial.global_model`, which may stay None.
     """
 
     visible: np.ndarray
     invisible: np.ndarray
     m_counts: np.ndarray
-    global_model: np.ndarray
+    global_model: np.ndarray | None = None
     quantized: np.ndarray | None = None
     level: int | None = None
 
@@ -79,7 +78,6 @@ class ConsensusTrace:
     the adversary view is a filtered projection of this).  Row k of each
     (K+1, ...) stack is the state after k rounds; weights[k] drove round k."""
 
-    mode: str
     epsilon: float
     m_counts: np.ndarray
     visibles: np.ndarray  # (K+1, M, d)
@@ -118,8 +116,9 @@ def check_conserved(total0: np.ndarray, total: np.ndarray, rtol: float = CONSERV
 class _Workspace(RoundState):
     """A copy of a state that its kernel `step` advances in place.
 
-    step(weights) runs one plain round, step(weights, width, uniforms) one
-    quantized round, on the copy:
+    A state with quantized uploads binds a quantized workspace, any other a
+    plain one.  step(weights) runs one plain round, step(weights, width,
+    uniforms) one quantized round, on the copy:
 
         vis <- vis + epsilon (global - ref_i) + sum_n a_n (inv_n - vis)
         inv <- inv + a (vis - inv)
@@ -130,7 +129,8 @@ class _Workspace(RoundState):
     over each client's box of the given width centred on its last upload
     (the quantizer's bound knob law), into the uploads.  Both aggregate:
     global = the mean over clients of ref, np.add.reduce over the client
-    axis divided by M, bitwise ref.mean(axis=-2).
+    axis divided by M, bitwise ref.mean(axis=-2); the bind aggregates the
+    copy's own round zero the same way, whatever global the state carried.
 
     step is one closure bound once over every operand as a local: the
     arrays and their broadcast views, the epsilon, client count and
@@ -142,18 +142,18 @@ class _Workspace(RoundState):
 
     run_consensus binds one per phase as its working state, with `rows`
     preallocated step-weight rows broadcast to the invisible shape; the
-    round operators advance nothing else.  `bound` is the (epsilon,
-    quantized) it was bound with.
+    round operators advance nothing else.
     """
 
-    def __init__(self, state: RoundState, epsilon: float, quantized: bool, rows: int = 0):
-        if quantized and (state.quantized is None or state.level is None):
-            raise ConfigError("state lacks quantized uploads; initialize the quantized mode first")
+    def __init__(self, state: RoundState, epsilon: float, rows: int = 0):
+        quantized = state.quantized is not None
+        if quantized and state.level is None:
+            raise ConfigError("state has quantized uploads but no level")
+        vis = state.visible
         super().__init__(
-            state.visible.copy(), state.invisible.copy(), state.m_counts, state.global_model.copy(),
+            vis.copy(), state.invisible.copy(), state.m_counts, np.empty(vis.shape[:-2] + vis.shape[-1:]),
             state.quantized.copy() if quantized else None, state.level if quantized else None,
         )
-        self.bound = (epsilon, quantized)
         self.weight_rows = np.empty((rows,) + self.invisible.shape)
         vis, inv, glob, q = self.visible, self.invisible, self.global_model, self.quantized
         vis_b, glob_b = vis[..., None, :], glob[..., None, :]
@@ -184,46 +184,41 @@ class _Workspace(RoundState):
                 round_(vis, subtract(q, half, lo), add(q, half, hi), uniforms, q)
             divide(add_reduce(ref, axis=-2, out=glob), count, glob)
 
+        divide(add_reduce(ref, axis=-2, out=glob), count, glob)  # round zero's aggregate
         self.step = step
 
 
-def msp_round(state: RoundState, epsilon: float, weights_k: np.ndarray) -> RoundState:
+def msp_round(state: RoundState, weights_k: np.ndarray) -> RoundState:
     """One plain communication round followed by server aggregation.
 
-    Advances run_consensus's working state bound with this epsilon in place
-    and returns it; `weights_k` broadcasts to the invisible shape.  A
-    leading seed axis on the state (and optionally the weights) batches
-    seeds, each bitwise equal to its own round.  Any other state raises
-    ConfigError.
+    Advances run_consensus's plain working state in place, with the epsilon
+    it was bound with, and returns it; `weights_k` broadcasts to the
+    invisible shape.  A leading seed axis on the state (and optionally the
+    weights) batches seeds, each bitwise equal to its own round.  Any other
+    state raises ConfigError.
     """
-    if type(state) is _Workspace and state.bound == (epsilon, False):
+    if type(state) is _Workspace and state.quantized is None:
         state.step(weights_k)
         return state
-    raise ConfigError(
-        f"msp_round advances only a plain working state bound with epsilon {epsilon}; rounds run through run_consensus"
-    )
+    raise ConfigError("msp_round advances only a plain working state; rounds run through run_consensus")
 
 
-def mspdq_round(
-    state: RoundState, epsilon: float, weights_k: np.ndarray, width: float, uniforms: np.ndarray
-) -> RoundState:
+def mspdq_round(state: RoundState, weights_k: np.ndarray, width: float, uniforms: np.ndarray) -> RoundState:
     """One quantized round: update, center each client's box of the given
     width on its last quantized upload, quantize the new visible over it
     with the (M, d) uniforms, and aggregate the quantized uploads.
 
-    Advances run_consensus's working state bound with this epsilon in
-    quantized mode, as msp_round does; any other state raises ConfigError.
+    Advances run_consensus's quantized working state, as msp_round does a
+    plain one; any other state raises ConfigError.
     The round checks nothing, and collapsed knobs divide by zero in it (see
     round_to_knobs): run_consensus silences that once per phase and checks
     the phase's box containment, upload errors and wire roundtrip over its
     stacks.
     """
-    if type(state) is _Workspace and state.bound == (epsilon, True):
+    if type(state) is _Workspace and state.quantized is not None:
         state.step(weights_k, width, uniforms)
         return state
-    raise ConfigError(
-        f"mspdq_round advances only a quantized working state bound with epsilon {epsilon}; rounds run through run_consensus"
-    )
+    raise ConfigError("mspdq_round advances only a quantized working state; rounds run through run_consensus")
 
 
 def _check_quantized_rounds(
@@ -277,8 +272,6 @@ def _check_quantized_rounds(
 
 def run_consensus(
     initial: RoundState,
-    K: int,
-    mode: str,
     epsilon: float,
     weights,
     rng: np.random.Generator | None = None,
@@ -286,11 +279,12 @@ def run_consensus(
     record: bool = True,
     wire_check: bool = False,
 ):
-    """Iterate the chosen round operator K times.
+    """Run one consensus phase of K = len(weights) rounds from `initial`.
 
     `weights[k]` gives round k's (M, m) step weights: rows of a
     StepWeights.table, or a recorded trace's `weights` replaying its own
-    schedule.
+    schedule.  The phase is quantized exactly when `initial` carries
+    quantized uploads, and it aggregates round zero itself (see _Workspace).
 
     This is the one caller of the round operators.  Every round's operator
     call rewrites one working state, a copy of `initial` (which stays
@@ -328,23 +322,20 @@ def run_consensus(
     in both modes, check_conserved raises if the final cohort total drifted
     from the initial one.
     """
+    K = len(weights)
     if K < 1:
         raise ConfigError("need at least one communication round")
-    if mode not in (MSP, MSPDQ):
-        raise ConfigError(f"unknown mode {mode!r}")
-    quantized = mode == MSPDQ
+    quantized = initial.quantized is not None
     B = K  # rounds per block
     if not record:
         # a round's weight row, and with quantization its visible, upload and uniforms
         row_bytes = initial.invisible.nbytes + (3 * initial.visible.nbytes if quantized else 0)
         B = max(1, min(K, BLOCK_BYTES // row_bytes))
     # the working state: a copy of `initial` that every round rewrites in place
-    state = _Workspace(initial, epsilon, quantized, rows=B)
+    state = _Workspace(initial, epsilon, rows=B)
     if quantized and (rng is None or lambda2_u is None):
         raise ConfigError("quantized mode needs an rng and lambda2(U)")
-    if len(weights) < K:
-        raise ConfigError(f"step weights cover {len(weights)} rounds, need {K}")
-    table = np.asarray(weights[:K])
+    table = np.asarray(weights)
     kept = ()  # the arrays whose rows a reader uses
     if record:
         kept = (state.visible, state.invisible, state.global_model) + ((state.quantized,) if quantized else ())
@@ -383,9 +374,9 @@ def run_consensus(
                     if beta > w_tilde:  # a running max
                         w_tilde = beta
                     pis[start + r] = pi_t = compute_pi_t(epsilon, lambda2_u, w_tilde)
-                    mspdq_round(state, epsilon, rows[r], pi_t * a_maxes[start + r], uniforms[r])
+                    mspdq_round(state, rows[r], pi_t * a_maxes[start + r], uniforms[r])
                 else:
-                    msp_round(state, epsilon, rows[r])
+                    msp_round(state, rows[r])
                 for stack, a in copies:
                     stack[r + 1] = a
             if quantized:
@@ -398,7 +389,6 @@ def run_consensus(
     trace = None
     if record:
         trace = ConsensusTrace(
-            mode=mode,
             epsilon=epsilon,
             m_counts=initial.m_counts.copy(),
             visibles=stacks[0],
@@ -437,7 +427,7 @@ def check_deviation_bound(trace: ConsensusTrace, lambda2_u: float) -> float:
     with measured quantization errors; both sums run as geometric
     recursions s_k = lam s_{k-1} + term_k.  Returns the minimum slack.
     """
-    if trace.mode != MSPDQ:
+    if trace.quantized is None:
         raise ConfigError("deviation bound applies to quantized traces")
     min_slack = float("inf")
     w_tilde = 0.0

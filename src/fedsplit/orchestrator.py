@@ -59,6 +59,7 @@ class FLConfig:
 
     Safety-critical fields (epsilon, gamma_max, lambda_, level) carry no
     defaults on the JSON surface: the schedules are conditional on them.
+    None marks the first three unset, in the modes that do not read them.
     """
 
     n_clients: int
@@ -69,9 +70,9 @@ class FLConfig:
     mode: str
     seed: int
     problem_seed: int = 0  # shared across seeds so one task backs a seed sweep
-    epsilon: float = float("nan")
-    gamma_max: float = float("nan")
-    lambda_: float = float("nan")
+    epsilon: float | None = None
+    gamma_max: float | None = None
+    lambda_: float | None = None
     level: int = 0
     weight_rule: str = ""
     split_variant: str = "uniform"
@@ -125,10 +126,13 @@ class FLConfig:
         if self.q0_width is not None and not self.q0_width > 0:
             raise ConfigError(f"q0_width must be positive, got {self.q0_width}")
         if self.mode in ("msp", "mspdq"):
+            for name in ("epsilon", "gamma_max", "lambda_"):
+                if getattr(self, name) is None:
+                    raise ConfigError(f"mode {self.mode} needs {name}")
             u = build_U(self.cohort, self.epsilon)
-            if not (self.lambda_ == self.lambda_ and 0 < self.lambda_ < 1):
+            if not 0 < self.lambda_ < 1:
                 raise ConfigError(f"lambda_ must lie in (0, 1), got {self.lambda_!r}")
-            if not self.gamma_max == self.gamma_max or self.gamma_max < 0:
+            if not self.gamma_max >= 0:
                 raise ConfigError("gamma_max must be a nonnegative number")
             # the split rule and the step weights check their own fields
             _split_rule(self)
@@ -176,12 +180,9 @@ _JSON_KINDS = {
 
 
 def _check_field_type(name: str, value, f) -> None:
-    """JSON type gate for one FLConfig field, driven by its annotation.
-
-    Floats must be finite, except that NaN stays allowed where it is the
-    field's default: it marks a safety field as unset, and `validate`
-    rejects it in the modes that need the field.
-    """
+    """JSON type gate for one FLConfig field, driven by its annotation:
+    floats must be finite, and null is allowed where the field may be None
+    (`validate` rejects an unset safety field in the modes that need it)."""
     kind, *rest = f.type.split(" | ")
     if value is None and rest == ["None"]:
         return
@@ -189,9 +190,7 @@ def _check_field_type(name: str, value, f) -> None:
     if isinstance(value, bool) or not isinstance(value, types):
         raise ConfigError(f"config field {name} must be {what}, got {value!r}")
     if kind == "float" and not math.isfinite(value):
-        unset = isinstance(f.default, float) and math.isnan(f.default)
-        if not (unset and math.isnan(value)):
-            raise ConfigError(f"config field {name} must be finite, got {value!r}")
+        raise ConfigError(f"config field {name} must be finite, got {value!r}")
 
 
 @dataclass
@@ -458,7 +457,6 @@ def snap_initial_upload(state: RoundState, w_prev: np.ndarray, q0_width: float, 
     state.visible[:] = shared
     state.quantized = state.visible.copy()
     state.level = level
-    state.global_model = np.add.reduce(state.quantized, axis=0) / state.M
     return shared
 
 
@@ -511,15 +509,11 @@ def run(config: FLConfig, bundle: ProblemBundle | None = None) -> RunResult:
             w = local.mean(axis=0)
         else:
             visible, invisible = split_cohort(local, rule, streams.split)
-            state = RoundState(visible, invisible, m_counts, None)
+            state = RoundState(visible, invisible, m_counts)
             if quantized:
                 snap_initial_upload(state, w, q0_width, config.level)
-            else:
-                state.global_model = visible.mean(axis=0)
             final, _, summary = run_consensus(
                 state,
-                kt,
-                config.mode,
                 config.epsilon,
                 weight_table[:kt],
                 rng=streams.aggregate,

@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import rng as rngmod
-from .consensus import MSP, ConsensusTrace, RoundState, run_consensus
-from .errors import ConfigError, WitnessDegenerateError
+from .consensus import ConsensusTrace, RoundState, run_consensus
+from .errors import ConfigError, ProtocolIntegrityError, WitnessDegenerateError
 from .quantizer import QuantizerState, dp_delta, output_distribution, tv_distance
 from .spectral import StepWeights, build_U, step_weight_cap
 from .splitting import SplitRule, split_cohort
@@ -109,7 +109,7 @@ def construct_witness(
     trace: ConsensusTrace, i: int, j: int, e: np.ndarray
 ) -> EquivalenceWitness:
     """Build the alternative round-zero parameters for a +-e local shift."""
-    if trace.mode != MSP:
+    if trace.quantized is not None:
         raise ConfigError("witness construction audits plain-mode transcripts")
     if trace.origins is None:
         raise ConfigError("witness construction needs the trace's pre-split origins")
@@ -186,8 +186,8 @@ def _replay(witness: EquivalenceWitness) -> ConsensusTrace:
         inv[witness.j, witness.q] = witness.inv_j
         origins[witness.i] = origins[witness.i] + witness.e
         origins[witness.j] = origins[witness.j] - witness.e
-    recorded = RoundState(vis, trace.invisibles[0], trace.m_counts, vis.mean(axis=0))
-    nxt, _, _ = run_consensus(recorded, 1, MSP, trace.epsilon, trace.weights[:1], record=False)
+    recorded = RoundState(vis, trace.invisibles[0], trace.m_counts)
+    nxt, _, _ = run_consensus(recorded, trace.epsilon, trace.weights[:1], record=False)
     if not witness.identity:
         for c, n, a, src, alpha in (
             (witness.i, witness.p, witness.a_i, witness.j, witness.alpha_i),
@@ -203,12 +203,12 @@ def _replay(witness: EquivalenceWitness) -> ConsensusTrace:
             nxt.invisible[c, n] = inv[c, n] + a * (vis[c] - inv[c, n])
         nxt.global_model = np.add.reduce(nxt.visible, axis=0) / trace.M
     if trace.K > 1:
-        _, rest, _ = run_consensus(nxt, trace.K - 1, MSP, trace.epsilon, trace.weights[1:])
+        _, rest, _ = run_consensus(nxt, trace.epsilon, trace.weights[1:])
         after = (rest.visibles, rest.invisibles, rest.globals_)
     else:
         after = (nxt.visible[None], nxt.invisible[None], nxt.global_model[None])
     visibles, invisibles, globals_ = (
-        np.concatenate([first[None], rows]) for first, rows in zip((vis, inv, recorded.global_model), after)
+        np.concatenate([first[None], rows]) for first, rows in zip((vis, inv, trace.globals_[0]), after)
     )
     return replace(trace, origins=origins, visibles=visibles, invisibles=invisibles, globals_=globals_)
 
@@ -335,8 +335,8 @@ def sample_consensus_trace(
     for idx, m_c in enumerate(m_counts):
         vis, inv = split_cohort(origins[idx : idx + 1], SplitRule("uniform", m=m_c, eps_split=0.3), [rng])
         visible[idx], invisible[idx, :m_c] = vis[0], inv[0]
-    state = RoundState(visible, invisible, np.array(m_counts, dtype=np.int64), visible.mean(axis=0))
-    _, trace, _ = run_consensus(state, K, MSP, epsilon, weights.table(K))
+    state = RoundState(visible, invisible, np.array(m_counts, dtype=np.int64))
+    _, trace, _ = run_consensus(state, epsilon, weights.table(K))
     return replace(trace, origins=origins)
 
 
@@ -410,14 +410,9 @@ def paired_hidden_count_traces(
     origins_b[0] = origins_b[0] + shift
     # sum constraint at slot 0 with m=2: vis + inv1 + inv2 = 3 * origin
     invisible0[0, 1, :] = 3 * origins_b[0] - visible0[0] - invisible0[0, 0, :]
-    state = RoundState(
-        visible=visible0,
-        invisible=invisible0,
-        m_counts=np.array(m_counts_b),
-        global_model=visible0.mean(axis=0),
-    )
+    state = RoundState(visible0, invisible0, np.array(m_counts_b))
     weights_b = StepWeights(gamma=gamma_b, rule="constant").table(trace_a.K)
-    _, trace_b, _ = run_consensus(state, trace_a.K, MSP, epsilon, weights_b)
+    _, trace_b, _ = run_consensus(state, epsilon, weights_b)
     return trace_a, replace(trace_b, origins=origins_b)
 
 
@@ -507,16 +502,14 @@ def run_audit(
         if mutate:
             for param in MUTABLE_PARAMS:
                 bad = mutate_witness(witness, param)
-                bad_report = replay_and_compare(bad, view)
-                detected = bad_report["max_deviation"] > MUTATION_MIN_DEVIATION
-                witness_rows.append(
-                    {
-                        "mutated": param,
-                        "max_deviation": bad_report["max_deviation"],
-                        "detected": bool(detected),
-                    }
-                )
-                all_pass &= detected
+                try:
+                    deviation = replay_and_compare(bad, view)["max_deviation"]
+                    row = {"max_deviation": deviation, "detected": bool(deviation > MUTATION_MIN_DEVIATION)}
+                except ProtocolIntegrityError as exc:
+                    # a mutated witness's replay breaks conservation: a detection
+                    row = {"max_deviation": None, "detected": True, "replay_error": str(exc)}
+                witness_rows.append({"mutated": param, **row})
+                all_pass &= row["detected"]
     dp_rows = quantizer_dp_audit(n_dp_configs, seed)
     all_pass &= all(r["ok"] for r in dp_rows)
     trace_a, trace_b = paired_hidden_count_traces(seed, K=60)

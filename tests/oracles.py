@@ -2,27 +2,34 @@
 
 The library keeps what its runs call.  `one_round` is how a test drives a
 single round outside a phase: the round operators advance only a working
-state bound as run_consensus binds one.
+state bound as run_consensus binds one.  MSP and MSPDQ name the two kinds
+of round for the tests; a phase takes its kind from its state.
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from fedsplit import consensus
-from fedsplit.consensus import CONSERVATION_RTOL, MSP, MSPDQ, ConsensusTrace, RoundState, check_conserved, conserved_sum
+from fedsplit.consensus import CONSERVATION_RTOL, ConsensusTrace, RoundState, check_conserved, conserved_sum
 from fedsplit.errors import ConfigError
 from fedsplit.quantizer import QuantizedVector
 from fedsplit.rng import left_sum
+
+MSP = "msp"
+MSPDQ = "mspdq"
 
 
 def one_round(mode: str, state: RoundState, epsilon: float, weights_k: np.ndarray, *quantize_args) -> RoundState:
     """One round of `mode`'s operator on a workspace bound with `epsilon`,
     as run_consensus binds its working state: a copy of `state`, which stays
-    unchanged.  `weights_k` is (..., M, m); `quantize_args` are mspdq_round's
-    box width and (M, d) uniforms.  Returns the advanced copy."""
+    unchanged, and whose uploads (or their absence) must match `mode`.
+    `weights_k` is (..., M, m); `quantize_args` are mspdq_round's box width
+    and (M, d) uniforms.  Returns the advanced copy."""
     operator = consensus.msp_round if mode == MSP else consensus.mspdq_round
-    return operator(consensus._Workspace(state, epsilon, mode == MSPDQ), epsilon, weights_k[..., None], *quantize_args)
+    return operator(consensus._Workspace(state, epsilon), weights_k[..., None], *quantize_args)
 
 
 def cohort_state(splits: list[tuple[np.ndarray, np.ndarray]]) -> RoundState:
@@ -34,6 +41,16 @@ def cohort_state(splits: list[tuple[np.ndarray, np.ndarray]]) -> RoundState:
     for i, (_, row) in enumerate(splits):
         invisible[i, : m_counts[i]] = row[0]
     return RoundState(visible, invisible, m_counts, visible.mean(axis=0))
+
+
+def strict_json(text: str):
+    """json.loads that refuses NaN and the infinities, which RFC 8259 does
+    not allow."""
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def consensus_target(state: RoundState) -> np.ndarray:

@@ -15,8 +15,6 @@ from fedsplit import orchestrator as orch
 from fedsplit import privacy_audit as pa
 from fedsplit import rng as rngmod
 from fedsplit.consensus import (
-    MSP,
-    MSPDQ,
     check_deviation_bound,
     run_consensus,
 )
@@ -100,7 +98,7 @@ def test_criterion_01_conservation():
             split_cohort(rng.standard_normal((1, d)), SplitRule("uniform", m=m_counts[i], eps_split=0.3), [rng])
             for i in range(M)
         ]
-        _, trace, _ = run_consensus(cohort_state(splits), K, MSP, eps, weights.table(K))
+        _, trace, _ = run_consensus(cohort_state(splits), eps, weights.table(K))
         worst = max(worst, check_conservation(trace, rtol=1e-9))
     elapsed = time.monotonic() - t0
     report(1, worst <= 1e-9 and elapsed < 10, f"max conservation drift {worst:.2e} over 100 runs in {elapsed:.1f}s")
@@ -124,7 +122,7 @@ def test_criterion_02_consensus_limit():
         ]
         state = cohort_state(splits)
         target = consensus_target(state)
-        fin, _, _ = run_consensus(state, 300, MSP, eps, weights.table(300), record=False)
+        fin, _, _ = run_consensus(state, eps, weights.table(300), record=False)
         dev = max(
             float(np.max(np.abs(fin.visible - target))),
             float(np.max(np.abs(fin.invisible - target[None, None, :]))),
@@ -192,7 +190,7 @@ def containment_sweep():
         K = int(rng.integers(20, 61))
         qrng = rngmod.stream(104, 1, trial)
         _, trace, summary = run_consensus(
-            state, K, MSPDQ, eps, weights.table(K), rng=qrng, lambda2_u=lambda2_U(u),
+            state, eps, weights.table(K), rng=qrng, lambda2_u=lambda2_U(u),
             record=True, wire_check=(trial % 10 == 0),
         )
         records.append((trace, summary, lambda2_U(u)))

@@ -16,6 +16,9 @@ from fedsplit import orchestrator as orch
 from fedsplit.cli import main
 from fedsplit.errors import ProtocolIntegrityError
 from fedsplit.presets import desk_config
+from fedsplit.privacy_audit import MAX_E_MAGNITUDE, run_audit
+
+from oracles import strict_json
 
 
 @pytest.fixture()
@@ -245,6 +248,21 @@ def test_audit_default_magnitudes(tmp_path):
     assert mags == {0.001, 1.0, 1000.0, 1000000.0}
 
 
+def test_mutated_witness_whose_replay_breaks_conservation_is_a_detection(tmp_path):
+    # at the shift cap, a mutated witness's replay can fail its phase's
+    # conservation check; the row records the error instead of a deviation
+    report = run_audit(seed=7, n_witness=4, e_magnitudes=(MAX_E_MAGNITUDE,), mutate=True, n_dp_configs=0)
+    assert report["pass"]
+    raised = [row for row in report["witness_checks"] if "replay_error" in row]
+    assert raised and all(row["detected"] and row["max_deviation"] is None for row in raised)
+    assert "conserved sum drifted" in raised[0]["replay_error"]
+    out = tmp_path / "audit"
+    argv = ["audit", "--seeds", "7", "--e-mags", str(MAX_E_MAGNITUDE), "--mutate", "--n-witness", "4"]
+    assert main([*argv, "--out", str(out)]) == 0
+    (written,) = strict_json((out / "audit.json").read_text())
+    assert written["pass"] and any("replay_error" in row for row in written["witness_checks"])
+
+
 def test_integrity_violation_exits_3(config_path, tmp_path, capsys):
     doc = json.loads(config_path.read_text())
     doc["ball_radius"] = 1e-9
@@ -334,6 +352,9 @@ def test_empty_seed_range_exits_2(config_path, tmp_path, capsys):
         ("weight_rule", "bogus"),
         ("weight_rule", "constant"),
         ("lambda_", 1.0),
+        ("epsilon", None),
+        ("gamma_max", None),
+        ("lambda_", None),
     ],
 )
 def test_bad_field_value_exits_2(config_path, tmp_path, capsys, field, value):
@@ -346,6 +367,20 @@ def test_bad_field_value_exits_2(config_path, tmp_path, capsys, field, value):
     assert not out.exists()
     assert main(["validate", "--config", str(tmp_path / "edited.json")]) == 2
     assert field in capsys.readouterr().err
+
+
+def test_manifest_of_a_mode_without_safety_fields_is_strict_json(tmp_path):
+    # fedavg needs no epsilon, gamma_max or lambda_: unset, they are null
+    doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / "desk_msp.json").read_text())
+    for name in ("epsilon", "gamma_max", "lambda_"):
+        del doc[name]
+    path = tmp_path / "fedavg.json"
+    path.write_text(json.dumps({**doc, "mode": "fedavg", "rounds": 3}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    (group,) = strict_json((out / "manifest.json").read_text())["groups"].values()
+    assert [group["config"][name] for name in ("epsilon", "gamma_max", "lambda_")] == [None, None, None]
+    assert main(["report", "--run-dir", str(out)]) == 0
 
 
 def test_gamma_target_zero_gives_a_task_without_heterogeneity(config_path, tmp_path):
@@ -460,8 +495,8 @@ def test_seed_sweep_axis_exits_2_naming_seeds(msp_config_path, tmp_path, capsys)
 def test_conservation_leak_fails_the_run(msp_config_path, tmp_path, capsys, monkeypatch):
     real_round = consensus.msp_round
 
-    def leaky_round(state, epsilon, weights_k, **kwargs):
-        nxt = real_round(state, epsilon, weights_k, **kwargs)
+    def leaky_round(state, weights_k, **kwargs):
+        nxt = real_round(state, weights_k, **kwargs)
         nxt.visible[0] += 1e-6
         return nxt
 
@@ -529,8 +564,8 @@ def test_shipped_configs_equal_the_desk_preset(mode):
 def test_nan_in_a_consensus_round_fails_the_run(msp_config_path, tmp_path, capsys, monkeypatch):
     real_round = consensus.msp_round
 
-    def nan_round(state, epsilon, weights_k, **kwargs):
-        nxt = real_round(state, epsilon, weights_k, **kwargs)
+    def nan_round(state, weights_k, **kwargs):
+        nxt = real_round(state, weights_k, **kwargs)
         nxt.visible[0, 0] = np.nan
         return nxt
 

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from fedsplit import consensus
 from fedsplit import rng as rngmod
 from fedsplit.consensus import (
-    MSP,
-    MSPDQ,
     RoundState,
     check_deviation_bound,
     conserved_sum,
@@ -40,7 +38,7 @@ from fedsplit.spectral import (
 )
 from fedsplit.splitting import SplitRule, split_cohort
 
-from oracles import check_conservation, cohort_state, consensus_target, one_round, phi_product
+from oracles import MSP, MSPDQ, check_conservation, cohort_state, consensus_target, one_round, phi_product
 
 
 def hand_state():
@@ -79,7 +77,7 @@ def test_msp_round_consensus_is_fixed_point():
 def test_run_consensus_limit_hand_value():
     st = hand_state()
     w = StepWeights(gamma=np.full((2, 1), 0.2), rule="constant")
-    fin, trace, _ = run_consensus(st, 250, MSP, 0.5, w.table(250))
+    fin, trace, _ = run_consensus(st, 0.5, w.table(250))
     assert np.allclose(fin.visible, 1.5, atol=1e-6)
     assert np.allclose(fin.invisible, 1.5, atol=1e-6)
     assert check_conservation(trace) <= 1e-9
@@ -90,7 +88,7 @@ def test_single_round_midpoint_reduces_to_plain_average():
     locals_ = [rng.standard_normal(3) for _ in range(4)]
     st = cohort_state([split_cohort(w[None], SplitRule("midpoint", m=1), [rng]) for w in locals_])
     w = StepWeights(gamma=np.zeros((4, 1)), rule="constant")
-    fin, _, _ = run_consensus(st, 1, MSP, 0.6, w.table(1))
+    fin, _, _ = run_consensus(st, 0.6, w.table(1))
     assert np.allclose(fin.global_model, np.mean(locals_, axis=0), atol=1e-12)
 
 
@@ -102,7 +100,7 @@ def test_ragged_invisible_counts_conserve():
     st = cohort_state(splits)
     total0 = conserved_sum(st).copy()
     w = StepWeights(gamma=np.array([[0.05, 0.0, 0.0], [0.04, 0.04, 0.04], [0.05, 0.05, 0.0]]), rule="constant")
-    fin, trace, _ = run_consensus(st, 400, MSP, 0.5, w.table(400))
+    fin, trace, _ = run_consensus(st, 0.5, w.table(400))
     assert np.allclose(conserved_sum(fin), total0, atol=1e-10)
     # heterogeneous counts change the consensus divisor: sum_i (1 + m_i) = 9
     target = total0 / 9.0
@@ -162,7 +160,7 @@ def test_msp_consensus_matches_phi_product(M, m, d, K, epsilon, budget, rule, se
         split_cohort(rng.standard_normal((1, d)), SplitRule("uniform", m=m, eps_split=0.3), [rng])
         for _ in range(M)
     ])
-    fin, _, _ = run_consensus(state, K, MSP, epsilon, weights.table(K), record=False)
+    fin, _, _ = run_consensus(state, epsilon, weights.table(K), record=False)
     phi = phi_product([build_P(u, weights.at(k), m) for k in range(K)])
     expected = phi @ _stack(state)
     scale = max(1.0, float(np.max(np.abs(expected))))
@@ -176,6 +174,7 @@ def quantized_setup(seed=0, M=4, d=3, level=64, eps=0.4, gamma=0.3, scale=0.5):
     visible, invisible = split_cohort(locals_, SplitRule("uniform", m=1, eps_split=0.3), [rng] * M)
     state = RoundState(visible, invisible, np.ones(M, dtype=np.int64), None)
     snap_initial_upload(state, w_prev, q0_width=12.0, level=level)
+    state.global_model = state.quantized.mean(axis=0)  # the reference rounds read it
     u = build_U(M, eps)
     weights = StepWeights(gamma=np.full((M, 1), min(gamma, 0.9 * lambda_min_U(u) / (1 + lambda_min_U(u)))), rule="harmonic")
     return state, weights, lambda2_U(u)
@@ -196,9 +195,8 @@ def test_mspdq_round_exact_on_knobs_matches_plain_round():
     state.visible = vis.copy()
     state.quantized = vis.copy()
     state.invisible = vis[:, None, :].copy()
-    state.global_model = vis.mean(axis=0)
     state.level = 4095  # odd level puts a knob exactly at the box center
-    plain = one_round(MSP, state, 0.4, weights.at(0))
+    plain = one_round(MSP, RoundState(state.visible, state.invisible, state.m_counts), 0.4, weights.at(0))
     u = rngmod.stream(1, 22).random(size=(M, d))
     quant = one_round(MSPDQ, state, 0.4, weights.at(0), 24.0 * a_max(weights.at(0)), u)
     assert np.allclose(quant.visible, plain.visible, atol=1e-12)
@@ -237,7 +235,7 @@ def test_run_consensus_leaves_its_initial_state_unchanged(mode, record):
     arrays = {name: value for name, value in vars(state).items() if isinstance(value, np.ndarray)}
     before = {name: value.copy() for name, value in arrays.items()}
     nxt, trace, _ = run_consensus(
-        state, 3, mode, 0.4, weights.table(3), rng=rngmod.stream(8, 28), lambda2_u=lam2,
+        state, 0.4, weights.table(3), rng=rngmod.stream(8, 28), lambda2_u=lam2,
         record=record, wire_check=True,
     )
     stacks = []
@@ -255,21 +253,22 @@ def test_run_consensus_leaves_its_initial_state_unchanged(mode, record):
 @pytest.mark.parametrize("mode", [MSP, MSPDQ])
 def test_round_operators_advance_only_a_working_state_bound_with_their_epsilon_and_mode(mode):
     state, weights, lam2 = quantized_setup(level=16)
+    plain = RoundState(state.visible, state.invisible, state.m_counts, state.visible.mean(axis=0))
+    own, other_mode = (plain, state) if mode == MSP else (state, plain)
     operator = msp_round if mode == MSP else mspdq_round
     rows = weights.at(0)[..., None]
     args = () if mode == MSP else (1.0, np.full(state.visible.shape, 0.5))
     for other in (
-        state,
-        consensus._Workspace(state, 0.2, mode == MSPDQ),  # another epsilon
-        consensus._Workspace(state, 0.4, mode == MSP),  # the other mode
+        own,
+        consensus._Workspace(other_mode, 0.4),  # the other mode
     ):
         kept = {name: getattr(other, name).copy() for name in ("visible", "invisible", "global_model")}
         with pytest.raises(ConfigError, match="rounds run through run_consensus"):
-            operator(other, 0.4, rows, *args)
+            operator(other, rows, *args)
         for name, value in kept.items():
             assert _same_bits(getattr(other, name), value), name
-    bound = consensus._Workspace(state, 0.4, mode == MSPDQ)
-    assert operator(bound, 0.4, rows, *args) is bound
+    bound = consensus._Workspace(own, 0.4)
+    assert operator(bound, rows, *args) is bound
     assert not _same_bits(bound.invisible, state.invisible)
 
 
@@ -318,7 +317,7 @@ def test_mspdq_interval_containment_and_bound():
     state, weights, lam2 = quantized_setup(level=16)
     rng = rngmod.stream(2, 25)
     fin, trace, summary = run_consensus(
-        state, 40, MSPDQ, 0.4, weights.table(40), rng=rng, lambda2_u=lam2, record=True, wire_check=True
+        state, 0.4, weights.table(40), rng=rng, lambda2_u=lam2, record=True, wire_check=True
     )
     assert summary["bound_margin_min"] >= 0.0
     assert check_deviation_bound(trace, lam2) >= 0.0
@@ -329,7 +328,7 @@ def test_mspdq_bad_interval_raises(monkeypatch):
     # a box far below the certified width pi_t a_max forces an escape
     monkeypatch.setattr(consensus, "compute_pi_t", lambda *args: 1e-6)
     with pytest.raises(ProtocolIntegrityError, match="escaped its shrunk interval at round 0"):
-        run_consensus(state, 3, MSPDQ, 0.4, weights.table(3), rng=rngmod.stream(3, 26), lambda2_u=lam2)
+        run_consensus(state, 0.4, weights.table(3), rng=rngmod.stream(3, 26), lambda2_u=lam2)
 
 
 @pytest.mark.parametrize("mode", [MSP, MSPDQ])
@@ -337,6 +336,8 @@ def test_recorded_phase_whose_operator_leaks_mass_raises(monkeypatch, mode):
     # the phase checks its own conservation, so a recorded phase (as the
     # audit replays run) fails as a run's phase does
     state, weights, lam2 = quantized_setup(level=16)
+    if mode == MSP:
+        state = RoundState(state.visible, state.invisible, state.m_counts)
     name = "msp_round" if mode == MSP else "mspdq_round"
     real_round = getattr(consensus, name)
 
@@ -347,7 +348,7 @@ def test_recorded_phase_whose_operator_leaks_mass_raises(monkeypatch, mode):
 
     monkeypatch.setattr(consensus, name, leaky_round)
     with pytest.raises(ProtocolIntegrityError, match="conserved sum drifted"):
-        run_consensus(state, 3, mode, 0.4, weights.table(3), rng=rngmod.stream(4, 52), lambda2_u=lam2, record=True)
+        run_consensus(state, 0.4, weights.table(3), rng=rngmod.stream(4, 52), lambda2_u=lam2, record=True)
 
 
 def test_standalone_round_uploads_a_collapsed_knob_without_a_warning():
@@ -362,7 +363,7 @@ def test_standalone_round_uploads_a_collapsed_knob_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         nxt, trace, _ = run_consensus(
-            state, 1, MSPDQ, 0.4, np.full((1, M, 1), weight), rng=rngmod.stream(0, 55), lambda2_u=lam2
+            state, 0.4, np.full((1, M, 1), weight), rng=rngmod.stream(0, 55), lambda2_u=lam2
         )
     width = trace.pis[0] * weight
     assert np.array_equal(nxt.visible, at)
@@ -378,7 +379,7 @@ def test_error_bound_holds_at_levels_that_are_not_powers_of_two(level):
     K = 30
     table = weights.table(K)
     _, trace, summary = run_consensus(
-        state, K, MSPDQ, 0.4, table, rng=rngmod.stream(1, 41), lambda2_u=lam2, record=True
+        state, 0.4, table, rng=rngmod.stream(1, 41), lambda2_u=lam2, record=True
     )
     margins = []
     for k in range(K):
@@ -407,7 +408,7 @@ def test_run_consensus_names_the_first_round_over_the_bound(monkeypatch):
     monkeypatch.setattr(consensus, "dynamic_error_bound", lossy_bound([4, 7]))
     state, weights, lam2 = quantized_setup(level=16)
     with pytest.raises(ProtocolIntegrityError, match="exceeded its bound at round 4:"):
-        run_consensus(state, 10, MSPDQ, 0.4, weights.table(10), rng=rngmod.stream(7, 42), lambda2_u=lam2)
+        run_consensus(state, 0.4, weights.table(10), rng=rngmod.stream(7, 42), lambda2_u=lam2)
 
 
 def narrow_box_at(rounds):
@@ -433,11 +434,11 @@ def test_an_escape_wins_over_an_earlier_bound_violation(monkeypatch, block_bytes
     monkeypatch.setattr(consensus, "dynamic_error_bound", lossy_bound([2]))
     phase = dict(rng=rngmod.stream(7, 43), lambda2_u=lam2, record=block_bytes is None)
     with pytest.raises(ProtocolIntegrityError, match="exceeded its bound at round 2:"):
-        run_consensus(state, 10, MSPDQ, 0.4, weights.table(10), **phase)
+        run_consensus(state, 0.4, weights.table(10), **phase)
     monkeypatch.setattr(consensus, "compute_pi_t", narrow_box_at({5}))
     phase["rng"] = rngmod.stream(7, 43)
     with pytest.raises(ProtocolIntegrityError, match="escaped its shrunk interval at round 5 "):
-        run_consensus(state, 10, MSPDQ, 0.4, weights.table(10), **phase)
+        run_consensus(state, 0.4, weights.table(10), **phase)
 
 
 def test_an_escape_in_a_wire_checked_phase_is_a_protocol_error(monkeypatch):
@@ -448,7 +449,7 @@ def test_an_escape_in_a_wire_checked_phase_is_a_protocol_error(monkeypatch):
     monkeypatch.setattr(consensus, "compute_pi_t", narrow_box_at(set(range(4))))
     with pytest.raises(ProtocolIntegrityError, match="escaped its shrunk interval at round 0 "):
         run_consensus(
-            state, 4, MSPDQ, 0.4, weights.table(4), rng=rngmod.stream(9, 44), lambda2_u=lam2,
+            state, 0.4, weights.table(4), rng=rngmod.stream(9, 44), lambda2_u=lam2,
             record=False, wire_check=True,
         )
 
@@ -467,7 +468,7 @@ def test_non_recording_phase_memory_does_not_grow_with_K(mode):
         table = weights.table(K)
         tracemalloc.start()
         try:
-            run_consensus(state, K, mode, 0.4, table, rng=rngmod.stream(3, 45), lambda2_u=lam2, record=False)
+            run_consensus(state, 0.4, table, rng=rngmod.stream(3, 45), lambda2_u=lam2, record=False)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -495,16 +496,10 @@ def test_phase_calls_its_operator_and_pi_t_once_per_round(monkeypatch, mode, rec
 
         monkeypatch.setattr(consensus, name, counted)
     K = 7
-    run_consensus(state, K, mode, 0.4, weights.table(K), rng=rngmod.stream(5, 53), lambda2_u=lam2, record=record)
+    run_consensus(state, 0.4, weights.table(K), rng=rngmod.stream(5, 53), lambda2_u=lam2, record=record)
     quantized = mode == MSPDQ
     assert calls == {"msp_round": 0 if quantized else K, "mspdq_round": K if quantized else 0,
                      "compute_pi_t": K if quantized else 0}
-
-
-def test_run_consensus_rejects_too_few_step_weights():
-    state, weights, lam2 = quantized_setup(level=16)
-    with pytest.raises(ConfigError, match="step weights cover 2 rounds, need 3"):
-        run_consensus(state, 3, MSPDQ, 0.4, weights.table(2), rng=rngmod.stream(5, 28), lambda2_u=lam2)
 
 
 def reference_deviation_slack(trace, lambda2_u):
@@ -535,7 +530,7 @@ def reference_deviation_slack(trace, lambda2_u):
 def test_deviation_bound_matches_double_sum(level, seed):
     state, weights, lam2 = quantized_setup(seed=seed, level=level)
     _, trace, _ = run_consensus(
-        state, 40, MSPDQ, 0.4, weights.table(40), rng=rngmod.stream(seed, 29), lambda2_u=lam2
+        state, 0.4, weights.table(40), rng=rngmod.stream(seed, 29), lambda2_u=lam2
     )
     expected = reference_deviation_slack(trace, lam2)
     assert check_deviation_bound(trace, lam2) == pytest.approx(expected, rel=1e-12, abs=1e-15)
@@ -553,7 +548,7 @@ def test_trace_jsonl_is_adversary_visible_only():
     state, weights, lam2 = quantized_setup(level=16)
     rng = rngmod.stream(5, 27)
     _, trace, _ = run_consensus(
-        state, 5, MSPDQ, 0.4, weights.table(5), rng=rng, lambda2_u=lam2, record=True
+        state, 0.4, weights.table(5), rng=rng, lambda2_u=lam2, record=True
     )
     lines = trace_to_jsonl(trace, t=3).strip().splitlines()
     assert len(lines) == 6
@@ -665,6 +660,7 @@ def test_run_consensus_matches_reference_rounds_bitwise(M, m, d, K, rule, mode, 
     ])
     if mode == MSPDQ:
         snap_initial_upload(state, w_prev, q0_width=40.0, level=level)
+        state.global_model = state.quantized.mean(axis=0)
     lam2 = lambda2_U(u)
     # a budget of one byte to a few rows splits a non-recording quantized
     # phase into blocks of one to a few rounds
@@ -675,7 +671,7 @@ def test_run_consensus_matches_reference_rounds_bitwise(M, m, d, K, rule, mode, 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(consensus, "BLOCK_BYTES", budget)
             fin, trace, summary = run_consensus(
-                state, K, mode, epsilon, weights.table(K), rng=phase_rng, lambda2_u=lam2, record=record
+                state, epsilon, weights.table(K), rng=phase_rng, lambda2_u=lam2, record=record
             )
         return fin, trace, summary, phase_rng.bit_generator.state
 
@@ -790,15 +786,6 @@ def test_msp_round_seed_axis_matches_per_seed_calls(S, M, m, d, k, rule, per_see
         assert _same_bits(batched.global_model[s], one.global_model)
 
 
-def test_quantized_phase_without_uploads_raises_config_error():
-    # the operator's check, raised before the phase copies anything
-    state = hand_state()
-    for level in (None, 16):
-        state.level = level
-        with pytest.raises(ConfigError, match="state lacks quantized uploads"):
-            run_consensus(state, 3, MSPDQ, 0.4, np.full((3, 2, 1), 0.1), rng=rngmod.stream(0, 46), lambda2_u=0.5)
-
-
 def ragged_cohort(rng, M, m_max, d, epsilon, rule, mode, level):
     """A cohort whose clients hold 1..m_max invisibles (both ends present),
     with step weights zero on every padded slot."""
@@ -814,7 +801,51 @@ def ragged_cohort(rng, M, m_max, d, epsilon, rule, mode, level):
     ])
     if mode == MSPDQ:
         snap_initial_upload(state, w_prev, q0_width=40.0, level=level)
+        state.global_model = state.quantized.mean(axis=0)
     return state, weights
+
+
+@pytest.mark.parametrize("mode", [MSP, MSPDQ])
+@pytest.mark.parametrize("record", [True, False])
+def test_phase_aggregates_its_own_round_zero(mode, record):
+    # the phase never reads the initial global model: none, the mean of the
+    # references, or a wrong vector give the same bits everywhere
+    rng = rngmod.stream(11, 56)
+    state, weights = ragged_cohort(rng, 5, 3, 4, 0.4, "harmonic", mode, 256)
+    lam2 = lambda2_U(build_U(5, 0.4))
+    outcomes = []
+    for global_model in (None, state.global_model, np.full(4, 7.5)):
+        start = RoundState(state.visible, state.invisible, state.m_counts, global_model, state.quantized, state.level)
+        outcomes.append(
+            run_consensus(start, 0.4, weights.table(6), rng=rngmod.stream(11, 57), lambda2_u=lam2, record=record)
+        )
+    (fin, trace, summary), *others = outcomes
+    for other_fin, other_trace, other_summary in others:
+        assert other_summary == summary
+        for name in ("visible", "invisible", "global_model", "quantized"):
+            got, ref = getattr(other_fin, name), getattr(fin, name)
+            assert (got is None and ref is None) or _same_bits(got, ref), name
+        assert (other_trace is None) == (trace is None) == (not record)
+        if record:
+            for name in ("visibles", "invisibles", "globals_", "weights", "quantized", "pis"):
+                got, ref = getattr(other_trace, name), getattr(trace, name)
+                assert (got is None and ref is None) or _same_bits(got, ref), name
+
+
+def test_phase_takes_its_mode_from_the_state_and_its_rounds_from_the_weights():
+    state, weights, lam2 = quantized_setup(level=16)
+    plain = RoundState(state.visible, state.invisible, state.m_counts)
+    phase = dict(rng=rngmod.stream(3, 58), lambda2_u=lam2)
+    fin, trace, summary = run_consensus(plain, 0.4, weights.table(4), **phase)
+    assert trace.quantized is None and trace.pis is None and fin.quantized is None
+    assert trace.K == 4 and summary["max_width"] == 0.0
+    fin, trace, summary = run_consensus(state, 0.4, weights.table(5), **phase)
+    assert trace.K == len(weights.table(5)) == len(trace.pis) == len(trace.quantized) - 1
+    assert fin.level == 16 and summary["max_width"] > 0.0
+    # uploads without their level name the missing field
+    state.level = None
+    with pytest.raises(ConfigError, match="level"):
+        run_consensus(state, 0.4, weights.table(3), **phase)
 
 
 @given(
@@ -847,7 +878,7 @@ def test_ragged_phase_matches_reference_rounds_bitwise(M, m_max, d, K, rule, mod
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(consensus, "BLOCK_BYTES", budget)
             call = lambda: run_consensus(  # noqa: E731
-                state, K, mode, epsilon, weights.table(K), rng=rngmod.stream(seed, 48), lambda2_u=lam2, record=record
+                state, epsilon, weights.table(K), rng=rngmod.stream(seed, 48), lambda2_u=lam2, record=record
             )
             if ref_states is None:
                 with pytest.raises(ProtocolIntegrityError):
@@ -878,8 +909,8 @@ def test_ragged_phase_matches_reference_rounds_bitwise(M, m_max, d, K, rule, mod
 def test_standalone_round_calls_match_reference_rounds_bitwise(S, M, m_max, d, rounds_before, mode, call, seed):
     # one round on a bound copy of the state matches the reference round; a
     # leading seed axis of S > 0 seeds is taken by msp_round only;
-    # call="workspace" first passes a working state bound with another
-    # epsilon, which the operator must refuse and leave alone
+    # call="workspace" first passes a working state of the other mode, which
+    # the operator must refuse and leave alone
     if mode == MSPDQ:
         S = 0
     rng = rngmod.stream(seed, 49)
@@ -916,12 +947,16 @@ def test_standalone_round_calls_match_reference_rounds_bitwise(S, M, m_max, d, r
         weights_k = np.stack([w for _, w in seeds])
     names = ("visible", "invisible", "global_model") + (("quantized",) if mode == MSPDQ else ())
     if call == "workspace":
-        before = consensus._Workspace(before, epsilon / 2, mode == MSPDQ)
-    kept = {name: getattr(before, name).copy() for name in names}
-    if call == "workspace":
+        uploads = (before.visible.copy(), 256) if mode == MSP else (None, None)
+        other = RoundState(before.visible, before.invisible, before.m_counts, None, *uploads)
+        other = consensus._Workspace(other, epsilon)
+        kept = {name: getattr(other, name).copy() for name in ("visible", "invisible", "global_model")}
         operator = msp_round if mode == MSP else mspdq_round
         with pytest.raises(ConfigError, match="rounds run through run_consensus"):
-            operator(before, epsilon, weights_k[..., None], *args)
+            operator(other, weights_k[..., None], *args)
+        for name, value in kept.items():
+            assert _same_bits(getattr(other, name), value), name
+    kept = {name: getattr(before, name).copy() for name in names}
     got = one_round(mode, before, epsilon, weights_k, *args)
     for name in names:
         value = getattr(got, name)

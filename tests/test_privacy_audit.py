@@ -6,7 +6,7 @@ import pytest
 
 from fedsplit import privacy_audit as pa
 from fedsplit import rng as rngmod
-from fedsplit.consensus import MSP, RoundState, run_consensus, trace_to_jsonl
+from fedsplit.consensus import RoundState, run_consensus, trace_to_jsonl
 from fedsplit.errors import ConfigError, WitnessDegenerateError
 from fedsplit.quantizer import dp_delta
 
@@ -89,7 +89,7 @@ def test_witness_needs_the_origins_the_auditor_attaches():
     # config error, not a witness around made-up zero origins
     trace = make_trace(seed=7)
     initial = RoundState(trace.visibles[0], trace.invisibles[0], trace.m_counts, trace.globals_[0])
-    _, bare, _ = run_consensus(initial, trace.K, MSP, trace.epsilon, trace.weights)
+    _, bare, _ = run_consensus(initial, trace.epsilon, trace.weights)
     assert bare.origins is None and trace.origins is not None
     assert np.array_equal(bare.visibles, trace.visibles)
     with pytest.raises(ConfigError, match="origins"):

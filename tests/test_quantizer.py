@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsplit import rng as rngmod
-from fedsplit.consensus import MSPDQ, RoundState
+from fedsplit.consensus import RoundState
 from fedsplit.errors import CodecError, ConfigError, ProtocolIntegrityError
 from fedsplit.quantizer import (
     MAX_LEVEL,
@@ -27,7 +27,7 @@ from fedsplit.quantizer import (
 )
 from fedsplit.spectral import StepWeights
 
-from oracles import distribution_mean_var, one_round, values
+from oracles import MSPDQ, distribution_mean_var, one_round, values
 
 
 def unit_state(level=5, d=1):

@@ -20,7 +20,8 @@ from .errors import ConfigError, ProtocolIntegrityError
 from .problem import (
     ProblemBundle,
     ProblemConstants,
-    global_loss,
+    batch_target_means,
+    global_losses,
     global_optimum,
     make_client_targets,
     make_quadratic_problem,
@@ -37,7 +38,7 @@ from .spectral import (
     lambda2_U,
     lambda_min_U,
 )
-from .splitting import SplitRule, split_cohort
+from .splitting import SplitRule, split_cohort, split_draws
 
 MODES = ("fedavg", "ldp", "msp", "mspdq")
 
@@ -284,20 +285,25 @@ def local_sgd(
     A: np.ndarray,
     targets: np.ndarray,
     eta: float,
+    clients: np.ndarray,
     batches: np.ndarray,
 ) -> np.ndarray:
     """E mini-batch gradient steps from the broadcast model for u stacked
-    clients (A (u, d, d), targets (u, n, d)); returns the (u, d) local models.
+    rows, row i training client clients[i] of the task's stacks (A
+    (n_clients, d, d), targets (n_clients, n, d)); returns the (u, d) local
+    models.
 
-    batches is (E, u, s): row [e, i] holds client i's sample indices at step
-    e.  The stacked pass is bitwise u separate ones.
+    batches is (E, u, s): row [e, i] holds row i's sample indices at step
+    e.  Every step's batch means come from one gather.  The stacked pass is
+    bitwise u separate ones.
     """
     if len(batches) < 1:
         raise ConfigError("need at least one local step")
-    w = np.empty((batches.shape[1], len(w0)))
+    A = A[clients]
+    w = np.empty((len(clients), len(w0)))
     w[:] = w0
-    for batch in batches:
-        w -= eta * stochastic_gradient(A, targets, w, batch)
+    for y_mean in batch_target_means(targets, clients, batches):
+        w -= eta * stochastic_gradient(A, w, y_mean)
     return w
 
 
@@ -381,7 +387,7 @@ class _RoundStreams:
 
     cohort: np.ndarray  # (M,) client of each cohort slot
     gradient: np.ndarray  # (E, M, s) batches, each slot's from its (round, client) stream
-    split: list  # one (round, slot) stream per cohort slot; empty without splitting
+    split: np.ndarray | None  # (M, k) split doubles, each slot's from its (round, slot) stream
     aggregate: np.random.Generator | None  # quantization (mspdq) or Laplace noise (ldp)
 
 
@@ -389,10 +395,10 @@ def _round_streams(config: FLConfig, p: np.ndarray):
     """Yields the _RoundStreams of rounds 1..T, hashing the keys of one block
     of rounds per `rngmod.seed_words` call for each purpose.
 
-    A block's cohorts and gradient batches are each drawn in one pass over
-    its streams.  The cohorts come first (the sampling streams do not depend
-    on the model), so the gradient keys cover only the clients they use;
-    slots that hold the same client get equal batches.
+    A block's cohorts, gradient batches and split doubles are each drawn in
+    one pass over its streams.  The cohorts come first (the sampling streams
+    do not depend on the model), so the gradient keys cover only the clients
+    they use; slots that hold the same client get equal batches.
     """
     seed, M = config.seed, config.cohort
     E, s = config.local_steps, config.batch_size
@@ -407,7 +413,9 @@ def _round_streams(config: FLConfig, p: np.ndarray):
         gradient = np.ascontiguousarray(draws.reshape(len(ts), M, E, s).transpose(0, 2, 1, 3))
         split = aggregate = None
         if config.mode in ("msp", "mspdq"):
-            split = rngmod.seed_words(seed, rngmod.SPLITTING, ts[:, None], np.arange(M))
+            split = split_draws(
+                rngmod.seed_words(seed, rngmod.SPLITTING, ts[:, None], np.arange(M)), _split_rule(config), config.dim
+            )
         if config.mode == "mspdq":
             aggregate = rngmod.seed_words(seed, rngmod.QUANTIZATION, ts)
         elif config.mode == "ldp" and config.ldp_scale > 0:
@@ -416,7 +424,7 @@ def _round_streams(config: FLConfig, p: np.ndarray):
             yield _RoundStreams(
                 cohorts[i],
                 gradient[i],
-                [] if split is None else [rngmod.generator(words) for words in split[i]],
+                None if split is None else split[i],
                 None if aggregate is None else rngmod.generator(aggregate[i]),
             )
 
@@ -496,11 +504,11 @@ def run(config: FLConfig, bundle: ProblemBundle | None = None) -> RunResult:
         upload_bits = 8 * encoded_size(config.dim, config.bits)
     w = np.zeros(config.dim)
     traj = [w.copy()]
-    metrics = []
+    rows = []
     w_tilde_run = 0.0
     for t, streams in enumerate(_round_streams(config, bundle.p), start=1):
         eta = lr_schedule(t, pc.mu, vt)
-        local = local_sgd(w, bundle.A[streams.cohort], bundle.targets[streams.cohort], eta, streams.gradient)
+        local = local_sgd(w, bundle.A, bundle.targets, eta, streams.cohort, streams.gradient)
         kt = consensus_rounds(config, pc, t)
         summary = {"max_width": 0.0, "delta_max": 0.0}
         if not split:
@@ -524,24 +532,23 @@ def run(config: FLConfig, bundle: ProblemBundle | None = None) -> RunResult:
             w_tilde_run = max(w_tilde_run, summary["w_tilde_max"])
             w = final.global_model
         _check_ball(w, pc.w_star, config.ball_radius, "global model")
-        uploads_t = config.cohort * (kt + 1)
-        metrics.append(
-            RoundMetrics(
-                t=t,
-                gap=global_loss(bundle.A, bundle.b, bundle.p, w) - pc.F_star,
-                dist2=float(np.sum((w - pc.w_star) ** 2)),
-                kt=kt,
-                uploads=uploads_t,
-                bits=uploads_t * upload_bits,
-                max_width=summary["max_width"],
-                delta_max=summary["delta_max"],
-            )
-        )
+        rows.append((t, kt, config.cohort * (kt + 1), summary["max_width"], summary["delta_max"]))
         traj.append(w.copy())
+    traj = np.stack(traj)
+    # the model-independent metrics of every round, in one pass
+    gaps = (global_losses(bundle.A, bundle.b, bundle.p, traj[1:]) - pc.F_star).tolist()
+    dist2s = np.sum((traj[1:] - pc.w_star) ** 2, axis=1).tolist()
+    metrics = [
+        RoundMetrics(
+            t=t, gap=gap, dist2=dist2, kt=kt, uploads=uploads, bits=uploads * upload_bits,
+            max_width=max_width, delta_max=delta_max,
+        )
+        for (t, kt, uploads, max_width, delta_max), gap, dist2 in zip(rows, gaps, dist2s)
+    ]
     constants = _base_constants(config, bundle)
     if quantized:
         constants["w_tilde_run_max"] = w_tilde_run
-    return RunResult(config, metrics, constants, np.stack(traj))
+    return RunResult(config, metrics, constants, traj)
 
 
 # -- theorem constants and communication accounting ---------------------------

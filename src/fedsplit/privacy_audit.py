@@ -330,10 +330,11 @@ def sample_consensus_trace(
         gamma_mat[idx, :m_c] = min(gamma, 0.9 * cap / m_c)
     weights = StepWeights(gamma=gamma_mat, rule=rule)
     origins = rng.standard_normal((M, d))
-    # one split per row, each on the audit stream in turn
+    # one split per row, each reading the audit stream's next doubles
     visible, invisible = np.empty((M, d)), np.zeros((M, m_max, d))
     for idx, m_c in enumerate(m_counts):
-        vis, inv = split_cohort(origins[idx : idx + 1], SplitRule("uniform", m=m_c, eps_split=0.3), [rng])
+        rule = SplitRule("uniform", m=m_c, eps_split=0.3)
+        vis, inv = split_cohort(origins[idx : idx + 1], rule, rng.random((1, rule.draw_count(d))))
         visible[idx], invisible[idx, :m_c] = vis[0], inv[0]
     state = RoundState(visible, invisible, np.array(m_counts, dtype=np.int64))
     _, trace, _ = run_consensus(state, epsilon, weights.table(K))

@@ -122,16 +122,31 @@ def make_client_targets(
     return np.matmul(A[:, None], anchors[..., None])[..., 0]
 
 
+def _client_losses(A: np.ndarray, p: np.ndarray, dev: np.ndarray) -> np.ndarray:
+    """p_i F_i for deviations dev (..., n_clients, d) from each minimizer:
+    the stacked matmuls run the gemv and dot of each (w - b_i) @ A_i @ (w - b_i)."""
+    q = np.matmul(np.matmul(dev[..., None, :], A), dev[..., :, None])
+    return p * (0.5 * q[..., 0, 0])
+
+
 def global_loss(A: np.ndarray, b: np.ndarray, p: np.ndarray, w: np.ndarray) -> float:
     """F(w) = sum_i p_i F_i(w) with F_i(w) = 0.5 (w - b_i)^T A_i (w - b_i).
 
-    w is one (d,) model, or one (n_clients, d) row per client.  The stacked
-    matmuls run the gemv and dot of each client's (w - b_i) @ A_i @ (w - b_i),
-    and a left fold keeps the client order.
+    w is one (d,) model, or one (n_clients, d) row per client.  A left fold
+    keeps the client order.
     """
-    dev = w - b
-    q = np.matmul(np.matmul(dev[:, None, :], A), dev[:, :, None])
-    return rngmod.left_sum((p * (0.5 * q[:, 0, 0])).tolist())
+    return rngmod.left_sum(_client_losses(A, p, w - b).tolist())
+
+
+def global_losses(A: np.ndarray, b: np.ndarray, p: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """F of each model of a (T, d) stack, as a (T,) array bitwise equal to
+    T `global_loss` calls: the same per-client products, folded left over
+    the clients."""
+    terms = _client_losses(A, p, W[:, None, :] - b)
+    total = np.zeros(len(W))
+    for column in terms.T:
+        total += column
+    return total
 
 
 def global_optimum(A: np.ndarray, b: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, float]:
@@ -208,23 +223,27 @@ def problem_constants(
     )
 
 
-def stochastic_gradient(
-    A: np.ndarray,
-    targets: np.ndarray,
-    w: np.ndarray,
-    batch: np.ndarray,
-) -> np.ndarray:
-    """Unbiased mini-batch gradients A_i w_i - mean(y_ij over batch_i), one
-    per stacked client.
+def batch_target_means(targets: np.ndarray, clients: np.ndarray, batches: np.ndarray) -> np.ndarray:
+    """Mean target of every mini-batch, as an (E, u, d) array: one gather
+    from the task's (n_clients, n, d) targets for u stacked clients over E
+    steps.
 
-    A is (u, d, d), targets (u, n, d), w (u, d) and batch (u, s): row i of
-    `batch` holds client i's sample indices, drawn with replacement.  One
-    client is the u = 1 stack.  The stacked matmul runs one gemv per client,
-    bitwise A_i @ w_i.
+    clients (u,) names the client of each stacked row, and batches is
+    (E, u, s): row [e, i] holds row i's sample indices at step e, drawn
+    with replacement.
     """
-    if batch.shape[-1] == 0:
+    if batches.shape[-1] == 0:
         raise ConfigError("batch must be nonempty")
-    rows = np.arange(len(batch))[:, None]
     # np.add.reduce(x, axis=-2) / s is bitwise x.mean(axis=-2), without the wrapper
-    y_mean = np.add.reduce(targets[rows, batch], axis=-2) / batch.shape[-1]
+    return np.add.reduce(targets[clients[:, None], batches], axis=-2) / batches.shape[-1]
+
+
+def stochastic_gradient(A: np.ndarray, w: np.ndarray, y_mean: np.ndarray) -> np.ndarray:
+    """Unbiased mini-batch gradients A_i w_i - y_mean_i, one per stacked
+    client.
+
+    A is (u, d, d), w (u, d) and y_mean (u, d), one step's rows of
+    `batch_target_means`.  One client is the u = 1 stack.  The stacked
+    matmul runs one gemv per client, bitwise A_i @ w_i.
+    """
     return np.matmul(A, w[..., None])[..., 0] - y_mean

@@ -6,14 +6,15 @@ quantization, ...) is reproducible in isolation and runs are a pure function
 of (config, seed).
 
 A stream is the PCG64 generator of numpy's
-`SeedSequence(root_seed, spawn_key=key)`. `seed_words` runs that hash with
-plain integer operators, so one call hashes one key (Python ints) or every
-key of a run at once (index arrays broadcast against each other); the root
-seed's part of the hash stays in Python ints either way. `generator` hands
-the words to PCG64's own seeding code.
+`SeedSequence(root_seed, spawn_key=key)`; `stream` builds one with numpy's
+own classes. `seed_words` runs that hash with plain integer operators, so
+one call hashes every key of a run at once (index arrays broadcast against
+each other); the root seed's part of the hash stays in Python ints.
+`generator` hands the words to PCG64's own seeding code.
 
-Streams that are fresh and make a few draws each (a block's cohort and
-gradient streams) skip the Generator and are drawn in one numpy pass.
+Streams that are fresh and make a few draws each (a block's cohort,
+gradient and split streams) skip the Generator and are drawn in one numpy
+pass.
 `raw_outputs` gives output j of every stream from PCG64's 128-bit LCG by
 jump-ahead, s_j = MULT**(j+1) (inc + initstate) + inc sum_{i<=j} MULT**i
 (mod 2**128), on uint64 (hi, lo) word pairs, then PCG64's XSL-RR output.
@@ -54,14 +55,24 @@ _MIX_MULT_R = 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
 
+def _nonnegative_int(x) -> int:
+    """One seed or key entry as a Python int; a negative or non-integer
+    entry is a ConfigError."""
+    try:
+        value = operator.index(x)
+    except TypeError:
+        value = None
+    if value is None or value < 0:
+        raise ConfigError(f"seeds and stream keys must be nonnegative integers, got {x}")
+    return value
+
+
 def _entropy_words(x) -> list:
     """32-bit words of one seed or key entry, least significant first: an
     integer gives one word per started 32 bits (0 gives one word); an index
     array gives one word, so its entries must lie below 2**32."""
     if not isinstance(x, np.ndarray) or x.ndim == 0:
-        x = operator.index(x)
-        if x < 0:
-            raise ConfigError(f"seeds and stream keys must be nonnegative integers, got {x}")
+        x = _nonnegative_int(x)
         words = [x & _MASK32]
         while x := x >> 32:
             words.append(x & _MASK32)
@@ -143,8 +154,10 @@ def generator(words: np.ndarray) -> np.random.Generator:
 
 
 def stream(root_seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for (root_seed, key...)."""
-    return generator(seed_words(root_seed, *key))
+    """Independent generator for (root_seed, key...), built by numpy's own
+    SeedSequence, whose hash `seed_words` runs."""
+    seq = np.random.SeedSequence(_nonnegative_int(root_seed), spawn_key=tuple(map(_nonnegative_int, key)))
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 # numpy's PCG64 (pcg64.h): the 128-bit LCG s -> s * _PCG_MULT + inc, whose

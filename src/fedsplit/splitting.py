@@ -8,14 +8,18 @@ is private per client and never enters any serialized transcript.
 
 `split_cohort` is the one split: training splits a learning round's cohort
 in one call, and the auditor splits its ragged cohorts one row per call.
+It reads its random doubles from an array, so a block of learning rounds
+draws every slot's split stream in one pass (`split_draws`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import rng as rngmod
 from .errors import ConfigError, ProtocolIntegrityError
 
 Z_RECURSION_TOL = 1e-9
@@ -44,56 +48,90 @@ class SplitRule:
         if self.variant == "laplace" and self.scale <= 0:
             raise ConfigError(f"laplace_scale must be positive, got {self.scale!r}")
 
+    def draw_count(self, d: int) -> int:
+        """Doubles a split of one d-vector may read from its stream: d for
+        the visible part (none at the midpoint), d per non-absorbing
+        invisible."""
+        return (self.m - 1 if self.variant == "midpoint" else self.m) * d
 
-def split_cohort(W: np.ndarray, rule: SplitRule, rngs: list) -> tuple[np.ndarray, np.ndarray]:
+
+def _laplace(u: np.ndarray, scale: float) -> np.ndarray:
+    """numpy's `random_laplace(0.0, scale)` on the doubles u in (0, 1): each
+    log is the C library's (math.log), as numpy's is; np.log may round
+    differently."""
+    upper = u >= 0.5
+    logs = [math.log(x) for x in np.where(upper, 2.0 - u - u, u + u).ravel().tolist()]
+    logs = np.array(logs, dtype=np.float64).reshape(u.shape)
+    return np.where(upper, 0.0 - scale * logs, 0.0 + scale * logs)
+
+
+def split_draws(words: np.ndarray, rule: SplitRule, d: int) -> np.ndarray:
+    """The doubles `split_cohort` reads, for each (4,) row of seed words, as a
+    (..., rule.draw_count(d)) array: row w holds generator(w)'s doubles in
+    draw order, drawn for every row in one `rngmod.uniforms` pass.
+
+    numpy's Laplace sampler redraws a double of exactly 0.0.  A stream that
+    draws one among its visible doubles takes numpy's own draws instead,
+    with each rejected double left out.
+    """
+    k = rule.draw_count(d)
+    draws = rngmod.uniforms(words, k)
+    if rule.variant == "laplace":
+        lanes = np.asarray(words).reshape(-1, 4)
+        rows = draws.reshape(-1, k)
+        for lane in np.flatnonzero((rows[:, :d] == 0.0).any(axis=1)):
+            rng = rngmod.generator(lanes[lane])
+            accepted = []
+            while len(accepted) < d:
+                u = rng.random()
+                if u > 0.0:
+                    accepted.append(u)
+            rows[lane] = np.concatenate([accepted, rng.random(k - d)])
+    return draws
+
+
+def split_cohort(W: np.ndarray, rule: SplitRule, draws: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split each row of W (u, d) into 1 + m submodels obeying the exact sum
     constraint; returns the visible (u, d) and invisible (u, m, d) stacks.
 
     Non-absorbing invisible submodels are drawn uniform on [w-|w|, w+|w|]
     per coordinate (any choice works; this one is scale-aware); the last
-    invisible absorbs the residual so the constraint holds exactly.  Row i
-    draws from its own stream rngs[i], the visible part first, then the
-    m - 1 non-absorbing invisibles in one call; a row whose interval is
-    empty draws nothing and keeps its endpoint, -0.0 included.  A uniform
-    draw is numpy's own lo + (hi - lo) * next_double per element, so each
-    row is bitwise a split of that row alone.
+    invisible absorbs the residual so the constraint holds exactly.  draws
+    is (u, rule.draw_count(d)): row i reads draws[i], doubles of its own
+    stream in draw order, for the visible part first, then for the m - 1
+    non-absorbing invisibles.  A row whose interval is empty reads nothing for it and
+    keeps its endpoint, -0.0 included.  A uniform draw is numpy's own
+    lo + (hi - lo) * next_double per element and a Laplace draw numpy's
+    `random_laplace`, so each row is bitwise the split a Generator on that
+    row's stream makes.
     """
     W = np.asarray(W, dtype=np.float64)
     u, d = W.shape
-    if len(rngs) != u:
-        raise ConfigError(f"need one stream per row: {len(rngs)} streams for {u} rows")
+    if np.shape(draws) != (u, rule.draw_count(d)):
+        raise ConfigError(f"need {rule.draw_count(d)} draws for each of {u} rows, got shape {np.shape(draws)}")
     m = rule.m
-    half = np.abs(W)
+    # the non-absorbing invisibles read the doubles after the visible part's
+    inv_draws = draws if rule.variant == "midpoint" else draws[:, d:]
     if rule.variant == "uniform":
         a = rule.eps_split * W
         b = (1 + m - rule.eps_split) * W
         lo = np.minimum(a, b)
         hi = np.maximum(a, b)
         draw_visible = (hi > lo).any(axis=1)
-    else:
-        draw_visible = np.full(u, rule.variant == "laplace")
-    draw_invisible = (half > 0).any(axis=1) & (m > 1)
-    noise = np.zeros((u, d))
-    unit = np.zeros((u, m - 1, d))
-    for i, rng in enumerate(rngs):
-        if draw_visible[i]:
-            if rule.variant == "uniform":
-                noise[i] = rng.random(d)
-            else:
-                noise[i] = rng.laplace(0.0, rule.scale, size=d)
-        if draw_invisible[i]:
-            unit[i] = rng.random((m - 1, d))
-    if rule.variant == "uniform":
-        visible = np.where(draw_visible[:, None], lo + (hi - lo) * noise, lo)
+        # with m > 1 the ends are more than |w| apart, so a row draws its
+        # visible part exactly when it draws invisibles
+        visible = np.where(draw_visible[:, None], lo + (hi - lo) * draws[:, :d], lo)
     elif rule.variant == "laplace":
-        visible = W + noise
+        visible = W + _laplace(draws[:, :d], rule.scale)
     else:  # midpoint: deterministic center of the uniform interval
         visible = (1 + m) / 2.0 * W
     invisible = np.empty((u, m, d))
     invisible[:, -1] = (1 + m) * W - visible
     if m > 1:
+        half = np.abs(W)
+        draw_invisible = (half > 0).any(axis=1)
         lo_inv = W - half
-        drawn = lo_inv[:, None] + ((W + half) - lo_inv)[:, None] * unit
+        drawn = lo_inv[:, None] + ((W + half) - lo_inv)[:, None] * inv_draws.reshape(u, m - 1, d)
         invisible[:, :-1] = np.where(draw_invisible[:, None, None], drawn, W[:, None])
         # Python's sum, as the constraint is written: 0 + inv_1 + ... + inv_{m-1}
         invisible[:, -1] -= sum(invisible[:, n] for n in range(m - 1))

@@ -4,6 +4,8 @@ The library keeps what its runs call.  `one_round` is how a test drives a
 single round outside a phase: the round operators advance only a working
 state bound as run_consensus binds one.  MSP and MSPDQ name the two kinds
 of round for the tests; a phase takes its kind from its state.
+`generator_split` is the split that draws from one Generator per row, the
+reference for `split_cohort` on block-drawn doubles.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from fedsplit.consensus import CONSERVATION_RTOL, ConsensusTrace, RoundState, ch
 from fedsplit.errors import ConfigError
 from fedsplit.quantizer import QuantizedVector
 from fedsplit.rng import left_sum
+from fedsplit.splitting import SplitRule, split_cohort
 
 MSP = "msp"
 MSPDQ = "mspdq"
@@ -87,3 +90,53 @@ def phi_product(mats: list[np.ndarray]) -> np.ndarray:
     for mat in mats[1:]:
         phi = mat @ phi
     return phi
+
+
+def stream_split(W: np.ndarray, rule: SplitRule, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """split_cohort of the rows of W, each reading its doubles from the one
+    stream rng in turn (as many as a row with a nonzero coordinate reads)."""
+    return split_cohort(W, rule, rng.random((len(W), rule.draw_count(W.shape[1]))))
+
+
+def generator_split(W: np.ndarray, rule: SplitRule, rngs: list) -> tuple[np.ndarray, np.ndarray]:
+    """The split with one Generator per row: row i draws from rngs[i] its
+    visible part (`random` or `laplace`), then its m - 1 non-absorbing
+    invisibles in one `random` call, and skips a draw whose interval is
+    empty.  Returns the visible (u, d) and invisible (u, m, d) stacks."""
+    W = np.asarray(W, dtype=np.float64)
+    u, d = W.shape
+    m = rule.m
+    half = np.abs(W)
+    if rule.variant == "uniform":
+        a = rule.eps_split * W
+        b = (1 + m - rule.eps_split) * W
+        lo = np.minimum(a, b)
+        hi = np.maximum(a, b)
+        draw_visible = (hi > lo).any(axis=1)
+    else:
+        draw_visible = np.full(u, rule.variant == "laplace")
+    draw_invisible = (half > 0).any(axis=1) & (m > 1)
+    noise = np.zeros((u, d))
+    unit = np.zeros((u, m - 1, d))
+    for i, rng in enumerate(rngs):
+        if draw_visible[i]:
+            if rule.variant == "uniform":
+                noise[i] = rng.random(d)
+            else:
+                noise[i] = rng.laplace(0.0, rule.scale, size=d)
+        if draw_invisible[i]:
+            unit[i] = rng.random((m - 1, d))
+    if rule.variant == "uniform":
+        visible = np.where(draw_visible[:, None], lo + (hi - lo) * noise, lo)
+    elif rule.variant == "laplace":
+        visible = W + noise
+    else:
+        visible = (1 + m) / 2.0 * W
+    invisible = np.empty((u, m, d))
+    invisible[:, -1] = (1 + m) * W - visible
+    if m > 1:
+        lo_inv = W - half
+        drawn = lo_inv[:, None] + ((W + half) - lo_inv)[:, None] * unit
+        invisible[:, :-1] = np.where(draw_invisible[:, None, None], drawn, W[:, None])
+        invisible[:, -1] -= sum(invisible[:, n] for n in range(m - 1))
+    return visible, invisible

@@ -34,8 +34,8 @@ from fedsplit.spectral import (
     lambda2_U,
     lambda_min_U,
 )
-from fedsplit.splitting import SplitRule, split_cohort
-from oracles import check_conservation, cohort_state, consensus_target, distribution_mean_var, values
+from fedsplit.splitting import SplitRule
+from oracles import check_conservation, cohort_state, consensus_target, distribution_mean_var, stream_split, values
 from tests.conftest import loglog_slope
 
 SEEDS = range(20)
@@ -95,7 +95,7 @@ def test_criterion_01_conservation():
             gamma[i, :m_c] = rng.uniform(0.2, 0.9) * cap / m_c
         weights = StepWeights(gamma=gamma, rule=("constant", "harmonic")[int(rng.integers(2))])
         splits = [
-            split_cohort(rng.standard_normal((1, d)), SplitRule("uniform", m=m_counts[i], eps_split=0.3), [rng])
+            stream_split(rng.standard_normal((1, d)), SplitRule("uniform", m=m_counts[i], eps_split=0.3), rng)
             for i in range(M)
         ]
         _, trace, _ = run_consensus(cohort_state(splits), eps, weights.table(K))
@@ -117,7 +117,7 @@ def test_criterion_02_consensus_limit():
         cap = lambda_min_U(u) / (1 + lambda_min_U(u))
         weights = StepWeights(gamma=np.full((M, m), 0.85 * cap / m), rule="constant")
         splits = [
-            split_cohort(rng.standard_normal((1, d)), SplitRule("uniform", m=m, eps_split=0.2), [rng])
+            stream_split(rng.standard_normal((1, d)), SplitRule("uniform", m=m, eps_split=0.2), rng)
             for _ in range(M)
         ]
         state = cohort_state(splits)
@@ -182,7 +182,7 @@ def containment_sweep():
         weights = StepWeights(gamma=np.full((M, 1), gamma), rule="harmonic")
         w_prev = rng.standard_normal(d)
         splits = [
-            split_cohort(w_prev + 0.4 * rng.standard_normal((1, d)), SplitRule("uniform", m=1, eps_split=0.4), [rng])
+            stream_split(w_prev + 0.4 * rng.standard_normal((1, d)), SplitRule("uniform", m=1, eps_split=0.4), rng)
             for _ in range(M)
         ]
         state = cohort_state(splits)

@@ -36,9 +36,9 @@ from fedsplit.spectral import (
     lambda_min_U,
     step_weight_cap,
 )
-from fedsplit.splitting import SplitRule, split_cohort
+from fedsplit.splitting import SplitRule
 
-from oracles import MSP, MSPDQ, check_conservation, cohort_state, consensus_target, one_round, phi_product
+from oracles import MSP, MSPDQ, check_conservation, cohort_state, consensus_target, one_round, phi_product, stream_split
 
 
 def hand_state():
@@ -86,7 +86,7 @@ def test_run_consensus_limit_hand_value():
 def test_single_round_midpoint_reduces_to_plain_average():
     rng = rngmod.stream(4, 0)
     locals_ = [rng.standard_normal(3) for _ in range(4)]
-    st = cohort_state([split_cohort(w[None], SplitRule("midpoint", m=1), [rng]) for w in locals_])
+    st = cohort_state([stream_split(w[None], SplitRule("midpoint", m=1), rng) for w in locals_])
     w = StepWeights(gamma=np.zeros((4, 1)), rule="constant")
     fin, _, _ = run_consensus(st, 0.6, w.table(1))
     assert np.allclose(fin.global_model, np.mean(locals_, axis=0), atol=1e-12)
@@ -96,7 +96,7 @@ def test_ragged_invisible_counts_conserve():
     rng = rngmod.stream(9, 0)
     splits = []
     for m in (1, 3, 2):
-        splits.append(split_cohort(rng.standard_normal((1, 2)), SplitRule("uniform", m=m, eps_split=0.2), [rng]))
+        splits.append(stream_split(rng.standard_normal((1, 2)), SplitRule("uniform", m=m, eps_split=0.2), rng))
     st = cohort_state(splits)
     total0 = conserved_sum(st).copy()
     w = StepWeights(gamma=np.array([[0.05, 0.0, 0.0], [0.04, 0.04, 0.04], [0.05, 0.05, 0.0]]), rule="constant")
@@ -115,7 +115,7 @@ def test_mspdq_initial_state_keeps_each_ragged_slot_constraint():
     origins, splits = [], []
     for m in (1, 3, 2):
         origins.append(w_prev + 0.3 * rng.standard_normal((1, 3)))
-        splits.append(split_cohort(origins[-1], SplitRule("uniform", m=m, eps_split=0.2), [rng]))
+        splits.append(stream_split(origins[-1], SplitRule("uniform", m=m, eps_split=0.2), rng))
     level = 16
     state = cohort_state(splits)
     shared = snap_initial_upload(state, w_prev, q0_width=8.0, level=level)
@@ -157,7 +157,7 @@ def test_msp_consensus_matches_phi_product(M, m, d, K, epsilon, budget, rule, se
     gamma = rng.uniform(0.0, 1.0, size=(M, m)) * budget * step_weight_cap(u) / m
     weights = StepWeights(gamma=gamma, rule=rule)
     state = cohort_state([
-        split_cohort(rng.standard_normal((1, d)), SplitRule("uniform", m=m, eps_split=0.3), [rng])
+        stream_split(rng.standard_normal((1, d)), SplitRule("uniform", m=m, eps_split=0.3), rng)
         for _ in range(M)
     ])
     fin, _, _ = run_consensus(state, epsilon, weights.table(K), record=False)
@@ -171,7 +171,7 @@ def quantized_setup(seed=0, M=4, d=3, level=64, eps=0.4, gamma=0.3, scale=0.5):
     rng = rngmod.stream(seed, 21)
     w_prev = rng.standard_normal(d)
     locals_ = np.array([w_prev + scale * rng.standard_normal(d) for _ in range(M)])
-    visible, invisible = split_cohort(locals_, SplitRule("uniform", m=1, eps_split=0.3), [rng] * M)
+    visible, invisible = stream_split(locals_, SplitRule("uniform", m=1, eps_split=0.3), rng)
     state = RoundState(visible, invisible, np.ones(M, dtype=np.int64), None)
     snap_initial_upload(state, w_prev, q0_width=12.0, level=level)
     state.global_model = state.quantized.mean(axis=0)  # the reference rounds read it
@@ -655,7 +655,7 @@ def test_run_consensus_matches_reference_rounds_bitwise(M, m, d, K, rule, mode, 
     weights = StepWeights(gamma=gamma, rule=rule)
     w_prev = rng.standard_normal(d)
     state = cohort_state([
-        split_cohort(w_prev + 0.5 * rng.standard_normal((1, d)), SplitRule("uniform", m=m, eps_split=0.3), [rng])
+        stream_split(w_prev + 0.5 * rng.standard_normal((1, d)), SplitRule("uniform", m=m, eps_split=0.3), rng)
         for _ in range(M)
     ])
     if mode == MSPDQ:
@@ -765,7 +765,7 @@ def test_msp_round_seed_axis_matches_per_seed_calls(S, M, m, d, k, rule, per_see
     ]
     states = [
         cohort_state([
-            split_cohort(rng.standard_normal((1, d)), SplitRule("uniform", m=int(m_i), eps_split=0.3), [rng])
+            stream_split(rng.standard_normal((1, d)), SplitRule("uniform", m=int(m_i), eps_split=0.3), rng)
             for m_i in m_counts
         ])
         for _ in range(S)
@@ -796,7 +796,7 @@ def ragged_cohort(rng, M, m_max, d, epsilon, rule, mode, level):
     weights = StepWeights(gamma=rng.uniform(0.1, 1.0, size=real.shape) * real * 0.9 * cap / m_max, rule=rule)
     w_prev = rng.standard_normal(d)
     state = cohort_state([
-        split_cohort(w_prev + 0.5 * rng.standard_normal((1, d)), SplitRule("uniform", m=int(m), eps_split=0.3), [rng])
+        stream_split(w_prev + 0.5 * rng.standard_normal((1, d)), SplitRule("uniform", m=int(m), eps_split=0.3), rng)
         for m in m_counts
     ])
     if mode == MSPDQ:

@@ -15,7 +15,7 @@ from fedsplit import orchestrator as orch
 from fedsplit import rng as rngmod
 from fedsplit.errors import ConfigError, ProtocolIntegrityError
 from fedsplit.presets import desk_config
-from fedsplit.problem import global_loss, make_client_targets, make_quadratic_problem
+from fedsplit.problem import global_loss, global_losses, make_client_targets, make_quadratic_problem
 
 
 def small_config(mode, seed=0, rounds=30, **overrides):
@@ -122,9 +122,10 @@ def test_local_sgd_closed_form():
     A, b = np.eye(1)[None], np.ones((1, 1))
     targets = make_client_targets(A, b, 8, 0.0, seed=0)
     rng = rngmod.stream(0, 4)
-    w = orch.local_sgd(np.zeros(1), A, targets, eta=0.5, batches=rng.integers(0, 8, size=(1, 1, 8)))[0]
+    one = np.zeros(1, dtype=np.int64)
+    w = orch.local_sgd(np.zeros(1), A, targets, 0.5, one, rng.integers(0, 8, size=(1, 1, 8)))[0]
     assert w[0] == pytest.approx(0.5, abs=1e-12)
-    w_fix = orch.local_sgd(np.array([1.0]), A, targets, eta=0.5, batches=rng.integers(0, 8, size=(3, 1, 8)))[0]
+    w_fix = orch.local_sgd(np.array([1.0]), A, targets, 0.5, one, rng.integers(0, 8, size=(3, 1, 8)))[0]
     assert w_fix[0] == pytest.approx(1.0, abs=1e-12)
 
 
@@ -134,7 +135,7 @@ def test_local_sgd_full_batch_matches_linear_recursion():
     w0 = np.array([2.0, -1.0, 0.5])
     eta, E = 0.3, 6
     rng = rngmod.stream(1, 4)
-    w = orch.local_sgd(w0, A, targets, eta, rng.integers(0, 8, size=(E, 1, 8)))[0]
+    w = orch.local_sgd(w0, A, targets, eta, np.zeros(1, dtype=np.int64), rng.integers(0, 8, size=(E, 1, 8)))[0]
     M = np.eye(3) - eta * A[0]
     expected = b[0] + np.linalg.matrix_power(M, E) @ (w0 - b[0])
     assert np.allclose(w, expected, atol=1e-12)
@@ -173,7 +174,7 @@ def test_stacked_local_round_matches_per_client_loop(n_clients, cohort, dim, E, 
     bundle = orch.build_problem(cfg)
     w_prev = rngmod.stream(seed, 99).standard_normal(dim)
     streams = list(orch._round_streams(cfg, bundle.p))[t - 1]
-    got = orch.local_sgd(w_prev, bundle.A[streams.cohort], bundle.targets[streams.cohort], eta, streams.gradient)
+    got = orch.local_sgd(w_prev, bundle.A, bundle.targets, eta, streams.cohort, streams.gradient)
     cohort_ids = orch.sample_clients(bundle.p, rngmod.stream(seed, rngmod.CLIENT_SAMPLING, t).random(cohort))
     for slot, c in enumerate(cohort_ids):
         rng = rngmod.stream(seed, rngmod.GRADIENT, t, int(c))
@@ -192,6 +193,43 @@ def test_global_loss_matches_per_loss_sum(n_clients, dim, seed):
         values = [0.5 * float((w - bi) @ Ai @ (w - bi)) for Ai, bi in zip(bundle.A, bundle.b)]
         want = float(sum(pi * v for pi, v in zip(bundle.p, values)))
         assert global_loss(bundle.A, bundle.b, bundle.p, w) == want
+
+
+@given(
+    n_clients=st.integers(1, 6),
+    dim=st.integers(1, 12),
+    T=st.integers(1, 8),
+    same=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_stacked_losses_match_per_model_global_loss(n_clients, dim, T, same, seed):
+    # a (T, d) stack with T == n_clients has the shape of global_loss's
+    # per-client input, and must still read as T models
+    T = n_clients if same else T
+    cfg = orch.FLConfig(
+        n_clients=n_clients, cohort=1, dim=dim, local_steps=1, rounds=1, mode="fedavg",
+        seed=seed, problem_seed=seed, center_offset=1.5,
+    )
+    bundle = orch.build_problem(cfg)
+    W = rngmod.stream(seed, 97).standard_normal((T, dim)) * np.geomspace(1e-3, 50.0, T)[:, None]
+    got = global_losses(bundle.A, bundle.b, bundle.p, W)
+    assert got.shape == (T,)
+    for w, loss in zip(W, got.tolist()):
+        assert loss.hex() == global_loss(bundle.A, bundle.b, bundle.p, w).hex()
+
+
+@pytest.mark.parametrize("mode", ["fedavg", "msp", "mspdq"])
+def test_metrics_pass_matches_per_round_formulas(mode):
+    # rounds == n_clients: the trajectory stack has the per-client shape
+    cfg = small_config(mode, seed=3, rounds=6)
+    assert cfg.rounds == cfg.n_clients
+    bundle = orch.build_problem(cfg)
+    result = orch.run(cfg, bundle)
+    pc = bundle.constants
+    for m, w in zip(result.metrics, result.trajectory[1:]):
+        assert type(m.gap) is float and type(m.dist2) is float
+        assert m.gap.hex() == (global_loss(bundle.A, bundle.b, bundle.p, w) - pc.F_star).hex()
+        assert m.dist2.hex() == float(np.sum((w - pc.w_star) ** 2)).hex()
 
 
 def test_problem_bundle_stacks_are_read_only_and_need_one_dataset_shape():
@@ -453,7 +491,8 @@ def test_desk_metrics_match_golden_hash(mode):
 
 # SHA-256 of metrics_to_csv and of trajectory.tobytes() for T=30 desk runs
 # that the four modes above leave out: other quantization levels, the
-# harmonic rule in the quantized mode, and ragged Laplace splits.
+# harmonic rule in the quantized mode, Laplace splits, m = 3 uniform
+# splits and m = 2 midpoint splits.
 GOLDEN_DESK_T30_VARIANTS = {
     "mspdq_level16": (
         "mspdq", {"level": 16},
@@ -474,6 +513,16 @@ GOLDEN_DESK_T30_VARIANTS = {
         "msp", {"split_m": 2, "split_variant": "laplace", "gamma_max": 0.15},
         "1dfe650180dd1bbf73ebc7c5369eea34f1039e53a52c23aab74ad9c026add5fd",
         "1b72d4706e873f23072c698a793687c52703767bf8195106e5f61bd077ebdc4a",
+    ),
+    "msp_m3_uniform": (
+        "msp", {"split_m": 3, "gamma_max": 0.1},
+        "b47f06444bf06a9234b8ca38699471e39497f845a6c48f7d4868b33216bb8fea",
+        "5ab82c51e629b333e7b6e5f9754bf9b7e2a5d32e5aa8d590ee224acdc2c6aaac",
+    ),
+    "msp_midpoint_m2": (
+        "msp", {"split_m": 2, "split_variant": "midpoint", "gamma_max": 0.15},
+        "3c4c105127c9fdb893e42f3c57c67aa5ed3df40dd74739c436f52908eb28ed05",
+        "9919242e17a32b365f6f24aad9269df2cbe5b9117d37f7e944459004eec1df15",
     ),
 }
 

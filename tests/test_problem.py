@@ -10,6 +10,7 @@ from fedsplit import orchestrator as orch
 from fedsplit import rng as rngmod
 from fedsplit.errors import ConfigError
 from fedsplit.problem import (
+    batch_target_means,
     global_loss,
     global_optimum,
     gradient_norm_bound,
@@ -23,8 +24,10 @@ from fedsplit.problem import (
 
 
 def one_client_gradient(A, targets, i, w, batch):
-    """stochastic_gradient on the u = 1 stack of client i."""
-    return stochastic_gradient(A[i : i + 1], targets[i : i + 1], w[None], np.asarray(batch)[None])[0]
+    """stochastic_gradient on the u = 1 stack of client i, at the mean
+    target of one batch."""
+    y_mean = batch_target_means(targets, np.array([i]), np.asarray(batch)[None, None])[0]
+    return stochastic_gradient(A[i : i + 1], w[None], y_mean)[0]
 
 
 def uniform(n):

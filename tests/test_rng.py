@@ -81,6 +81,14 @@ def test_negative_or_oversized_keys_raise(seed, key):
         rngmod.seed_words(seed, *key)
 
 
+@pytest.mark.parametrize("seed, key", [(-1, ()), (0, (-3,)), (0.5, ()), (0, (2, 1.5)), (0, ("7",))])
+def test_stream_rejects_negative_or_non_integer_entries(seed, key):
+    with pytest.raises(ConfigError, match="nonnegative integers"):
+        rngmod.stream(seed, *key)
+    with pytest.raises(ConfigError, match="nonnegative integers"):
+        rngmod.seed_words(seed, *key)
+
+
 @given(seed=SEEDS, K=st.integers(1, 30), M=st.integers(1, 8), d=st.integers(1, 12))
 def test_one_phase_draw_reads_the_doubles_of_per_round_draws(seed, K, M, d):
     # a quantized consensus phase draws its (K, M, d) uniforms at once; this

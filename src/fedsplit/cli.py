@@ -1,14 +1,15 @@
 """Command-line surface: run experiments, validate configs, audit privacy,
 and export plot data.
 
-Exit codes: 0 success, 2 configuration/validation failure, 3 invariant
-violation or failed audit check.  All outputs are a pure function of
-(config, seeds); files are written atomically.  `run` executes its jobs one
-after another; a sweep point whose run breaks a protocol invariant is listed
-with its error in the manifest, the other runs are still written, and the
-command then exits 3.  The manifest groups runs by sweep point (the run id
-without its seed), each with its own config and theorem constants, which
-`report` uses for that group's bound curve.
+Exit codes: 0 success, 2 configuration/validation failure or an output
+that cannot be written, 3 invariant violation or failed audit check.  All
+outputs are a pure function of (config, seeds); files are written
+atomically.  `run` executes its jobs one after another; a sweep point whose
+run breaks a protocol invariant is listed with its error in the manifest,
+the other runs are still written, and the command then exits 3.  The
+manifest groups runs by sweep point (the run id without its seed), each with
+its own config and theorem constants, which `report` uses for that group's
+bound curve.
 """
 
 from __future__ import annotations
@@ -33,9 +34,25 @@ EXIT_INTEGRITY = 3
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    """Write through a temporary sibling, making the directories above; an
+    OSError is a ConfigError that names the path."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
+def _out_dir(spec: str) -> Path:
+    """The --out directory, refused before any work when it or a directory
+    above it exists as something else."""
+    out = Path(spec)
+    for path in (out, *out.parents):
+        if path.exists() and not path.is_dir():
+            raise ConfigError(f"--out {spec}: {path} exists and is not a directory")
+    return out
 
 
 def _parse_seeds(spec: str) -> list[int]:
@@ -128,6 +145,7 @@ def _parse_floats(flag: str, spec: str) -> tuple[float, ...]:
 def cmd_run(args) -> int:
     """Every sweep point is validated and its problem built before anything
     is written, so a bad point exits 2 with an empty --out."""
+    out_dir = _out_dir(args.out)
     doc = _load_config(args.config, args.mode)
     axes = _parse_sweep(args.sweep)
     seeds = _parse_seeds(args.seeds)
@@ -152,8 +170,6 @@ def cmd_run(args) -> int:
                 )
                 raise ConfigError(f"sweep axis {names} lists values that give one config")
         done.append((point, cfg))
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     groups: dict[str, dict] = {}
     failed = []
@@ -166,7 +182,6 @@ def cmd_run(args) -> int:
             failed.append({"run": run_id, "point": point, "error": str(exc)})
             continue
         run_dir = out_dir / run_id
-        run_dir.mkdir(parents=True, exist_ok=True)
         _atomic_write(run_dir / "metrics.csv", orch.metrics_to_csv(result.metrics))
         _atomic_write(
             run_dir / "summary.json",
@@ -209,6 +224,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    out = _out_dir(args.out)
     e_mags = _parse_floats("--e-mags", args.e_mags) if args.e_mags else privacy_audit.DEFAULT_E_MAGNITUDES
     if max(map(abs, e_mags)) > privacy_audit.MAX_E_MAGNITUDE:
         raise ConfigError(
@@ -229,8 +245,6 @@ def cmd_audit(args) -> int:
         )
         reports.append({"seed": seed, **report})
         ok &= report["pass"]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _atomic_write(out / "audit.json", privacy_audit.report_to_json(reports))
     print(f"audit {'passed' if ok else 'FAILED'}; report at {out / 'audit.json'}")
     return EXIT_OK if ok else EXIT_INTEGRITY
@@ -282,6 +296,7 @@ def _read_group(run_dir: Path, gid: str, group) -> tuple:
 def cmd_report(args) -> int:
     """Every group and metrics file is read before anything is written, so a
     damaged run dir exits 2 with no output."""
+    out = _out_dir(args.out) if args.out else None
     run_dir = Path(args.run_dir)
     rhos = _parse_floats("--rho", args.rho)
     if min(rhos) <= 0:
@@ -302,8 +317,7 @@ def cmd_report(args) -> int:
             f"({len(failed) if isinstance(failed, list) else 0} under 'failed')"
         )
     groups = {gid: _read_group(run_dir, gid, group) for gid, group in groups.items()}
-    out = Path(args.out) if args.out else run_dir
-    out.mkdir(parents=True, exist_ok=True)
+    out = out or run_dir
     all_within = True
     complexity = []
     for gid, (cfg, constants, runs) in groups.items():

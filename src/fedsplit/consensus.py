@@ -48,8 +48,8 @@ class RoundState:
     """Cohort state at one communication round.
 
     visible: (M, d); invisible: (M, m_max, d) zero-padded past each client's
-    own invisible count (a bound plain workspace also takes a leading seed
-    axis on both); global_model is the aggregation that produced this round
+    own invisible count (a bound plain workspace also takes a leading axis
+    on both); global_model is the aggregation that produced this round
     (mean visible for plain rounds, mean quantized upload otherwise).  A
     state with quantized uploads and their level starts a quantized phase,
     one without them a plain phase; a phase aggregates its own round zero,
@@ -142,7 +142,8 @@ class _Workspace(RoundState):
 
     run_consensus binds one per phase as its working state, with `rows`
     preallocated step-weight rows broadcast to the invisible shape; the
-    round operators advance nothing else.
+    round operators advance nothing else.  spectral.contraction_probe binds
+    a plain one over the unit states and calls its step directly.
     """
 
     def __init__(self, state: RoundState, epsilon: float, rows: int = 0):
@@ -193,9 +194,10 @@ def msp_round(state: RoundState, weights_k: np.ndarray) -> RoundState:
 
     Advances run_consensus's plain working state in place, with the epsilon
     it was bound with, and returns it; `weights_k` broadcasts to the
-    invisible shape.  A leading seed axis on the state (and optionally the
-    weights) batches seeds, each bitwise equal to its own round.  Any other
-    state raises ConfigError.
+    invisible shape.  Any other state raises ConfigError.  The kernel also
+    takes a leading axis on the state (and optionally the weights), each row
+    bitwise its own round: contraction_probe and the tests' one_round bind
+    one directly, since run_consensus's weight-row copyto fails on it.
     """
     if type(state) is _Workspace and state.quantized is None:
         state.step(weights_k)

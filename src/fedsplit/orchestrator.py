@@ -578,7 +578,7 @@ def theorem_constants(
         u = build_U(config.cohort, config.epsilon)
         out["lambda2_U"] = lambda2_U(u)
         out["lambda_min_U"] = lambda_min_U(u)
-        devs, measured = contraction_probe(u, _step_weights(config), consensus_rounds(config, pc, config.rounds))
+        devs, measured = contraction_probe(config.epsilon, _step_weights(config), consensus_rounds(config, pc, config.rounds))
         C = fit_contraction_constant(devs, config.lambda_)
         out["C"] = C
         out["measured_contraction"] = measured

@@ -1,9 +1,12 @@
-"""Interaction matrices for the splitting dynamics.
+"""Mixing, step weights and contraction of the splitting dynamics.
 
 U is the epsilon-parameterized doubly stochastic mixing matrix over the M
-selected clients; P[k] couples visible and invisible submodels in a
-(1+m)M x (1+m)M block matrix; Phi(k,0) is the ordered product whose
-contraction toward the rank-one averaging matrix gates every schedule.
+selected clients; its smallest eigenvalue caps the step weights a_{i,n}[k]
+that couple each visible submodel with its invisible ones.  Phi(k,0) is the
+linear map of plain rounds 0..k on the (1+m)M submodels, whose contraction
+toward the rank-one averaging matrix gates every schedule.  The probe
+measures it on the consensus round kernel itself, so the update law has one
+copy in the package; the tests hold its block-matrix form as the oracle.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .consensus import RoundState, _Workspace
 from .errors import ConfigError, ScheduleValidationError
 
 
@@ -37,10 +41,6 @@ class StepWeights:
         if self.rule not in ("constant", "harmonic", "inv_sqrt"):
             raise ScheduleValidationError(f"unknown weight_rule {self.rule!r}; expected constant, harmonic or inv_sqrt")
         object.__setattr__(self, "gamma", g)
-
-    @property
-    def m(self) -> int:
-        return self.gamma.shape[1]
 
     def at(self, k: int) -> np.ndarray:
         if self.rule == "constant":
@@ -101,51 +101,25 @@ def check_step_weight_budget(total: float, u: np.ndarray, what: str) -> None:
         )
 
 
-def build_P(u: np.ndarray, weights_k: np.ndarray, m: int) -> np.ndarray:
-    """Block transition matrix at one round.
-
-    Layout: first M rows are visible submodels, then m blocks of M invisible
-    rows; block (0,n) and (n,0) carry A_n = diag(a_{i,n}), block (n,n) is
-    I - A_n, and the top-left block is U - sum_n A_n.
-    Raises when the step-weight sum condition fails (a = 0 is allowed).
-    """
-    M = len(u)
-    weights_k = np.atleast_2d(np.asarray(weights_k, dtype=np.float64))
-    if weights_k.shape != (M, m):
-        raise ConfigError(f"weights must have shape ({M}, {m})")
-    check_step_weight_budget(
-        float(np.sum(np.max(weights_k, axis=0))), u, "sum of max step weights"
-    )
-    n = (1 + m) * M
-    P = np.zeros((n, n))
-    A_sum = np.zeros((M, M))
-    for j in range(m):
-        A = np.diag(weights_k[:, j])
-        A_sum += A
-        P[0:M, (1 + j) * M : (2 + j) * M] = A
-        P[(1 + j) * M : (2 + j) * M, 0:M] = A
-        P[(1 + j) * M : (2 + j) * M, (1 + j) * M : (2 + j) * M] = np.eye(M) - A
-    P[0:M, 0:M] = u - A_sum
-    return P
-
-
-def phi_deviation(phi: np.ndarray) -> float:
-    """Max entrywise distance from the rank-one averaging matrix."""
-    n = phi.shape[0]
-    return float(np.max(np.abs(phi - 1.0 / n)))
-
-
-def contraction_probe(
-    u: np.ndarray, weights: StepWeights, horizon: int
-) -> tuple[np.ndarray, float]:
+def contraction_probe(epsilon: float, weights: StepWeights, horizon: int) -> tuple[np.ndarray, float]:
     """Deviation curve of Phi(k,0) for k = 0..horizon-1 and the fitted
-    per-step contraction factor over the probe."""
+    per-step contraction factor over the probe.
+
+    Phi's columns are the plain rounds' trajectories from the unit states:
+    one plain workspace (see consensus._Workspace) holds all n = (1+m)M of
+    them on its leading axis, visible first, then invisible slot by slot,
+    and its kernel advances them together.  dev(k) is the largest distance
+    of any submodel from the average 1/n after round k.
+    """
+    M, m = weights.gamma.shape
+    n = (1 + m) * M
+    basis = np.eye(n).reshape(n, 1 + m, M, 1)
+    unit = RoundState(basis[:, 0], basis[:, 1:].swapaxes(1, 2), np.full(M, m))
+    state = _Workspace(unit, epsilon)
     devs = np.empty(horizon)
-    phi = None
     for k, weights_k in enumerate(weights.table(horizon)):
-        P = build_P(u, weights_k, weights.m)
-        phi = P if phi is None else P @ phi
-        devs[k] = phi_deviation(phi)
+        state.step(weights_k[..., None])
+        devs[k] = max(np.abs(state.visible - 1.0 / n).max(), np.abs(state.invisible - 1.0 / n).max())
     if horizon >= 2 and devs[0] > 0 and devs[-1] > 0:
         factor = float((devs[-1] / devs[0]) ** (1.0 / (horizon - 1)))
     else:

@@ -19,6 +19,7 @@ from fedsplit.consensus import CONSERVATION_RTOL, ConsensusTrace, RoundState, ch
 from fedsplit.errors import ConfigError
 from fedsplit.quantizer import QuantizedVector
 from fedsplit.rng import left_sum
+from fedsplit.spectral import check_step_weight_budget
 from fedsplit.splitting import SplitRule, split_cohort
 
 MSP = "msp"
@@ -76,6 +77,41 @@ def distribution_mean_var(atoms: list[tuple[float, float]]) -> tuple[float, floa
 def values(quantized: QuantizedVector) -> np.ndarray:
     """The knob values of a quantized vector's indices."""
     return quantized.state.knob(quantized.indices)
+
+
+def build_P(u: np.ndarray, weights_k: np.ndarray, m: int) -> np.ndarray:
+    """Block transition matrix at one round, the matrix form of a plain
+    round that contraction_probe runs on the kernel.
+
+    Layout: first M rows are visible submodels, then m blocks of M invisible
+    rows; block (0,n) and (n,0) carry A_n = diag(a_{i,n}), block (n,n) is
+    I - A_n, and the top-left block is U - sum_n A_n.
+    Raises when the step-weight sum condition fails (a = 0 is allowed).
+    """
+    M = len(u)
+    weights_k = np.atleast_2d(np.asarray(weights_k, dtype=np.float64))
+    if weights_k.shape != (M, m):
+        raise ConfigError(f"weights must have shape ({M}, {m})")
+    check_step_weight_budget(
+        float(np.sum(np.max(weights_k, axis=0))), u, "sum of max step weights"
+    )
+    n = (1 + m) * M
+    P = np.zeros((n, n))
+    A_sum = np.zeros((M, M))
+    for j in range(m):
+        A = np.diag(weights_k[:, j])
+        A_sum += A
+        P[0:M, (1 + j) * M : (2 + j) * M] = A
+        P[(1 + j) * M : (2 + j) * M, 0:M] = A
+        P[(1 + j) * M : (2 + j) * M, (1 + j) * M : (2 + j) * M] = np.eye(M) - A
+    P[0:M, 0:M] = u - A_sum
+    return P
+
+
+def phi_deviation(phi: np.ndarray) -> float:
+    """Max entrywise distance from the rank-one averaging matrix."""
+    n = phi.shape[0]
+    return float(np.max(np.abs(phi - 1.0 / n)))
 
 
 def phi_product(mats: list[np.ndarray]) -> np.ndarray:

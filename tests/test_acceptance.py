@@ -393,7 +393,7 @@ def test_criterion_14_spectral_oracles():
         cap = lambda_min_U(u) / (1 + lambda_min_U(u))
         rule = ("constant", "harmonic")[trial % 2]
         weights = StepWeights(gamma=np.full((M, m), 0.8 * cap / m), rule=rule)
-        devs, _ = contraction_probe(u, weights, 40)
+        devs, _ = contraction_probe(eps, weights, 40)
         monotone &= bool(np.all(np.diff(devs) <= 1e-12))
     elapsed = time.monotonic() - t0
     report(

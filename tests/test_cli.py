@@ -13,6 +13,7 @@ import pytest
 
 from fedsplit import consensus
 from fedsplit import orchestrator as orch
+from fedsplit import privacy_audit
 from fedsplit.cli import main
 from fedsplit.errors import ProtocolIntegrityError
 from fedsplit.presets import desk_config
@@ -791,3 +792,33 @@ def test_report_on_a_damaged_run_dir_exits_2_naming_it(msp_config_path, tmp_path
     assert main(["report", "--run-dir", str(out)]) == 2
     assert named in capsys.readouterr().err
     assert not list(out.glob("gap_vs_t_*.csv"))
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below_a_file"])
+@pytest.mark.parametrize("command", ["run", "audit", "report"])
+def test_out_at_or_below_a_file_exits_2_before_any_work(msp_config_path, tmp_path, capsys, monkeypatch, command, below):
+    taken = tmp_path / "taken"
+    taken.write_text("a file")
+    out = taken / "sub" if below else taken
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before --out was checked")
+
+    monkeypatch.setattr(orch, "build_problem", no_work)
+    monkeypatch.setattr(privacy_audit, "run_audit", no_work)
+    argv = {
+        "run": ["run", "--config", str(msp_config_path), "--seeds", "0"],
+        "audit": ["audit", "--seeds", "0"],
+        # a run dir without a manifest: reading it first would exit 2 naming it
+        "report": ["report", "--run-dir", str(tmp_path)],
+    }[command]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert f"--out {out}: {taken} exists and is not a directory" in capsys.readouterr().err
+    assert taken.read_text() == "a file"
+
+
+def test_failed_write_exits_2_naming_the_path(msp_config_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "manifest.json").mkdir(parents=True)  # a directory where the manifest goes
+    assert main(["run", "--config", str(msp_config_path), "--seeds", "0", "--out", str(out)]) == 2
+    assert f"cannot write {out / 'manifest.json'}" in capsys.readouterr().err

@@ -30,7 +30,6 @@ from fedsplit.quantizer import (
 )
 from fedsplit.spectral import (
     StepWeights,
-    build_P,
     build_U,
     lambda2_U,
     lambda_min_U,
@@ -38,7 +37,17 @@ from fedsplit.spectral import (
 )
 from fedsplit.splitting import SplitRule
 
-from oracles import MSP, MSPDQ, check_conservation, cohort_state, consensus_target, one_round, phi_product, stream_split
+from oracles import (
+    MSP,
+    MSPDQ,
+    build_P,
+    check_conservation,
+    cohort_state,
+    consensus_target,
+    one_round,
+    phi_product,
+    stream_split,
+)
 
 
 def hand_state():

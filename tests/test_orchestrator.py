@@ -581,11 +581,11 @@ def test_run_refuses_a_bundle_built_for_another_problem():
 # SHA-256 of json.dumps(theorem_constants(...), sort_keys=True) on desk
 # bundles, the constants `fedsplit run` writes to manifest.json.
 GOLDEN_THEOREM_CONSTANTS = {
-    "msp": ({}, "611db196f1902f17ef2b5a6defc0c9dd643c1128a06b488cd634713c9f1afeab"),
-    "mspdq": ({}, "24a06d1a2da148b21bcabc10bf9552727e68c93ac7e6121f63ecb0de66bb274a"),
+    "msp": ({}, "28cea472db15eba129e5fced4f4c9171d09166a334a1d3ee00cecf0c1a9b6e88"),
+    "mspdq": ({}, "3047eb898afaaabbf1713f021037b0e2a587ef31cd871aab2c8f318e7506ad2b"),
     "msp_no_gamma_target": (
         {"gamma_target": None, "center_offset": 0.0},
-        "4e694fc7f7f384d700eb3abd7701c0dc1500e3e562e26358b48df2e9aceb6714",
+        "25e8e44305b04e248ec29ca204368d683d6ee4013c3507823cc62061f92ec761",
     ),
 }
 

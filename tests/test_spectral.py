@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,19 +11,22 @@ from hypothesis import strategies as st
 from fedsplit.errors import ConfigError, ScheduleValidationError
 from fedsplit.spectral import (
     StepWeights,
-    build_P,
     build_U,
     check_step_weight_budget,
     contraction_probe,
     fit_contraction_constant,
     lambda2_U,
     lambda_min_U,
-    phi_deviation,
+    step_weight_cap,
 )
 
-from oracles import phi_product
+from oracles import build_P, phi_deviation, phi_product
 
 PSD_TOL = 1e-10
+# The kernel and the block matrices round differently: over at most 40
+# rounds their O(1) entries differ by a few ulps of 1, so a deviation at
+# that floor compares absolutely.
+DEV_ATOL = 1e-14
 
 
 def is_doubly_stochastic(mat: np.ndarray, tol: float = 1e-10) -> bool:
@@ -185,8 +193,8 @@ def test_contraction_curves_constant_vs_harmonic():
     # frozen oracle values from direct product computation; the harmonic
     # schedule contracts polynomially, the constant one geometrically
     u = build_U(2, 0.5)
-    devs_h, _ = contraction_probe(u, StepWeights(gamma=np.full((2, 1), 0.2), rule="harmonic"), 31)
-    devs_c, _ = contraction_probe(u, StepWeights(gamma=np.full((2, 1), 0.2), rule="constant"), 61)
+    devs_h, _ = contraction_probe(0.5, StepWeights(gamma=np.full((2, 1), 0.2), rule="harmonic"), 31)
+    devs_c, _ = contraction_probe(0.5, StepWeights(gamma=np.full((2, 1), 0.2), rule="constant"), 61)
     assert devs_h[30] == pytest.approx(0.2743, abs=2e-3)
     assert devs_c[30] == pytest.approx(5.97e-3, rel=0.05)
     assert devs_c[60] <= 1e-3
@@ -204,15 +212,73 @@ def test_phi_deviation_monotone_for_valid_schedules():
         u = build_U(M, eps)
         cap = lambda_min_U(u) / (1 + lambda_min_U(u))
         weights = StepWeights(gamma=np.full((M, m), 0.85 * cap / m), rule=rule)
-        devs, _ = contraction_probe(u, weights, 40)
+        devs, _ = contraction_probe(eps, weights, 40)
         assert np.all(np.diff(devs) <= 1e-12)
         assert abs(phi_deviation(np.full((4, 4), 0.25))) == 0.0
+
+
+@given(
+    M=st.integers(1, 5),
+    m=st.integers(1, 3),
+    eps_frac=st.floats(0.01, 0.99),
+    budget=st.floats(0.0, 0.99),
+    rule=st.sampled_from(["constant", "harmonic", "inv_sqrt"]),
+    horizon=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+)
+def test_contraction_probe_matches_block_matrix_oracle(M, m, eps_frac, budget, rule, horizon, seed):
+    # the probe runs the round kernel on the unit states; the oracle
+    # multiplies build_P's block transitions
+    eps = eps_frac * (M / (M - 1) if M > 1 else 2.0)
+    u = build_U(M, eps)
+    gamma = np.random.default_rng(seed).uniform(0.1, 1.0, size=(M, m))
+    gamma *= budget * step_weight_cap(u) / gamma.max(axis=0).sum()
+    weights = StepWeights(gamma=gamma, rule=rule)
+    devs, factor = contraction_probe(eps, weights, horizon)
+    mats = [build_P(u, weights.at(k), m) for k in range(horizon)]
+    expected = np.array([phi_deviation(phi_product(mats[: k + 1])) for k in range(horizon)])
+    np.testing.assert_allclose(devs, expected, rtol=1e-12, atol=DEV_ATOL)
+    if horizon >= 2 and expected[-1] > DEV_ATOL:
+        # the factor inherits the deviations' error, relative to each end
+        rel = 1e-12 + (DEV_ATOL / expected[0] + DEV_ATOL / expected[-1]) / (horizon - 1)
+        assert factor == pytest.approx((expected[-1] / expected[0]) ** (1.0 / (horizon - 1)), rel=rel)
+    elif horizon == 1:
+        assert factor == 0.0
+
+
+PROBE_CHILD = """
+import sys
+import numpy as np
+from fedsplit.presets import desk_config
+from fedsplit.spectral import StepWeights, contraction_probe
+# the desk horizons K_T at T = 500
+for mode, horizon in (("msp", 35), ("mspdq", 130)):
+    cfg = desk_config(mode, 0)
+    weights = StepWeights(np.full((cfg.cohort, cfg.split_m), cfg.gamma_max), cfg.weight_rule)
+    sys.stdout.write(contraction_probe(cfg.epsilon, weights, horizon)[0].tobytes().hex() + "\\n")
+"""
+
+
+def test_contraction_probe_bits_do_not_depend_on_the_blas_kernel():
+    # OpenBLAS picks its kernel from the CPU unless OPENBLAS_CORETYPE names
+    # one; each child sets it for itself alone
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outputs = {}
+    for coretype in (None, "Haswell", "Sandybridge", "Prescott"):
+        child_env = env if coretype is None else {**env, "OPENBLAS_CORETYPE": coretype}
+        outputs[coretype] = subprocess.run(
+            [sys.executable, "-c", PROBE_CHILD], env=child_env, check=True, capture_output=True, text=True, timeout=120
+        ).stdout
+    assert len(outputs[None].split()) == 2
+    assert set(outputs.values()) == {outputs[None]}
 
 
 def test_fit_contraction_constant_covers_curve():
     u = build_U(4, 0.6)
     weights = StepWeights(gamma=np.full((4, 1), 0.2), rule="constant")
-    devs, measured = contraction_probe(u, weights, 50)
+    devs, measured = contraction_probe(0.6, weights, 50)
     lam = max(0.9, measured + 0.02)
     C = fit_contraction_constant(devs, lam)
     ks = np.arange(1, 51)

@@ -114,11 +114,11 @@ def check_conserved(total0: np.ndarray, total: np.ndarray, rtol: float = CONSERV
 
 
 class _Workspace(RoundState):
-    """A copy of a state that its kernel `step` advances in place.
+    """A working state that its kernel `step` advances in place.
 
     A state with quantized uploads binds a quantized workspace, any other a
     plain one.  step(weights) runs one plain round, step(weights, width,
-    uniforms) one quantized round, on the copy:
+    uniforms) one quantized round, on the workspace's own arrays:
 
         vis <- vis + epsilon (global - ref_i) + sum_n a_n (inv_n - vis)
         inv <- inv + a (vis - inv)
@@ -129,35 +129,60 @@ class _Workspace(RoundState):
     over each client's box of the given width centred on its last upload
     (the quantizer's bound knob law), into the uploads.  Both aggregate:
     global = the mean over clients of ref, np.add.reduce over the client
-    axis divided by M, bitwise ref.mean(axis=-2); the bind aggregates the
-    copy's own round zero the same way, whatever global the state carried.
+    axis divided by M, bitwise ref.mean(axis=-2).
+
+    load(state) arms the workspace for a phase: it copies the state's
+    visibles, invisibles and uploads in and aggregates their round zero the
+    same way, whatever global the state carried.  A bind allocates for the
+    state's shapes and mode, then loads it: one arming path.
 
     step is one closure bound once over every operand as a local: the
     arrays and their broadcast views, the epsilon, client count and
     half-width as 0-d arrays, and scratch for every intermediate, so every
-    ufunc writes `out=` into contiguous same-shape operands.  The flow
+    ufunc but the invisible flow's at m > 1 writes `out=` into contiguous
+    same-shape or 0-d operands; the drift reads a per-client copy of the
+    global, refreshed after each aggregate, not a broadcast row.  The flow
     a (inv - vis) enters the visible and leaves the invisible, so inv - flow
     is bitwise inv + a (vis - inv); every input is read before it is
     written; one invisible row (the desk shape) is its own flow sum.
 
-    run_consensus binds one per phase as its working state, with `rows`
-    preallocated step-weight rows broadcast to the invisible shape; the
-    round operators advance nothing else.  spectral.contraction_probe binds
-    a plain one over the unit states and calls its step directly.
+    Bound over a (K, M, m) step-weight table, it also holds `block`, the
+    rounds per block of a phase (all K when recording, else as many as
+    BLOCK_BYTES allows), one block of weight rows broadcast to the
+    invisible shape (`weight_block`), and in quantized mode each round's
+    largest first-slot weight `a_max`.  run_consensus binds one per phase
+    unless given a run's workspace, bound over the run's whole table.
+    spectral.contraction_probe binds a plain one with no table and calls
+    its step directly.
     """
 
-    def __init__(self, state: RoundState, epsilon: float, rows: int = 0):
+    def __init__(self, state: RoundState, epsilon: float, weights=None, record: bool = True):
         quantized = state.quantized is not None
         if quantized and state.level is None:
             raise ConfigError("state has quantized uploads but no level")
-        vis = state.visible
+        vis, inv = state.visible, state.invisible
         super().__init__(
-            vis.copy(), state.invisible.copy(), state.m_counts, np.empty(vis.shape[:-2] + vis.shape[-1:]),
-            state.quantized.copy() if quantized else None, state.level if quantized else None,
+            np.empty(vis.shape), np.empty(inv.shape), state.m_counts, np.empty(vis.shape[:-2] + vis.shape[-1:]),
+            np.empty(vis.shape) if quantized else None, state.level if quantized else None,
         )
-        self.weight_rows = np.empty((rows,) + self.invisible.shape)
+        self.epsilon = epsilon
         vis, inv, glob, q = self.visible, self.invisible, self.global_model, self.quantized
+        if weights is not None:
+            self.table = np.asarray(weights)
+            K = len(self.table)
+            self.block = K
+            if not record:
+                # a round's weight row, and with quantization its visible, upload and uniforms
+                row_bytes = inv.nbytes + (3 * vis.nbytes if quantized else 0)
+                self.block = max(1, min(K, BLOCK_BYTES // row_bytes))
+            self.weight_rows = np.empty((self.block,) + inv.shape)
+            self.row_views = list(self.weight_rows)  # a list index is cheaper than an array's, per round
+            self.rows_start = -1  # the table row that weight_rows[0] holds
+            if quantized:
+                self.a_max = np.maximum.reduce(self.table[:, :, 0], axis=1)
+                self.a_maxes = self.a_max.tolist()  # Python floats: the per-round product with pi_t is cheaper
         vis_b, glob_b = vis[..., None, :], glob[..., None, :]
+        glob_m = np.empty_like(vis)  # the global, one row per client
         eps, count, half = np.array(float(epsilon)), np.array(float(vis.shape[-2])), np.array(0.0)
         flow, drift = np.empty_like(inv), np.empty_like(vis)
         sum_rows = inv.shape[-2] != 1
@@ -166,7 +191,8 @@ class _Workspace(RoundState):
         if quantized:
             lo, hi = np.empty_like(vis), np.empty_like(vis)
             round_ = _knob_law(self.level, vis)[1]
-        # numpy's functions as closure locals, as in quantizer._knob_law
+        # numpy's functions as closure locals, as in quantizer._knob_law; a
+        # slice assignment copies for half what np.copyto costs
         add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
         add_reduce = add.reduce
 
@@ -174,7 +200,7 @@ class _Workspace(RoundState):
             subtract(inv, vis_b, flow)
             multiply(weights, flow, flow)
             subtract(inv, flow, inv)
-            subtract(glob_b, ref, drift)
+            subtract(glob_m, ref, drift)
             multiply(eps, drift, drift)
             add(vis, drift, drift)
             if sum_rows:
@@ -183,10 +209,31 @@ class _Workspace(RoundState):
             if quantized:
                 half[()] = 0.5 * width
                 round_(vis, subtract(q, half, lo), add(q, half, hi), uniforms, q)
-            divide(add_reduce(ref, axis=-2, out=glob), count, glob)
+            divide(add_reduce(ref, axis=-2, out=glob), count, glob)  # the aggregate, as in load
+            glob_m[...] = glob_b
 
-        divide(add_reduce(ref, axis=-2, out=glob), count, glob)  # round zero's aggregate
+        def load(state: RoundState) -> None:
+            vis[...] = state.visible
+            inv[...] = state.invisible
+            if quantized:
+                q[...] = state.quantized
+            self.m_counts = state.m_counts
+            divide(add_reduce(ref, axis=-2, out=glob), count, glob)  # round zero's aggregate
+            glob_m[...] = glob_b
+
         self.step = step
+        self.load = load
+        load(state)
+
+    def weight_block(self, start: int) -> list:
+        """Views of the broadcast weight rows of the block of rounds from
+        table row `start`; copied from the table only when they are not
+        already held."""
+        if start != self.rows_start:
+            b = min(self.block, len(self.table) - start)
+            self.weight_rows[:b] = self.table[start : start + b, ..., None]
+            self.rows_start = start
+        return self.row_views
 
 
 def msp_round(state: RoundState, weights_k: np.ndarray) -> RoundState:
@@ -197,7 +244,7 @@ def msp_round(state: RoundState, weights_k: np.ndarray) -> RoundState:
     invisible shape.  Any other state raises ConfigError.  The kernel also
     takes a leading axis on the state (and optionally the weights), each row
     bitwise its own round: contraction_probe and the tests' one_round bind
-    one directly, since run_consensus's weight-row copyto fails on it.
+    one directly, since run_consensus's weight-row copy fails on it.
     """
     if type(state) is _Workspace and state.quantized is None:
         state.step(weights_k)
@@ -280,6 +327,7 @@ def run_consensus(
     lambda2_u: float | None = None,
     record: bool = True,
     wire_check: bool = False,
+    workspace: _Workspace | None = None,
 ):
     """Run one consensus phase of K = len(weights) rounds from `initial`.
 
@@ -289,25 +337,29 @@ def run_consensus(
     quantized uploads, and it aggregates round zero itself (see _Workspace).
 
     This is the one caller of the round operators.  Every round's operator
-    call rewrites one working state, a copy of `initial` (which stays
+    call rewrites one working state, loaded from `initial` (which stays
     unchanged), in place; after it, the phase copies into (rows, ...) stacks
     only the arrays a reader uses.  A recording phase keeps all four arrays
     for K+1 rows, which its ConsensusTrace wraps.  A non-recording quantized
     phase keeps the visibles and uploads its checks read; a non-recording
     plain phase keeps nothing.
 
-    The working state is a workspace bound once per phase: one kernel
-    closure over every operand of a round, with the constants and the
-    half-width as 0-d arrays (see _Workspace), and the step weights of a
-    block of rounds broadcast to the invisible shape.  On these small arrays
-    a round's cost is its numpy calls and their operands (README gives the
-    per-call costs), so the loop adds to each operator call only the beta
-    gap, pi_t and the row copies a reader uses.  The weight
-    rows count against BLOCK_BYTES in both modes, beside the visibles,
-    uploads and uniforms of a quantized phase: a non-recording phase runs in
-    blocks of at most that many bytes, so its memory does not grow with K,
-    and draws each block's uniforms in one call (PCG64 doubles are
-    unbuffered, so the blocks read what one (K, M, d) draw would).  A
+    The working state is a workspace (see _Workspace): one kernel closure
+    over every operand of a round, with the constants and the half-width as
+    0-d arrays, and the step weights of a block of rounds broadcast to the
+    invisible shape.  The phase binds one over `weights` unless given
+    `workspace`: a run's workspace, bound with this epsilon over a table
+    whose first K rows are `weights`, runs non-recording phases only; the
+    phase loads `initial` into it, and the final state's arrays are the
+    workspace's own until its next load.  On these
+    small arrays a round's cost is its numpy calls and their operands
+    (README gives the per-call costs), so the loop adds to each operator
+    call only the beta gap, pi_t and the row copies a reader uses.  The
+    weight rows count against BLOCK_BYTES in both modes, beside the
+    visibles, uploads and uniforms of a quantized phase: a non-recording
+    phase runs in blocks of at most that many bytes, so its memory does not
+    grow with K, and draws each block's uniforms in one call (PCG64 doubles
+    are unbuffered, so the blocks read what one (K, M, d) draw would).  A
     recording phase runs in one block.
 
     Returns (final_state, trace_or_None, summary) where summary carries the
@@ -327,17 +379,27 @@ def run_consensus(
     K = len(weights)
     if K < 1:
         raise ConfigError("need at least one communication round")
-    quantized = initial.quantized is not None
-    B = K  # rounds per block
-    if not record:
-        # a round's weight row, and with quantization its visible, upload and uniforms
-        row_bytes = initial.invisible.nbytes + (3 * initial.visible.nbytes if quantized else 0)
-        B = max(1, min(K, BLOCK_BYTES // row_bytes))
-    # the working state: a copy of `initial` that every round rewrites in place
-    state = _Workspace(initial, epsilon, rows=B)
+    if workspace is None:
+        state = _Workspace(initial, epsilon, weights, record)
+    elif (
+        record
+        or epsilon != workspace.epsilon
+        or K > len(workspace.table)
+        or initial.visible.shape != workspace.visible.shape
+        or initial.invisible.shape != workspace.invisible.shape
+        or (initial.quantized is None) != (workspace.quantized is None)
+        or (workspace.quantized is not None and initial.level != workspace.level)
+    ):
+        raise ConfigError(
+            "a run's workspace runs only non-recording phases of its own epsilon, table, shapes, mode and level"
+        )
+    else:
+        state = workspace
+        state.load(initial)
+    quantized = state.quantized is not None
     if quantized and (rng is None or lambda2_u is None):
         raise ConfigError("quantized mode needs an rng and lambda2(U)")
-    table = np.asarray(weights)
+    B = min(state.block, K)  # rounds per block
     kept = ()  # the arrays whose rows a reader uses
     if record:
         kept = (state.visible, state.invisible, state.global_model) + ((state.quantized,) if quantized else ())
@@ -353,8 +415,7 @@ def run_consensus(
         gap = np.empty_like(vis)
         gap_flat = gap.reshape(-1)
         subtract = np.subtract  # a local, as in the kernel
-        a_max = np.maximum.reduce(table[:, :, 0], axis=1)
-        a_maxes = a_max.tolist()  # Python floats: the per-round product with pi_t is cheaper
+        a_max, a_maxes = state.a_max[:K], state.a_maxes
         pis, widths, delta_max, box_end_max = np.empty(K), np.empty(K), np.empty(K), np.empty(K)
     w_tilde = 0.0
     # collapsed knobs divide by zero in the rounding kernel (see round_to_knobs),
@@ -363,8 +424,7 @@ def run_consensus(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore") if quantized else np.errstate():
         for start in range(0, K, B):
             b = min(B, K - start)
-            rows = state.weight_rows[:b]
-            np.copyto(rows, table[start : start + b, ..., None])
+            rows = state.weight_block(start)
             for stack, a in copies:
                 stack[0] = a
             if quantized:
@@ -385,7 +445,7 @@ def run_consensus(
                 span = slice(start, start + b)
                 widths[span] = pis[span] * a_max[span]  # the rounds' own products
                 delta_max[span], box_end_max[span] = _check_quantized_rounds(
-                    start, stacks[0][: b + 1], stacks[-1][: b + 1], uniforms, widths[span], initial.level, wire_check
+                    start, stacks[0][: b + 1], stacks[-1][: b + 1], uniforms, widths[span], state.level, wire_check
                 )
     final = RoundState(state.visible, state.invisible, state.m_counts, state.global_model, state.quantized, state.level)
     trace = None
@@ -396,13 +456,13 @@ def run_consensus(
             visibles=stacks[0],
             invisibles=stacks[1],
             globals_=stacks[2],
-            weights=table.copy(),
+            weights=state.table.copy(),
             quantized=stacks[3] if quantized else None,
             pis=pis if quantized else None,
         )
     summary = {"delta_max": 0.0, "bound_margin_min": float("inf"), "w_tilde_max": 0.0, "max_width": 0.0}
     if quantized:
-        bound = dynamic_error_bound(pis, initial.level, a_max, initial.d)
+        bound = dynamic_error_bound(pis, state.level, a_max, initial.d)
         limit = bound + knob_rounding_allowance(box_end_max, initial.d)
         within = delta_max <= limit
         if not np.logical_and.reduce(within):

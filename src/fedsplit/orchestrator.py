@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rngmod
-from .consensus import RoundState, run_consensus
+from .consensus import RoundState, _Workspace, run_consensus
 from .errors import ConfigError, ProtocolIntegrityError
 from .problem import (
     ProblemBundle,
@@ -52,6 +52,9 @@ SCALE_MAX = 1e20
 # Most consensus rounds one learning round may run: the step-weight table is
 # a (K_T, M, m) array.
 MAX_CONSENSUS_ROUNDS = 2**20
+# Most bytes the task's float64 stacks may take: A holds n_clients dim^2
+# values and targets n_clients n_samples dim.
+MAX_TASK_BYTES = 2**30
 
 
 @dataclass
@@ -113,6 +116,12 @@ class FLConfig:
                 raise ConfigError(f"{name} must be nonnegative, got {getattr(self, name)}")
         if not 1 <= self.batch_size <= self.n_samples:
             raise ConfigError("batch_size must lie in [1, n_samples]")
+        # Python ints: no size overflows before it is compared
+        if 8 * self.n_clients * self.dim * (self.dim + self.n_samples) > MAX_TASK_BYTES:
+            raise ConfigError(
+                f"dim={self.dim}, n_clients={self.n_clients} and n_samples={self.n_samples} give task stacks of "
+                f"n_clients * dim * (dim + n_samples) float64 values, over the size envelope of {MAX_TASK_BYTES} bytes"
+            )
         if not self.ball_radius > 0:
             raise ConfigError(f"ball_radius must be positive, got {self.ball_radius}")
         for name in (
@@ -505,6 +514,7 @@ def run(config: FLConfig, bundle: ProblemBundle | None = None) -> RunResult:
     w = np.zeros(config.dim)
     traj = [w.copy()]
     rows = []
+    workspace = None  # the run's consensus workspace, bound over the first split
     w_tilde_run = 0.0
     for t, streams in enumerate(_round_streams(config, bundle.p), start=1):
         eta = lr_schedule(t, pc.mu, vt)
@@ -520,6 +530,8 @@ def run(config: FLConfig, bundle: ProblemBundle | None = None) -> RunResult:
             state = RoundState(visible, invisible, m_counts)
             if quantized:
                 snap_initial_upload(state, w, q0_width, config.level)
+            if workspace is None:
+                workspace = _Workspace(state, config.epsilon, weight_table, record=False)
             final, _, summary = run_consensus(
                 state,
                 config.epsilon,
@@ -528,12 +540,13 @@ def run(config: FLConfig, bundle: ProblemBundle | None = None) -> RunResult:
                 lambda2_u=lam2,
                 record=False,
                 wire_check=quantized and t <= 2,
+                workspace=workspace,
             )
             w_tilde_run = max(w_tilde_run, summary["w_tilde_max"])
-            w = final.global_model
+            w = final.global_model.copy()  # the workspace's global, rewritten by the next phase
         _check_ball(w, pc.w_star, config.ball_radius, "global model")
         rows.append((t, kt, config.cohort * (kt + 1), summary["max_width"], summary["delta_max"]))
-        traj.append(w.copy())
+        traj.append(w)
     traj = np.stack(traj)
     # the model-independent metrics of every round, in one pass
     gaps = (global_losses(bundle.A, bundle.b, bundle.p, traj[1:]) - pc.F_star).tolist()

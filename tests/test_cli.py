@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -666,6 +667,27 @@ def test_oversized_level_exits_2(config_path, tmp_path, capsys, level):
     assert not out.exists()
     assert main(["validate", "--config", str(tmp_path / "edited.json")]) == 2
     assert "level" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dim", [10**6, 2**63])
+def test_oversized_task_exits_2_naming_dim_before_allocating(tmp_path, capsys, dim):
+    # 10**6 asked numpy for 146 TiB of curvatures, and 2**63 for an array
+    # past its dimension limit
+    config = Path(__file__).resolve().parents[1] / "configs" / "desk_msp.json"
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps({**json.loads(config.read_text()), "dim": dim}))
+    out = tmp_path / "out"
+    tracemalloc.start()
+    try:
+        assert main(["validate", "--config", str(edited)]) == 2
+        assert "dim" in capsys.readouterr().err
+        assert main(["run", "--config", str(edited), "--seeds", "0", "--out", str(out)]) == 2
+        assert "dim" in capsys.readouterr().err
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mode", ["msp", "mspdq"])

@@ -727,6 +727,100 @@ def test_run_consensus_matches_reference_rounds_bitwise(M, m, d, K, rule, mode, 
 
 
 @given(
+    M=st.integers(2, 5),
+    m=st.integers(1, 3),
+    d=st.integers(1, 4),
+    ks=st.lists(st.integers(1, 12), min_size=2, max_size=5),
+    mode=st.sampled_from([MSP, MSPDQ]),
+    level=st.sampled_from([5, 16, 4096]),
+    block_bytes=st.sampled_from([None, 1, 600]),
+    seed=st.integers(0, 2**16),
+)
+def test_a_run_workspace_loaded_per_phase_matches_a_fresh_bind_per_phase(M, m, d, ks, mode, level, block_bytes, seed):
+    # orchestrator.run binds one workspace over its whole table and loads
+    # each phase's state into it; every phase must run what a fresh bind
+    # over its own prefix runs, also after a phase that raised partway
+    rng = rngmod.stream(seed, 34)
+    epsilon = float(rng.uniform(0.1, 0.9))
+    u = build_U(M, epsilon)
+    rule = "inv_sqrt" if mode == MSPDQ else "constant"
+    weights = StepWeights(gamma=rng.uniform(0.1, 1.0, size=(M, m)) * 0.9 * step_weight_cap(u) / m, rule=rule)
+    lam2 = lambda2_U(u)
+    ks = sorted(ks)
+    table = weights.table(ks[-1])
+    # in quantized mode, one phase before the last escapes its box partway
+    failing = seed % (len(ks) - 1) if mode == MSPDQ else -1
+    pis = []
+    real_pi_t = consensus.compute_pi_t
+
+    def phase_state(i):
+        draw = rngmod.stream(seed, 35, i)
+        w_prev = draw.standard_normal(d)
+        split = SplitRule("uniform", m=m, eps_split=0.3)
+        state = cohort_state([stream_split(w_prev + 0.5 * draw.standard_normal((1, d)), split, draw) for _ in range(M)])
+        if mode == MSPDQ:
+            snap_initial_upload(state, w_prev, q0_width=40.0, level=level)
+        return state
+
+    def phase(i, k, state, workspace):
+        def pi_t(*args):
+            pis.append(1e-6 if i == failing and len(pis) == k // 2 else real_pi_t(*args))
+            return pis[-1]
+
+        phase_rng = rngmod.stream(seed, 36, i)
+        pis.clear()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(consensus, "compute_pi_t", pi_t)
+            try:
+                fin, _, summary = run_consensus(
+                    state, epsilon, table[:k], rng=phase_rng, lambda2_u=lam2, record=False, workspace=workspace
+                )
+            except ProtocolIntegrityError as err:
+                fin, summary = None, str(err)
+        states = {name: getattr(fin, name) for name in ("visible", "invisible", "global_model", "quantized")} if fin else {}
+        # copies: a run workspace's final arrays are its own, rewritten by the next load
+        return {n: a if a is None else a.copy() for n, a in states.items()}, summary, list(pis), phase_rng.bit_generator.state
+
+    with pytest.MonkeyPatch.context() as patch:
+        if block_bytes is not None:
+            patch.setattr(consensus, "BLOCK_BYTES", block_bytes)
+        workspace = consensus._Workspace(phase_state(0), epsilon, table, record=False)
+        for i, k in enumerate(ks):
+            state = phase_state(i)
+            fresh, bound = phase(i, k, state, None), phase(i, k, state, workspace)
+            assert bound[1:] == fresh[1:]
+            assert bound[0].keys() == fresh[0].keys()
+            for name, value in fresh[0].items():
+                assert (value is None and bound[0][name] is None) or _same_bits(bound[0][name], value), name
+            if i == failing:
+                assert "escaped its shrunk interval" in bound[1]
+
+
+def test_a_run_workspace_refuses_a_phase_it_was_not_bound_for():
+    state, weights, lam2 = quantized_setup(level=16)
+    table = weights.table(6)
+    workspace = consensus._Workspace(state, 0.4, table, record=False)
+    plain = RoundState(state.visible, state.invisible, state.m_counts)
+    other_level = RoundState(state.visible, state.invisible, state.m_counts, None, state.quantized, 32)
+    wider = RoundState(*(np.concatenate([a, a]) for a in (state.visible, state.invisible, state.m_counts)),
+                       None, np.concatenate([state.quantized, state.quantized]), 16)
+    phase = dict(rng=rngmod.stream(1, 37), lambda2_u=lam2, record=False, workspace=workspace)
+    for initial, epsilon, rows, record in (
+        (state, 0.4, table, True),  # a recording phase
+        (state, 0.3, table, False),  # another epsilon
+        (state, 0.4, weights.table(7), False),  # more rounds than the table holds
+        (plain, 0.4, table, False),  # another mode
+        (other_level, 0.4, table, False),  # another level
+        (wider, 0.4, table, False),  # another cohort shape
+    ):
+        with pytest.raises(ConfigError):
+            run_consensus(initial, epsilon, rows, **{**phase, "record": record})
+    fin, _, summary = run_consensus(state, 0.4, table[:3], **phase)
+    want, _, want_summary = run_consensus(state, 0.4, table[:3], rng=rngmod.stream(1, 37), lambda2_u=lam2, record=False)
+    assert summary == want_summary and _same_bits(fin.quantized, want.quantized)
+
+
+@given(
     b=st.integers(1, 4),
     M=st.integers(1, 4),
     d=st.integers(1, 4),

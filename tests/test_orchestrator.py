@@ -392,6 +392,36 @@ def test_consensus_phase_that_leaks_mass_raises(monkeypatch, mode, name):
         orch.run(cfg)
 
 
+@pytest.mark.parametrize("mode", ["msp", "mspdq"])
+def test_a_run_calls_each_layer_once_per_unit_of_work(monkeypatch, mode):
+    # the counts perfbench's traced checks read, over one whole desk run:
+    # one round operator call per consensus round, one uncached pi_t per
+    # quantized round, one local SGD pass per learning round and E gradients
+    # per pass; each layer is looked up as a module global, so patching it
+    # counts every call
+    calls = {}
+    for module, name in (
+        (consensus, "msp_round"), (consensus, "mspdq_round"), (consensus, "compute_pi_t"),
+        (orch, "local_sgd"), (orch, "stochastic_gradient"),
+    ):
+        def counted(*args, _name=name, _real=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        calls[name] = 0
+        monkeypatch.setattr(module, name, counted)
+    cfg = desk_config(mode, 3, level=256, rounds=20)
+    kt_sum = sum(m.kt for m in orch.run(cfg).metrics)
+    quantized = mode == "mspdq"
+    assert calls == {
+        "msp_round": 0 if quantized else kt_sum,
+        "mspdq_round": kt_sum if quantized else 0,
+        "compute_pi_t": kt_sum if quantized else 0,
+        "local_sgd": cfg.rounds,
+        "stochastic_gradient": cfg.local_steps * cfg.rounds,
+    }
+
+
 def test_theorem_constants_formulas():
     assert orch.d3_formula(10, 0.2, 24.0, 4, 256) == pytest.approx(2.2145e-4, rel=1e-3)
     # (l - 1)^2 in the denominator for any level, not only powers of two

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from fedsplit import orchestrator as orch
@@ -156,6 +156,30 @@ def test_stochastic_gradient_rejects_empty_batch():
     targets = make_client_targets(A, b, 8, 1.0, seed=0)
     with pytest.raises(ConfigError):
         one_client_gradient(A, targets, 0, np.zeros(2), np.array([], dtype=int))
+
+
+@given(
+    n_clients=st.integers(1, 6),
+    n=st.integers(1, 9),
+    d=st.integers(1, 5),
+    E=st.integers(1, 3),
+    u=st.integers(1, 6),
+    s=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+@example(n_clients=3, n=4, d=2, E=2, u=3, s=1, seed=0)
+def test_batch_target_means_equals_the_advanced_index_gather(n_clients, n, d, E, u, s, seed):
+    # the flat take reads what the advanced index reads, duplicate clients
+    # and the last sample of the last client included
+    rng = rngmod.stream(seed, 97)
+    targets = rng.standard_normal((n_clients, n, d)) * 10.0 ** rng.integers(-3, 4, (n_clients, n, 1))
+    targets.flags.writeable = False  # as a bundle holds them
+    clients = rng.integers(0, n_clients, u)
+    clients[0] = clients[-1] = n_clients - 1
+    batches = rng.integers(0, n, (E, u, s))
+    batches[-1, 0, -1] = n - 1
+    want = np.add.reduce(targets[clients[:, None], batches], axis=-2) / s
+    assert bits(batch_target_means(targets, clients, batches)) == bits(want)
 
 
 def test_stochastic_gradient_monte_carlo_unbiased():

@@ -48,12 +48,13 @@ class RoundState:
     """Cohort state at one communication round.
 
     visible: (M, d); invisible: (M, m_max, d) zero-padded past each client's
-    own invisible count (a bound plain workspace also takes a leading axis
-    on both); global_model is the aggregation that produced this round
-    (mean visible for plain rounds, mean quantized upload otherwise).  A
-    state with quantized uploads and their level starts a quantized phase,
-    one without them a plain phase; a phase aggregates its own round zero,
-    so it never reads `initial.global_model`, which may stay None.
+    own invisible count (a plain workspace bound directly also takes a
+    leading axis on both, which run_consensus refuses); global_model is the
+    aggregation that produced this round (mean visible for plain rounds,
+    mean quantized upload otherwise).  A state with quantized uploads and
+    their level starts a quantized phase, one without them a plain phase; a
+    phase aggregates its own round zero, so it never reads
+    `initial.global_model`, which may stay None.
     """
 
     visible: np.ndarray
@@ -244,7 +245,8 @@ def msp_round(state: RoundState, weights_k: np.ndarray) -> RoundState:
     invisible shape.  Any other state raises ConfigError.  The kernel also
     takes a leading axis on the state (and optionally the weights), each row
     bitwise its own round: contraction_probe and the tests' one_round bind
-    one directly, since run_consensus's weight-row copy fails on it.
+    one directly.  run_consensus refuses such a state, since its copy of a
+    block of weight rows would line the block length up with that axis.
     """
     if type(state) is _Workspace and state.quantized is None:
         state.step(weights_k)
@@ -379,6 +381,13 @@ def run_consensus(
     K = len(weights)
     if K < 1:
         raise ConfigError("need at least one communication round")
+    # a leading axis on the state would line the weight block up with it
+    vis_shape, inv_shape, counts_shape = initial.visible.shape, initial.invisible.shape, np.shape(initial.m_counts)
+    if len(vis_shape) != 2 or len(inv_shape) != 3 or inv_shape[::2] != vis_shape or counts_shape != vis_shape[:1]:
+        raise ConfigError(
+            f"a phase runs an (M, d) visible, (M, m_max, d) invisible and M counts, got shapes "
+            f"{vis_shape}, {inv_shape} and {counts_shape}"
+        )
     if workspace is None:
         state = _Workspace(initial, epsilon, weights, record)
     elif (

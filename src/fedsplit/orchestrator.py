@@ -53,7 +53,8 @@ SCALE_MAX = 1e20
 # a (K_T, M, m) array.
 MAX_CONSENSUS_ROUNDS = 2**20
 # Most bytes the task's float64 stacks may take: A holds n_clients dim^2
-# values and targets n_clients n_samples dim.
+# values and targets n_clients n_samples dim.  In the split modes it also
+# bounds the cohort^2 mixing matrix plus the cohort split_m step weights.
 MAX_TASK_BYTES = 2**30
 
 
@@ -139,6 +140,11 @@ class FLConfig:
             for name in ("epsilon", "gamma_max", "lambda_"):
                 if getattr(self, name) is None:
                     raise ConfigError(f"mode {self.mode} needs {name}")
+            if 8 * self.cohort * (self.cohort + self.split_m) > MAX_TASK_BYTES:
+                raise ConfigError(
+                    f"cohort={self.cohort} and split_m={self.split_m} give a cohort * cohort mixing matrix and "
+                    f"cohort * split_m step weights in float64, over the size envelope of {MAX_TASK_BYTES} bytes"
+                )
             u = build_U(self.cohort, self.epsilon)
             if not 0 < self.lambda_ < 1:
                 raise ConfigError(f"lambda_ must lie in (0, 1), got {self.lambda_!r}")

@@ -12,7 +12,8 @@ invisible initial by (1+m_i)e; the replacement coupling weight is chosen so
 that invisible submodel lands back on its original trajectory after one
 round, which leaves a +(1+m_i)e excess in i's visible update; the round-zero
 drift weight i applies to the cooperating client j's visible is then scaled
-to remove exactly that excess.  Client j carries the opposite shift.  Every
+to remove exactly that excess.  Client j's side is the same algebra with the
+roles swapped and the shift negated, so one function builds both.  Every
 division is elementwise; near-zero denominators make the witness degenerate
 and the harness redraws.
 """
@@ -105,61 +106,46 @@ class EquivalenceWitness:
         return self.trace.origins[self.i] + self.e, self.trace.origins[self.j] - self.e
 
 
-def construct_witness(
-    trace: ConsensusTrace, i: int, j: int, e: np.ndarray
-) -> EquivalenceWitness:
-    """Build the alternative round-zero parameters for a +-e local shift."""
+def _witness_side(trace: ConsensusTrace, c: int, src: int, e: np.ndarray) -> tuple:
+    """Client c's side of the witness for a local shift e, against the
+    cooperating client src: c's absorbing-invisible index, that invisible
+    shifted by (1+m_c)e, and the coupling weight and the drift weight on
+    src's visible that cancel the shift (the originals at e == 0)."""
+    m = int(trace.m_counts[c])
+    n = m - 1
+    vis, vis_src = trace.visibles[0, c], trace.visibles[0, src]
+    inv0, a0 = trace.invisibles[0, c, n], trace.weights[0, c, n]
+    if not np.any(e):
+        return n, inv0.copy(), np.full_like(vis, a0), np.full_like(vis, 1.0 / trace.M)
+    inv = inv0 + (1 + m) * e
+    den_a = vis - inv
+    den_alpha = trace.epsilon * (vis_src - vis)
+    for name, den in (("coupling", den_a), ("drift", den_alpha)):
+        if np.min(np.abs(den)) < DEGENERATE_TOL:
+            raise WitnessDegenerateError(f"vanishing denominator in the {name} weight of client {c}")
+    a = (a0 * (vis - inv0) - (1 + m) * e) / den_a
+    alpha = (trace.epsilon / trace.M * (vis_src - vis) - (1 + m) * e) / den_alpha
+    return n, inv, a, alpha
+
+
+def construct_witness(trace: ConsensusTrace, i: int, j: int, e: np.ndarray) -> EquivalenceWitness:
+    """Build the alternative round-zero parameters for a +-e local shift:
+    client i's side for +e, and client j's, the same algebra, for -e."""
     if trace.quantized is not None:
         raise ConfigError("witness construction audits plain-mode transcripts")
     if trace.origins is None:
         raise ConfigError("witness construction needs the trace's pre-split origins")
     if i == j:
         raise ConfigError("need two distinct cohort slots")
-    M = trace.M
-    if not (0 <= i < M and 0 <= j < M):
+    if not (0 <= i < trace.M and 0 <= j < trace.M):
         raise ConfigError("slot out of range")
     e = np.asarray(e, dtype=np.float64)
-    m_i = int(trace.m_counts[i])
-    m_j = int(trace.m_counts[j])
-    p, q = m_i - 1, m_j - 1
-    vis_i = trace.visibles[0, i]
-    vis_j = trace.visibles[0, j]
-    inv_i0 = trace.invisibles[0, i, p]
-    inv_j0 = trace.invisibles[0, j, q]
-    if not np.any(e):
-        return EquivalenceWitness(
-            trace=trace, i=i, j=j, e=e, p=p, q=q,
-            inv_i=inv_i0.copy(), inv_j=inv_j0.copy(),
-            a_i=np.full_like(vis_i, trace.weights[0, i, p]),
-            a_j=np.full_like(vis_j, trace.weights[0, j, q]),
-            alpha_i=np.full_like(vis_i, 1.0 / M),
-            alpha_j=np.full_like(vis_j, 1.0 / M),
-            identity=True,
-        )
-    new_inv_i = inv_i0 + (1 + m_i) * e
-    new_inv_j = inv_j0 - (1 + m_j) * e
-    den_a_i = vis_i - new_inv_i
-    den_a_j = vis_j - new_inv_j
-    den_al_i = trace.epsilon * (vis_j - vis_i)
-    den_al_j = trace.epsilon * (vis_i - vis_j)
-    for name, den in (
-        ("coupling weight of client i", den_a_i),
-        ("coupling weight of client j", den_a_j),
-        ("drift weight of client i", den_al_i),
-        ("drift weight of client j", den_al_j),
-    ):
-        if np.min(np.abs(den)) < DEGENERATE_TOL:
-            raise WitnessDegenerateError(f"vanishing denominator in the {name}")
-    a_i0 = trace.weights[0, i, p]
-    a_j0 = trace.weights[0, j, q]
-    a_i = (a_i0 * (vis_i - inv_i0) - (1 + m_i) * e) / den_a_i
-    a_j = (a_j0 * (vis_j - inv_j0) + (1 + m_j) * e) / den_a_j
-    alpha_i = (trace.epsilon / M * (vis_j - vis_i) - (1 + m_i) * e) / den_al_i
-    alpha_j = (trace.epsilon / M * (vis_i - vis_j) + (1 + m_j) * e) / den_al_j
+    p, inv_i, a_i, alpha_i = _witness_side(trace, i, j, e)
+    q, inv_j, a_j, alpha_j = _witness_side(trace, j, i, -e)
     return EquivalenceWitness(
         trace=trace, i=i, j=j, e=e, p=p, q=q,
-        inv_i=new_inv_i, inv_j=new_inv_j,
-        a_i=a_i, a_j=a_j, alpha_i=alpha_i, alpha_j=alpha_j,
+        inv_i=inv_i, inv_j=inv_j, a_i=a_i, a_j=a_j, alpha_i=alpha_i, alpha_j=alpha_j,
+        identity=not np.any(e),
     )
 
 
@@ -184,8 +170,7 @@ def _replay(witness: EquivalenceWitness) -> ConsensusTrace:
     if not witness.identity:
         inv[witness.i, witness.p] = witness.inv_i
         inv[witness.j, witness.q] = witness.inv_j
-        origins[witness.i] = origins[witness.i] + witness.e
-        origins[witness.j] = origins[witness.j] - witness.e
+        origins[witness.i], origins[witness.j] = witness.shifted_locals()
     recorded = RoundState(vis, trace.invisibles[0], trace.m_counts)
     nxt, _, _ = run_consensus(recorded, trace.epsilon, trace.weights[:1], record=False)
     if not witness.identity:

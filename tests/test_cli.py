@@ -669,20 +669,28 @@ def test_oversized_level_exits_2(config_path, tmp_path, capsys, level):
     assert "level" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("dim", [10**6, 2**63])
-def test_oversized_task_exits_2_naming_dim_before_allocating(tmp_path, capsys, dim):
-    # 10**6 asked numpy for 146 TiB of curvatures, and 2**63 for an array
-    # past its dimension limit
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        pytest.param("dim", 10**6, id="1000000"),
+        pytest.param("dim", 2**63, id="9223372036854775808"),
+        ("cohort", 2**63), ("split_m", 2**63), ("cohort", 100000),
+    ],
+)
+def test_oversized_task_exits_2_naming_dim_before_allocating(tmp_path, capsys, field, value):
+    # dim 10**6 asked numpy for 146 TiB of curvatures, cohort 100000 for a
+    # 74.5 GiB mixing matrix, and each 2**63 for an array past its dimension
+    # limit
     config = Path(__file__).resolve().parents[1] / "configs" / "desk_msp.json"
     edited = tmp_path / "edited.json"
-    edited.write_text(json.dumps({**json.loads(config.read_text()), "dim": dim}))
+    edited.write_text(json.dumps({**json.loads(config.read_text()), field: value}))
     out = tmp_path / "out"
     tracemalloc.start()
     try:
         assert main(["validate", "--config", str(edited)]) == 2
-        assert "dim" in capsys.readouterr().err
+        assert field in capsys.readouterr().err
         assert main(["run", "--config", str(edited), "--seeds", "0", "--out", str(out)]) == 2
-        assert "dim" in capsys.readouterr().err
+        assert field in capsys.readouterr().err
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

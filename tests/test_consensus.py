@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -818,6 +819,29 @@ def test_a_run_workspace_refuses_a_phase_it_was_not_bound_for():
     fin, _, summary = run_consensus(state, 0.4, table[:3], **phase)
     want, _, want_summary = run_consensus(state, 0.4, table[:3], rng=rngmod.stream(1, 37), lambda2_u=lam2, record=False)
     assert summary == want_summary and _same_bits(fin.quantized, want.quantized)
+
+
+@pytest.mark.parametrize("mode", [MSP, MSPDQ])
+@pytest.mark.parametrize("record", [True, False])
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_a_phase_refuses_a_state_with_a_leading_axis(mode, record, K):
+    # S = 3 stacked cohorts: the weight rows' copy lined the block length up
+    # with S, so K = 2 raised a bare broadcast error and K = S ran wrong rounds
+    S = 3
+    state, weights, lam2 = quantized_setup(level=16)
+    if mode == MSP:
+        state = RoundState(state.visible, state.invisible, state.m_counts)
+    names = ("visible", "invisible", "quantized") if mode == MSPDQ else ("visible", "invisible")
+    stacked = replace(state, **{name: np.stack([getattr(state, name)] * S) for name in names})
+    short = replace(state, m_counts=state.m_counts[:-1])
+    table = weights.table(K)
+    workspaces = [None] if record else [None, consensus._Workspace(state, 0.4, table, record=False)]
+    for initial in (stacked, short):
+        for workspace in workspaces:
+            with pytest.raises(ConfigError, match=r"\(M, d\) visible"):
+                run_consensus(
+                    initial, 0.4, table, rng=rngmod.stream(1, 37), lambda2_u=lam2, record=record, workspace=workspace
+                )
 
 
 @given(

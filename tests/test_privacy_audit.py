@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fedsplit import privacy_audit as pa
 from fedsplit import rng as rngmod
@@ -142,6 +144,40 @@ def test_witness_rejects_same_slot():
         pa.construct_witness(trace, 1, 1, np.ones(3))
 
 
+@given(
+    seed=st.integers(0, 2**16),
+    M=st.integers(3, 5),
+    d=st.integers(2, 4),
+    data=st.data(),
+    mag=st.one_of(st.just(0.0), st.floats(1e-3, 1e6), st.just(pa.MAX_E_MAGNITUDE)),
+    collide=st.booleans(),
+)
+def test_witness_mirrors_under_swapped_slots_and_sign(seed, M, d, data, mag, collide):
+    # client j's side is client i's side with the roles and the sign swapped
+    m_counts = data.draw(st.lists(st.integers(1, 3), min_size=M, max_size=M))
+    i, j = data.draw(st.lists(st.integers(0, M - 1), min_size=2, max_size=2, unique=True))
+    trace = pa.sample_consensus_trace(seed, M=M, d=d, K=3, m_counts=m_counts)
+    if collide:
+        # one shared visible coordinate: a vanishing drift denominator
+        trace.visibles[0, j, 0] = trace.visibles[0, i, 0]
+    direction = rngmod.stream(seed, 78).standard_normal(d)
+    e = mag * direction / np.linalg.norm(direction)
+    outcomes = []
+    for args in ((i, j, e), (j, i, -e)):
+        try:
+            outcomes.append(pa.construct_witness(trace, *args))
+        except WitnessDegenerateError:
+            outcomes.append(None)
+    w, mirror = outcomes
+    assert (w is None) == (mirror is None)
+    if w is None:
+        return
+    assert (w.p, w.q, w.identity) == (mirror.q, mirror.p, mirror.identity)
+    for ours, theirs in (("inv_i", "inv_j"), ("a_i", "a_j"), ("alpha_i", "alpha_j")):
+        assert np.array_equal(getattr(w, ours), getattr(mirror, theirs))
+        assert np.array_equal(getattr(w, theirs), getattr(mirror, ours))
+
+
 def test_mutations_always_detected():
     trace, w = pa.witness_with_retries(31, 0, 1, np.array([0.4, -0.8, 0.3]), M=4, d=3, K=20)
     view = pa.record_view(trace, corrupted={2, 3}, protected={0, 1})
@@ -225,22 +261,29 @@ def test_run_audit_negative_controls_pass(seed):
     assert pa.run_audit(seed=seed, mutate=True)["pass"]
 
 
+DEFAULT_MAGS = pa.DEFAULT_E_MAGNITUDES
+# the zero-shift identity witness and a shift at the replay's cap
+ZERO_AND_CAP = (0.0, pa.MAX_E_MAGNITUDE)
 AUDIT_REPORT_SHA256 = {
-    (0, False): "83c5e9ff9945637da6c24b8d5885a442ef1dbc4d7d9e8a2310309900d3421083",
-    (0, True): "1f6fb74b38555ef716db58ead566adc79de093e1aaa3af124e109c5fabc16b41",
-    (3, False): "7dd2ec713251a7e3fb87be1a1bfa98debffc61b3b3a6d771964131601c350be5",
-    (3, True): "226026c4ec9ea5b7c2c1013bfac155b335d3921e5b74771063f7c3bbc8c679a0",
-    (7, False): "c58e7a247c9f9a84b81d7407b53591c2aaf8cce7d61680e7b11cd0599695c9fe",
-    (7, True): "1c1d8edb7480d1f4686b6e4edace10ba87297d683551a81f3a11b792062d0dd3",
+    (0, False, DEFAULT_MAGS): "83c5e9ff9945637da6c24b8d5885a442ef1dbc4d7d9e8a2310309900d3421083",
+    (0, True, DEFAULT_MAGS): "1f6fb74b38555ef716db58ead566adc79de093e1aaa3af124e109c5fabc16b41",
+    (3, False, DEFAULT_MAGS): "7dd2ec713251a7e3fb87be1a1bfa98debffc61b3b3a6d771964131601c350be5",
+    (3, True, DEFAULT_MAGS): "226026c4ec9ea5b7c2c1013bfac155b335d3921e5b74771063f7c3bbc8c679a0",
+    (7, False, DEFAULT_MAGS): "c58e7a247c9f9a84b81d7407b53591c2aaf8cce7d61680e7b11cd0599695c9fe",
+    (7, True, DEFAULT_MAGS): "1c1d8edb7480d1f4686b6e4edace10ba87297d683551a81f3a11b792062d0dd3",
+    (0, False, ZERO_AND_CAP): "f6b5f93f100e50553283769fea98f1ecec5a2494be84d33bd3aa5d1e4dee721c",
+    (0, True, ZERO_AND_CAP): "412bceefda1d8d9d64a39811442fc15e1032249ce6d96c4837c263f0101a060d",
+    (7, False, ZERO_AND_CAP): "f10150c80ab52ae1ddab00c9c4d843ca19613fcb51836b3b21d8dc6a32726fa1",
+    (7, True, ZERO_AND_CAP): "767d9fcef2d4e0ca961e4e2e3adaf38dae3e3bcf4028b11d65d3077b154ba416",
 }
 
 
 def test_run_audit_report_matches_golden_hash():
     # the auditor rebuilds the witness's round zero outside the round
     # operators; these pin every bit of its reports, negative controls too
-    for (seed, mutate), expected in AUDIT_REPORT_SHA256.items():
-        text = pa.report_to_json(pa.run_audit(seed=seed, mutate=mutate))
-        assert hashlib.sha256(text.encode()).hexdigest() == expected, (seed, mutate)
+    for (seed, mutate, mags), expected in AUDIT_REPORT_SHA256.items():
+        text = pa.report_to_json(pa.run_audit(seed=seed, e_magnitudes=mags, mutate=mutate))
+        assert hashlib.sha256(text.encode()).hexdigest() == expected, (seed, mutate, mags)
 
 
 # recorded before the law moved to Python floats and the audit to one law

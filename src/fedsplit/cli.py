@@ -160,7 +160,7 @@ def cmd_run(args) -> int:
             key = orch.problem_key(cfg)
             if key not in bundles:
                 bundles[key] = orch.build_problem(cfg)
-            orch.consensus_rounds(cfg, bundles[key].constants, cfg.rounds)  # raises past MAX_CONSENSUS_ROUNDS
+            orch.consensus_horizon(cfg, bundles[key].constants)  # raises past either envelope
             jobs.append((point, cfg, bundles[key]))
         # values that read differently can still give one config, e.g. 6 and 6.0
         for other, other_cfg in done:

@@ -16,8 +16,11 @@ client's own submodels.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +44,10 @@ CONSERVATION_RTOL = 1e-9
 # phases run in blocks, so phase memory does not grow with K; a desk phase
 # (M = 8, d = 10, K <= 130 at 500 learning rounds) fits in one block.
 BLOCK_BYTES = 1 << 20
+# Python objects a non-recording quantized row keeps beside its arrays: the
+# views of its weight, visible and upload rows and its round tuple (~640
+# bytes by tracemalloc).
+ROW_OBJECT_BYTES = 640
 
 
 @dataclass
@@ -115,7 +122,7 @@ def check_conserved(total0: np.ndarray, total: np.ndarray, rtol: float = CONSERV
 
 
 class _Workspace(RoundState):
-    """A working state that its kernel `step` advances in place.
+    """A working state that its kernel `step` advances.
 
     A state with quantized uploads binds a quantized workspace, any other a
     plain one.  step(weights) runs one plain round, step(weights, width,
@@ -145,14 +152,22 @@ class _Workspace(RoundState):
     global, refreshed after each aggregate, not a broadcast row.  The flow
     a (inv - vis) enters the visible and leaves the invisible, so inv - flow
     is bitwise inv + a (vis - inv); every input is read before it is
-    written; one invisible row (the desk shape) is its own flow sum.
+    written; one invisible row (the desk shape) is its own flow sum.  Each
+    step ends, and load ends, by leaving the next round's inv - vis in
+    `flow`, whose first slot is the beta gap negated.
 
     Bound over a (K, M, m) step-weight table, it also holds `block`, the
     rounds per block of a phase (all K when recording, else as many as
     BLOCK_BYTES allows), one block of weight rows broadcast to the
     invisible shape (`weight_block`), and in quantized mode each round's
-    largest first-slot weight `a_max`.  run_consensus binds one per phase
-    unless given a run's workspace, bound over the run's whole table.
+    largest first-slot weight `a_max`.  A non-recording quantized one also
+    owns the (block + 1, M, d) stacks `visible_rows` and `upload_rows` that
+    the phase checks read: round r reads its visible and upload from row r
+    and writes the next ones into row r + 1, `visible` and `quantized`
+    follow the row written last, and carry() starts the next block from the
+    last row of a full one.  Any other workspace rewrites one row in place.
+    run_consensus binds one per phase unless given a run's workspace, bound
+    over the run's whole table.
     spectral.contraction_probe binds a plain one with no table and calls
     its step directly.
     """
@@ -161,44 +176,63 @@ class _Workspace(RoundState):
         quantized = state.quantized is not None
         if quantized and state.level is None:
             raise ConfigError("state has quantized uploads but no level")
-        vis, inv = state.visible, state.invisible
-        super().__init__(
-            np.empty(vis.shape), np.empty(inv.shape), state.m_counts, np.empty(vis.shape[:-2] + vis.shape[-1:]),
-            np.empty(vis.shape) if quantized else None, state.level if quantized else None,
-        )
-        self.epsilon = epsilon
-        vis, inv, glob, q = self.visible, self.invisible, self.global_model, self.quantized
+        shape, inv_shape = state.visible.shape, state.invisible.shape
+        rows = 1
         if weights is not None:
             self.table = np.asarray(weights)
             K = len(self.table)
             self.block = K
             if not record:
-                # a round's weight row, and with quantization its visible, upload and uniforms
-                row_bytes = inv.nbytes + (3 * vis.nbytes if quantized else 0)
+                # a round's weight row, and with quantization its visible, upload
+                # and uniforms, plus the row views and round tuple the kernel keeps
+                row_bytes = 8 * math.prod(inv_shape) + (24 * math.prod(shape) + ROW_OBJECT_BYTES if quantized else 0)
                 self.block = max(1, min(K, BLOCK_BYTES // row_bytes))
-            self.weight_rows = np.empty((self.block,) + inv.shape)
+            self.weight_rows = np.empty((self.block,) + inv_shape)
             self.row_views = list(self.weight_rows)  # a list index is cheaper than an array's, per round
             self.rows_start = -1  # the table row that weight_rows[0] holds
             if quantized:
                 self.a_max = np.maximum.reduce(self.table[:, :, 0], axis=1)
                 self.a_maxes = self.a_max.tolist()  # Python floats: the per-round product with pi_t is cheaper
-        vis_b, glob_b = vis[..., None, :], glob[..., None, :]
-        glob_m = np.empty_like(vis)  # the global, one row per client
-        eps, count, half = np.array(float(epsilon)), np.array(float(vis.shape[-2])), np.array(0.0)
-        flow, drift = np.empty_like(inv), np.empty_like(vis)
-        sum_rows = inv.shape[-2] != 1
-        total = np.empty_like(vis) if sum_rows else flow[..., 0, :]
-        ref = q if quantized else vis
+                if not record:
+                    rows = self.block + 1
+        vis_rows = np.empty((rows,) + shape)
+        ref_rows = np.empty_like(vis_rows) if quantized else vis_rows
+        vis0, ref0 = vis_rows[0], ref_rows[0]
+        super().__init__(
+            vis0, np.empty(inv_shape), state.m_counts, np.empty(shape[:-2] + shape[-1:]),
+            ref0 if quantized else None, state.level if quantized else None,
+        )
+        self.epsilon = epsilon
+        inv, glob = self.invisible, self.global_model
+        vis0_b, glob_b = vis0[..., None, :], glob[..., None, :]
+        # step reads each round's (visible, ref, next visible, its broadcast
+        # view, next ref) from `rounds`: row r's and row r + 1's in the
+        # stacks, else the one row each round rewrites
+        rounds = itertools.repeat((vis0, ref0, vis0, vis0_b, ref0))
+        if rows > 1:
+            self.visible_rows, self.upload_rows = vis_rows, ref_rows
+            vis_views, ref_views = list(vis_rows), list(ref_rows)
+            rounds_ops = list(zip(vis_views, ref_views, vis_views[1:], list(vis_rows[1:, ..., None, :]), ref_views[1:]))
+        glob_m = np.empty(shape)  # the global, one row per client
+        eps, count, half = np.array(float(epsilon)), np.array(float(shape[-2])), np.array(0.0)
+        flow, drift = np.empty(inv_shape), np.empty(shape)
+        self.flow = flow
+        sum_rows = inv_shape[-2] != 1
+        total = np.empty(shape) if sum_rows else flow[..., 0, :]
         if quantized:
-            lo, hi = np.empty_like(vis), np.empty_like(vis)
-            round_ = _knob_law(self.level, vis)[1]
+            lo, hi = np.empty(shape), np.empty(shape)
+            round_ = _knob_law(self.level, vis0)[1]
         # numpy's functions as closure locals, as in quantizer._knob_law; a
         # slice assignment copies for half what np.copyto costs
         add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
-        add_reduce = add.reduce
+        add_reduce, next_ = add.reduce, next
+        # the closures set the workspace's attributes through a weak reference:
+        # a strong one would make each workspace a reference cycle, whose rows
+        # only the cyclic collector frees
+        own = weakref.ref(self)
 
         def step(weights, width=None, uniforms=None):
-            subtract(inv, vis_b, flow)
+            vis, ref, new_vis, new_vis_b, new_ref = next_(rounds)
             multiply(weights, flow, flow)
             subtract(inv, flow, inv)
             subtract(glob_m, ref, drift)
@@ -206,24 +240,42 @@ class _Workspace(RoundState):
             add(vis, drift, drift)
             if sum_rows:
                 add_reduce(flow, axis=-2, out=total)
-            add(drift, total, vis)
+            add(drift, total, new_vis)
             if quantized:
                 half[()] = 0.5 * width
-                round_(vis, subtract(q, half, lo), add(q, half, hi), uniforms, q)
-            divide(add_reduce(ref, axis=-2, out=glob), count, glob)  # the aggregate, as in load
+                round_(new_vis, subtract(ref, half, lo), add(ref, half, hi), uniforms, new_ref)
+                workspace = own()
+                workspace.visible, workspace.quantized = new_vis, new_ref
+            divide(add_reduce(new_ref, axis=-2, out=glob), count, glob)  # the aggregate, as in load
             glob_m[...] = glob_b
+            subtract(inv, new_vis_b, flow)  # the next round's flow
+
+        def restart() -> None:  # the stacks' first round reads row 0
+            nonlocal rounds
+            rounds = iter(rounds_ops)
+            workspace = own()
+            workspace.visible, workspace.quantized = vis0, ref0
 
         def load(state: RoundState) -> None:
-            vis[...] = state.visible
+            if rows > 1:
+                restart()
+            vis0[...] = state.visible
             inv[...] = state.invisible
             if quantized:
-                q[...] = state.quantized
-            self.m_counts = state.m_counts
-            divide(add_reduce(ref, axis=-2, out=glob), count, glob)  # round zero's aggregate
+                ref0[...] = state.quantized
+            own().m_counts = state.m_counts
+            divide(add_reduce(ref0, axis=-2, out=glob), count, glob)  # round zero's aggregate
             glob_m[...] = glob_b
+            subtract(inv, vis0_b, flow)  # round zero's flow
+
+        def carry() -> None:
+            vis0[...] = vis_rows[-1]
+            ref0[...] = ref_rows[-1]
+            restart()
 
         self.step = step
         self.load = load
+        self.carry = carry
         load(state)
 
     def weight_block(self, start: int) -> list:
@@ -339,12 +391,13 @@ def run_consensus(
     quantized uploads, and it aggregates round zero itself (see _Workspace).
 
     This is the one caller of the round operators.  Every round's operator
-    call rewrites one working state, loaded from `initial` (which stays
-    unchanged), in place; after it, the phase copies into (rows, ...) stacks
-    only the arrays a reader uses.  A recording phase keeps all four arrays
-    for K+1 rows, which its ConsensusTrace wraps.  A non-recording quantized
-    phase keeps the visibles and uploads its checks read; a non-recording
-    plain phase keeps nothing.
+    call advances one working state, loaded from `initial` (which stays
+    unchanged).  A recording phase copies all four arrays into (K+1)-row
+    stacks after each round, which its ConsensusTrace wraps.  A
+    non-recording quantized phase copies nothing: its workspace writes each
+    round's visibles and uploads, which its checks read, into the next row
+    of its own stacks, and moves one row at each block boundary.  A
+    non-recording plain phase keeps nothing.
 
     The working state is a workspace (see _Workspace): one kernel closure
     over every operand of a round, with the constants and the half-width as
@@ -355,8 +408,11 @@ def run_consensus(
     phase loads `initial` into it, and the final state's arrays are the
     workspace's own until its next load.  On these
     small arrays a round's cost is its numpy calls and their operands
-    (README gives the per-call costs), so the loop adds to each operator
-    call only the beta gap, pi_t and the row copies a reader uses.  The
+    (README gives the per-call costs), so the loop adds to each quantized
+    operator call only pi_t and the beta gap's dot product, over the first
+    slot of the flow the kernel leaves (negated, which is exact; copied
+    contiguous at m > 1, where a strided dot rounds differently), and a
+    recording phase's row copies.  The
     weight rows count against BLOCK_BYTES in both modes, beside the
     visibles, uploads and uniforms of a quantized phase: a non-recording
     phase runs in blocks of at most that many bytes, so its memory does not
@@ -409,38 +465,46 @@ def run_consensus(
     if quantized and (rng is None or lambda2_u is None):
         raise ConfigError("quantized mode needs an rng and lambda2(U)")
     B = min(state.block, K)  # rounds per block
-    kept = ()  # the arrays whose rows a reader uses
+    # a recording phase copies every array into (B + 1)-row stacks after each
+    # round; a non-recording quantized workspace holds the visibles and
+    # uploads its checks read in its own row stacks
+    kept = ()
     if record:
         kept = (state.visible, state.invisible, state.global_model) + ((state.quantized,) if quantized else ())
-    elif quantized:
-        kept = (state.visible, state.quantized)
     stacks = [np.empty((B + 1,) + a.shape) for a in kept]
     copies = tuple(zip(stacks, kept))
     if quantized:
-        # the beta gap is the Frobenius distance between the visible stack
-        # and the first invisible stack; sqrt of the flat dot product is the
-        # formula np.linalg.norm evaluates
-        vis, first_inv = state.visible, state.invisible[..., 0, :]
-        gap = np.empty_like(vis)
+        # the beta gap is the Frobenius distance between the visibles and the
+        # first invisibles, whose difference the kernel leaves in its flow;
+        # negation is exact, and sqrt of the flat dot product is the formula
+        # np.linalg.norm evaluates.  The first slot is strided at m > 1, where
+        # a contiguous copy gives the dot the bits of a contiguous gap
+        first = state.flow[..., 0, :]
+        strided = not first.flags.c_contiguous
+        gap = np.empty_like(first) if strided else first
         gap_flat = gap.reshape(-1)
-        subtract = np.subtract  # a local, as in the kernel
+        visibles, uploads = (stacks[0], stacks[-1]) if record else (state.visible_rows, state.upload_rows)
         a_max, a_maxes = state.a_max[:K], state.a_maxes
         pis, widths, delta_max, box_end_max = np.empty(K), np.empty(K), np.empty(K), np.empty(K)
     w_tilde = 0.0
     # collapsed knobs divide by zero in the rounding kernel (see round_to_knobs),
     # and rounds after an escape run on until the block's check, which any
-    # non-finite visible fails
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore") if quantized else np.errstate():
+    # non-finite visible fails; a plain phase's context is a no-op, which
+    # costs under half of an empty np.errstate
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore") if quantized else contextlib.nullcontext():
         for start in range(0, K, B):
             b = min(B, K - start)
             rows = state.weight_block(start)
             for stack, a in copies:
                 stack[0] = a
             if quantized:
-                uniforms = rng.random(size=(b,) + vis.shape)
+                if start:
+                    state.carry()
+                uniforms = rng.random(size=(b,) + vis_shape)
             for r in range(b):
                 if quantized:
-                    subtract(vis, first_inv, gap)
+                    if strided:
+                        gap[...] = first
                     beta = math.sqrt(gap_flat.dot(gap_flat))
                     if beta > w_tilde:  # a running max
                         w_tilde = beta
@@ -454,7 +518,7 @@ def run_consensus(
                 span = slice(start, start + b)
                 widths[span] = pis[span] * a_max[span]  # the rounds' own products
                 delta_max[span], box_end_max[span] = _check_quantized_rounds(
-                    start, stacks[0][: b + 1], stacks[-1][: b + 1], uniforms, widths[span], state.level, wire_check
+                    start, visibles[: b + 1], uploads[: b + 1], uniforms, widths[span], state.level, wire_check
                 )
     final = RoundState(state.visible, state.invisible, state.m_counts, state.global_model, state.quantized, state.level)
     trace = None

@@ -52,10 +52,23 @@ SCALE_MAX = 1e20
 # Most consensus rounds one learning round may run: the step-weight table is
 # a (K_T, M, m) array.
 MAX_CONSENSUS_ROUNDS = 2**20
-# Most bytes the task's float64 stacks may take: A holds n_clients dim^2
-# values and targets n_clients n_samples dim.  In the split modes it also
-# bounds the cohort^2 mixing matrix plus the cohort split_m step weights.
+# Most bytes any one of a run's arrays may take, checked in Python ints
+# before it is allocated:
+# - the task's float64 stacks: A holds n_clients dim^2 values and targets
+#   n_clients n_samples dim;
+# - one block of _HASH_BLOCK learning rounds' stream draws: per round and
+#   cohort slot, a sampling uniform, local_steps batch_size batch indices
+#   and, in the split modes, up to split_m dim split doubles;
+# - in the split modes, the contraction probe over n = (1 + split_m) cohort
+#   unit states: its n x n identity basis, the round kernel's state and
+#   scratch over it and its per-round deviations, under 6 n^2 values (this
+#   also covers the cohort^2 mixing matrix and cohort split_m step weights);
+# - after the problem is built, a decaying rule's (K_T, cohort, split_m)
+#   step-weight table (see consensus_horizon).
 MAX_TASK_BYTES = 2**30
+# Learning rounds whose stream keys are hashed in one pass: the word tables
+# stay at a fixed size whatever the horizon.
+_HASH_BLOCK = 128
 
 
 @dataclass
@@ -123,6 +136,18 @@ class FLConfig:
                 f"dim={self.dim}, n_clients={self.n_clients} and n_samples={self.n_samples} give task stacks of "
                 f"n_clients * dim * (dim + n_samples) float64 values, over the size envelope of {MAX_TASK_BYTES} bytes"
             )
+        split = self.mode in ("msp", "mspdq")
+        per_slot = 1 + self.local_steps * self.batch_size + (self.split_m * self.dim if split else 0)
+        if 8 * _HASH_BLOCK * self.cohort * per_slot > MAX_TASK_BYTES:
+            fields = f"cohort={self.cohort}, local_steps={self.local_steps}, batch_size={self.batch_size}"
+            draws = "a sampling uniform and local_steps * batch_size batch indices"
+            if split:
+                fields += f", split_m={self.split_m}, dim={self.dim}"
+                draws += " and split_m * dim split doubles"
+            raise ConfigError(
+                f"{fields} give {_HASH_BLOCK}-round stream blocks of {draws} per round and cohort slot, "
+                f"over the size envelope of {MAX_TASK_BYTES} bytes"
+            )
         if not self.ball_radius > 0:
             raise ConfigError(f"ball_radius must be positive, got {self.ball_radius}")
         for name in (
@@ -136,14 +161,16 @@ class FLConfig:
             raise ConfigError(f"eig_lo must be at least {1.0 / SCALE_MAX:g}, got {self.eig_lo!r}")
         if self.q0_width is not None and not self.q0_width > 0:
             raise ConfigError(f"q0_width must be positive, got {self.q0_width}")
-        if self.mode in ("msp", "mspdq"):
+        if split:
             for name in ("epsilon", "gamma_max", "lambda_"):
                 if getattr(self, name) is None:
                     raise ConfigError(f"mode {self.mode} needs {name}")
-            if 8 * self.cohort * (self.cohort + self.split_m) > MAX_TASK_BYTES:
+            n = (1 + self.split_m) * self.cohort
+            if 8 * 6 * n * n > MAX_TASK_BYTES:
                 raise ConfigError(
-                    f"cohort={self.cohort} and split_m={self.split_m} give a cohort * cohort mixing matrix and "
-                    f"cohort * split_m step weights in float64, over the size envelope of {MAX_TASK_BYTES} bytes"
+                    f"cohort={self.cohort} and split_m={self.split_m} give a contraction probe over "
+                    f"(1 + split_m) * cohort = {n} unit states, 6 * {n}**2 float64 values, "
+                    f"over the size envelope of {MAX_TASK_BYTES} bytes"
                 )
             u = build_U(self.cohort, self.epsilon)
             if not 0 < self.lambda_ < 1:
@@ -281,6 +308,21 @@ def consensus_rounds(config: FLConfig, pc: ProblemConstants, t: int) -> int:
     return config.kt_override or kt_schedule(t, pc.mu, vt, config.lambda_, config.mode)
 
 
+def consensus_horizon(config: FLConfig, pc: ProblemConstants) -> int:
+    """K_T = consensus_rounds at t = config.rounds, the rows of the run's
+    step-weight table and the contraction probe's horizon.  A decaying
+    rule's (K_T, cohort, split_m) table past MAX_TASK_BYTES is a ConfigError;
+    the constant rule's table is a view of gamma."""
+    horizon = consensus_rounds(config, pc, config.rounds)
+    if config.weight_rule != "constant" and 8 * horizon * config.cohort * config.split_m > MAX_TASK_BYTES:
+        raise ConfigError(
+            f"K_T={horizon} consensus rounds (kt_override={config.kt_override}), cohort={config.cohort} and "
+            f"split_m={config.split_m} give a {config.weight_rule} step-weight table of K_T * cohort * split_m "
+            f"float64 values, over the size envelope of {MAX_TASK_BYTES} bytes"
+        )
+    return horizon
+
+
 def sample_clients(p: np.ndarray, u: np.ndarray) -> np.ndarray:
     """One i.i.d. draw with replacement from the distribution p (a bundle's
     checked `p`) per uniform in u, in u's shape; duplicates are distinct
@@ -389,11 +431,6 @@ def _check_ball(w: np.ndarray, w_star: np.ndarray, radius: float, what: str) -> 
 
 
 # -- training loops -----------------------------------------------------------
-
-
-# Learning rounds whose stream keys are hashed in one pass: the word tables
-# stay at a fixed size whatever the horizon.
-_HASH_BLOCK = 128
 
 
 @dataclass
@@ -508,7 +545,7 @@ def run(config: FLConfig, bundle: ProblemBundle | None = None) -> RunResult:
     if split:
         rule = _split_rule(config)
         m_counts = np.full(config.cohort, rule.m)
-        weight_table = _step_weights(config).table(consensus_rounds(config, pc, config.rounds))
+        weight_table = _step_weights(config).table(consensus_horizon(config, pc))
     lam2 = None
     upload_bits = 64 * config.dim
     if quantized:
@@ -594,10 +631,11 @@ def theorem_constants(
     w_max_norm = float(np.linalg.norm(pc.w_star)) + config.ball_radius
     out["w_max_norm"] = w_max_norm
     if config.mode in ("msp", "mspdq"):
+        horizon = consensus_horizon(config, pc)
         u = build_U(config.cohort, config.epsilon)
         out["lambda2_U"] = lambda2_U(u)
         out["lambda_min_U"] = lambda_min_U(u)
-        devs, measured = contraction_probe(config.epsilon, _step_weights(config), consensus_rounds(config, pc, config.rounds))
+        devs, measured = contraction_probe(config.epsilon, _step_weights(config), horizon)
         C = fit_contraction_constant(devs, config.lambda_)
         out["C"] = C
         out["measured_contraction"] = measured

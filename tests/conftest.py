@@ -1,4 +1,8 @@
+import functools
 import math
+import os
+import subprocess
+import sys
 
 import hypothesis
 import numpy as np
@@ -11,6 +15,32 @@ hypothesis.settings.register_profile(
     "suite", max_examples=25, deadline=None, derandomize=True
 )
 hypothesis.settings.load_profile("suite")
+
+
+@functools.cache
+def blas_kernel() -> str:
+    """The BLAS kernel numpy runs on here: the golden hashes pin float bits
+    that depend on it (ROADMAP item 13).  OpenBLAS names it on import under
+    OPENBLAS_VERBOSE=2, so a child process reports the kernel this
+    environment, OPENBLAS_CORETYPE included, gives numpy."""
+    try:
+        child = subprocess.run(
+            [sys.executable, "-c", "import numpy"], env={**os.environ, "OPENBLAS_VERBOSE": "2"},
+            capture_output=True, text=True, timeout=60,
+        )
+    except (OSError, subprocess.SubprocessError) as exc:
+        return f"unknown ({exc})"
+    cores = [line for line in (child.stderr + child.stdout).splitlines() if line.startswith("Core:")]
+    return cores[0].split(":", 1)[1].strip() if cores else "not named by the BLAS library"
+
+
+def pytest_report_header(config):
+    return f"blas kernel: {blas_kernel()}"
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    if config.option.verbose < 0:  # -q drops the header
+        terminalreporter.write_line(f"blas kernel: {blas_kernel()}")
 
 
 def pytest_collection_modifyitems(items):

@@ -670,20 +670,30 @@ def test_oversized_level_exits_2(config_path, tmp_path, capsys, level):
 
 
 @pytest.mark.parametrize(
-    "field, value",
+    "field, value, others",
     [
-        pytest.param("dim", 10**6, id="1000000"),
-        pytest.param("dim", 2**63, id="9223372036854775808"),
-        ("cohort", 2**63), ("split_m", 2**63), ("cohort", 100000),
+        pytest.param("dim", 10**6, {}, id="1000000"),
+        pytest.param("dim", 2**63, {}, id="9223372036854775808"),
+        pytest.param("cohort", 2**63, {}, id="cohort-9223372036854775808"),
+        pytest.param("split_m", 2**63, {}, id="split_m-9223372036854775808"),
+        pytest.param("cohort", 100000, {}, id="cohort-100000"),
+        pytest.param("cohort", 2**63, {"mode": "fedavg"}, id="fedavg-cohort-9223372036854775808"),
+        pytest.param("local_steps", 10**9, {}, id="local_steps-1000000000"),
+        pytest.param("cohort", 11000, {}, id="probe-cohort-11000"),
+        pytest.param("cohort", 160, {"weight_rule": "harmonic", "kt_override": 2**20}, id="table-cohort-160"),
     ],
 )
-def test_oversized_task_exits_2_naming_dim_before_allocating(tmp_path, capsys, field, value):
+def test_oversized_task_exits_2_naming_dim_before_allocating(tmp_path, capsys, field, value, others):
     # dim 10**6 asked numpy for 146 TiB of curvatures, cohort 100000 for a
     # 74.5 GiB mixing matrix, and each 2**63 for an array past its dimension
-    # limit
+    # limit.  Read from the code, not run: fedavg's 2**63 cohort and
+    # local_steps 10**9 would draw (128, cohort, local_steps * batch_size)
+    # batch indices, cohort 11000 would have validate's contraction probe
+    # build a 22000 x 22000 identity, and kt_override 2**20 a 1.3 GB
+    # harmonic step-weight table of 160 clients
     config = Path(__file__).resolve().parents[1] / "configs" / "desk_msp.json"
     edited = tmp_path / "edited.json"
-    edited.write_text(json.dumps({**json.loads(config.read_text()), field: value}))
+    edited.write_text(json.dumps({**json.loads(config.read_text()), field: value, **others}))
     out = tmp_path / "out"
     tracemalloc.start()
     try:

@@ -797,6 +797,91 @@ def test_a_run_workspace_loaded_per_phase_matches_a_fresh_bind_per_phase(M, m, d
                 assert "escaped its shrunk interval" in bound[1]
 
 
+@given(
+    M=st.integers(2, 5),
+    m=st.integers(1, 3),
+    d=st.integers(1, 4),
+    ks=st.lists(st.integers(1, 14), min_size=1, max_size=3),
+    block=st.integers(1, 5),
+    level=st.sampled_from([5, 16, 256, 4096]),
+    seed=st.integers(0, 2**16),
+)
+# three invisible slots per client (a strided first slot), nine rounds in
+# blocks of two, the box narrowed at round 5 in the third block
+@example(M=2, m=3, d=2, ks=[9], block=2, level=16, seed=3)
+def test_run_bound_quantized_phases_write_their_rows_in_place_bitwise(M, m, d, ks, block, level, seed):
+    # a run's quantized workspace writes round r + 1's visible and upload
+    # into row r + 1 of its own stacks and carries the last row to row 0 at
+    # each block boundary, and the phase takes its beta gap from the
+    # kernel's flow (the first invisible slot is strided at m > 1).  Every
+    # phase, wire-checked, matches the reference rounds bit for bit; an
+    # escape in a later block raises the message a recording phase, which
+    # runs in one block, raises; and the workspace runs on after it
+    rng = rngmod.stream(seed, 59)
+    epsilon = float(rng.uniform(0.1, 0.9))
+    u = build_U(M, epsilon)
+    weights = StepWeights(gamma=rng.uniform(0.1, 1.0, size=(M, m)) * 0.9 * step_weight_cap(u) / m, rule="inv_sqrt")
+    lam2 = lambda2_U(u)
+    table = weights.table(max(ks))
+
+    def phase_state(i):
+        draw = rngmod.stream(seed, 60, i)
+        w_prev = draw.standard_normal(d)
+        split = SplitRule("uniform", m=m, eps_split=0.3)
+        state = cohort_state([stream_split(w_prev + 0.5 * draw.standard_normal((1, d)), split, draw) for _ in range(M)])
+        snap_initial_upload(state, w_prev, q0_width=40.0, level=level)
+        state.global_model = state.quantized.mean(axis=0)  # the reference reads it; the phase does not
+        return state
+
+    def check_phase(i, K, workspace):
+        state = phase_state(i)
+        ref_rng = rngmod.stream(seed, 61, i)
+        phase_rng = rngmod.stream(seed, 61, i)
+        try:
+            ref_states, ref_summary = reference_run_consensus(state, K, MSPDQ, epsilon, weights, ref_rng, lam2)
+        except ProtocolIntegrityError:
+            with pytest.raises(ProtocolIntegrityError):
+                run_consensus(state, epsilon, table[:K], rng=phase_rng, lambda2_u=lam2, record=False,
+                              wire_check=True, workspace=workspace)
+            return
+        fin, _, summary = run_consensus(
+            state, epsilon, table[:K], rng=phase_rng, lambda2_u=lam2, record=False, wire_check=True, workspace=workspace
+        )
+        assert summary == ref_summary and phase_rng.bit_generator.state == ref_rng.bit_generator.state
+        for name in ("visible", "invisible", "global_model", "quantized"):
+            assert _same_bits(getattr(fin, name), getattr(ref_states[-1], name)), name
+
+    row_bytes = 8 * M * m * d + 24 * M * d + consensus.ROW_OBJECT_BYTES
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(consensus, "BLOCK_BYTES", block * row_bytes)
+        workspace = consensus._Workspace(phase_state(0), epsilon, table, record=False)
+        assert workspace.block == min(block, len(table))
+        assert workspace.visible_rows.shape == workspace.upload_rows.shape == (workspace.block + 1, M, d)
+        for i, K in enumerate(ks):
+            check_phase(i, K, workspace)
+        K = max(ks)
+        if K > block:
+            escape = block + seed % (K - block)  # a round in a later block than the first
+            try:  # the unnarrowed rounds before it may escape on their own
+                reference_run_consensus(phase_state(0), escape, MSPDQ, epsilon, weights, rngmod.stream(seed, 61, 0), lam2)
+                first = escape
+            except ProtocolIntegrityError:
+                first = None
+            messages = []
+            for bound in (workspace, None):
+                with pytest.MonkeyPatch.context() as narrow:
+                    narrow.setattr(consensus, "compute_pi_t", narrow_box_at({escape}))
+                    with pytest.raises(ProtocolIntegrityError, match="escaped its shrunk interval") as err:
+                        run_consensus(
+                            phase_state(0), epsilon, table, rng=rngmod.stream(seed, 61, 0), lambda2_u=lam2,
+                            record=bound is None, wire_check=True, workspace=bound,
+                        )
+                messages.append(str(err.value))
+            assert messages[0] == messages[1]
+            assert first is None or f"at round {first} " in messages[0]
+            check_phase(0, ks[0], workspace)
+
+
 def test_a_run_workspace_refuses_a_phase_it_was_not_bound_for():
     state, weights, lam2 = quantized_setup(level=16)
     table = weights.table(6)

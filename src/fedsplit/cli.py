@@ -31,6 +31,8 @@ from .errors import ConfigError, FedsplitError, ProtocolIntegrityError
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INTEGRITY = 3
+# Most seeds one command runs: a sweep keeps a job per point and seed.
+MAX_SEEDS = 2**16
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -56,24 +58,26 @@ def _out_dir(spec: str) -> Path:
 
 
 def _parse_seeds(spec: str) -> list[int]:
-    """Accepts '0..19', '3', or '0,2,5'; an empty selection, a negative seed
-    or a repeated one is an error."""
+    """Accepts '0..19', '3', or '0,2,5'; an empty selection, more than
+    MAX_SEEDS, a negative seed or a repeated one is an error."""
     spec = spec.strip()
     try:
         if ".." in spec:
-            lo, hi = spec.split("..", 1)
-            seeds = list(range(int(lo), int(hi) + 1))
+            lo, hi = (int(end) for end in spec.split("..", 1))
+            seeds = range(lo, min(hi, lo + MAX_SEEDS) + 1)  # one seed past the bound, and no list yet
         else:
             seeds = [int(s) for s in spec.split(",") if s]
     except ValueError:
         raise ConfigError(f"--seeds {spec!r} must look like 0..19, 3 or 0,2,5") from None
     if not seeds:
         raise ConfigError(f"--seeds {spec!r} selects no seeds")
+    if len(seeds) > MAX_SEEDS:
+        raise ConfigError(f"--seeds {spec!r} selects more than {MAX_SEEDS} seeds")
     if min(seeds) < 0:
         raise ConfigError(f"--seeds {spec!r} must list nonnegative seeds")
     if len(set(seeds)) < len(seeds):
         raise ConfigError(f"--seeds {spec!r} lists a seed more than once")
-    return seeds
+    return list(seeds)
 
 
 def _parse_sweep(items: list[str]) -> dict:

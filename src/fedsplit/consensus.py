@@ -45,9 +45,9 @@ CONSERVATION_RTOL = 1e-9
 # (M = 8, d = 10, K <= 130 at 500 learning rounds) fits in one block.
 BLOCK_BYTES = 1 << 20
 # Python objects a non-recording quantized row keeps beside its arrays: the
-# views of its weight, visible and upload rows and its round tuple (~640
-# bytes by tracemalloc).
-ROW_OBJECT_BYTES = 640
+# views of its weight, visible, upload and uniform rows and its round tuple
+# (~700-870 bytes by tracemalloc).
+ROW_OBJECT_BYTES = 1024
 
 
 @dataclass
@@ -160,11 +160,12 @@ class _Workspace(RoundState):
     rounds per block of a phase (all K when recording, else as many as
     BLOCK_BYTES allows), one block of weight rows broadcast to the
     invisible shape (`weight_block`), and in quantized mode each round's
-    largest first-slot weight `a_max`.  A non-recording quantized one also
-    owns the (block + 1, M, d) stacks `visible_rows` and `upload_rows` that
-    the phase checks read: round r reads its visible and upload from row r
-    and writes the next ones into row r + 1, `visible` and `quantized`
-    follow the row written last, and carry() starts the next block from the
+    largest first-slot weight `a_max` and a block's `uniforms`, drawn in
+    place.  A non-recording quantized one also owns the (block + 1, M, d)
+    stacks `visible_rows` and `upload_rows` that the phase checks read:
+    round r reads its visible and upload from row r and writes the next
+    ones into row r + 1, the phase points `visible` and `quantized` at the
+    rows its last round wrote, and carry() starts the next block from the
     last row of a full one.  Any other workspace rewrites one row in place.
     run_consensus binds one per phase unless given a run's workspace, bound
     over the run's whole table.
@@ -193,6 +194,8 @@ class _Workspace(RoundState):
             if quantized:
                 self.a_max = np.maximum.reduce(self.table[:, :, 0], axis=1)
                 self.a_maxes = self.a_max.tolist()  # Python floats: the per-round product with pi_t is cheaper
+                self.uniforms = np.empty((self.block,) + shape)  # one block's draws, made in place
+                self.uniform_rows = list(self.uniforms)
                 if not record:
                     rows = self.block + 1
         vis_rows = np.empty((rows,) + shape)
@@ -244,8 +247,6 @@ class _Workspace(RoundState):
             if quantized:
                 half[()] = 0.5 * width
                 round_(new_vis, subtract(ref, half, lo), add(ref, half, hi), uniforms, new_ref)
-                workspace = own()
-                workspace.visible, workspace.quantized = new_vis, new_ref
             divide(add_reduce(new_ref, axis=-2, out=glob), count, glob)  # the aggregate, as in load
             glob_m[...] = glob_b
             subtract(inv, new_vis_b, flow)  # the next round's flow
@@ -332,11 +333,10 @@ def _check_quantized_rounds(
     widths: np.ndarray,
     level: int,
     wire_check: bool,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Check b quantized rounds, the first of them round k0, from their
     (b+1, M, d) visible and upload rows, the (b, M, d) uniforms and the (b,)
-    box widths; returns each round's largest upload error norm and largest
-    |box end|.
+    box widths; returns each round's largest upload error norm.
 
     In order: every post-update visible lies in its box, else
     ProtocolIntegrityError names the first escape by round, client and
@@ -344,12 +344,12 @@ def _check_quantized_rounds(
     the codec.  The boxes and indices are the rounds' own: the same
     elementwise arithmetic over the stacks gives the same bits.
     """
-    halves = 0.5 * widths
-    half = halves[:, None, None]
-    lo, hi = quantized[:-1] - half, quantized[:-1] + half
     new_vis = visibles[1:]
+    half = np.empty_like(new_vis)  # full-shape: same-shape ufuncs cost a fraction of broadcast ones
+    half[...] = (0.5 * widths)[:, None, None]
+    lo, hi = quantized[:-1] - half, quantized[:-1] + half
     inside = (new_vis >= lo) & (new_vis <= hi)
-    if not np.logical_and.reduce(inside, axis=None):
+    if np.count_nonzero(inside) < inside.size:
         k, i, j = np.argwhere(~inside)[0]
         raise ProtocolIntegrityError(
             f"visible escaped its shrunk interval at round {k0 + k} "
@@ -365,12 +365,17 @@ def _check_quantized_rounds(
             if not np.array_equal(back.indices, idx):
                 raise ProtocolIntegrityError("wire roundtrip altered an upload")
     delta = quantized[1:] - new_vis
-    # the formula np.linalg.norm(delta, axis=-1) evaluates, with the max over
-    # clients taken before the (monotone) sqrt.  hi >= lo, so the largest
-    # |box end| is max(max hi, -min lo); float rounding is monotone and odd,
-    # so that is bitwise max|upload| + half
-    norms = np.sqrt(np.maximum.reduce(np.add.reduce(delta * delta, axis=-1), axis=-1))
-    return norms, np.maximum.reduce(np.abs(quantized[:-1]), axis=(1, 2)) + halves
+    # the formula np.linalg.norm(delta, axis=-1) evaluates, with the max over clients taken before
+    # the (monotone) sqrt, over a transposed buffer of squared norms: it reduces an outer axis
+    squares = np.empty(delta.shape[-2::-1]).T
+    np.add.reduce(delta * delta, axis=-1, out=squares)
+    return np.sqrt(np.maximum.reduce(squares.T, axis=0))
+
+
+def _box_ends(quantized: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Each of b rounds' largest |box end|, max(max hi, -min lo), from its (b+1, M, d) upload rows and
+    (b,) box widths: float rounding is monotone and odd, so it is bitwise max|upload| + half."""
+    return np.maximum.reduce(np.abs(quantized[:-1]), axis=(1, 2)) + 0.5 * widths
 
 
 def run_consensus(
@@ -416,9 +421,9 @@ def run_consensus(
     weight rows count against BLOCK_BYTES in both modes, beside the
     visibles, uploads and uniforms of a quantized phase: a non-recording
     phase runs in blocks of at most that many bytes, so its memory does not
-    grow with K, and draws each block's uniforms in one call (PCG64 doubles
-    are unbuffered, so the blocks read what one (K, M, d) draw would).  A
-    recording phase runs in one block.
+    grow with K, and draws each block's uniforms in one call, into the
+    workspace's buffer (PCG64 doubles are unbuffered, so the blocks read
+    what one (K, M, d) draw would).  A recording phase runs in one block.
 
     Returns (final_state, trace_or_None, summary) where summary carries the
     interval-width and beta-gap maxima and the worst quantization error and
@@ -427,8 +432,9 @@ def run_consensus(
     quantized mode, round k's box width is pi_t a_max[k], and the phase is
     checked over its stacks, each block after its last round: first box
     containment, then (with wire_check) the codec roundtrip, and after the
-    last block every upload error against dynamic_error_bound plus the
-    knob_rounding_allowance of the round's largest |box end|.  Each raises
+    last block every upload error against dynamic_error_bound, and only
+    where one exceeds it, against that plus the knob_rounding_allowance of
+    the round's largest |box end| (see the check's comment).  Each raises
     ProtocolIntegrityError naming the first round that failed it, so an
     escape anywhere in the phase wins over an error-bound violation.  Last,
     in both modes, check_conserved raises if the final cohort total drifted
@@ -483,9 +489,11 @@ def run_consensus(
         strided = not first.flags.c_contiguous
         gap = np.empty_like(first) if strided else first
         gap_flat = gap.reshape(-1)
+        sqrt, dot = math.sqrt, gap_flat.dot  # locals: a lookup per round costs a tenth of the dot
         visibles, uploads = (stacks[0], stacks[-1]) if record else (state.visible_rows, state.upload_rows)
-        a_max, a_maxes = state.a_max[:K], state.a_maxes
-        pis, widths, delta_max, box_end_max = np.empty(K), np.empty(K), np.empty(K), np.empty(K)
+        a_max, a_maxes, uniform_rows = state.a_max[:K], state.a_maxes, state.uniform_rows
+        per_round = np.empty((4, K))  # rows: pis, widths, error norms, box ends
+        pis, widths, delta_max, box_end_max = per_round[0], per_round[1], per_round[2], per_round[3]
     w_tilde = 0.0
     # collapsed knobs divide by zero in the rounding kernel (see round_to_knobs),
     # and rounds after an escape run on until the block's check, which any
@@ -500,16 +508,16 @@ def run_consensus(
             if quantized:
                 if start:
                     state.carry()
-                uniforms = rng.random(size=(b,) + vis_shape)
+                uniforms = rng.random(out=state.uniforms[:b])
             for r in range(b):
                 if quantized:
                     if strided:
                         gap[...] = first
-                    beta = math.sqrt(gap_flat.dot(gap_flat))
+                    beta = sqrt(dot(gap_flat))
                     if beta > w_tilde:  # a running max
                         w_tilde = beta
                     pis[start + r] = pi_t = compute_pi_t(epsilon, lambda2_u, w_tilde)
-                    mspdq_round(state, rows[r], pi_t * a_maxes[start + r], uniforms[r])
+                    mspdq_round(state, rows[r], pi_t * a_maxes[start + r], uniform_rows[r])
                 else:
                     msp_round(state, rows[r])
                 for stack, a in copies:
@@ -517,9 +525,30 @@ def run_consensus(
             if quantized:
                 span = slice(start, start + b)
                 widths[span] = pis[span] * a_max[span]  # the rounds' own products
-                delta_max[span], box_end_max[span] = _check_quantized_rounds(
+                delta_max[span] = _check_quantized_rounds(
                     start, visibles[: b + 1], uploads[: b + 1], uniforms, widths[span], state.level, wire_check
                 )
+                if start + b < K:  # the next block overwrites these rows
+                    box_end_max[span] = _box_ends(uploads[: b + 1], widths[span])
+    summary = {"delta_max": 0.0, "bound_margin_min": float("inf"), "w_tilde_max": 0.0, "max_width": 0.0}
+    if quantized:
+        if not record:  # the rows the last round wrote
+            state.visible, state.quantized = visibles[b], uploads[b]
+        bound = dynamic_error_bound(pis, state.level, a_max, initial.d)
+        margin_min = float(np.minimum.reduce(bound - delta_max))
+        # a round within its bound is within bound plus allowance, nonnegative at a finite box end; at an
+        # infinite one the knob step is infinite, so the upload error and the margin are NaN or infinite
+        if not margin_min >= 0:
+            box_end_max[span] = _box_ends(uploads[: b + 1], widths[span])
+            limit = bound + knob_rounding_allowance(box_end_max, initial.d)
+            within = delta_max <= limit
+            if not np.logical_and.reduce(within):
+                k = int(np.flatnonzero(~within)[0])
+                raise ProtocolIntegrityError(
+                    f"quantization error exceeded its bound at round {k}: {delta_max[k]:.6g} > {limit[k]:.6g}"
+                )
+        max_width, max_delta = np.maximum.reduce(per_round[1:3], axis=1).tolist()  # one reduce for both
+        summary = dict(delta_max=max_delta, bound_margin_min=margin_min, w_tilde_max=w_tilde, max_width=max_width)
     final = RoundState(state.visible, state.invisible, state.m_counts, state.global_model, state.quantized, state.level)
     trace = None
     if record:
@@ -533,22 +562,6 @@ def run_consensus(
             quantized=stacks[3] if quantized else None,
             pis=pis if quantized else None,
         )
-    summary = {"delta_max": 0.0, "bound_margin_min": float("inf"), "w_tilde_max": 0.0, "max_width": 0.0}
-    if quantized:
-        bound = dynamic_error_bound(pis, state.level, a_max, initial.d)
-        limit = bound + knob_rounding_allowance(box_end_max, initial.d)
-        within = delta_max <= limit
-        if not np.logical_and.reduce(within):
-            k = int(np.flatnonzero(~within)[0])
-            raise ProtocolIntegrityError(
-                f"quantization error exceeded its bound at round {k}: {delta_max[k]:.6g} > {limit[k]:.6g}"
-            )
-        summary = {
-            "delta_max": float(np.maximum.reduce(delta_max)),
-            "bound_margin_min": float(np.minimum.reduce(bound - delta_max)),
-            "w_tilde_max": w_tilde,  # a running max: its last value
-            "max_width": float(np.maximum.reduce(widths)),
-        }
     check_conserved(conserved_sum(initial), conserved_sum(final))
     return final, trace, summary
 

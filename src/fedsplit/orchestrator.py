@@ -58,7 +58,11 @@ MAX_CONSENSUS_ROUNDS = 2**20
 #   n_clients n_samples dim;
 # - one block of _HASH_BLOCK learning rounds' stream draws: per round and
 #   cohort slot, a sampling uniform, local_steps batch_size batch indices
-#   and, in the split modes, up to split_m dim split doubles;
+#   and, in the split modes, up to split_m dim split doubles, each counted
+#   _DRAW_PEAK times (rng.raw_outputs' 128-bit products hold ~11 words per
+#   draw, and the batches are copied once);
+# - per learning round, a model, a metric row and two metric-pass rows of
+#   n_clients dim values;
 # - in the split modes, the contraction probe over n = (1 + split_m) cohort
 #   unit states: its n x n identity basis, the round kernel's state and
 #   scratch over it and its per-round deviations, under 6 n^2 values (this
@@ -69,6 +73,7 @@ MAX_TASK_BYTES = 2**30
 # Learning rounds whose stream keys are hashed in one pass: the word tables
 # stay at a fixed size whatever the horizon.
 _HASH_BLOCK = 128
+_DRAW_PEAK = 16
 
 
 @dataclass
@@ -138,7 +143,7 @@ class FLConfig:
             )
         split = self.mode in ("msp", "mspdq")
         per_slot = 1 + self.local_steps * self.batch_size + (self.split_m * self.dim if split else 0)
-        if 8 * _HASH_BLOCK * self.cohort * per_slot > MAX_TASK_BYTES:
+        if 8 * _HASH_BLOCK * self.cohort * per_slot * _DRAW_PEAK > MAX_TASK_BYTES:
             fields = f"cohort={self.cohort}, local_steps={self.local_steps}, batch_size={self.batch_size}"
             draws = "a sampling uniform and local_steps * batch_size batch indices"
             if split:
@@ -146,7 +151,12 @@ class FLConfig:
                 draws += " and split_m * dim split doubles"
             raise ConfigError(
                 f"{fields} give {_HASH_BLOCK}-round stream blocks of {draws} per round and cohort slot, "
-                f"over the size envelope of {MAX_TASK_BYTES} bytes"
+                f"{_DRAW_PEAK} float64 values each while drawing, over the size envelope of {MAX_TASK_BYTES} bytes"
+            )
+        if 8 * (self.rounds + 1) * ((2 * self.n_clients + 2) * self.dim + 64) > MAX_TASK_BYTES:
+            raise ConfigError(
+                f"rounds={self.rounds}, n_clients={self.n_clients} and dim={self.dim} give a run (rounds + 1) * "
+                f"((2 * n_clients + 2) * dim + 64) float64 values, over the size envelope of {MAX_TASK_BYTES} bytes"
             )
         if not self.ball_radius > 0:
             raise ConfigError(f"ball_radius must be positive, got {self.ball_radius}")
@@ -422,8 +432,9 @@ def _step_weights(config: FLConfig) -> StepWeights:
 
 
 def _check_ball(w: np.ndarray, w_star: np.ndarray, radius: float, what: str) -> None:
-    # `not ... <= radius` also rejects a NaN model
-    if not np.linalg.norm(w - w_star) <= radius:
+    # np.linalg.norm's formula for a vector; `not ... <= radius` also rejects a NaN model
+    diff = w - w_star
+    if not math.sqrt(diff.dot(diff)) <= radius:
         raise ProtocolIntegrityError(
             f"{what} left the operating ball (radius {radius}); "
             "theorem constants are void, enlarge ball_radius"
@@ -507,13 +518,15 @@ def snap_initial_upload(state: RoundState, w_prev: np.ndarray, q0_width: float, 
     hi0 = float(w_prev.max()) + q0_width / 2.0
     bin0 = (hi0 - lo0) / (level - 1)
     vis0 = state.visible[0]
-    if np.logical_or.reduce((vis0 < lo0) | (vis0 > hi0)):
+    if np.count_nonzero((vis0 < lo0) | (vis0 > hi0)):
         raise ProtocolIntegrityError(
             "initial split visible escaped the round-zero interval; increase q0_width"
         )
     idx = np.minimum(np.rint((vis0 - lo0) / bin0), level - 1)  # np.round is rint; x >= 0 here
     shared = knob_values(lo0, hi0, level, idx)
-    state.invisible[np.arange(state.M), state.m_counts - 1] += state.visible - shared
+    # each slot's last invisible; with one invisible row (the desk shape) a view, not an advanced index
+    last = (slice(None), 0) if state.invisible.shape[1] == 1 else (np.arange(state.M), state.m_counts - 1)
+    state.invisible[last] += state.visible - shared
     state.visible[:] = shared
     state.quantized = state.visible.copy()
     state.level = level

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import hypothesis
 import numpy as np
@@ -38,9 +39,26 @@ def pytest_report_header(config):
     return f"blas kernel: {blas_kernel()}"
 
 
+# wall seconds of the desk fixture's setup, for the terminal summary
+DESK_SETUP_SECONDS = pytest.StashKey[float]()
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_fixture_setup(fixturedef, request):
+    # the fixtures it depends on are set up before this hook runs
+    t0 = time.perf_counter()
+    yield
+    if fixturedef.argname == "desk":
+        request.config.stash[DESK_SETUP_SECONDS] = time.perf_counter() - t0
+
+
 def pytest_terminal_summary(terminalreporter, config):
     if config.option.verbose < 0:  # -q drops the header
         terminalreporter.write_line(f"blas kernel: {blas_kernel()}")
+    seconds = config.stash.get(DESK_SETUP_SECONDS, None)
+    terminalreporter.write_line(
+        "desk fixture setup: not run" if seconds is None else f"desk fixture setup: {seconds:.1f} s"
+    )
 
 
 def pytest_collection_modifyitems(items):

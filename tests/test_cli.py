@@ -555,6 +555,26 @@ def test_bad_cli_number_exits_2(msp_config_path, tmp_path, capsys, argv, flag):
     assert argv[0] == "report" or not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "audit"])
+@pytest.mark.parametrize("spec", ["0..99999999999", "0..100000000000000000000000000000", "7..65543"])
+def test_a_seed_range_past_the_bound_exits_2_before_listing_it(msp_config_path, tmp_path, capsys, command, spec):
+    # 0..99999999999 built its list and ended in a MemoryError traceback;
+    # the bound holds in Python ints, so no list of the seeds ever exists
+    out = tmp_path / "out"
+    argv = [command, "--seeds", spec, "--out", str(out)]
+    if command == "run":
+        argv += ["--config", str(msp_config_path)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert "--seeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["fedavg", "ldp", "msp", "mspdq"])
 def test_shipped_configs_equal_the_desk_preset(mode):
     # fedavg and ldp run on desk_msp.json under --mode or --sweep mode=
@@ -681,6 +701,7 @@ def test_oversized_level_exits_2(config_path, tmp_path, capsys, level):
         pytest.param("local_steps", 10**9, {}, id="local_steps-1000000000"),
         pytest.param("cohort", 11000, {}, id="probe-cohort-11000"),
         pytest.param("cohort", 160, {"weight_rule": "harmonic", "kt_override": 2**20}, id="table-cohort-160"),
+        pytest.param("rounds", 10**9, {}, id="rounds-1000000000"),
     ],
 )
 def test_oversized_task_exits_2_naming_dim_before_allocating(tmp_path, capsys, field, value, others):
@@ -689,8 +710,9 @@ def test_oversized_task_exits_2_naming_dim_before_allocating(tmp_path, capsys, f
     # limit.  Read from the code, not run: fedavg's 2**63 cohort and
     # local_steps 10**9 would draw (128, cohort, local_steps * batch_size)
     # batch indices, cohort 11000 would have validate's contraction probe
-    # build a 22000 x 22000 identity, and kt_override 2**20 a 1.3 GB
-    # harmonic step-weight table of 160 clients
+    # build a 22000 x 22000 identity, kt_override 2**20 a 1.3 GB harmonic
+    # step-weight table of 160 clients, and rounds 10**9 a run keep 10**9
+    # models and metric rows
     config = Path(__file__).resolve().parents[1] / "configs" / "desk_msp.json"
     edited = tmp_path / "edited.json"
     edited.write_text(json.dumps({**json.loads(config.read_text()), field: value, **others}))

@@ -486,6 +486,27 @@ def test_non_recording_phase_memory_does_not_grow_with_K(mode):
     assert peak(4096) <= 2 * peak(256)
 
 
+@pytest.mark.parametrize("M, m, d", [(2, 1, 1), (3, 2, 2), (8, 1, 10)])
+def test_a_non_recording_quantized_row_holds_its_stated_bytes(M, m, d):
+    # the block size divides BLOCK_BYTES by a row's weights, visible, upload
+    # and uniforms and ROW_OBJECT_BYTES of views and round tuple; a bind
+    # with twice the rows grows by no more than that per row
+    def bound_bytes(K):
+        state = RoundState(np.zeros((M, d)), np.zeros((M, m, d)), np.full(M, m), None, np.zeros((M, d)), 16)
+        table = np.full((K, M, m), 0.01)
+        tracemalloc.start()
+        try:
+            workspace = consensus._Workspace(state, 0.3, table, record=False)
+            return tracemalloc.get_traced_memory()[0], workspace.block
+        finally:
+            tracemalloc.stop()
+
+    (small, rows), (large, more_rows) = bound_bytes(100), bound_bytes(200)
+    assert (rows, more_rows) == (100, 200)
+    # the table's a_max and its Python floats add 40 bytes per table row
+    assert large - small <= 100 * (8 * M * m * d + 24 * M * d + consensus.ROW_OBJECT_BYTES + 40)
+
+
 @pytest.mark.parametrize("mode", [MSP, MSPDQ])
 @pytest.mark.parametrize("record, block_bytes", [(True, None), (False, None), (False, 1)])
 def test_phase_calls_its_operator_and_pi_t_once_per_round(monkeypatch, mode, record, block_bytes):
@@ -882,6 +903,63 @@ def test_run_bound_quantized_phases_write_their_rows_in_place_bitwise(M, m, d, k
             check_phase(0, ks[0], workspace)
 
 
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("block", [None, 50])
+def test_a_short_phase_after_a_long_one_on_a_run_workspace_matches_a_fresh_bind(monkeypatch, m, block):
+    # a run's workspace reuses its row stacks and its uniforms buffer from
+    # phase to phase, so a short phase after a long one (K = 130, then 4, at
+    # the desk's M and d) must read none of the long phase's rows: its final
+    # state, summary, interval constants, box widths and rng end state are
+    # bitwise those of a fresh bind over its own rounds
+    M, d, level, epsilon = 8, 10, 256, 0.35
+    rng = rngmod.stream(3, 62)
+    u = build_U(M, epsilon)
+    weights = StepWeights(gamma=rng.uniform(0.1, 1.0, size=(M, m)) * 0.9 * step_weight_cap(u) / m, rule="inv_sqrt")
+    lam2 = lambda2_U(u)
+    table = weights.table(130)
+    if block is not None:  # the long phase then runs in three blocks
+        monkeypatch.setattr(consensus, "BLOCK_BYTES", block * (8 * M * m * d + 24 * M * d + consensus.ROW_OBJECT_BYTES))
+    seen = {"pis": [], "widths": []}
+    real_pi_t, real_round = consensus.compute_pi_t, consensus.mspdq_round
+
+    def pi_t(*args):
+        seen["pis"].append(real_pi_t(*args))
+        return seen["pis"][-1]
+
+    def mspdq_round(state, weights_k, width, uniforms):
+        seen["widths"].append(width)
+        return real_round(state, weights_k, width, uniforms)
+
+    monkeypatch.setattr(consensus, "compute_pi_t", pi_t)
+    monkeypatch.setattr(consensus, "mspdq_round", mspdq_round)
+
+    def phase(i, K, workspace):
+        draw = rngmod.stream(3, 63, i)
+        w_prev = draw.standard_normal(d)
+        split = SplitRule("uniform", m=m, eps_split=0.3)
+        state = cohort_state([stream_split(w_prev + 0.5 * draw.standard_normal((1, d)), split, draw) for _ in range(M)])
+        snap_initial_upload(state, w_prev, q0_width=40.0, level=level)
+        for values in seen.values():
+            values.clear()
+        phase_rng = rngmod.stream(3, 64, i)
+        fin, _, summary = run_consensus(
+            state, epsilon, table[:K], rng=phase_rng, lambda2_u=lam2, record=False, wire_check=K < 10,
+            workspace=workspace,
+        )
+        arrays = [getattr(fin, name).copy() for name in ("visible", "invisible", "global_model", "quantized")]
+        return arrays + [np.array(seen["pis"]), np.array(seen["widths"])], summary, phase_rng.bit_generator.state
+
+    workspace = consensus._Workspace(RoundState(np.zeros((M, d)), np.zeros((M, m, d)), np.full(M, m), None,
+                                                np.zeros((M, d)), level), epsilon, table, record=False)
+    assert workspace.block == (130 if block is None else block)
+    phase(0, 130, workspace)
+    bound, fresh = phase(1, 4, workspace), phase(1, 4, None)
+    assert len(bound[0][-1]) == 4
+    for got, want in zip(bound[0], fresh[0]):
+        assert _same_bits(got, want)
+    assert bound[1:] == fresh[1:]
+
+
 def test_a_run_workspace_refuses_a_phase_it_was_not_bound_for():
     state, weights, lam2 = quantized_setup(level=16)
     table = weights.table(6)
@@ -947,7 +1025,8 @@ def test_phase_check_error_norms_and_box_ends_match_their_formulas(b, M, d, expo
     # each post-update visible sits at its box centre, the last upload
     visibles = np.concatenate([quantized[:1], quantized[:-1]])
     uniforms = rng.random((b, M, d))
-    norms, box_ends = consensus._check_quantized_rounds(0, visibles, quantized, uniforms, widths, 16, False)
+    norms = consensus._check_quantized_rounds(0, visibles, quantized, uniforms, widths, 16, False)
+    box_ends = consensus._box_ends(quantized, widths)
     half = (0.5 * widths)[:, None, None]
     lo, hi = quantized[:-1] - half, quantized[:-1] + half
     assert _same_bits(box_ends, np.maximum(hi.max(axis=(1, 2)), -lo.min(axis=(1, 2))))

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,6 +277,57 @@ def test_config_validation_messages():
     for field in ("seed", "problem_seed"):
         with pytest.raises(ConfigError, match=f"^{field} must be nonnegative"):
             small_config("msp", **{field: -1}).validate()
+
+
+def traced_peak(work) -> int:
+    tracemalloc.start()
+    try:
+        work()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "mode, overrides",
+    [
+        ("msp", {}),
+        ("mspdq", {"cohort": 1, "local_steps": 1, "batch_size": 1, "dim": 1}),
+        ("fedavg", {"cohort": 1, "local_steps": 1, "batch_size": 1}),
+        ("ldp", {"ldp_scale": 1.0}),
+        ("msp", {"cohort": 3, "local_steps": 7, "batch_size": 5, "split_m": 3, "dim": 7, "gamma_max": 0.05}),
+        ("mspdq", {"cohort": 16, "dim": 40}),
+    ],
+)
+def test_a_stream_block_draws_within_its_stated_bytes(mode, overrides):
+    # validate bounds one block of _HASH_BLOCK learning rounds' draws by
+    # _DRAW_PEAK times their float64 values: rng.raw_outputs' 128-bit
+    # products peak at ~5.5 times a bounded draw's output and ~11 times a
+    # uniform draw's, and the block's batches are copied once
+    cfg = desk_config(mode, 0, level=16, rounds=orch._HASH_BLOCK)
+    for key, val in overrides.items():
+        setattr(cfg, key, val)
+    cfg.validate()
+    split = mode in ("msp", "mspdq")
+    per_slot = 1 + cfg.local_steps * cfg.batch_size + (cfg.split_m * cfg.dim if split else 0)
+    p = np.full(cfg.n_clients, 1.0 / cfg.n_clients)
+    peak = traced_peak(lambda: next(orch._round_streams(cfg, p)))
+    assert peak <= 8 * orch._HASH_BLOCK * cfg.cohort * per_slot * orch._DRAW_PEAK
+
+
+@pytest.mark.parametrize("mode", ["fedavg", "msp"])
+@pytest.mark.parametrize("dim", [1, 40])
+def test_a_runs_peak_grows_per_learning_round_within_its_stated_bytes(mode, dim):
+    # validate bounds (rounds + 1) models and metric rows and the metric
+    # pass's two (rounds, n_clients, dim) stacks
+    def run(rounds):
+        cfg = small_config(mode, rounds=rounds, dim=dim)
+        cfg.validate()
+        bundle = orch.build_problem(cfg)
+        return traced_peak(lambda: orch.run(cfg, bundle))
+
+    n_clients = small_config(mode).n_clients
+    assert run(512) - run(256) <= 256 * 8 * ((2 * n_clients + 2) * dim + 64)
 
 
 def test_config_from_dict_requires_safety_fields():
